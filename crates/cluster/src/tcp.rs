@@ -1,20 +1,32 @@
 //! The socket transport: the same [`NodeCore`] the simulator verifies,
 //! served over real TCP.
 //!
-//! One [`ClusterNode`] owns a listener, a mesh of outbound peer
-//! connections, and a core thread that is the node's *only* mutator — every
-//! connection thread decodes frames and hands them to the core over a
-//! channel, mirroring how the simulator feeds events to the state machine.
-//! Both client and peer traffic share the listener: the first frame
-//! classifies the connection (a `0x10`-range [`NodeMsg::Hello`] marks a
-//! peer or admin; anything below is a client [`Request`]).
+//! **Threads.** A [`ClusterNode`] runs an acceptor, one reader per inbound
+//! connection, and one core thread. The core is the node's only mutator
+//! *and* its only writer, as a delegation server is the only core that
+//! touches its object: the [`NodeCore`], one outbound link per configured
+//! peer, and the write half of every client and admin connection are its
+//! local state. Client and peer traffic share the listener: the first frame
+//! classifies a connection (a `0x10`-range [`NodeMsg::Hello`] marks a peer
+//! or admin; anything below is a client [`Request`]). Inbound peer
+//! connections are only read — a node answers a peer over its own link.
 //!
-//! Outbound frames go through per-peer writer threads that reconnect with
-//! backoff and re-handshake ([`NodeMsg::Hello`] first on every connect);
-//! messages lost to a broken socket are recovered by the protocol's own
-//! retransmission, so the writers keep no queue history. Client responses
-//! likewise leave through per-connection writer threads, keeping the core
-//! thread free of blocking I/O.
+//! **The one queue.** Readers decode frames and hand them to the core over
+//! one channel, mirroring how the simulator feeds events to the state
+//! machine; a connection that can be answered sends its write half first
+//! (`Open`) and `Closed` last. That queue is still unbounded (ROADMAP
+//! item 4). Nothing queues on the way out: each [`Outbox`] frame is encoded
+//! into one reused buffer and written before the next input is taken.
+//!
+//! **Writes.** A write that fails, or cannot complete within `WRITE_BOUND`
+//! (100 ms) because the receiver stopped reading, drops that socket.
+//! A client resends the same request id on a new connection and is answered
+//! from the dedup table. A peer link is re-dialled (`Hello` first) by the
+//! next frame addressed to it, at most every `REDIAL_EVERY` (20 ms) and for
+//! no longer than that per attempt, so peers must be a LAN round trip away;
+//! what was lost meanwhile — forwards, replication records, transfer
+//! chunks, heartbeats — the protocol retransmits, so a link keeps no
+//! history.
 //!
 //! [`ClusterClient`] is the matching client: unlike
 //! [`NetClient`](mpsync_net::NetClient) it keeps the **same request id
@@ -24,10 +36,10 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -46,6 +58,19 @@ use crate::{NodeId, Slot};
 /// Reserved node id admin connections identify as: they may send
 /// [`NodeMsg::Handoff`] but never participate in routing or replication.
 pub const ADMIN_NODE: NodeId = 0xFFFE;
+
+/// Longest one frame's write may block; past it the socket is dropped (see
+/// the module docs). Only full socket buffers get here, and it is well
+/// under the failover deadline, so one stalled socket cannot make the node
+/// look dead.
+const WRITE_BOUND: Duration = Duration::from_millis(100);
+
+/// Pause between dial attempts on a down peer link, and the bound on each
+/// attempt: an unreachable peer costs the core at most half its time.
+const REDIAL_EVERY: Duration = Duration::from_millis(20);
+
+/// How often a reader with nothing to read looks at the stop flag.
+const READ_POLL: Duration = Duration::from_millis(200);
 
 /// First frame of a mixed connection: peers open with `Hello`, clients
 /// with an ordinary request.
@@ -71,19 +96,25 @@ impl Wire for Incoming {
     }
 }
 
+/// What readers send the core. Per connection: `Open` (client and admin
+/// connections only), then its frames, then `Closed`.
 enum Input {
-    Client { token: u64, req: Request },
-    Peer { from: NodeId, msg: NodeMsg },
-}
-
-/// Shared fan-out tables: conn threads register themselves, the core
-/// thread resolves outbox destinations through them. Client writers take
-/// pre-encoded frames so ordinary [`Response`]s and admin [`StatReply`]s
-/// share one ordered stream per connection.
-#[derive(Default)]
-struct Registry {
-    peers: Mutex<BTreeMap<NodeId, mpsc::Sender<NodeMsg>>>,
-    clients: Mutex<BTreeMap<u64, mpsc::Sender<Vec<u8>>>>,
+    Open {
+        token: u64,
+        admin: bool,
+        stream: TcpStream,
+    },
+    Client {
+        token: u64,
+        req: Request,
+    },
+    Peer {
+        from: NodeId,
+        msg: NodeMsg,
+    },
+    Closed {
+        token: u64,
+    },
 }
 
 /// Configuration for one TCP cluster member.
@@ -109,64 +140,62 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Boots the node: starts the acceptor, the outbound peer writers, and
-    /// the core loop.
+    /// Boots the node: starts the acceptor and the core loop. Peer links
+    /// are dialled by the first frame addressed to each.
     pub fn start(cfg: TcpNodeConfig, store: RuntimeStore) -> io::Result<Self> {
         // A node that dies mid-protocol should leave its last structural
         // events (promotions, handoffs, busy rejections) on stderr.
         telemetry::install_panic_hook();
         let local = cfg.listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let reg = Arc::new(Registry::default());
         let (tx, rx) = mpsc::channel::<Input>();
 
-        // Outbound mesh: one reconnecting writer per configured peer.
-        {
-            let mut peers = reg.peers.lock().expect("registry lock");
-            for (id, addr) in &cfg.peers {
-                let (ptx, prx) = mpsc::channel::<NodeMsg>();
-                peers.insert(*id, ptx);
-                spawn_peer_writer(addr.clone(), prx, Arc::clone(&stop), cfg.node.id);
-            }
-        }
-
-        // Acceptor: classify and spawn a reader per connection.
+        // Acceptor: a reader per connection.
         let acceptor = {
             let stop = Arc::clone(&stop);
-            let reg = Arc::clone(&reg);
-            let tx = tx.clone();
             let listener = cfg.listener;
             thread::spawn(move || {
-                let tokens = AtomicU64::new(1);
-                for conn in listener.incoming() {
+                for (token, conn) in (1u64..).zip(listener.incoming()) {
                     if stop.load(Ordering::Acquire) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let token = tokens.fetch_add(1, Ordering::Relaxed);
                     let stop = Arc::clone(&stop);
-                    let reg = Arc::clone(&reg);
                     let tx = tx.clone();
-                    thread::spawn(move || serve_conn(stream, token, tx, reg, stop));
+                    thread::spawn(move || serve_conn(stream, token, tx, stop));
                 }
             })
         };
 
-        // Core loop: sole owner of the NodeCore.
+        // Core loop: sole owner of the NodeCore and of every write half.
         let core = {
             let stop = Arc::clone(&stop);
-            let reg = Arc::clone(&reg);
             let tick_ms = cfg.tick_ms.max(1);
+            let down = |addr| Link {
+                addr,
+                stream: None,
+                next_dial: Instant::now(),
+            };
+            let links = cfg.peers.into_iter().map(|(id, addr)| (id, down(addr)));
+            let mut socks = Sockets {
+                id: cfg.node.id,
+                links: links.collect(),
+                conns: BTreeMap::new(),
+                buf: Vec::with_capacity(256),
+            };
             let mut node = NodeCore::new(cfg.node, store);
             thread::spawn(move || {
                 let start = Instant::now();
                 let mut last_tick = 0u64;
-                loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
+                while !stop.load(Ordering::Acquire) {
                     let mut out = Outbox::default();
                     match rx.recv_timeout(Duration::from_millis(tick_ms / 2 + 1)) {
+                        Ok(Input::Open {
+                            token,
+                            admin,
+                            stream,
+                        }) => drop(socks.conns.insert(token, (admin, stream))),
+                        Ok(Input::Closed { token }) => drop(socks.conns.remove(&token)),
                         Ok(Input::Client { token, req }) => match req {
                             Request::Op {
                                 id,
@@ -183,20 +212,18 @@ impl ClusterNode {
                                     value: 0,
                                 },
                             )),
+                            // Served from the core thread: the slot table
+                            // and routing view are read without racing the
+                            // mutator. Not an op — no protocol state
+                            // changes. Nothing is built for a connection
+                            // already dropped for not reading.
                             Request::Stat { id, kind } => {
-                                // Served from the core thread: the slot
-                                // table and routing view are read without
-                                // racing the mutator. Not an op — no
-                                // protocol state changes.
-                                let payload = match kind {
-                                    stat_kind::SPANS => encode_spans(&telemetry::drain_spans()),
-                                    _ => cluster_snapshot_json(&node).into_bytes(),
-                                };
-                                let mut buf = Vec::with_capacity(payload.len() + 32);
-                                StatReply { id, kind, payload }.encode_frame(&mut buf);
-                                let clients = reg.clients.lock().expect("registry lock");
-                                if let Some(ctx) = clients.get(&token) {
-                                    let _ = ctx.send(buf);
+                                if socks.conns.contains_key(&token) {
+                                    let payload = match kind {
+                                        stat_kind::SPANS => encode_spans(&telemetry::drain_spans()),
+                                        _ => cluster_snapshot_json(&node).into_bytes(),
+                                    };
+                                    socks.send_client(token, &StatReply { id, kind, payload });
                                 }
                             }
                         },
@@ -209,7 +236,12 @@ impl ClusterNode {
                         last_tick = now;
                         node.on_tick(now, &mut out);
                     }
-                    dispatch(&reg, out);
+                    for (to, msg) in out.sends {
+                        socks.send_node(to, &msg);
+                    }
+                    for (token, resp) in out.replies {
+                        socks.send_client(token, &resp);
+                    }
                 }
                 node
             })
@@ -242,25 +274,134 @@ impl ClusterNode {
     }
 }
 
-/// Routes one outbox to its sockets.
-fn dispatch(reg: &Registry, out: Outbox) {
-    if !out.sends.is_empty() {
-        let peers = reg.peers.lock().expect("registry lock");
-        for (to, msg) in out.sends {
-            if let Some(tx) = peers.get(&to) {
-                let _ = tx.send(msg);
+/// A lazily dialled outbound connection to one peer. Write-only: the peer
+/// answers over its own link.
+struct Link {
+    addr: String,
+    stream: Option<TcpStream>,
+    /// No dial before this instant (pushed out by a failed dial).
+    next_dial: Instant,
+}
+
+/// Every socket the node writes to — local state of the core thread.
+struct Sockets {
+    id: NodeId,
+    links: BTreeMap<NodeId, Link>,
+    /// Connection token → (is an admin, write half), from `Input::Open`.
+    conns: BTreeMap<u64, (bool, TcpStream)>,
+    /// Encode buffer reused by every outgoing frame.
+    buf: Vec<u8>,
+}
+
+impl Sockets {
+    fn send_client(&mut self, token: u64, frame: &impl Wire) {
+        if let Some((_, stream)) = self.conns.get(&token) {
+            if !write_or_drop(stream, &mut self.buf, frame) {
+                self.conns.remove(&token);
             }
         }
     }
-    if !out.replies.is_empty() {
-        let clients = reg.clients.lock().expect("registry lock");
-        for (token, resp) in out.replies {
-            if let Some(tx) = clients.get(&token) {
-                let mut buf = Vec::with_capacity(32);
-                resp.encode_frame(&mut buf);
-                let _ = tx.send(buf);
+
+    /// Frames for [`ADMIN_NODE`] go to every open admin connection (an
+    /// admin skips what it is not waiting for); anything else goes down the
+    /// peer's link, dialling it first if it is down and due.
+    fn send_node(&mut self, to: NodeId, msg: &NodeMsg) {
+        let buf = &mut self.buf;
+        if to == ADMIN_NODE {
+            self.conns
+                .retain(|_, (admin, stream)| !*admin || write_or_drop(stream, buf, msg));
+            return;
+        }
+        let Some(link) = self.links.get_mut(&to) else {
+            return;
+        };
+        if link.stream.is_none() && Instant::now() >= link.next_dial {
+            link.stream = dial(&link.addr, REDIAL_EVERY, None, Some(self.id)).ok();
+            if link.stream.is_none() {
+                link.next_dial = Instant::now() + REDIAL_EVERY;
             }
         }
+        if let Some(stream) = &link.stream {
+            if !write_or_drop(stream, buf, msg) {
+                link.stream = None;
+            }
+        }
+    }
+}
+
+/// The one place a frame meets a socket: encoded into `buf` and written
+/// whole, within the stream's write timeout ([`WRITE_BOUND`], set by
+/// [`dial`] and [`serve_conn`]). After an error the stream may hold part
+/// of a frame and must not be written to again.
+fn write_frame(mut stream: &TcpStream, buf: &mut Vec<u8>, frame: &impl Wire) -> io::Result<()> {
+    buf.clear();
+    frame.encode_frame(buf);
+    stream.write_all(buf)
+}
+
+/// [`write_frame`] for the core: on failure the socket is shut down, which
+/// also ends its reader, and `false` tells the caller to forget it.
+fn write_or_drop(stream: &TcpStream, buf: &mut Vec<u8>, frame: &impl Wire) -> bool {
+    let ok = write_frame(stream, buf, frame).is_ok();
+    if !ok {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    ok
+}
+
+/// Connects to `addr` allowing `connect` per resolved address, sets
+/// no-delay, bounds reads by `read` and writes by [`WRITE_BOUND`], and
+/// opens with a `Hello` from `hello` when given.
+fn dial(
+    addr: &str,
+    connect: Duration,
+    read: Option<Duration>,
+    hello: Option<NodeId>,
+) -> io::Result<TcpStream> {
+    let mut stream = Err(io::ErrorKind::AddrNotAvailable.into());
+    for resolved in addr.to_socket_addrs()? {
+        stream = TcpStream::connect_timeout(&resolved, connect);
+        if stream.is_ok() {
+            break;
+        }
+    }
+    let stream = stream?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read)?;
+    stream.set_write_timeout(Some(WRITE_BOUND))?;
+    if let Some(node) = hello {
+        let hello = NodeMsg::Hello {
+            version: NODE_PROTO_VERSION,
+            node,
+            digest: 0,
+        };
+        write_frame(&stream, &mut Vec::new(), &hello)?;
+    }
+    Ok(stream)
+}
+
+/// Reads `T` frames off `stream` through `reader` until one satisfies
+/// `wanted`; the others are skipped.
+fn read_until<T: Wire>(
+    mut stream: &TcpStream,
+    reader: &mut FrameReader,
+    wanted: impl Fn(&T) -> bool,
+) -> io::Result<T> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        while let Some(frame) = reader
+            .next_frame::<T>()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+        {
+            if wanted(&frame) {
+                return Ok(frame);
+            }
+        }
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        reader.extend(&chunk[..n]);
     }
 }
 
@@ -288,84 +429,35 @@ fn cluster_snapshot_json(node: &NodeCore<RuntimeStore>) -> String {
     )
 }
 
-/// Outbound writer: reconnect with backoff, handshake, drain the queue.
-fn spawn_peer_writer(
-    addr: String,
-    rx: mpsc::Receiver<NodeMsg>,
-    stop: Arc<AtomicBool>,
-    self_id: NodeId,
-) {
-    thread::spawn(move || {
-        let mut conn: Option<TcpStream> = None;
-        let mut buf = Vec::with_capacity(256);
-        loop {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let msg = match rx.recv_timeout(Duration::from_millis(200)) {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            // (Re)establish and re-handshake lazily, on demand: dropped
-            // messages are covered by protocol retransmission.
-            if conn.is_none() {
-                match TcpStream::connect(&addr) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        buf.clear();
-                        NodeMsg::Hello {
-                            version: NODE_PROTO_VERSION,
-                            node: self_id,
-                            digest: 0,
-                        }
-                        .encode_frame(&mut buf);
-                        let mut s = s;
-                        if s.write_all(&buf).is_ok() {
-                            conn = Some(s);
-                        } else {
-                            thread::sleep(Duration::from_millis(20));
-                        }
-                    }
-                    Err(_) => {
-                        thread::sleep(Duration::from_millis(20));
-                        continue;
-                    }
-                }
-            }
-            if let Some(s) = conn.as_mut() {
-                buf.clear();
-                msg.encode_frame(&mut buf);
-                if s.write_all(&buf).is_err() {
-                    conn = None;
-                }
-            }
-        }
-    });
+/// What an inbound connection's first frame made it.
+#[derive(Clone, Copy)]
+enum Role {
+    Unknown,
+    Client,
+    Peer(NodeId),
 }
 
 /// Inbound connection: classify on the first frame, then pump inputs into
-/// the core until EOF or shutdown.
-fn serve_conn(
-    stream: TcpStream,
-    token: u64,
-    tx: mpsc::Sender<Input>,
-    reg: Arc<Registry>,
-    stop: Arc<AtomicBool>,
-) {
+/// the core until EOF, a protocol violation, or shutdown.
+fn serve_conn(stream: TcpStream, token: u64, tx: mpsc::Sender<Input>, stop: Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    // Socket options are shared with the clone the core writes through.
+    let _ = stream.set_write_timeout(Some(WRITE_BOUND));
+    let open = |admin: bool| {
+        let stream = stream.try_clone().ok()?;
+        let input = Input::Open {
+            token,
+            admin,
+            stream,
+        };
+        tx.send(input).ok()
+    };
     let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
-    let mut peer_id: Option<NodeId> = None;
-    let mut is_client = false;
-    let mut writer_spawned = false;
-    let mut stream = stream;
+    let mut role = Role::Unknown;
     let mut chunk = [0u8; 16 * 1024];
-    'conn: loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        match stream.read(&mut chunk) {
+    'conn: while !stop.load(Ordering::Acquire) {
+        match (&stream).read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => reader.extend(&chunk[..n]),
             Err(e)
@@ -381,98 +473,33 @@ fn serve_conn(
                 Ok(None) => break,
                 Err(_) => break 'conn, // framing lost; drop the connection
             };
-            match frame {
-                Incoming::Peer(msg) => {
-                    if is_client {
+            let input = match (frame, role) {
+                (Incoming::Client(req), Role::Unknown | Role::Client) => {
+                    if matches!(role, Role::Unknown) && open(false).is_none() {
                         break 'conn;
                     }
-                    let from = match (&msg, peer_id) {
-                        (NodeMsg::Hello { node, .. }, None) => {
-                            peer_id = Some(*node);
-                            if *node == ADMIN_NODE && !writer_spawned {
-                                // Admin has no mesh entry: answer over a
-                                // clone of this socket.
-                                writer_spawned = true;
-                                if let Ok(clone) = stream.try_clone() {
-                                    let (ptx, prx) = mpsc::channel::<NodeMsg>();
-                                    reg.peers
-                                        .lock()
-                                        .expect("registry lock")
-                                        .insert(ADMIN_NODE, ptx);
-                                    let stop = Arc::clone(&stop);
-                                    thread::spawn(move || {
-                                        let mut clone = clone;
-                                        let mut buf = Vec::with_capacity(256);
-                                        while !stop.load(Ordering::Acquire) {
-                                            match prx.recv_timeout(Duration::from_millis(200)) {
-                                                Ok(m) => {
-                                                    buf.clear();
-                                                    m.encode_frame(&mut buf);
-                                                    if clone.write_all(&buf).is_err() {
-                                                        return;
-                                                    }
-                                                }
-                                                Err(RecvTimeoutError::Timeout) => {}
-                                                Err(RecvTimeoutError::Disconnected) => return,
-                                            }
-                                        }
-                                    });
-                                }
-                            }
-                            *node
-                        }
-                        (_, Some(id)) => id,
-                        // Peer frames before a Hello: protocol violation.
-                        (_, None) => break 'conn,
-                    };
-                    if tx.send(Input::Peer { from, msg }).is_err() {
-                        break 'conn;
-                    }
+                    role = Role::Client;
+                    Input::Client { token, req }
                 }
-                Incoming::Client(req) => {
-                    if peer_id.is_some() {
+                (Incoming::Peer(msg), Role::Peer(from)) => Input::Peer { from, msg },
+                (Incoming::Peer(msg @ NodeMsg::Hello { node, .. }), Role::Unknown) => {
+                    // An admin has no link: it is answered on this socket.
+                    if node == ADMIN_NODE && open(true).is_none() {
                         break 'conn;
                     }
-                    if !is_client {
-                        is_client = true;
-                        // Per-connection response writer (pre-encoded
-                        // frames: responses and admin stat replies).
-                        let (ctx, crx) = mpsc::channel::<Vec<u8>>();
-                        reg.clients
-                            .lock()
-                            .expect("registry lock")
-                            .insert(token, ctx);
-                        if let Ok(clone) = stream.try_clone() {
-                            let stop = Arc::clone(&stop);
-                            thread::spawn(move || {
-                                let mut clone = clone;
-                                while !stop.load(Ordering::Acquire) {
-                                    match crx.recv_timeout(Duration::from_millis(200)) {
-                                        Ok(frame) => {
-                                            if clone.write_all(&frame).is_err() {
-                                                return;
-                                            }
-                                        }
-                                        Err(RecvTimeoutError::Timeout) => {}
-                                        Err(RecvTimeoutError::Disconnected) => return,
-                                    }
-                                }
-                            });
-                        }
-                    }
-                    if tx.send(Input::Client { token, req }).is_err() {
-                        break 'conn;
-                    }
+                    role = Role::Peer(node);
+                    Input::Peer { from: node, msg }
                 }
+                // Peer frames before a `Hello`, or client and peer frames
+                // mixed on one connection: protocol violation.
+                _ => break 'conn,
+            };
+            if tx.send(input).is_err() {
+                break 'conn;
             }
         }
     }
-    if is_client {
-        reg.clients.lock().expect("registry lock").remove(&token);
-    }
-    if peer_id == Some(ADMIN_NODE) {
-        reg.peers.lock().expect("registry lock").remove(&ADMIN_NODE);
-    }
+    let _ = tx.send(Input::Closed { token });
 }
 
 /// Outcome of one [`ClusterClient`] call.
@@ -497,6 +524,8 @@ pub struct ClusterClient {
     next_id: u64,
     /// LCG state for trace-id generation ([`ClusterClient::call_traced`]).
     trace_state: u64,
+    /// Encode buffer reused by every request.
+    buf: Vec<u8>,
 }
 
 impl ClusterClient {
@@ -512,6 +541,7 @@ impl ClusterClient {
             target: 0,
             next_id: first_id,
             trace_state: first_id ^ 0x9E37_79B9_7F4A_7C15,
+            buf: Vec::with_capacity(64),
         }
     }
 
@@ -646,76 +676,36 @@ impl ClusterClient {
                 .find(|&&(n, _)| n == node)
                 .expect("target from addrs")
                 .1;
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(self.timeout))?;
+            let stream = dial(addr, self.timeout, Some(self.timeout), None)?;
             self.conns
                 .insert(node, (stream, FrameReader::new(DEFAULT_MAX_FRAME)));
         }
         let (stream, reader) = self.conns.get_mut(&node).expect("just inserted");
-        let mut buf = Vec::with_capacity(64);
-        Request::Op {
+        let req = Request::Op {
             id,
             key,
             op,
             arg,
             trace,
-        }
-        .encode_frame(&mut buf);
-        stream.write_all(&buf)?;
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(resp) = reader
-                .next_frame::<Response>()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            {
-                if resp.id == id {
-                    return Ok(resp);
-                }
-                continue; // stale answer to an earlier resend of another op
-            }
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            reader.extend(&chunk[..n]);
-        }
+        };
+        write_frame(stream, &mut self.buf, &req)?;
+        // Anything else is a stale answer to an earlier resend of another op.
+        read_until(stream, reader, |resp: &Response| resp.id == id)
     }
 }
 
 /// Instructs the member at `addr` to hand `slot` to node `to` (forwarded
-/// to the owner if `addr` isn't it). Waits for the `HelloAck` that proves
-/// the admin handshake was processed — the `Handoff` frame is queued in
-/// order right behind it.
+/// to the owner if `addr` isn't it). Waits for a `HelloAck`, which proves
+/// the node is serving admin handshakes — the `Handoff` frame was written
+/// in order right behind this connection's `Hello`.
 pub fn admin_handoff(addr: &str, slot: Slot, to: NodeId) -> io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut buf = Vec::with_capacity(64);
-    NodeMsg::Hello {
-        version: NODE_PROTO_VERSION,
-        node: ADMIN_NODE,
-        digest: 0,
-    }
-    .encode_frame(&mut buf);
-    NodeMsg::Handoff { slot, to }.encode_frame(&mut buf);
-    stream.write_all(&buf)?;
+    let wait = Duration::from_secs(5);
+    let stream = dial(addr, wait, Some(wait), Some(ADMIN_NODE))?;
+    write_frame(&stream, &mut Vec::new(), &NodeMsg::Handoff { slot, to })?;
+    // Anti-entropy `RouteUpdate`s are fine to skip.
     let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(msg) = reader
-            .next_frame::<NodeMsg>()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        {
-            if matches!(msg, NodeMsg::HelloAck { .. }) {
-                return Ok(());
-            }
-            continue; // anti-entropy RouteUpdates are fine to skip
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        reader.extend(&chunk[..n]);
-    }
+    read_until(&stream, &mut reader, |msg: &NodeMsg| {
+        matches!(msg, NodeMsg::HelloAck { .. })
+    })?;
+    Ok(())
 }

@@ -3,16 +3,55 @@
 //! `clusterbench --smoke` exercises across processes, here in one binary
 //! so failures carry backtraces.
 
-use std::net::TcpListener;
-use std::time::Duration;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Barrier, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use mpsync_cluster::tcp::{admin_handoff, ClusterClient, ClusterNode, TcpNodeConfig};
 use mpsync_cluster::{slot_for, HashRing, NodeConfig, NodeId, RouteTable, RuntimeStore, SlotStore};
+use mpsync_net::frame::{stat_kind, Request, Wire};
+use mpsync_net::AdminClient;
 use mpsync_objects::seq::{kv_dispatch, kv_ops, KvMap};
 use mpsync_objects::EMPTY;
 use mpsync_runtime::{RuntimeConfig, ShardedKvStore};
 
 const SLOTS: u16 = 8;
+
+/// One test at a time: the thread-count test needs every thread in the
+/// process to be its own, and the rest finish in well under a second each.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn fresh_store() -> RuntimeStore {
+    RuntimeStore::new(
+        ShardedKvStore::new(RuntimeConfig::new(1).with_max_sessions(4)),
+        SLOTS,
+    )
+}
+
+/// Starts node `id` of the membership `addrs` on `listener`.
+fn start_node(
+    id: NodeId,
+    listener: TcpListener,
+    addrs: &[(NodeId, String)],
+    store: RuntimeStore,
+) -> ClusterNode {
+    let mut node = NodeConfig::new(id, addrs.iter().map(|&(n, _)| n).collect());
+    node.slots = SLOTS;
+    let peers = addrs.iter().filter(|&&(p, _)| p != id).cloned().collect();
+    let cfg = TcpNodeConfig {
+        node,
+        listener,
+        peers,
+        tick_ms: 5,
+    };
+    ClusterNode::start(cfg, store).expect("node start")
+}
 
 /// Boots `n` nodes on ephemeral ports with a full mesh between them.
 fn start_cluster(n: u16) -> (Vec<ClusterNode>, Vec<(NodeId, String)>) {
@@ -24,33 +63,10 @@ fn start_cluster(n: u16) -> (Vec<ClusterNode>, Vec<(NodeId, String)>) {
         .enumerate()
         .map(|(i, l)| (i as NodeId, l.local_addr().expect("bound").to_string()))
         .collect();
-    let members: Vec<NodeId> = (0..n).collect();
     let nodes = listeners
         .into_iter()
         .enumerate()
-        .map(|(i, listener)| {
-            let mut cfg = NodeConfig::new(i as NodeId, members.clone());
-            cfg.slots = SLOTS;
-            let peers = addrs
-                .iter()
-                .filter(|&&(p, _)| p != i as NodeId)
-                .cloned()
-                .collect();
-            let store = RuntimeStore::new(
-                ShardedKvStore::new(RuntimeConfig::new(1).with_max_sessions(4)),
-                SLOTS,
-            );
-            ClusterNode::start(
-                TcpNodeConfig {
-                    node: cfg,
-                    listener,
-                    peers,
-                    tick_ms: 5,
-                },
-                store,
-            )
-            .expect("node start")
-        })
+        .map(|(i, listener)| start_node(i as NodeId, listener, &addrs, fresh_store()))
         .collect();
     (nodes, addrs)
 }
@@ -67,8 +83,29 @@ fn boot_owner(members: u16, slot: u16) -> NodeId {
         .owner
 }
 
+/// Polls `done` until it holds; panics after ten seconds.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Whether the node at `addr` reports itself the settled owner of `slot`.
+fn owns(addr: &str, slot: u16) -> bool {
+    let mut admin = AdminClient::connect_tcp(addr).expect("admin connect");
+    let snapshot = admin.fetch_snapshot().expect("admin snapshot");
+    let at = snapshot
+        .find(&format!("{{\"slot\":{slot},"))
+        .expect("slot in the snapshot");
+    let state = snapshot[at..].split('}').next().expect("slot object");
+    state.contains("\"role\":\"owner\"") && state.contains("\"phase\":\"normal\"")
+}
+
 #[test]
 fn ops_flow_across_both_nodes_and_read_back() {
+    let _serial = serial();
     let (nodes, addrs) = start_cluster(2);
     let mut c = client(&addrs, 1 << 40);
     let mut oracle = KvMap::new();
@@ -96,6 +133,7 @@ fn ops_flow_across_both_nodes_and_read_back() {
 
 #[test]
 fn duplicate_request_ids_are_deduplicated() {
+    let _serial = serial();
     let (nodes, addrs) = start_cluster(2);
     let mut c = client(&addrs, 1 << 41);
     let key = 7u64;
@@ -122,6 +160,7 @@ fn duplicate_request_ids_are_deduplicated() {
 
 #[test]
 fn live_handoff_under_load_loses_nothing() {
+    let _serial = serial();
     let (nodes, addrs) = start_cluster(2);
     let hot_slot = slot_for(1, SLOTS);
     let from = boot_owner(2, hot_slot);
@@ -179,5 +218,185 @@ fn live_handoff_under_load_loses_nothing() {
     }
     for s in stores {
         s.into_inner().shutdown();
+    }
+}
+
+/// Two admin connections at once: each gets its answer on its own socket,
+/// and neither's close takes the other's write half away. Whether two
+/// handshakes collide is a race, so the pair of slots goes back and forth.
+#[test]
+fn concurrent_admin_handoffs_both_land() {
+    let _serial = serial();
+    let (nodes, addrs) = start_cluster(2);
+    // Two slots with one owner (one of two nodes owns at least four of
+    // eight), a key written in each.
+    let home = (0..2)
+        .find(|&n| (0..SLOTS).filter(|&s| boot_owner(2, s) == n).count() >= 2)
+        .expect("pigeonhole");
+    let moving: Vec<u16> = (0..SLOTS)
+        .filter(|&s| boot_owner(2, s) == home)
+        .take(2)
+        .collect();
+    let keys: Vec<u64> = moving
+        .iter()
+        .map(|&s| (1..).find(|&k| slot_for(k, SLOTS) == s).expect("a key"))
+        .collect();
+    let mut c = client(&addrs, 1 << 44);
+    for &key in &keys {
+        c.call(key, kv_ops::PUT as u8, key + 1000).expect("put");
+    }
+
+    const ROUNDS: u16 = 11;
+    for round in 0..ROUNDS {
+        let from = (home + round) % 2;
+        let (from_addr, to_addr) = (&addrs[from as usize].1, &addrs[1 - from as usize].1);
+        let start = Barrier::new(2);
+        std::thread::scope(|threads| {
+            for &slot in &moving {
+                let start = &start;
+                threads.spawn(move || {
+                    start.wait();
+                    admin_handoff(from_addr, slot, 1 - from).expect("handoff accepted");
+                });
+            }
+        });
+        wait_for("both slots to move", || {
+            moving.iter().all(|&slot| owns(to_addr, slot))
+        });
+    }
+
+    // An odd number of moves: both slots, data included, are away from home.
+    let mut stores: Vec<RuntimeStore> = nodes.into_iter().map(|n| n.shutdown()).collect();
+    for (&slot, &key) in moving.iter().zip(&keys) {
+        let moved = stores[1 - home as usize].export(slot);
+        assert!(
+            moved.contains(&(key, key + 1000)),
+            "slot {slot} did not move: {moved:?}"
+        );
+    }
+    for s in stores {
+        s.into_inner().shutdown();
+    }
+}
+
+/// The mechanism count: a client connection costs the node one thread (its
+/// reader) and nothing else — no writer thread per connection.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_client_connection_costs_the_node_one_thread() {
+    let _serial = serial();
+    fn threads() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .count()
+    }
+    let (nodes, addrs) = start_cluster(2);
+    // Settle: both peer links up (an op owned by each node through node 0),
+    // and the readers earlier tests left behind gone (they notice their
+    // node stopped within the 200 ms read poll).
+    let mut settle = client(&addrs[..1], 1 << 45);
+    for key in 1..=16u64 {
+        settle.call(key, kv_ops::GET as u8, 0).expect("settle");
+    }
+    let base = loop {
+        let before = threads();
+        std::thread::sleep(Duration::from_millis(300));
+        if threads() == before {
+            break before;
+        }
+    };
+
+    const K: usize = 5;
+    let mut clients: Vec<ClusterClient> = (0..K)
+        .map(|i| client(&addrs[..1], (1 << 46) | ((i as u64) << 32)))
+        .collect();
+    for (i, c) in clients.iter_mut().enumerate() {
+        c.call(1 + i as u64, kv_ops::ADD as u8, 1).expect("op");
+    }
+    assert_eq!(threads(), base + K, "threads per client connection");
+    drop(clients);
+    // Each reader wakes on its connection's EOF.
+    wait_for("the readers to exit", || threads() == base);
+
+    drop(settle);
+    for n in nodes {
+        n.shutdown().into_inner().shutdown();
+    }
+}
+
+/// A node that went away and came back on the same address is dialled
+/// again, `Hello` first, by the peers whose links to it broke, and traffic
+/// flows both ways through it. Three nodes, so the survivors are a majority
+/// and re-route the lost node's slots while it is away.
+#[test]
+fn a_restarted_node_is_redialled_and_serves_again() {
+    let _serial = serial();
+    let (mut nodes, addrs) = start_cluster(3);
+    let mut via0 = client(&addrs[..1], 1 << 47);
+    let mut oracle = KvMap::new();
+    let mut apply = |c: &mut ClusterClient, key: u64, op: u64, arg: u64| {
+        let expected = kv_dispatch(&mut oracle, key, op, arg);
+        let got = c.call(key, op as u8, arg).expect("op").value;
+        assert_eq!(got, expected, "key {key} op {op}");
+    };
+    // Keys spanning every slot: some owned by node 1, some backed up there.
+    for key in 1..=32u64 {
+        apply(&mut via0, key, kv_ops::PUT, key * 7);
+    }
+
+    // Node 1 goes away. Every key is served again once the survivors have
+    // promoted over it and stopped waiting for its replication acks.
+    let store = nodes.remove(1).shutdown();
+    for key in 1..=32u64 {
+        apply(&mut via0, key, kv_ops::ADD, 1);
+    }
+
+    // Back on the same address, with its old store and a blank protocol
+    // state. A client that knows only node 1: every op it completes was
+    // forwarded over node 1's links and answered over a link a survivor
+    // re-dialled, after the same links taught node 1 the routes it missed.
+    let listener = TcpListener::bind(&addrs[1].1).expect("rebind node 1's address");
+    nodes.insert(1, start_node(1, listener, &addrs, store));
+    let mut via1 = client(&addrs[1..2], 1 << 48);
+    for key in 1..=32u64 {
+        apply(&mut via1, key, kv_ops::ADD, 1);
+    }
+    // Every acked write reads back, through either entry point.
+    for key in 1..=32u64 {
+        apply(&mut via0, key, kv_ops::GET, 0);
+        apply(&mut via1, key, kv_ops::GET, 0);
+    }
+    for n in nodes {
+        n.shutdown().into_inner().shutdown();
+    }
+}
+
+/// The shed policy: a connection that keeps asking for snapshots, 2 000 at
+/// a time, and never reads one is dropped once a write to it cannot
+/// complete, and the node goes on serving everyone else meanwhile.
+#[test]
+fn a_connection_that_never_reads_is_dropped() {
+    let _serial = serial();
+    let (nodes, addrs) = start_cluster(2);
+    let mut hog = TcpStream::connect(&addrs[0].1).expect("connect");
+    let mut flood = Vec::new();
+    for id in 0..2000u64 {
+        let kind = stat_kind::SNAPSHOT;
+        Request::Stat { id, kind }.encode_frame(&mut flood);
+    }
+    // Seen without reading: once the node has shut the socket down, what is
+    // written to it is answered with a reset and the next write fails. Forty
+    // floods ask for more than any default pair of socket buffers holds.
+    let mut c = client(&addrs[..1], 1 << 49);
+    let mut floods = 0u64;
+    wait_for("the node to drop the connection", || {
+        floods += 1;
+        assert!(floods <= 40, "the node is queueing without bound");
+        let got = c.call(3, kv_ops::ADD as u8, 1).expect("second client's op");
+        assert_eq!(got.value, floods, "second client's op");
+        hog.write_all(&flood).is_err()
+    });
+    for n in nodes {
+        n.shutdown().into_inner().shutdown();
     }
 }

@@ -375,10 +375,12 @@ fn external_drive_cross_shard_waiters_make_progress() {
             .with_external_drive(true),
     ));
     let barrier = Arc::new(std::sync::Barrier::new(2));
+    let submitting = Arc::new(std::sync::atomic::AtomicUsize::new(2));
     let mut threads = Vec::new();
     for shard in 0..2usize {
         let svc = svc.clone();
         let barrier = barrier.clone();
+        let submitting = submitting.clone();
         threads.push(std::thread::spawn(move || {
             let mut driver = svc.take_driver(shard).expect("driver");
             let mut s = svc.raw_session().expect("session");
@@ -393,7 +395,13 @@ fn external_drive_cross_shard_waiters_make_progress() {
                 .expect("submit");
             }
             drop(s);
-            // Quiesce: serve anything still queued before releasing the core.
+            // Keep serving our shard while the other thread may still
+            // submit to it (its last op is a cross-shard one), then
+            // quiesce before releasing the core.
+            submitting.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+            while submitting.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                driver.tick();
+            }
             while driver.tick() > 0 {}
         }));
     }
