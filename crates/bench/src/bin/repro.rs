@@ -32,7 +32,7 @@
 //! sweeps behind fig3a/3b/4b and the tables) are simulated once.
 //!
 //! `--timing` additionally reports wall-clock per experiment plus the
-//! engine's host-side handoff counters on stderr, and writes the summary
+//! engine's proc-resumption count on stderr, and writes the summary
 //! to `BENCH_repro.json` at the repository root (stdout stays untouched).
 //! `--check-baseline PATH` compares this run against a committed
 //! `BENCH_repro.json` and fails if any experiment regressed more than 2×.
@@ -247,14 +247,7 @@ fn main() {
             "# timing: total {} ms, {} distinct sim runs, jobs={}",
             report.total_ms, report.sim_runs, report.jobs
         );
-        eprintln!(
-            "# timing: host handoffs={} engine_parks={} proc_parks={} inline_payloads={} heap_fallbacks={}",
-            report.host.handoffs,
-            report.host.engine_parks,
-            report.host.proc_parks,
-            report.host.inline_payloads,
-            report.host.heap_fallbacks
-        );
+        eprintln!("# timing: host handoffs={}", report.host.handoffs);
         if opts.timing {
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
             if let Err(e) = std::fs::write(path, report.to_json()) {

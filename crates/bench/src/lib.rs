@@ -128,17 +128,9 @@ impl TimingReport {
             s.push_str(&format!("    \"{name}\": {{ \"ms\": {ms} }}{comma}\n"));
         }
         s.push_str("  },\n");
-        let h = &self.host;
         s.push_str("  \"host\": {\n");
         s.push_str(&format!("    \"sim_runs\": {},\n", self.sim_runs));
-        s.push_str(&format!("    \"handoffs\": {},\n", h.handoffs));
-        s.push_str(&format!("    \"engine_parks\": {},\n", h.engine_parks));
-        s.push_str(&format!("    \"proc_parks\": {},\n", h.proc_parks));
-        s.push_str(&format!(
-            "    \"inline_payloads\": {},\n",
-            h.inline_payloads
-        ));
-        s.push_str(&format!("    \"heap_fallbacks\": {}\n", h.heap_fallbacks));
+        s.push_str(&format!("    \"handoffs\": {}\n", self.host.handoffs));
         s.push_str("  }");
         if let Some(t) = &self.telemetry {
             s.push_str(",\n  \"telemetry\": ");

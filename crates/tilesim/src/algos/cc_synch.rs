@@ -40,7 +40,7 @@ pub fn install_cc_synch(engine: &mut Engine, spec: RunSpec, alloc: &mut AddrAllo
     for t in 0..spec.threads {
         let sh = Shared { nodes, tail };
         let my_node = t as u64 + 1;
-        engine.add_proc(move |ctx| thread_loop(ctx, spec, sh, my_node));
+        engine.add_proc(async move |ctx| thread_loop(ctx, spec, sh, my_node).await);
     }
 }
 
@@ -57,39 +57,46 @@ pub fn install_cc_synch_fixed(engine: &mut Engine, spec: RunSpec, alloc: &mut Ad
     );
 }
 
-fn thread_loop(ctx: &mut Ctx, spec: RunSpec, sh: Shared, mut my_node: u64) {
+async fn thread_loop(ctx: &mut Ctx, spec: RunSpec, sh: Shared, mut my_node: u64) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let mut i = 0u64;
     loop {
         let (op, arg) = spec.opgen.op(i);
         let t0 = ctx.now();
-        apply(ctx, &spec, &sh, &mut my_node, op, arg);
+        apply(ctx, &spec, &sh, &mut my_node, op, arg).await;
         record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }
 
-fn apply(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my_node: &mut u64, op: u64, arg: u64) -> u64 {
+async fn apply(
+    ctx: &mut Ctx,
+    spec: &RunSpec,
+    sh: &Shared,
+    my_node: &mut u64,
+    op: u64,
+    arg: u64,
+) -> u64 {
     // Prepare my node as the new tail dummy.
     let next_node = *my_node;
     let next_addr = sh.node(next_node);
-    ctx.write(next_addr + NEXT, 0);
-    ctx.write(next_addr + WAIT, 1);
-    ctx.write(next_addr + COMPLETED, 0);
+    ctx.write(next_addr + NEXT, 0).await;
+    ctx.write(next_addr + WAIT, 1).await;
+    ctx.write(next_addr + COMPLETED, 0).await;
 
     // Enqueue with a SWAP on the tail (executed at a memory controller).
-    let cur = ctx.swap(sh.tail, next_node);
+    let cur = ctx.swap(sh.tail, next_node).await;
     let cur_addr = sh.node(cur);
-    ctx.write(cur_addr + OP, op);
-    ctx.write(cur_addr + ARG, arg);
-    ctx.write(cur_addr + NEXT, next_node + 1);
+    ctx.write(cur_addr + OP, op).await;
+    ctx.write(cur_addr + ARG, arg).await;
+    ctx.write(cur_addr + NEXT, next_node + 1).await;
     *my_node = cur;
 
     // Local spin until served or promoted.
-    spin_until_eq(ctx, cur_addr + WAIT, 0);
-    if ctx.read(cur_addr + COMPLETED) == 1 {
-        return ctx.read(cur_addr + RET);
+    spin_until_eq(ctx, cur_addr + WAIT, 0).await;
+    if ctx.read(cur_addr + COMPLETED).await == 1 {
+        return ctx.read(cur_addr + RET).await;
     }
 
     // Combiner phase.
@@ -97,29 +104,29 @@ fn apply(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my_node: &mut u64, op: u64,
     let mut tmp = cur;
     loop {
         let tmp_addr = sh.node(tmp);
-        let next = ctx.read(tmp_addr + NEXT);
+        let next = ctx.read(tmp_addr + NEXT).await;
         if next == 0 || served >= spec.max_ops {
             break;
         }
-        let o = ctx.read(tmp_addr + OP);
-        let a = ctx.read(tmp_addr + ARG);
-        let r = exec_cs(ctx, &spec.body, o, a);
-        ctx.write(tmp_addr + RET, r);
-        ctx.write(tmp_addr + COMPLETED, 1);
-        ctx.write(tmp_addr + WAIT, 0);
+        let o = ctx.read(tmp_addr + OP).await;
+        let a = ctx.read(tmp_addr + ARG).await;
+        let r = exec_cs(ctx, &spec.body, o, a).await;
+        ctx.write(tmp_addr + RET, r).await;
+        ctx.write(tmp_addr + COMPLETED, 1).await;
+        ctx.write(tmp_addr + WAIT, 0).await;
         ctx.record(Metric::Served, 1);
         served += 1;
         tmp = next - 1;
     }
     // Hand the combiner role to the first unserved node (or re-arm the
     // tail dummy).
-    ctx.write(sh.node(tmp) + WAIT, 0);
+    ctx.write(sh.node(tmp) + WAIT, 0).await;
     ctx.record(Metric::Rounds, 1);
     ctx.record(Metric::Combined, served);
     if served <= 1 {
         ctx.record(Metric::Orphans, 1);
     }
-    ctx.read(cur_addr + RET)
+    ctx.read(cur_addr + RET).await
 }
 
 #[cfg(test)]

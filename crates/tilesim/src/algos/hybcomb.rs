@@ -96,11 +96,11 @@ pub fn install_hybcomb(
 
     for t in 0..spec.threads {
         let my_node = t as u64;
-        engine.add_proc(move |ctx| {
+        engine.add_proc(async move |ctx| {
             // The handle registers its endpoint: node → owner core.
             let me = ctx.core() as u64;
-            ctx.write(sh.meta_of(my_node) + TID, me);
-            thread_loop(ctx, spec, sh, my_node);
+            ctx.write(sh.meta_of(my_node) + TID, me).await;
+            thread_loop(ctx, spec, sh, my_node).await;
         });
     }
 }
@@ -136,74 +136,74 @@ pub fn install_hybcomb_fixed(
 
     // The combiner proc: serve forever.
     let body = spec.body;
-    engine.add_proc(move |ctx| {
+    engine.add_proc(async move |ctx| {
         let me = ctx.core() as u64;
-        ctx.write(sh.meta_of(0) + TID, me);
+        ctx.write(sh.meta_of(0) + TID, me).await;
         loop {
-            let [sender, o, a] = ctx.receive3();
-            let r = exec_cs(ctx, &body, o, a);
-            ctx.send(sender as usize, &[r]);
+            let [sender, o, a] = ctx.receive3().await;
+            let r = exec_cs(ctx, &body, o, a).await;
+            ctx.send(sender as usize, &[r]).await;
             ctx.record(Metric::Served, 1);
         }
     });
     // Clients: the unchanged lines 9–14 of Algorithm 1 (their FAA always
     // succeeds because the combiner never closes its node).
     for _t in 1..spec.threads {
-        engine.add_proc(move |ctx| {
+        engine.add_proc(async move |ctx| {
             let mut rng = client_rng(spec.seed, ctx.core());
             let me = ctx.core() as u64;
             let mut i = 0u64;
             loop {
                 let (op, arg) = spec.opgen.op(i);
                 let t0 = ctx.now();
-                let lr = ctx.read(sh.lrc);
-                let n = ctx.faa(sh.n_ops_of(lr), 1);
+                let lr = ctx.read(sh.lrc).await;
+                let n = ctx.faa(sh.n_ops_of(lr), 1).await;
                 debug_assert!(n < sh.max_ops);
-                let dest = ctx.read(sh.meta_of(lr) + TID) as usize;
-                ctx.send(dest, &[me, op, arg]);
-                ctx.receive1();
+                let dest = ctx.read(sh.meta_of(lr) + TID).await as usize;
+                ctx.send(dest, &[me, op, arg]).await;
+                ctx.receive1().await;
                 record_op(ctx, t0);
-                local_work(ctx, &mut rng, spec.max_local_work, 1);
+                local_work(ctx, &mut rng, spec.max_local_work, 1).await;
                 i += 1;
             }
         });
     }
 }
 
-fn thread_loop(ctx: &mut Ctx, spec: RunSpec, sh: Shared, my_node: u64) {
+async fn thread_loop(ctx: &mut Ctx, spec: RunSpec, sh: Shared, my_node: u64) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let mut my = my_node;
     let mut i = 0u64;
     loop {
         let (op, arg) = spec.opgen.op(i);
         let t0 = ctx.now();
-        apply(ctx, &spec, &sh, &mut my, op, arg);
+        apply(ctx, &spec, &sh, &mut my, op, arg).await;
         record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }
 
-fn apply(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, arg: u64) -> u64 {
+async fn apply(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, arg: u64) -> u64 {
     let me = ctx.core() as u64;
     loop {
         // Line 9: read the last registered combiner.
-        let lr = ctx.read(sh.lrc);
+        let lr = ctx.read(sh.lrc).await;
         // Line 11: FAA on its n_ops (memory-controller atomic).
-        if ctx.faa(sh.n_ops_of(lr), 1) < sh.max_ops {
+        if ctx.faa(sh.n_ops_of(lr), 1).await < sh.max_ops {
             // Lines 13–14: registered; send and await the response.
-            let dest = ctx.read(sh.meta_of(lr) + TID) as usize;
-            ctx.send(dest, &[me, op, arg]);
-            return ctx.receive1();
+            let dest = ctx.read(sh.meta_of(lr) + TID).await as usize;
+            ctx.send(dest, &[me, op, arg]).await;
+            return ctx.receive1().await;
         }
         // Line 17: try to become a combiner.
         ctx.record(Metric::Cas, 1);
         let registered = if sh.opts.use_swap {
             // Ablation: SWAP always succeeds; `lr` may be stale but the
             // displaced node is the true predecessor.
-            let prev = ctx.swap(sh.lrc, *my);
+            let prev = ctx.swap(sh.lrc, *my).await;
             Some(prev)
-        } else if ctx.cas(sh.lrc, lr, *my) {
+        } else if ctx.cas(sh.lrc, lr, *my).await {
             Some(lr)
         } else {
             None
@@ -211,18 +211,25 @@ fn apply(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, arg:
         if let Some(pred) = registered {
             // Line 18: open my node (not atomic with the registration —
             // the benign race of §4.2).
-            ctx.write(sh.n_ops_of(*my), 0);
+            ctx.write(sh.n_ops_of(*my), 0).await;
             // Lines 19–20: wait for the predecessor to finish combining.
-            spin_until_eq(ctx, sh.meta_of(pred) + DONE, 1);
-            return combine(ctx, spec, sh, my, op, arg);
+            spin_until_eq(ctx, sh.meta_of(pred) + DONE, 1).await;
+            return combine(ctx, spec, sh, my, op, arg).await;
         }
     }
 }
 
-fn combine(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, arg: u64) -> u64 {
+async fn combine(
+    ctx: &mut Ctx,
+    spec: &RunSpec,
+    sh: &Shared,
+    my: &mut u64,
+    op: u64,
+    arg: u64,
+) -> u64 {
     let me = ctx.core() as u64;
     // Line 23: my own operation first.
-    let retval = exec_cs(ctx, &spec.body, op, arg);
+    let retval = exec_cs(ctx, &spec.body, op, arg).await;
     ctx.record(Metric::Served, 1);
     let mut completed = 0u64;
 
@@ -231,10 +238,10 @@ fn combine(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, ar
     // for the simulator's fixed wire latency, which would otherwise close
     // rounds that real hardware keeps open.)
     if sh.opts.eager_drain {
-        while ctx.has_pending_traffic() {
-            let [sender, o, a] = ctx.receive3();
-            let r = exec_cs(ctx, &spec.body, o, a);
-            ctx.send(sender as usize, &[r]);
+        while ctx.has_pending_traffic().await {
+            let [sender, o, a] = ctx.receive3().await;
+            let r = exec_cs(ctx, &spec.body, o, a).await;
+            ctx.send(sender as usize, &[r]).await;
             ctx.record(Metric::Served, 1);
             completed += 1;
         }
@@ -242,7 +249,7 @@ fn combine(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, ar
 
     // Lines 30–32: close registration; the SWAP's old value is the number
     // of registrations this round.
-    let mut total = ctx.swap(sh.n_ops_of(*my), sh.max_ops);
+    let mut total = ctx.swap(sh.n_ops_of(*my), sh.max_ops).await;
     if total > sh.max_ops {
         total = sh.max_ops;
     }
@@ -250,9 +257,9 @@ fn combine(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, ar
     // Lines 34–37: serve the registered remainder (messages may still be
     // in flight).
     while completed < total {
-        let [sender, o, a] = ctx.receive3();
-        let r = exec_cs(ctx, &spec.body, o, a);
-        ctx.send(sender as usize, &[r]);
+        let [sender, o, a] = ctx.receive3().await;
+        let r = exec_cs(ctx, &spec.body, o, a).await;
+        ctx.send(sender as usize, &[r]).await;
         ctx.record(Metric::Served, 1);
         completed += 1;
     }
@@ -265,10 +272,10 @@ fn combine(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64, ar
 
     // Lines 39–42: exchange nodes with the departed-combiner spare and
     // release the successor.
-    let new_my = ctx.swap(sh.departed, *my);
-    ctx.write(sh.meta_of(new_my) + DONE, 0);
-    ctx.write(sh.meta_of(new_my) + TID, me);
-    ctx.write(sh.meta_of(*my) + DONE, 1);
+    let new_my = ctx.swap(sh.departed, *my).await;
+    ctx.write(sh.meta_of(new_my) + DONE, 0).await;
+    ctx.write(sh.meta_of(new_my) + TID, me).await;
+    ctx.write(sh.meta_of(*my) + DONE, 1).await;
     *my = new_my;
     retval
 }

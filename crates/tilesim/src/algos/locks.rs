@@ -8,6 +8,8 @@
 //! delegation and combining avoid. The `ext-locks` experiment in `repro`
 //! plots them against the paper's constructions.
 
+use std::ops::AsyncFnOnce;
+
 use crate::engine::{Ctx, Engine};
 use crate::mem::{Addr, WORDS_PER_LINE};
 use crate::stats::Metric;
@@ -46,14 +48,14 @@ pub fn install_lock(engine: &mut Engine, spec: RunSpec, kind: LockKind, alloc: &
         LockKind::Tas => {
             let lock = alloc.line();
             for _ in 0..spec.threads {
-                engine.add_proc(move |ctx| tas_loop(ctx, spec, lock));
+                engine.add_proc(async move |ctx| tas_loop(ctx, spec, lock).await);
             }
         }
         LockKind::Ticket => {
             let next = alloc.line();
             let serving = alloc.line();
             for _ in 0..spec.threads {
-                engine.add_proc(move |ctx| ticket_loop(ctx, spec, next, serving));
+                engine.add_proc(async move |ctx| ticket_loop(ctx, spec, next, serving).await);
             }
         }
         LockKind::Mcs => {
@@ -61,29 +63,29 @@ pub fn install_lock(engine: &mut Engine, spec: RunSpec, kind: LockKind, alloc: &
             // One node line per thread: +0 locked flag, +1 next (id+1).
             let nodes = alloc.lines(spec.threads as u64);
             for t in 0..spec.threads {
-                engine.add_proc(move |ctx| mcs_loop(ctx, spec, tail, nodes, t as u64));
+                engine.add_proc(async move |ctx| mcs_loop(ctx, spec, tail, nodes, t as u64).await);
             }
         }
     }
 }
 
-fn workload_iteration(
+async fn workload_iteration(
     ctx: &mut Ctx,
     spec: &RunSpec,
     i: u64,
-    acquire: impl FnOnce(&mut Ctx),
-    release: impl FnOnce(&mut Ctx),
+    acquire: impl AsyncFnOnce(&mut Ctx),
+    release: impl AsyncFnOnce(&mut Ctx),
 ) {
     let (op, arg) = spec.opgen.op(i);
     let t0 = ctx.now();
-    acquire(ctx);
-    let _ = exec_cs(ctx, &spec.body, op, arg);
+    acquire(ctx).await;
+    let _ = exec_cs(ctx, &spec.body, op, arg).await;
     ctx.record(Metric::Served, 1);
-    release(ctx);
+    release(ctx).await;
     record_op(ctx, t0);
 }
 
-fn tas_loop(ctx: &mut Ctx, spec: RunSpec, lock: Addr) {
+async fn tas_loop(ctx: &mut Ctx, spec: RunSpec, lock: Addr) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let mut i = 0u64;
     loop {
@@ -91,27 +93,28 @@ fn tas_loop(ctx: &mut Ctx, spec: RunSpec, lock: Addr) {
             ctx,
             &spec,
             i,
-            |ctx| {
+            async |ctx| {
                 let mut backoff = 4u64;
                 loop {
-                    if ctx.swap(lock, 1) == 0 {
+                    if ctx.swap(lock, 1).await == 0 {
                         return;
                     }
                     // Test loop on the (cached) lock word plus backoff.
-                    while ctx.read(lock) != 0 {
-                        ctx.work(backoff);
+                    while ctx.read(lock).await != 0 {
+                        ctx.work(backoff).await;
                         backoff = (backoff * 2).min(256);
                     }
                 }
             },
-            |ctx| ctx.write(lock, 0),
-        );
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+            async |ctx| ctx.write(lock, 0).await,
+        )
+        .await;
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }
 
-fn ticket_loop(ctx: &mut Ctx, spec: RunSpec, next: Addr, serving: Addr) {
+async fn ticket_loop(ctx: &mut Ctx, spec: RunSpec, next: Addr, serving: Addr) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let mut i = 0u64;
     loop {
@@ -119,25 +122,26 @@ fn ticket_loop(ctx: &mut Ctx, spec: RunSpec, next: Addr, serving: Addr) {
             ctx,
             &spec,
             i,
-            |ctx| {
-                let my = ctx.faa(next, 1);
+            async |ctx| {
+                let my = ctx.faa(next, 1).await;
                 let mut backoff = 2u64;
-                while ctx.read(serving) != my {
-                    ctx.work(backoff);
+                while ctx.read(serving).await != my {
+                    ctx.work(backoff).await;
                     backoff = (backoff * 2).min(64);
                 }
             },
-            |ctx| {
-                let s = ctx.read(serving);
-                ctx.write(serving, s + 1);
+            async |ctx| {
+                let s = ctx.read(serving).await;
+                ctx.write(serving, s + 1).await;
             },
-        );
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        )
+        .await;
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }
 
-fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64) {
+async fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64) {
     let node = |id: u64| nodes + id * WORDS_PER_LINE;
     const LOCKED: u64 = 0;
     const NEXT: u64 = 1;
@@ -148,42 +152,43 @@ fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64) {
             ctx,
             &spec,
             i,
-            |ctx| {
-                ctx.write(node(me) + NEXT, 0);
-                ctx.write(node(me) + LOCKED, 1);
-                let pred = ctx.swap(tail, me + 1);
+            async |ctx| {
+                ctx.write(node(me) + NEXT, 0).await;
+                ctx.write(node(me) + LOCKED, 1).await;
+                let pred = ctx.swap(tail, me + 1).await;
                 if pred != 0 {
-                    ctx.write(node(pred - 1) + NEXT, me + 1);
+                    ctx.write(node(pred - 1) + NEXT, me + 1).await;
                     // Local spin on my own node line.
                     let mut backoff = 2u64;
-                    while ctx.read(node(me) + LOCKED) != 0 {
-                        ctx.work(backoff);
+                    while ctx.read(node(me) + LOCKED).await != 0 {
+                        ctx.work(backoff).await;
                         backoff = (backoff * 2).min(64);
                     }
                 }
             },
-            |ctx| {
-                let next = ctx.read(node(me) + NEXT);
+            async |ctx| {
+                let next = ctx.read(node(me) + NEXT).await;
                 if next == 0 {
-                    if ctx.cas(tail, me + 1, 0) {
+                    if ctx.cas(tail, me + 1, 0).await {
                         return;
                     }
                     // A successor is linking itself; wait for the link.
                     let mut backoff = 2u64;
                     loop {
-                        let n = ctx.read(node(me) + NEXT);
+                        let n = ctx.read(node(me) + NEXT).await;
                         if n != 0 {
-                            ctx.write(node(n - 1) + LOCKED, 0);
+                            ctx.write(node(n - 1) + LOCKED, 0).await;
                             return;
                         }
-                        ctx.work(backoff);
+                        ctx.work(backoff).await;
                         backoff = (backoff * 2).min(32);
                     }
                 }
-                ctx.write(node(next - 1) + LOCKED, 0);
+                ctx.write(node(next - 1) + LOCKED, 0).await;
             },
-        );
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        )
+        .await;
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }

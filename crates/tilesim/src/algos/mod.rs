@@ -170,18 +170,18 @@ fn node_line(nodes: Addr, id: u64, len: u64) -> Addr {
 
 /// Executes the body under the caller's mutual exclusion, issuing simulated
 /// memory accesses, and returns the operation's result word.
-pub fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
+pub async fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
     match *body {
         CsBody::Counter { addr } => {
-            let v = ctx.read(addr);
-            ctx.write(addr, v + 1);
+            let v = ctx.read(addr).await;
+            ctx.write(addr, v + 1).await;
             v
         }
         CsBody::Array { base, len } => {
             for i in 0..arg {
                 let a = base + (i % len) * WORDS_PER_LINE;
-                let v = ctx.read(a);
-                ctx.write(a, v + 1);
+                let v = ctx.read(a).await;
+                ctx.write(a, v + 1).await;
             }
             arg
         }
@@ -196,39 +196,39 @@ pub fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
                 // queues are unbounded, but its balanced load never grows
                 // them — the bound only matters for the imbalance
                 // extension, where a full queue rejects the enqueue).
-                let t = ctx.read(tail);
-                let h = ctx.read(head);
+                let t = ctx.read(tail).await;
+                let h = ctx.read(head).await;
                 if t - h >= len {
                     return CS_FULL;
                 }
-                ctx.write(node_line(nodes, t, len), arg);
-                ctx.write(tail, t + 1);
+                ctx.write(node_line(nodes, t, len), arg).await;
+                ctx.write(tail, t + 1).await;
                 0
             } else {
                 // dequeue
-                let h = ctx.read(head);
-                let t = ctx.read(tail);
+                let h = ctx.read(head).await;
+                let t = ctx.read(tail).await;
                 if h == t {
                     return CS_EMPTY;
                 }
-                let v = ctx.read(node_line(nodes, h, len));
-                ctx.write(head, h + 1);
+                let v = ctx.read(node_line(nodes, h, len)).await;
+                ctx.write(head, h + 1).await;
                 v
             }
         }
         CsBody::SeqStack { top, nodes, len } => {
             if op == 0 {
-                let t = ctx.read(top);
-                ctx.write(node_line(nodes, t, len), arg);
-                ctx.write(top, t + 1);
+                let t = ctx.read(top).await;
+                ctx.write(node_line(nodes, t, len), arg).await;
+                ctx.write(top, t + 1).await;
                 0
             } else {
-                let t = ctx.read(top);
+                let t = ctx.read(top).await;
                 if t == 0 {
                     return CS_EMPTY;
                 }
-                let v = ctx.read(node_line(nodes, t - 1, len));
-                ctx.write(top, t - 1);
+                let v = ctx.read(node_line(nodes, t - 1, len)).await;
+                ctx.write(top, t - 1).await;
                 v
             }
         }
@@ -239,24 +239,24 @@ pub fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
             len,
         } => {
             // Allocate a node from the ring, initialize it, link, advance.
-            let n = ctx.read(alloc);
-            ctx.write(alloc, n + 1);
+            let n = ctx.read(alloc).await;
+            ctx.write(alloc, n + 1).await;
             let new = node_line(nodes, n, len);
-            ctx.write(new, arg); // value
-            ctx.write(new + 1, 0); // next = nil
-            let t = ctx.read(tail);
-            ctx.write(node_line(nodes, t, len) + 1, n % len + 1); // link (Release in the native code)
-            ctx.write(tail, n % len);
+            ctx.write(new, arg).await; // value
+            ctx.write(new + 1, 0).await; // next = nil
+            let t = ctx.read(tail).await;
+            ctx.write(node_line(nodes, t, len) + 1, n % len + 1).await; // link (Release in the native code)
+            ctx.write(tail, n % len).await;
             0
         }
         CsBody::TwoLockDeq { head, nodes, len } => {
-            let h = ctx.read(head);
-            let next = ctx.read(node_line(nodes, h, len) + 1); // Acquire in the native code
+            let h = ctx.read(head).await;
+            let next = ctx.read(node_line(nodes, h, len) + 1).await; // Acquire in the native code
             if next == 0 {
                 return CS_EMPTY;
             }
-            let v = ctx.read(node_line(nodes, next - 1, len));
-            ctx.write(head, next - 1);
+            let v = ctx.read(node_line(nodes, next - 1, len)).await;
+            ctx.write(head, next - 1).await;
             v
         }
     }
@@ -335,10 +335,10 @@ impl RunSpec {
 
 /// Local-work pause between operations (§5.2: "a random number of empty
 /// loop iterations (at most 50)"), to prevent unrealistic long runs.
-pub(crate) fn local_work(ctx: &mut Ctx, rng: &mut StdRng, max_iters: u64, iter_cycles: u64) {
+pub(crate) async fn local_work(ctx: &mut Ctx, rng: &mut StdRng, max_iters: u64, iter_cycles: u64) {
     if max_iters > 0 {
         let iters = rng.gen_range(0..=max_iters);
-        ctx.work(iters * iter_cycles);
+        ctx.work(iters * iter_cycles).await;
     }
 }
 
@@ -350,14 +350,14 @@ pub(crate) fn client_rng(seed: u64, core: usize) -> StdRng {
 /// simulation does not drown in spin events. Real local spinning costs the
 /// interconnect nothing; the backoff (capped at 32 cycles) only adds a small
 /// wake-up delay, the same price a PAUSE-loop pays on silicon.
-pub(crate) fn spin_until_eq(ctx: &mut Ctx, addr: Addr, expected: u64) -> u64 {
+pub(crate) async fn spin_until_eq(ctx: &mut Ctx, addr: Addr, expected: u64) -> u64 {
     let mut backoff = 2u64;
     loop {
-        let v = ctx.read(addr);
+        let v = ctx.read(addr).await;
         if v == expected {
             return v;
         }
-        ctx.work(backoff);
+        ctx.work(backoff).await;
         backoff = (backoff * 2).min(32);
     }
 }
@@ -409,10 +409,10 @@ mod tests {
         let addr = alloc.line();
         let body = CsBody::Counter { addr };
         let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(move |ctx| {
-            assert_eq!(exec_cs(ctx, &body, 0, 0), 0);
-            assert_eq!(exec_cs(ctx, &body, 0, 0), 1);
-            assert_eq!(ctx.read(addr), 2);
+        e.add_proc(async move |ctx| {
+            assert_eq!(exec_cs(ctx, &body, 0, 0).await, 0);
+            assert_eq!(exec_cs(ctx, &body, 0, 0).await, 1);
+            assert_eq!(ctx.read(addr).await, 2);
         });
         e.run(100_000);
     }
@@ -427,13 +427,13 @@ mod tests {
             len: 8,
         };
         let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(move |ctx| {
-            assert_eq!(exec_cs(ctx, &body, 1, 0), CS_EMPTY);
-            exec_cs(ctx, &body, 0, 11);
-            exec_cs(ctx, &body, 0, 22);
-            assert_eq!(exec_cs(ctx, &body, 1, 0), 11);
-            assert_eq!(exec_cs(ctx, &body, 1, 0), 22);
-            assert_eq!(exec_cs(ctx, &body, 1, 0), CS_EMPTY);
+        e.add_proc(async move |ctx| {
+            assert_eq!(exec_cs(ctx, &body, 1, 0).await, CS_EMPTY);
+            exec_cs(ctx, &body, 0, 11).await;
+            exec_cs(ctx, &body, 0, 22).await;
+            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 11);
+            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 22);
+            assert_eq!(exec_cs(ctx, &body, 1, 0).await, CS_EMPTY);
         });
         e.run(100_000);
     }
@@ -447,12 +447,12 @@ mod tests {
             len: 8,
         };
         let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(move |ctx| {
-            assert_eq!(exec_cs(ctx, &body, 1, 0), CS_EMPTY);
-            exec_cs(ctx, &body, 0, 11);
-            exec_cs(ctx, &body, 0, 22);
-            assert_eq!(exec_cs(ctx, &body, 1, 0), 22);
-            assert_eq!(exec_cs(ctx, &body, 1, 0), 11);
+        e.add_proc(async move |ctx| {
+            assert_eq!(exec_cs(ctx, &body, 1, 0).await, CS_EMPTY);
+            exec_cs(ctx, &body, 0, 11).await;
+            exec_cs(ctx, &body, 0, 22).await;
+            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 22);
+            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 11);
         });
         e.run(100_000);
     }
@@ -477,17 +477,17 @@ mod tests {
             len: 16,
         };
         let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(move |ctx| {
+        e.add_proc(async move |ctx| {
             // Initialize: dummy node 0, alloc cursor starts at 1.
-            ctx.write(tail, head_node);
-            ctx.write(head, head_node);
-            ctx.write(alloc_ctr, 1);
-            assert_eq!(exec_cs(ctx, &deq, 1, 0), CS_EMPTY);
-            exec_cs(ctx, &enq, 0, 7);
-            exec_cs(ctx, &enq, 0, 8);
-            assert_eq!(exec_cs(ctx, &deq, 1, 0), 7);
-            assert_eq!(exec_cs(ctx, &deq, 1, 0), 8);
-            assert_eq!(exec_cs(ctx, &deq, 1, 0), CS_EMPTY);
+            ctx.write(tail, head_node).await;
+            ctx.write(head, head_node).await;
+            ctx.write(alloc_ctr, 1).await;
+            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, CS_EMPTY);
+            exec_cs(ctx, &enq, 0, 7).await;
+            exec_cs(ctx, &enq, 0, 8).await;
+            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, 7);
+            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, 8);
+            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, CS_EMPTY);
         });
         e.run(100_000);
     }
@@ -498,11 +498,11 @@ mod tests {
         let base = alloc.lines(4);
         let body = CsBody::Array { base, len: 4 };
         let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(move |ctx| {
-            assert_eq!(exec_cs(ctx, &body, 0, 6), 6);
-            assert_eq!(ctx.read(base), 2);
-            assert_eq!(ctx.read(base + WORDS_PER_LINE), 2);
-            assert_eq!(ctx.read(base + 2 * WORDS_PER_LINE), 1);
+        e.add_proc(async move |ctx| {
+            assert_eq!(exec_cs(ctx, &body, 0, 6).await, 6);
+            assert_eq!(ctx.read(base).await, 2);
+            assert_eq!(ctx.read(base + WORDS_PER_LINE).await, 2);
+            assert_eq!(ctx.read(base + 2 * WORDS_PER_LINE).await, 1);
         });
         e.run(100_000);
     }

@@ -14,34 +14,34 @@ use super::{client_rng, exec_cs, local_work, record_op, CsBody, RunSpec};
 /// `spec.threads` client procs. Returns the server's core id.
 pub fn install_mp_server(engine: &mut Engine, spec: RunSpec) -> usize {
     let body = spec.body;
-    let server_core = engine.add_proc(move |ctx| serve(ctx, body));
+    let server_core = engine.add_proc(async move |ctx| serve(ctx, body).await);
     for _ in 0..spec.threads {
-        engine.add_proc(move |ctx| client(ctx, spec, server_core));
+        engine.add_proc(async move |ctx| client(ctx, spec, server_core).await);
     }
     server_core
 }
 
 /// The server loop (also reused by the two-lock queue's second server).
-pub(crate) fn serve(ctx: &mut Ctx, body: CsBody) {
+pub(crate) async fn serve(ctx: &mut Ctx, body: CsBody) {
     loop {
-        let [sender, op, arg] = ctx.receive3();
-        let ret = exec_cs(ctx, &body, op, arg);
-        ctx.send(sender as usize, &[ret]);
+        let [sender, op, arg] = ctx.receive3().await;
+        let ret = exec_cs(ctx, &body, op, arg).await;
+        ctx.send(sender as usize, &[ret]).await;
         ctx.record(Metric::Served, 1);
     }
 }
 
-fn client(ctx: &mut Ctx, spec: RunSpec, server: usize) {
+async fn client(ctx: &mut Ctx, spec: RunSpec, server: usize) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let me = ctx.core() as u64;
     let mut i = 0u64;
     loop {
         let (op, arg) = spec.opgen.op(i);
         let t0 = ctx.now();
-        ctx.send(server, &[me, op, arg]);
-        ctx.receive1();
+        ctx.send(server, &[me, op, arg]).await;
+        ctx.receive1().await;
         record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }

@@ -28,43 +28,43 @@ pub fn install_shm_server(engine: &mut Engine, spec: RunSpec, alloc: &mut AddrAl
     let channels: Vec<Addr> = (0..spec.threads).map(|_| alloc.line()).collect();
     let body = spec.body;
     let server_channels = channels.clone();
-    let server_core = engine.add_proc(move |ctx| loop {
+    let server_core = engine.add_proc(async move |ctx| loop {
         for &ch in &server_channels {
-            if ctx.read(ch + STATUS) == REQ {
-                let op = ctx.read(ch + OP);
-                let arg = ctx.read(ch + ARG);
-                let ret = exec_cs(ctx, &body, op, arg);
-                ctx.write(ch + RET, ret);
-                ctx.write(ch + STATUS, DONE);
+            if ctx.read(ch + STATUS).await == REQ {
+                let op = ctx.read(ch + OP).await;
+                let arg = ctx.read(ch + ARG).await;
+                let ret = exec_cs(ctx, &body, op, arg).await;
+                ctx.write(ch + RET, ret).await;
+                ctx.write(ch + STATUS, DONE).await;
                 ctx.record(Metric::Served, 1);
             }
         }
     });
     for &ch in channels.iter().take(spec.threads) {
-        engine.add_proc(move |ctx| client(ctx, spec, ch));
+        engine.add_proc(async move |ctx| client(ctx, spec, ch).await);
     }
     server_core
 }
 
-fn client(ctx: &mut Ctx, spec: RunSpec, ch: Addr) {
+async fn client(ctx: &mut Ctx, spec: RunSpec, ch: Addr) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let mut i = 0u64;
     loop {
         let (op, arg) = spec.opgen.op(i);
         let t0 = ctx.now();
-        ctx.write(ch + OP, op);
-        ctx.write(ch + ARG, arg);
-        ctx.write(ch + STATUS, REQ);
+        ctx.write(ch + OP, op).await;
+        ctx.write(ch + ARG, arg).await;
+        ctx.write(ch + STATUS, REQ).await;
         // Local spin on the channel line until the server writes DONE.
         let mut backoff = 2u64;
-        while ctx.read(ch + STATUS) != DONE {
-            ctx.work(backoff);
+        while ctx.read(ch + STATUS).await != DONE {
+            ctx.work(backoff).await;
             backoff = (backoff * 2).min(32);
         }
-        let _ret = ctx.read(ch + RET);
-        ctx.write(ch + STATUS, IDLE);
+        let _ret = ctx.read(ch + RET).await;
+        ctx.write(ch + STATUS, IDLE).await;
         record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }

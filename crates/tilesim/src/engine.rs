@@ -1,138 +1,184 @@
 //! The discrete-event engine.
 //!
-//! Each simulated core runs one *proc*: an OS thread executing a plain Rust
-//! closure that issues requests through its [`Ctx`] handle and blocks until
-//! the engine answers. The engine processes exactly one proc at a time, in
-//! global simulated-time order (ties broken by core id), so the simulation
-//! is fully deterministic regardless of host scheduling — and, because
+//! Each simulated core runs one *proc*: a future built from an `async`
+//! body that talks to the machine through its [`Ctx`] handle. Every `Ctx`
+//! operation posts one request into a slot the proc shares with the engine
+//! and suspends; the engine services the request at the right simulated
+//! time and polls the proc again with the response. The engine resumes
+//! exactly one proc at a time, in global simulated-time order (ties broken
+//! by core id), on the thread that called [`Engine::run`] — there is no
+//! other thread — so the simulation is fully deterministic, and, because
 //! effects apply in that single global order, the simulated memory is
 //! sequentially consistent, exactly the paper's §2 model.
 //!
-//! Proc↔engine handoffs go through a per-proc single-slot
-//! [`Mailbox`](crate::mailbox) — atomics with a spin-then-park wait and
-//! fixed-size inline word buffers — so the steady-state simulation loop is
-//! allocation-free and avoids the mutex/condvar round trips a channel pair
-//! would pay on every simulated operation. The handoff mechanism carries
-//! the *same* requests and responses in the same order as the previous
-//! `mpsc`-based design; simulated time, and therefore every figure, is
-//! unaffected. Host-side counters of the mechanism itself are reported in
-//! [`SimResult::host`].
-//!
-//! When the simulation horizon is reached, blocked and running procs are
-//! torn down by answering a `Stopped` response, which `Ctx` converts into a
-//! panic payload caught by the proc wrapper — so workload closures are
-//! written as infinite loops without any stop-flag plumbing.
+//! When the simulation horizon is reached the engine drops the futures:
+//! a proc never runs past the operation it was suspended in, and whatever
+//! its body owns is destroyed in place — so workload bodies are written as
+//! infinite loops without any stop-flag plumbing.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::ops::{AsyncFnOnce, Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use crate::config::MachineConfig;
-use crate::mailbox::{Mailbox, INLINE_WORDS, ST_POISON};
 use crate::mem::{Addr, Memory};
 use crate::stats::{CoreStats, HostStats, Metric, SimResult, N_METRICS};
 
-// Request opcodes, written by `Ctx` and decoded by the engine. Payload
-// layout (inline words) is noted per opcode.
-const OP_READ: u32 = 0; //  [addr]
-const OP_WRITE: u32 = 1; // [addr, value]
-const OP_FAA: u32 = 2; //   [addr, delta]
-const OP_CAS: u32 = 3; //   [addr, expect, new]
-const OP_SWAP: u32 = 4; //  [addr, value]
-const OP_SEND: u32 = 5; //  [dest, msg...]; oversized: dest inline, msg on heap
-const OP_RECV: u32 = 6; //  [k]
-const OP_QEMPTY: u32 = 7; //  []
-const OP_QPEND: u32 = 8; //   []
-const OP_WORK: u32 = 9; //  [cycles]
-const OP_DONE: u32 = 10; // []; panic message in the mailbox side channel
+/// Messages up to this long travel inline; every protocol in this crate
+/// sends at most three words, so the steady-state loop does not allocate.
+const INLINE_WORDS: usize = 6;
 
-// `Ctx::now` and `Ctx::record` have no opcode: both are answered locally,
-// without a handoff. `now` reads the clock the engine piggybacks on every
-// response; `record` buffers deltas that ride the next request. Neither
-// shortcut can reorder the simulation — the old round trips scheduled a
-// zero-latency event for the issuing proc, and such an event is always the
-// very next one popped (the heap holds nothing smaller at that point), so
-// no other proc could ever observe the difference.
+/// The words of one message on their way between a proc and the engine.
+#[derive(Debug)]
+enum Words {
+    Inline {
+        len: usize,
+        buf: [u64; INLINE_WORDS],
+    },
+    Heap(Vec<u64>),
+}
 
-// Response kinds.
-const RESP_VALUE: u32 = 0; //  [value]
-const RESP_VALUES: u32 = 1; // [word; k] (heap when k > INLINE_WORDS)
-const RESP_BOOL: u32 = 2; //   [0|1]
-const RESP_UNIT: u32 = 3; //   []
-/// Simulation horizon reached: the proc must unwind.
-const RESP_STOPPED: u32 = 4;
-
-/// Panic payload used to unwind a proc at the simulation horizon.
-struct StopSim;
-
-/// Silences the default panic hook for `StopSim` unwinds (they are the
-/// engine's normal teardown mechanism, not errors); every other panic goes
-/// to the previously installed hook.
-fn install_quiet_stop_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<StopSim>().is_none() {
-                prev(info);
+impl Words {
+    fn zeroed(len: usize) -> Self {
+        if len <= INLINE_WORDS {
+            Words::Inline {
+                len,
+                buf: [0; INLINE_WORDS],
             }
-        }));
-    });
+        } else {
+            Words::Heap(vec![0; len])
+        }
+    }
+
+    fn copy_of(words: &[u64]) -> Self {
+        let mut w = Self::zeroed(words.len());
+        w.copy_from_slice(words);
+        w
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline { len, buf } => &buf[..*len],
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline { len, buf } => &mut buf[..*len],
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+/// One simulated operation, posted by a `Ctx` method for the engine to
+/// service.
+///
+/// `Ctx::now` and `Ctx::record` have no request: both are answered from
+/// the proc's slot without suspending. `now` reads the clock the engine
+/// stores before every resume; `record` adds into the proc's metric row.
+/// Neither shortcut can reorder the simulation — a round trip for them
+/// would schedule a zero-latency event for the issuing proc, and such an
+/// event is always the very next one popped (the heap holds nothing
+/// smaller at that point), so no other proc could ever observe the
+/// difference.
+#[derive(Debug)]
+enum Request {
+    Read(Addr),
+    Write(Addr, u64),
+    Faa(Addr, u64),
+    /// `(addr, expect, new)`.
+    Cas(Addr, u64, u64),
+    Swap(Addr, u64),
+    /// `(dest, message)`.
+    Send(usize, Words),
+    Recv(usize),
+    QueueEmpty,
+    PendingTraffic,
+    Work(u64),
+}
+
+/// The engine's answer to a [`Request`], handed over when the proc's event
+/// fires.
+#[derive(Debug)]
+enum Response {
+    Unit,
+    Value(u64),
+    Words(Words),
+}
+
+/// The slot a proc shares with the engine. Only one of the two runs at any
+/// moment — the engine polls the proc on its own thread — so a `RefCell`
+/// is all the synchronization there is.
+struct Port {
+    /// Posted by the proc's pending operation as it suspends; taken by the
+    /// engine as soon as `poll` returns.
+    request: Option<Request>,
+    /// Stored by the engine when it schedules the proc's resume; taken by
+    /// the pending operation on that resume.
+    response: Option<Response>,
+    /// Simulated time of the proc's latest resume.
+    clock: u64,
+    metrics: [u64; N_METRICS],
 }
 
 /// Per-proc handle through which simulated code talks to the machine.
 ///
-/// All methods advance simulated time; see [`MachineConfig`] for costs.
+/// All `async` methods advance simulated time; see [`MachineConfig`] for
+/// costs. Await nothing else inside a proc body: a proc that suspends
+/// without having posted an operation has nothing to be resumed for, and
+/// [`Engine::run`] panics.
 pub struct Ctx {
     core: usize,
-    mb: Arc<Mailbox>,
-    /// Metric deltas buffered by [`Ctx::record`], staged onto the next
-    /// request instead of paying their own handoffs.
-    metric_buf: [u64; N_METRICS],
-    dirty_mask: u32,
+    port: Rc<RefCell<Port>>,
 }
 
 impl Ctx {
-    /// Stages buffered `record` deltas to ride the next request.
-    fn flush_records(&mut self) {
-        if self.dirty_mask != 0 {
-            self.mb.stage_records(self.dirty_mask, &self.metric_buf);
-            for i in 0..N_METRICS {
-                if self.dirty_mask & (1 << i) != 0 {
-                    self.metric_buf[i] = 0;
+    /// Posts `req`, suspends, and returns the engine's response once the
+    /// engine resumes this proc.
+    async fn transact(&mut self, req: Request) -> Response {
+        let mut req = Some(req);
+        poll_fn(|_| {
+            let mut port = self.port.borrow_mut();
+            match req.take() {
+                Some(req) => {
+                    port.request = Some(req);
+                    Poll::Pending
                 }
+                None => Poll::Ready(
+                    port.response
+                        .take()
+                        .expect("proc resumed without a response"),
+                ),
             }
-            self.dirty_mask = 0;
+        })
+        .await
+    }
+
+    async fn value(&mut self, req: Request) -> u64 {
+        match self.transact(req).await {
+            Response::Value(v) => v,
+            other => unreachable!("expected a value, got {other:?}"),
         }
     }
 
-    /// Publishes a request, blocks for the response, and returns its kind.
-    /// Payload words stay in the mailbox for the caller to read.
-    fn transact(&mut self, op: u32, payload: &[u64]) -> u32 {
-        self.flush_records();
-        assert!(self.mb.send_request(op, payload), "engine vanished");
-        if self.mb.wait_response() == ST_POISON {
-            panic!("engine vanished");
+    async fn words(&mut self, k: usize) -> Words {
+        match self.transact(Request::Recv(k)).await {
+            Response::Words(w) => w,
+            other => unreachable!("expected message words, got {other:?}"),
         }
-        let (kind, _) = self.resp_head();
-        if kind == RESP_STOPPED {
-            panic::panic_any(StopSim);
-        }
-        kind
-    }
-
-    /// Response kind and payload length (the mailbox `opcode`/`len` fields
-    /// hold the response while the proc owns the cell).
-    fn resp_head(&self) -> (u32, usize) {
-        self.mb.resp_fields()
-    }
-
-    fn value(&mut self, op: u32, payload: &[u64]) -> u64 {
-        let kind = self.transact(op, payload);
-        debug_assert_eq!(kind, RESP_VALUE);
-        self.mb.word(0)
     }
 
     /// The core this proc is pinned to.
@@ -141,88 +187,60 @@ impl Ctx {
     }
 
     /// Reads a shared-memory word.
-    pub fn read(&mut self, a: Addr) -> u64 {
-        self.value(OP_READ, &[a])
+    pub async fn read(&mut self, a: Addr) -> u64 {
+        self.value(Request::Read(a)).await
     }
 
     /// Writes a shared-memory word.
-    pub fn write(&mut self, a: Addr, v: u64) {
-        self.transact(OP_WRITE, &[a, v]);
+    pub async fn write(&mut self, a: Addr, v: u64) {
+        self.transact(Request::Write(a, v)).await;
     }
 
     /// Fetch-and-add; returns the previous value.
-    pub fn faa(&mut self, a: Addr, delta: u64) -> u64 {
-        self.value(OP_FAA, &[a, delta])
+    pub async fn faa(&mut self, a: Addr, delta: u64) -> u64 {
+        self.value(Request::Faa(a, delta)).await
     }
 
     /// Compare-and-set; returns whether the swap happened (the boolean
     /// variant, as in the paper's model).
-    pub fn cas(&mut self, a: Addr, old: u64, new: u64) -> bool {
-        self.value(OP_CAS, &[a, old, new]) != 0
+    pub async fn cas(&mut self, a: Addr, old: u64, new: u64) -> bool {
+        self.value(Request::Cas(a, old, new)).await != 0
     }
 
     /// Atomic exchange; returns the previous value.
-    pub fn swap(&mut self, a: Addr, v: u64) -> u64 {
-        self.value(OP_SWAP, &[a, v])
+    pub async fn swap(&mut self, a: Addr, v: u64) -> u64 {
+        self.value(Request::Swap(a, v)).await
     }
 
     /// Sends `words` as one message to `dest`'s hardware queue
     /// (asynchronous; blocks only on back-pressure).
-    pub fn send(&mut self, dest: usize, words: &[u64]) {
-        if words.len() < INLINE_WORDS {
-            let mut payload = [0u64; INLINE_WORDS];
-            payload[0] = dest as u64;
-            payload[1..=words.len()].copy_from_slice(words);
-            self.transact(OP_SEND, &payload[..words.len() + 1]);
-        } else {
-            // Oversized send: the message words ride on the heap; `dest`
-            // stays inline.
-            self.flush_records();
-            assert!(
-                self.mb
-                    .send_request_big(OP_SEND, dest as u64, words.to_vec()),
-                "engine vanished"
-            );
-            if self.mb.wait_response() == ST_POISON {
-                panic!("engine vanished");
-            }
-            let (kind, _) = self.resp_head();
-            if kind == RESP_STOPPED {
-                panic::panic_any(StopSim);
-            }
-        }
+    pub async fn send(&mut self, dest: usize, words: &[u64]) {
+        self.transact(Request::Send(dest, Words::copy_of(words)))
+            .await;
     }
 
     /// Receives exactly `k` words from the local queue, blocking as needed.
-    pub fn receive(&mut self, k: usize) -> Vec<u64> {
-        let kind = self.transact(OP_RECV, &[k as u64]);
-        debug_assert_eq!(kind, RESP_VALUES);
-        if k <= INLINE_WORDS {
-            (0..k).map(|i| self.mb.word(i)).collect()
-        } else {
-            self.mb.take_overflow().expect("oversized response payload")
+    pub async fn receive(&mut self, k: usize) -> Vec<u64> {
+        match self.words(k).await {
+            Words::Heap(v) => v,
+            inline => inline.to_vec(),
         }
     }
 
     /// Receives a single word (allocation-free).
-    pub fn receive1(&mut self) -> u64 {
-        let kind = self.transact(OP_RECV, &[1]);
-        debug_assert_eq!(kind, RESP_VALUES);
-        self.mb.word(0)
+    pub async fn receive1(&mut self) -> u64 {
+        self.words(1).await[0]
     }
 
     /// Receives a three-word request `{sender, op, arg}` (allocation-free).
-    pub fn receive3(&mut self) -> [u64; 3] {
-        let kind = self.transact(OP_RECV, &[3]);
-        debug_assert_eq!(kind, RESP_VALUES);
-        [self.mb.word(0), self.mb.word(1), self.mb.word(2)]
+    pub async fn receive3(&mut self) -> [u64; 3] {
+        let w = self.words(3).await;
+        [w[0], w[1], w[2]]
     }
 
     /// `true` if the local hardware queue currently holds no arrived word.
-    pub fn is_queue_empty(&mut self) -> bool {
-        let kind = self.transact(OP_QEMPTY, &[]);
-        debug_assert_eq!(kind, RESP_BOOL);
-        self.mb.word(0) != 0
+    pub async fn is_queue_empty(&mut self) -> bool {
+        self.value(Request::QueueEmpty).await != 0
     }
 
     /// `true` if any word is queued for this core, *including words still
@@ -234,38 +252,34 @@ impl Ctx {
     /// combining rounds on that artifact. Use this for "should I keep
     /// serving?" checks and [`Ctx::is_queue_empty`] for faithful hardware
     /// probes.
-    pub fn has_pending_traffic(&mut self) -> bool {
-        let kind = self.transact(OP_QPEND, &[]);
-        debug_assert_eq!(kind, RESP_BOOL);
-        self.mb.word(0) != 0
+    pub async fn has_pending_traffic(&mut self) -> bool {
+        self.value(Request::PendingTraffic).await != 0
     }
 
     /// Burns `cycles` of local computation.
-    pub fn work(&mut self, cycles: u64) {
+    pub async fn work(&mut self, cycles: u64) {
         if cycles > 0 {
-            self.transact(OP_WORK, &[cycles]);
+            self.transact(Request::Work(cycles)).await;
         }
     }
 
     /// Current simulated time in cycles (free).
     pub fn now(&mut self) -> u64 {
-        // The engine piggybacks its clock on every response, and this
-        // proc's virtual time cannot advance between that response and its
+        // This proc's virtual time cannot advance between a resume and its
         // next request.
-        self.mb.resp_clock()
+        self.port.borrow().clock
     }
 
     /// Adds `v` to this proc's `metric` accumulator (free).
     pub fn record(&mut self, metric: Metric, v: u64) {
-        self.metric_buf[metric as usize] += v;
-        self.dirty_mask |= 1 << (metric as usize);
+        self.port.borrow_mut().metrics[metric as usize] += v;
     }
 }
 
 #[derive(Debug)]
 #[allow(dead_code)] // `dest` is carried for Debug diagnostics only
 enum ProcState {
-    /// Scheduled in the event heap; `pending` is delivered on resume.
+    /// Scheduled in the event heap; its response waits in the port.
     Runnable,
     /// Blocked on `receive(k)` since the given cycle.
     WaitRecv {
@@ -275,71 +289,16 @@ enum ProcState {
     /// Blocked sending `words` to `dest` since the given cycle.
     WaitSend {
         dest: usize,
-        words: Vec<u64>,
+        words: Words,
         since: u64,
     },
     Finished,
 }
 
-/// A response waiting to be delivered when its proc's event fires. Inline
-/// payload as in the mailbox; only oversized receives allocate.
-struct PendingResp {
-    kind: u32,
-    len: u32,
-    words: [u64; INLINE_WORDS],
-    overflow: Option<Vec<u64>>,
-}
-
-impl PendingResp {
-    fn unit() -> Self {
-        Self {
-            kind: RESP_UNIT,
-            len: 0,
-            words: [0; INLINE_WORDS],
-            overflow: None,
-        }
-    }
-
-    fn value(v: u64) -> Self {
-        let mut words = [0; INLINE_WORDS];
-        words[0] = v;
-        Self {
-            kind: RESP_VALUE,
-            len: 1,
-            words,
-            overflow: None,
-        }
-    }
-
-    fn boolean(b: bool) -> Self {
-        let mut words = [0; INLINE_WORDS];
-        words[0] = b as u64;
-        Self {
-            kind: RESP_BOOL,
-            len: 1,
-            words,
-            overflow: None,
-        }
-    }
-
-    fn stopped() -> Self {
-        Self {
-            kind: RESP_STOPPED,
-            len: 0,
-            words: [0; INLINE_WORDS],
-            overflow: None,
-        }
-    }
-}
-
 struct ProcSlot {
     state: ProcState,
-    pending: Option<PendingResp>,
-    mb: Arc<Mailbox>,
-    join: Option<JoinHandle<()>>,
+    port: Rc<RefCell<Port>>,
     stats: CoreStats,
-    metrics: [u64; N_METRICS],
-    panic_msg: Option<String>,
 }
 
 /// One core's hardware message queue: words with arrival times, plus the
@@ -354,17 +313,17 @@ pub struct Engine {
     cfg: MachineConfig,
     mem: Memory,
     procs: Vec<ProcSlot>,
+    /// The procs' bodies, indexed like `procs`.
+    bodies: Vec<Pin<Box<dyn Future<Output = ()>>>>,
     queues: Vec<SimQueue>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     clock: u64,
-    stopping: bool,
     host: HostStats,
 }
 
 impl Engine {
     /// Creates an engine for the given machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        install_quiet_stop_hook();
         let queues = (0..cfg.cores())
             .map(|_| SimQueue {
                 words: VecDeque::new(),
@@ -375,10 +334,10 @@ impl Engine {
             cfg,
             mem: Memory::new(cfg),
             procs: Vec::new(),
+            bodies: Vec::new(),
             queues,
             heap: BinaryHeap::new(),
             clock: 0,
-            stopping: false,
             host: HostStats::default(),
         }
     }
@@ -398,12 +357,15 @@ impl Engine {
     /// ascending order, like the paper's thread placement). Returns the
     /// core index.
     ///
+    /// The body runs only inside [`Engine::run`], on the thread that calls
+    /// it, so it needs to be neither `Send` nor `Sync`.
+    ///
     /// # Panics
     ///
     /// Panics if all cores already have a proc.
     pub fn add_proc<F>(&mut self, f: F) -> usize
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: AsyncFnOnce(&mut Ctx) + 'static,
     {
         let core = self.procs.len();
         assert!(
@@ -411,56 +373,28 @@ impl Engine {
             "machine has {} cores",
             self.cfg.cores()
         );
-        let mb = Arc::new(Mailbox::new());
-        let proc_mb = Arc::clone(&mb);
-        let join = std::thread::Builder::new()
-            .name(format!("simproc-{core}"))
-            .spawn(move || {
-                proc_mb.register_proc();
-                let mut ctx = Ctx {
-                    core,
-                    mb: proc_mb,
-                    metric_buf: [0; N_METRICS],
-                    dirty_mask: 0,
-                };
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                if let Err(payload) = result {
-                    let msg = if payload.downcast_ref::<StopSim>().is_some() {
-                        None
-                    } else if let Some(s) = payload.downcast_ref::<&str>() {
-                        Some((*s).to_string())
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        Some(s.clone())
-                    } else {
-                        Some("proc panicked".to_string())
-                    };
-                    if let Some(msg) = msg {
-                        ctx.mb.set_panic_note(msg);
-                    }
-                }
-                // Records buffered after the last request (including by a
-                // closure that then panicked) still ride with `Done`.
-                ctx.flush_records();
-                // The engine may already be gone if it panicked itself; the
-                // poisoned mailbox refuses the publish and we just exit.
-                let _ = ctx.mb.send_request(OP_DONE, &[]);
-            })
-            .expect("failed to spawn sim proc");
+        let port = Rc::new(RefCell::new(Port {
+            request: None,
+            response: None,
+            clock: 0,
+            metrics: [0; N_METRICS],
+        }));
+        let mut ctx = Ctx {
+            core,
+            port: Rc::clone(&port),
+        };
         self.procs.push(ProcSlot {
             state: ProcState::Runnable,
-            pending: None,
-            mb,
-            join: Some(join),
+            port,
             stats: CoreStats::default(),
-            metrics: [0; N_METRICS],
-            panic_msg: None,
         });
+        self.bodies.push(Box::pin(async move { f(&mut ctx).await }));
         self.heap.push(Reverse((0, core)));
         core
     }
 
-    fn schedule(&mut self, proc: usize, at: u64, resp: PendingResp) {
-        self.procs[proc].pending = Some(resp);
+    fn schedule(&mut self, proc: usize, at: u64, resp: Response) {
+        self.procs[proc].port.borrow_mut().response = Some(resp);
         self.procs[proc].state = ProcState::Runnable;
         self.heap.push(Reverse((at, proc)));
     }
@@ -506,92 +440,70 @@ impl Engine {
 
     /// Pops `k` words for `core`'s proc and schedules its resume.
     fn complete_receive(&mut self, core: usize, k: usize, issued: u64) {
-        let mut resp = PendingResp {
-            kind: RESP_VALUES,
-            len: k as u32,
-            words: [0; INLINE_WORDS],
-            overflow: None,
-        };
-        let mut big = if k > INLINE_WORDS {
-            self.host.heap_fallbacks += 1;
-            Some(Vec::with_capacity(k))
-        } else {
-            self.host.inline_payloads += 1;
-            None
-        };
+        let mut words = Words::zeroed(k);
         let mut last_arrival = issued;
-        for i in 0..k {
+        for w in words.iter_mut() {
             let (arr, v) = self.queues[core].words.pop_front().expect("checked len");
             last_arrival = last_arrival.max(arr);
-            match &mut big {
-                Some(vec) => vec.push(v),
-                None => resp.words[i] = v,
-            }
+            *w = v;
         }
-        resp.overflow = big;
         let service = self.cfg.recv_base + self.cfg.recv_word * k as u64;
         let resume = last_arrival + service;
         let slot = &mut self.procs[core];
         slot.stats.busy += service;
         slot.stats.idle += last_arrival - issued;
         slot.stats.msgs_recv += 1;
-        self.schedule(core, resume, resp);
+        self.schedule(core, resume, Response::Words(words));
         // Space freed: let blocked senders through (in arrival order).
         self.drain_blocked_senders(core, resume);
     }
 
     fn drain_blocked_senders(&mut self, dest: usize, now: u64) {
         while let Some(&sender) = self.queues[dest].blocked_senders.front() {
-            let (words, since) = match &self.procs[sender].state {
-                ProcState::WaitSend { words, since, .. } => (words.clone(), *since),
-                _ => unreachable!("blocked sender not in WaitSend"),
+            let ProcState::WaitSend { words, .. } = &self.procs[sender].state else {
+                unreachable!("blocked sender not in WaitSend");
             };
             if !self.queue_has_room(dest, words.len()) {
                 break;
             }
             self.queues[dest].blocked_senders.pop_front();
+            let resume = now + self.cfg.send_inject;
+            let ProcState::WaitSend { words, since, .. } =
+                std::mem::replace(&mut self.procs[sender].state, ProcState::Runnable)
+            else {
+                unreachable!("checked above");
+            };
             self.procs[sender].stats.idle += now.saturating_sub(since);
             self.procs[sender].stats.blocked_sends += 1;
             self.deposit(sender, dest, &words, now);
-            let resume = now + self.cfg.send_inject;
             self.procs[sender].stats.busy += self.cfg.send_inject;
-            self.schedule(sender, resume, PendingResp::unit());
+            self.schedule(sender, resume, Response::Unit);
         }
     }
 
-    /// Services one decoded request. `words` holds the inline payload (the
-    /// first `len` words when `len <= INLINE_WORDS`); oversized send
-    /// payloads arrive in `overflow`.
-    fn service(
-        &mut self,
-        proc: usize,
-        op: u32,
-        len: usize,
-        words: &[u64; INLINE_WORDS],
-        overflow: Option<Vec<u64>>,
-    ) {
+    /// Services one request of `proc` at the current clock: applies its
+    /// effect and either schedules the proc's resume or leaves it blocked.
+    fn service(&mut self, proc: usize, req: Request) {
         let now = self.clock;
-        match op {
-            OP_READ => {
-                let (v, acc) = self.mem.read(proc, words[0], now);
+        match req {
+            Request::Read(a) => {
+                let (v, acc) = self.mem.read(proc, a, now);
                 self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(v));
+                self.schedule(proc, now + acc.latency, Response::Value(v));
             }
-            OP_WRITE => {
-                let acc = self.mem.write(proc, words[0], words[1], now);
+            Request::Write(a, v) => {
+                let acc = self.mem.write(proc, a, v, now);
                 self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::unit());
+                self.schedule(proc, now + acc.latency, Response::Unit);
             }
-            OP_FAA => {
-                let d = words[1];
-                let (old, acc) = self.mem.atomic(proc, words[0], now, |v| v.wrapping_add(d));
+            Request::Faa(a, d) => {
+                let (old, acc) = self.mem.atomic(proc, a, now, |v| v.wrapping_add(d));
                 self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(old));
+                self.schedule(proc, now + acc.latency, Response::Value(old));
             }
-            OP_CAS => {
-                let (expect, new) = (words[1], words[2]);
+            Request::Cas(a, expect, new) => {
                 let mut ok = false;
-                let (_, acc) = self.mem.atomic(proc, words[0], now, |v| {
+                let (_, acc) = self.mem.atomic(proc, a, now, |v| {
                     if v == expect {
                         ok = true;
                         new
@@ -600,54 +512,33 @@ impl Engine {
                     }
                 });
                 self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(ok as u64));
+                self.schedule(proc, now + acc.latency, Response::Value(ok as u64));
             }
-            OP_SWAP => {
-                let new = words[1];
-                let (old, acc) = self.mem.atomic(proc, words[0], now, |_| new);
+            Request::Swap(a, new) => {
+                let (old, acc) = self.mem.atomic(proc, a, now, |_| new);
                 self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(old));
+                self.schedule(proc, now + acc.latency, Response::Value(old));
             }
-            OP_SEND => {
-                let dest = words[0] as usize;
-                // Inline payload: [dest, msg...]; oversized: msg on heap.
-                let msg: &[u64] = match &overflow {
-                    Some(big) => {
-                        self.host.heap_fallbacks += 1;
-                        big
-                    }
-                    None => {
-                        self.host.inline_payloads += 1;
-                        &words[1..len]
-                    }
-                };
+            Request::Send(dest, msg) => {
                 assert!(dest < self.queues.len(), "send to core {dest} out of range");
                 assert!(
                     msg.len() <= self.cfg.queue_capacity,
                     "message larger than a hardware queue"
                 );
                 if self.queue_has_room(dest, msg.len()) {
-                    // `msg` borrows the caller's stack copy / the local
-                    // overflow vec, never `self`, so it can cross these
-                    // `&mut self` calls.
-                    self.deposit(proc, dest, msg, now);
+                    self.deposit(proc, dest, &msg, now);
                     self.procs[proc].stats.busy += self.cfg.send_inject;
-                    self.schedule(proc, now + self.cfg.send_inject, PendingResp::unit());
+                    self.schedule(proc, now + self.cfg.send_inject, Response::Unit);
                 } else {
-                    let owned = match overflow {
-                        Some(big) => big,
-                        None => words[1..len].to_vec(),
-                    };
                     self.procs[proc].state = ProcState::WaitSend {
                         dest,
-                        words: owned,
+                        words: msg,
                         since: now,
                     };
                     self.queues[dest].blocked_senders.push_back(proc);
                 }
             }
-            OP_RECV => {
-                let k = words[0] as usize;
+            Request::Recv(k) => {
                 assert!(
                     k > 0 && k <= self.cfg.queue_capacity,
                     "bad receive size {k}"
@@ -658,7 +549,7 @@ impl Engine {
                     self.procs[proc].state = ProcState::WaitRecv { k, since: now };
                 }
             }
-            OP_QEMPTY => {
+            Request::QueueEmpty => {
                 let empty = self.queues[proc]
                     .words
                     .front()
@@ -668,177 +559,94 @@ impl Engine {
                 self.schedule(
                     proc,
                     now + self.cfg.queue_probe,
-                    PendingResp::boolean(empty),
+                    Response::Value(empty as u64),
                 );
             }
-            OP_QPEND => {
+            Request::PendingTraffic => {
                 let pending = !self.queues[proc].words.is_empty();
                 self.procs[proc].stats.busy += self.cfg.queue_probe;
                 self.schedule(
                     proc,
                     now + self.cfg.queue_probe,
-                    PendingResp::boolean(pending),
+                    Response::Value(pending as u64),
                 );
             }
-            OP_WORK => {
-                let cycles = words[0];
+            Request::Work(cycles) => {
                 self.procs[proc].stats.busy += cycles;
-                self.schedule(proc, now + cycles, PendingResp::unit());
+                self.schedule(proc, now + cycles, Response::Unit);
             }
-            OP_DONE => {
-                self.procs[proc].panic_msg = self.procs[proc].mb.take_panic_note();
-                self.procs[proc].state = ProcState::Finished;
-            }
-            other => unreachable!("unknown opcode {other}"),
         }
     }
 
-    /// Blocks for `proc`'s next request and services it.
-    fn recv_and_service(&mut self, proc: usize) {
-        let (op, len) = self.procs[proc].mb.wait_request();
+    /// Polls `proc` once: its pending operation takes the response from the
+    /// port and the body runs on to its next operation (or its end).
+    fn resume(&mut self, proc: usize, cx: &mut Context<'_>) -> Poll<()> {
         self.host.handoffs += 1;
-        self.apply_staged_records(proc);
-        let mut words = [0u64; INLINE_WORDS];
-        let overflow = if len > INLINE_WORDS {
-            // Oversized send: only word 0 (the destination) is inline.
-            words[0] = self.procs[proc].mb.word(0);
-            Some(
-                self.procs[proc]
-                    .mb
-                    .take_overflow()
-                    .expect("oversized request payload"),
-            )
-        } else {
-            for (i, w) in words.iter_mut().enumerate().take(len) {
-                *w = self.procs[proc].mb.word(i);
+        self.procs[proc].port.borrow_mut().clock = self.clock;
+        let body = &mut self.bodies[proc];
+        match panic::catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(cx))) {
+            Ok(poll) => poll,
+            // Same unwind, but the payload now names the core.
+            Err(payload) => {
+                let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+                    s
+                } else if let Some(s) = payload.downcast_ref::<String>() {
+                    s.as_str()
+                } else {
+                    "panicked"
+                };
+                panic::resume_unwind(Box::new(format!("proc {proc}: {msg}")))
             }
-            None
-        };
-        self.service(proc, op, len, &words, overflow);
-    }
-
-    /// Applies the metric deltas that rode in with a just-received request.
-    /// These were issued strictly before the request, so they count even if
-    /// the request itself ends up answered with `Stopped`.
-    fn apply_staged_records(&mut self, proc: usize) {
-        let slot = &mut self.procs[proc];
-        let metrics = &mut slot.metrics;
-        slot.mb
-            .drain_records(|i, d| metrics[Metric::from_index(i) as usize] += d);
-    }
-
-    /// Forces every blocked proc runnable with a `Stopped` response.
-    fn force_stop_blocked(&mut self) {
-        for i in 0..self.procs.len() {
-            match self.procs[i].state {
-                ProcState::WaitRecv { .. } | ProcState::WaitSend { .. } => {
-                    self.schedule(i, self.clock, PendingResp::stopped());
-                }
-                _ => {}
-            }
-        }
-        for q in &mut self.queues {
-            q.blocked_senders.clear();
         }
     }
 
     /// Runs the simulation until every proc finished or `horizon` cycles
     /// elapsed, and returns the collected statistics.
     ///
+    /// Procs still suspended when the run ends — in an operation whose
+    /// response is due at or after the horizon, or blocked with no event
+    /// left that could wake them — are dropped where they stand: their
+    /// bodies' destructors run, the code after that operation does not, and
+    /// everything they recorded before it counts.
+    ///
     /// # Panics
     ///
-    /// Panics if a proc panicked (test failures propagate), or on deadlock
-    /// (all procs blocked before the horizon).
+    /// Panics with `proc N: <message>` if proc N's body panicked (test
+    /// failures propagate), and if a proc suspends on anything but a
+    /// [`Ctx`] operation.
     pub fn run(mut self, horizon: u64) -> SimResult {
-        for p in &self.procs {
-            p.mb.register_engine();
-        }
-        loop {
-            if self
-                .procs
-                .iter()
-                .all(|p| matches!(p.state, ProcState::Finished))
-            {
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut live = self.procs.len();
+        while live > 0 {
+            // An empty heap is quiescence: every remaining proc is blocked
+            // and no event is left that could ever wake one.
+            let Some(Reverse((t, proc))) = self.heap.pop() else {
+                break;
+            };
+            self.clock = self.clock.max(t);
+            if self.clock >= horizon {
+                // The run ends at the latest resume already scheduled.
+                let scheduled = self.heap.iter().map(|&Reverse((t, _))| t);
+                self.clock = scheduled.fold(self.clock, u64::max);
                 break;
             }
-            let Some(Reverse((t, proc))) = self.heap.pop() else {
-                // No event pending. Either procs are mid-teardown (wait for
-                // their Done), or every remaining proc is blocked with no
-                // event that could ever wake it — quiescence; stop them.
-                if self.stopping {
-                    self.reap_done();
-                } else {
-                    self.stopping = true;
-                    self.force_stop_blocked();
+            match self.resume(proc, &mut cx) {
+                Poll::Ready(()) => {
+                    self.procs[proc].state = ProcState::Finished;
+                    live -= 1;
                 }
-                continue;
-            };
-            if matches!(self.procs[proc].state, ProcState::Finished) {
-                continue;
-            }
-            self.clock = self.clock.max(t);
-            if self.clock >= horizon && !self.stopping {
-                self.stopping = true;
-                self.force_stop_blocked();
-            }
-            // Deliver the pending response, if any (at the very first
-            // activation there is none: the proc starts by *sending* its
-            // first request). Under teardown, whatever was pending is
-            // replaced by Stopped.
-            if let Some(pending) = self.procs[proc].pending.take() {
-                let resp = if self.stopping {
-                    PendingResp::stopped()
-                } else {
-                    pending
-                };
-                let mb = &self.procs[proc].mb;
-                mb.set_resp_clock(self.clock);
-                match resp.overflow {
-                    Some(big) => mb.send_response_big(resp.kind, big),
-                    None => mb.send_response(resp.kind, &resp.words[..resp.len as usize]),
+                Poll::Pending => {
+                    let Some(req) = self.procs[proc].port.borrow_mut().request.take() else {
+                        panic!("proc {proc} awaited something that is not a Ctx operation");
+                    };
+                    self.service(proc, req);
                 }
             }
-            self.recv_and_service(proc);
         }
-        self.finish(horizon)
-    }
-
-    /// Collects `Done` notifications from procs that are unwinding after a
-    /// forced stop.
-    fn reap_done(&mut self) {
-        for i in 0..self.procs.len() {
-            if matches!(self.procs[i].state, ProcState::Finished) {
-                continue;
-            }
-            let (op, _) = self.procs[i].mb.wait_request();
-            self.host.handoffs += 1;
-            self.apply_staged_records(i);
-            if op == OP_DONE {
-                self.procs[i].panic_msg = self.procs[i].mb.take_panic_note();
-                self.procs[i].state = ProcState::Finished;
-            } else {
-                // The proc raced one more request in before seeing the
-                // stop; answer Stopped and let it unwind (the outer loop
-                // comes back for its Done).
-                let _ = self.procs[i].mb.take_overflow();
-                self.procs[i].mb.send_response(RESP_STOPPED, &[]);
-            }
-        }
-    }
-
-    fn finish(mut self, horizon: u64) -> SimResult {
-        for p in &mut self.procs {
-            if let Some(j) = p.join.take() {
-                let _ = j.join();
-            }
-        }
-        let mut panics: Vec<String> = Vec::new();
-        for (i, p) in self.procs.iter().enumerate() {
-            if let Some(msg) = &p.panic_msg {
-                panics.push(format!("proc {i}: {msg}"));
-            }
-        }
-        assert!(panics.is_empty(), "sim procs panicked: {panics:?}");
+        // Dropping a suspended body is the last time the engine runs that
+        // proc's code (its destructors), so it counts as a resumption too.
+        self.host.handoffs += live as u64;
+        self.bodies.clear();
 
         let per_core: Vec<CoreStats> = self
             .procs
@@ -851,31 +659,14 @@ impl Engine {
                 s
             })
             .collect();
-        let metrics = self.procs.iter().map(|p| p.metrics).collect();
-        let mut host = self.host;
-        for p in &self.procs {
-            host.proc_parks += p.mb.proc_park_count();
-            host.engine_parks += p.mb.engine_park_count();
-        }
+        let metrics = self.procs.iter().map(|p| p.port.borrow().metrics).collect();
         SimResult {
             cfg: self.cfg,
             cycles: self.clock.min(horizon).max(1),
             end_clock: self.clock,
             per_core,
             metrics,
-            host,
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Normal completion joins every proc before the engine drops, so
-        // this only matters when the engine unwinds mid-run (its own panic,
-        // or a propagated proc panic): procs parked in their mailboxes must
-        // be woken and told the engine is gone or they would wait forever.
-        for p in &self.procs {
-            p.mb.poison();
+            host: self.host,
         }
     }
 }
@@ -884,6 +675,7 @@ impl Drop for Engine {
 mod tests {
     use super::*;
     use crate::stats::Metric;
+    use std::cell::Cell;
 
     fn small_cfg() -> MachineConfig {
         MachineConfig {
@@ -896,14 +688,14 @@ mod tests {
     #[test]
     fn single_proc_memory_ops() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
-            ctx.write(10, 5);
-            assert_eq!(ctx.read(10), 5);
-            assert_eq!(ctx.faa(10, 3), 5);
-            assert_eq!(ctx.read(10), 8);
-            assert!(ctx.cas(10, 8, 20));
-            assert!(!ctx.cas(10, 8, 30));
-            assert_eq!(ctx.swap(10, 1), 20);
+        e.add_proc(async |ctx| {
+            ctx.write(10, 5).await;
+            assert_eq!(ctx.read(10).await, 5);
+            assert_eq!(ctx.faa(10, 3).await, 5);
+            assert_eq!(ctx.read(10).await, 8);
+            assert!(ctx.cas(10, 8, 20).await);
+            assert!(!ctx.cas(10, 8, 30).await);
+            assert_eq!(ctx.swap(10, 1).await, 20);
             ctx.record(Metric::Ops, 1);
         });
         let r = e.run(1_000_000);
@@ -914,15 +706,15 @@ mod tests {
     #[test]
     fn two_procs_message_roundtrip() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
+        e.add_proc(async |ctx| {
             // Server on core 0.
-            let m = ctx.receive3();
+            let m = ctx.receive3().await;
             assert_eq!(m, [1, 42, 7]);
-            ctx.send(1, &[m[1] + m[2]]);
+            ctx.send(1, &[m[1] + m[2]]).await;
         });
-        e.add_proc(|ctx| {
-            ctx.send(0, &[1, 42, 7]);
-            assert_eq!(ctx.receive1(), 49);
+        e.add_proc(async |ctx| {
+            ctx.send(0, &[1, 42, 7]).await;
+            assert_eq!(ctx.receive1().await, 49);
             ctx.record(Metric::Ops, 1);
         });
         let r = e.run(100_000);
@@ -934,13 +726,13 @@ mod tests {
     #[test]
     fn horizon_stops_infinite_loops() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| loop {
-            ctx.work(10);
+        e.add_proc(async |ctx| loop {
+            ctx.work(10).await;
             ctx.record(Metric::Ops, 1);
         });
         // A receiver that never gets a message: must be torn down too.
-        e.add_proc(|ctx| {
-            ctx.receive1();
+        e.add_proc(async |ctx| {
+            ctx.receive1().await;
             unreachable!("no one sends to core 1");
         });
         let r = e.run(5_000);
@@ -954,12 +746,12 @@ mod tests {
         fn run_once() -> (u64, u64) {
             let mut e = Engine::new(small_cfg());
             for p in 0..4 {
-                e.add_proc(move |ctx| {
+                e.add_proc(async move |ctx| {
                     use rand::{rngs::StdRng, Rng, SeedableRng};
                     let mut rng = StdRng::seed_from_u64(33 + p as u64);
                     loop {
-                        ctx.work(rng.gen_range(0..50));
-                        ctx.faa(7, 1);
+                        ctx.work(rng.gen_range(0..50)).await;
+                        ctx.faa(7, 1).await;
                         ctx.record(Metric::Ops, 1);
                     }
                 });
@@ -979,16 +771,16 @@ mod tests {
             ..small_cfg()
         };
         let mut e = Engine::new(cfg);
-        e.add_proc(|ctx| {
+        e.add_proc(async |ctx| {
             // Receiver: wait long, then drain.
-            ctx.work(10_000);
+            ctx.work(10_000).await;
             for _ in 0..10 {
-                ctx.receive1();
+                ctx.receive1().await;
             }
         });
-        e.add_proc(|ctx| {
+        e.add_proc(async |ctx| {
             for i in 0..10 {
-                ctx.send(0, &[i]); // must block after the queue fills
+                ctx.send(0, &[i]).await; // must block after the queue fills
             }
             ctx.record(Metric::Ops, 1);
         });
@@ -1001,12 +793,12 @@ mod tests {
     #[test]
     fn quiescent_blocked_proc_is_torn_down() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
-            ctx.receive1(); // nobody ever sends
+        e.add_proc(async |ctx| {
+            ctx.receive1().await; // nobody ever sends
             unreachable!("must be stopped, not satisfied");
         });
-        e.add_proc(|ctx| {
-            ctx.work(100);
+        e.add_proc(async |ctx| {
+            ctx.work(100).await;
             ctx.record(Metric::Ops, 1);
         });
         // Even with an effectively infinite horizon the run terminates once
@@ -1015,82 +807,154 @@ mod tests {
         assert_eq!(r.metrics[1][Metric::Ops as usize], 1);
     }
 
+    /// The message `Engine::run` panics with when built by `build`.
+    fn run_panic_message(build: impl FnOnce(&mut Engine) + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(|| {
+            let mut e = Engine::new(small_cfg());
+            build(&mut e);
+            e.run(1_000);
+        })
+        .expect_err("run must panic");
+        payload
+            .downcast_ref::<String>()
+            .expect("string payload")
+            .clone()
+    }
+
     #[test]
     fn proc_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            let mut e = Engine::new(small_cfg());
-            e.add_proc(|ctx| {
-                ctx.work(5);
+        let msg = run_panic_message(|e| {
+            e.add_proc(async |ctx| ctx.work(50).await);
+            e.add_proc(async |ctx| {
+                ctx.work(5).await;
                 panic!("boom from sim proc");
             });
-            e.run(1_000);
         });
-        assert!(result.is_err());
+        assert_eq!(msg, "proc 1: boom from sim proc");
+    }
+
+    #[test]
+    fn awaiting_a_foreign_future_panics_with_the_core() {
+        let msg = run_panic_message(|e| {
+            e.add_proc(async |ctx| ctx.work(50).await);
+            e.add_proc(async |ctx| {
+                ctx.work(5).await;
+                std::future::pending::<()>().await;
+            });
+        });
+        assert!(msg.contains("proc 1 awaited"), "{msg}");
+    }
+
+    /// Bumps its counter when dropped.
+    struct Bump(Rc<Cell<u32>>);
+
+    impl Drop for Bump {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn horizon_drops_bodies_where_they_stand() {
+        let cfg = MachineConfig {
+            queue_capacity: 3,
+            ..small_cfg()
+        };
+        let drops = Rc::new(Cell::new(0));
+        let mut e = Engine::new(cfg);
+        // Core 0: a receiver that only ever gets two of its three words.
+        let guard = Bump(Rc::clone(&drops));
+        e.add_proc(async move |ctx| {
+            let _guard = guard;
+            ctx.record(Metric::Ops, 1);
+            ctx.receive3().await;
+            ctx.record(Metric::Ops, 100);
+        });
+        // Core 1: a sender stuck behind core 0's full queue.
+        let guard = Bump(Rc::clone(&drops));
+        e.add_proc(async move |ctx| {
+            let _guard = guard;
+            ctx.send(0, &[1, 2]).await;
+            ctx.record(Metric::Ops, 1);
+            ctx.send(0, &[3, 4]).await;
+            ctx.record(Metric::Ops, 100);
+        });
+        // Core 2: runnable, its response due after the horizon.
+        let guard = Bump(Rc::clone(&drops));
+        e.add_proc(async move |ctx| {
+            let _guard = guard;
+            ctx.record(Metric::Ops, 1);
+            ctx.work(10_000).await;
+            ctx.record(Metric::Ops, 100);
+        });
+        // Core 3: keeps the clock moving up to the horizon.
+        let guard = Bump(Rc::clone(&drops));
+        e.add_proc(async move |ctx| {
+            let _guard = guard;
+            loop {
+                ctx.work(10).await;
+            }
+        });
+        let r = e.run(5_000);
+        assert_eq!(drops.get(), 4, "every body dropped exactly once");
+        // What ran before the operation a proc was dropped in counts; what
+        // follows it never ran.
+        for core in 0..3 {
+            assert_eq!(r.metrics[core][Metric::Ops as usize], 1, "core {core}");
+        }
+        assert_eq!(r.per_core[1].blocked_sends, 0, "sender was still blocked");
     }
 
     #[test]
     fn is_queue_empty_sees_arrivals_only() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
+        e.add_proc(async |ctx| {
             // Wait until the message must have arrived.
-            ctx.work(1_000);
-            assert!(!ctx.is_queue_empty());
-            assert_eq!(ctx.receive1(), 9);
-            assert!(ctx.is_queue_empty());
+            ctx.work(1_000).await;
+            assert!(!ctx.is_queue_empty().await);
+            assert_eq!(ctx.receive1().await, 9);
+            assert!(ctx.is_queue_empty().await);
         });
-        e.add_proc(|ctx| {
-            ctx.send(0, &[9]);
+        e.add_proc(async |ctx| {
+            ctx.send(0, &[9]).await;
         });
         e.run(100_000);
     }
 
     #[test]
-    fn host_stats_count_handoffs_and_inline_payloads() {
+    fn handoffs_count_every_resumption() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
-            let m = ctx.receive3();
-            ctx.send(1, &[m[0] + m[1] + m[2]]);
+        e.add_proc(async |ctx| {
+            let m = ctx.receive3().await;
+            ctx.send(1, &[m[0] + m[1] + m[2]]).await;
         });
-        e.add_proc(|ctx| {
-            ctx.send(0, &[1, 2, 3]);
-            assert_eq!(ctx.receive1(), 6);
+        e.add_proc(async |ctx| {
+            ctx.send(0, &[1, 2, 3]).await;
+            assert_eq!(ctx.receive1().await, 6);
         });
         let r = e.run(100_000);
-        // 2 sends + 2 receives + 2 Done, at least.
-        assert!(r.host.handoffs >= 6, "handoffs {}", r.host.handoffs);
-        // Both sends and both receive-responses fit inline.
-        assert_eq!(r.host.heap_fallbacks, 0);
-        assert!(
-            r.host.inline_payloads >= 4,
-            "inline {}",
-            r.host.inline_payloads
-        );
+        // Per proc: one poll per operation plus the one that ends the body.
+        assert_eq!(r.host.handoffs, 6);
+        assert_eq!(r.host.proc_parks, 0);
     }
 
     #[test]
-    fn oversized_receive_falls_back_to_heap() {
+    fn oversized_messages_round_trip() {
         let cfg = MachineConfig {
             queue_capacity: 64,
             ..small_cfg()
         };
         let mut e = Engine::new(cfg);
-        e.add_proc(|ctx| {
-            let words = ctx.receive(10);
+        e.add_proc(async |ctx| {
+            let words = ctx.receive(10).await;
             assert_eq!(words, (0..10u64).collect::<Vec<_>>());
             ctx.record(Metric::Ops, 1);
         });
-        e.add_proc(|ctx| {
+        e.add_proc(async |ctx| {
             let msg: Vec<u64> = (0..10).collect();
-            ctx.send(0, &msg);
+            ctx.send(0, &msg).await;
         });
         let r = e.run(100_000);
         assert_eq!(r.metrics[0][Metric::Ops as usize], 1);
-        // The 10-word send and the 10-word response both exceed the inline
-        // buffer.
-        assert!(
-            r.host.heap_fallbacks >= 2,
-            "fallbacks {}",
-            r.host.heap_fallbacks
-        );
     }
 }

@@ -21,8 +21,9 @@
 //!   (§5.3) and LCRQ's false serialization (§5.4);
 //! * **hardware message queues** with asynchronous sends, local-buffer
 //!   receives, 118-word capacity and back-pressure;
-//! * a deterministic discrete-event **engine** ([`Engine`]) that runs
-//!   simulated threads written as ordinary Rust closures;
+//! * a deterministic, single-threaded discrete-event **engine**
+//!   ([`Engine`]) that runs simulated threads written as `async` Rust
+//!   closures and polls them in place;
 //! * simulator implementations of MP-SERVER, HYBCOMB, SHM-SERVER and
 //!   CC-SYNCH ([`algos`]), of the nonblocking LCRQ/Treiber comparators
 //!   ([`nonblocking`]), and of every workload in the paper's evaluation
@@ -40,14 +41,14 @@
 //! use tilesim::{Engine, MachineConfig, Metric};
 //!
 //! let mut e = Engine::new(MachineConfig::tile_gx8036());
-//! e.add_proc(|ctx| {
-//!     let [sender, op, arg] = ctx.receive3();
+//! e.add_proc(async |ctx| {
+//!     let [sender, op, arg] = ctx.receive3().await;
 //!     assert_eq!((op, arg), (1, 41));
-//!     ctx.send(sender as usize, &[arg + 1]);
+//!     ctx.send(sender as usize, &[arg + 1]).await;
 //! });
-//! e.add_proc(|ctx| {
-//!     ctx.send(0, &[ctx.core() as u64, 1, 41]);
-//!     assert_eq!(ctx.receive1(), 42);
+//! e.add_proc(async |ctx| {
+//!     ctx.send(0, &[ctx.core() as u64, 1, 41]).await;
+//!     assert_eq!(ctx.receive1().await, 42);
 //!     ctx.record(Metric::Ops, 1);
 //! });
 //! let result = e.run(100_000);
@@ -60,7 +61,6 @@
 pub mod algos;
 mod config;
 mod engine;
-mod mailbox;
 pub mod mem;
 pub mod nonblocking;
 mod stats;

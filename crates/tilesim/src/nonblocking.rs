@@ -44,16 +44,16 @@ impl LcrqModel {
     /// One enqueue: FAA on the tail, then CAS the claimed cell from its
     /// round tag to the deposited state (retrying the FAA if the cell was
     /// already skipped by a dequeuer, as in the real algorithm).
-    pub fn enqueue(&self, ctx: &mut Ctx) {
+    pub async fn enqueue(&self, ctx: &mut Ctx) {
         loop {
-            let t = ctx.faa(self.tail, 1);
+            let t = ctx.faa(self.tail, 1).await;
             let cell = self.cell(t);
-            let cur = ctx.read(cell);
+            let cur = ctx.read(cell).await;
             ctx.record(Metric::Cas, 1);
             // Cell is free for round `t` if it still carries the value the
             // round before it would have (2 per slot per lap: deposit +
             // consume).
-            if cur == 2 * (t / self.ring) && ctx.cas(cell, cur, cur + 1) {
+            if cur == 2 * (t / self.ring) && ctx.cas(cell, cur, cur + 1).await {
                 return;
             }
             ctx.record(Metric::CasFail, 1);
@@ -62,26 +62,26 @@ impl LcrqModel {
 
     /// One dequeue: FAA on the head, then CAS the cell from deposited to
     /// consumed; returns `false` on an empty-queue observation.
-    pub fn dequeue(&self, ctx: &mut Ctx) -> bool {
+    pub async fn dequeue(&self, ctx: &mut Ctx) -> bool {
         loop {
-            let h = ctx.faa(self.head, 1);
+            let h = ctx.faa(self.head, 1).await;
             let cell = self.cell(h);
-            let cur = ctx.read(cell);
+            let cur = ctx.read(cell).await;
             let deposited = 2 * (h / self.ring) + 1;
             if cur == deposited {
                 ctx.record(Metric::Cas, 1);
-                if ctx.cas(cell, cur, cur + 1) {
+                if ctx.cas(cell, cur, cur + 1).await {
                     return true;
                 }
                 ctx.record(Metric::CasFail, 1);
             }
             // Not yet deposited (or we lost the race): check emptiness the
             // way the real algorithm does, by comparing against the tail.
-            let t = ctx.read(self.tail);
+            let t = ctx.read(self.tail).await;
             if t <= h + 1 {
                 // Overshot: fix up the tail as FIXSTATE does.
                 ctx.record(Metric::Cas, 1);
-                let _ = ctx.cas(self.tail, t, h + 1);
+                let _ = ctx.cas(self.tail, t, h + 1).await;
                 return false;
             }
         }
@@ -99,24 +99,24 @@ pub fn install_lcrq(
 ) {
     let model = LcrqModel::new(alloc, ring);
     for _ in 0..threads {
-        engine.add_proc(move |ctx| {
+        engine.add_proc(async move |ctx| {
             let mut rng = client_rng(seed, ctx.core());
             loop {
-                balanced_queue_step(ctx, &model, &mut rng, max_local_work);
+                balanced_queue_step(ctx, &model, &mut rng, max_local_work).await;
             }
         });
     }
 }
 
-fn balanced_queue_step(ctx: &mut Ctx, model: &LcrqModel, rng: &mut StdRng, max_work: u64) {
+async fn balanced_queue_step(ctx: &mut Ctx, model: &LcrqModel, rng: &mut StdRng, max_work: u64) {
     let t0 = ctx.now();
-    model.enqueue(ctx);
+    model.enqueue(ctx).await;
     record_op(ctx, t0);
-    ctx.work(rng.gen_range(0..=max_work));
+    ctx.work(rng.gen_range(0..=max_work)).await;
     let t0 = ctx.now();
-    model.dequeue(ctx);
+    model.dequeue(ctx).await;
     record_op(ctx, t0);
-    ctx.work(rng.gen_range(0..=max_work));
+    ctx.work(rng.gen_range(0..=max_work)).await;
 }
 
 /// Shared state of the Treiber stack model: the stack is abstracted to its
@@ -134,11 +134,11 @@ impl TreiberModel {
     }
 
     /// One push: read-top + CAS loop.
-    pub fn push(&self, ctx: &mut Ctx) {
+    pub async fn push(&self, ctx: &mut Ctx) {
         loop {
-            let t = ctx.read(self.top);
+            let t = ctx.read(self.top).await;
             ctx.record(Metric::Cas, 1);
-            if ctx.cas(self.top, t, t + 1) {
+            if ctx.cas(self.top, t, t + 1).await {
                 return;
             }
             ctx.record(Metric::CasFail, 1);
@@ -146,14 +146,14 @@ impl TreiberModel {
     }
 
     /// One pop: read-top + CAS loop; `false` when empty.
-    pub fn pop(&self, ctx: &mut Ctx) -> bool {
+    pub async fn pop(&self, ctx: &mut Ctx) -> bool {
         loop {
-            let t = ctx.read(self.top);
+            let t = ctx.read(self.top).await;
             if t == 0 {
                 return false;
             }
             ctx.record(Metric::Cas, 1);
-            if ctx.cas(self.top, t, t - 1) {
+            if ctx.cas(self.top, t, t - 1).await {
                 return true;
             }
             ctx.record(Metric::CasFail, 1);
@@ -171,17 +171,17 @@ pub fn install_treiber(
 ) {
     let model = TreiberModel::new(alloc);
     for _ in 0..threads {
-        engine.add_proc(move |ctx| {
+        engine.add_proc(async move |ctx| {
             let mut rng = client_rng(seed, ctx.core());
             loop {
                 let t0 = ctx.now();
-                model.push(ctx);
+                model.push(ctx).await;
                 record_op(ctx, t0);
-                ctx.work(rng.gen_range(0..=max_local_work));
+                ctx.work(rng.gen_range(0..=max_local_work)).await;
                 let t0 = ctx.now();
-                model.pop(ctx);
+                model.pop(ctx).await;
                 record_op(ctx, t0);
-                ctx.work(rng.gen_range(0..=max_local_work));
+                ctx.work(rng.gen_range(0..=max_local_work)).await;
             }
         });
     }
@@ -208,13 +208,13 @@ mod tests {
         let mut alloc = AddrAlloc::new();
         let model = LcrqModel::new(&mut alloc, 8);
         let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(move |ctx| {
-            assert!(!model.dequeue(ctx), "fresh queue must be empty");
-            model.enqueue(ctx);
-            model.enqueue(ctx);
-            assert!(model.dequeue(ctx));
-            assert!(model.dequeue(ctx));
-            assert!(!model.dequeue(ctx));
+        e.add_proc(async move |ctx| {
+            assert!(!model.dequeue(ctx).await, "fresh queue must be empty");
+            model.enqueue(ctx).await;
+            model.enqueue(ctx).await;
+            assert!(model.dequeue(ctx).await);
+            assert!(model.dequeue(ctx).await);
+            assert!(!model.dequeue(ctx).await);
         });
         e.run(1_000_000);
     }
@@ -238,13 +238,13 @@ mod tests {
         let mut alloc = AddrAlloc::new();
         let model = TreiberModel::new(&mut alloc);
         let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(move |ctx| {
-            assert!(!model.pop(ctx));
-            model.push(ctx);
-            model.push(ctx);
-            assert!(model.pop(ctx));
-            assert!(model.pop(ctx));
-            assert!(!model.pop(ctx));
+        e.add_proc(async move |ctx| {
+            assert!(!model.pop(ctx).await);
+            model.push(ctx).await;
+            model.push(ctx).await;
+            assert!(model.pop(ctx).await);
+            assert!(model.pop(ctx).await);
+            assert!(!model.pop(ctx).await);
         });
         e.run(1_000_000);
     }

@@ -129,36 +129,27 @@ impl Metric {
 
 /// Host-side execution counters of one simulation run: how the simulator
 /// itself behaved on the machine running it, as opposed to the simulated
-/// machine's counters in [`CoreStats`].
-///
-/// `handoffs`, `inline_payloads`, and `heap_fallbacks` are deterministic
-/// functions of the simulated trace; `engine_parks` and `proc_parks` depend
-/// on host scheduling and vary run to run. None of these may feed figure
-/// values — they exist for the harness's `--timing` self-measurement.
+/// machine's counters in [`CoreStats`]. They may never feed figure values —
+/// they exist for the harness's `--timing` self-measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
-    /// Proc→engine request/response round trips served through the mailbox.
+    /// Proc resumptions: one per poll of a proc's body, plus one for each
+    /// body the engine drops while it is still suspended at the end of the
+    /// run. A deterministic function of the simulated trace, so it doubles
+    /// as a trace-length check.
     pub handoffs: u64,
-    /// Times the engine thread parked waiting for a proc's next request.
-    pub engine_parks: u64,
-    /// Times a proc thread parked waiting for the engine's response.
+    /// Always 0: procs are polled in place and no thread exists that could
+    /// park. The field survives only because
+    /// `benchmark/src/workloads/sim_counter.rs` reads it and the change that
+    /// removed the proc threads was not allowed to touch that directory.
     pub proc_parks: u64,
-    /// Request/response payloads carried in the mailbox's inline word
-    /// buffer — each one an allocation the previous channel-based handoff
-    /// design would have made.
-    pub inline_payloads: u64,
-    /// Oversized payloads that fell back to a heap allocation.
-    pub heap_fallbacks: u64,
 }
 
 impl HostStats {
     /// Accumulates another run's counters into this one.
     pub fn merge(&mut self, other: &HostStats) {
         self.handoffs += other.handoffs;
-        self.engine_parks += other.engine_parks;
         self.proc_parks += other.proc_parks;
-        self.inline_payloads += other.inline_payloads;
-        self.heap_fallbacks += other.heap_fallbacks;
     }
 }
 

@@ -220,10 +220,10 @@ pub fn run_queue_mp2(cfg: MachineConfig, threads: usize, horizon: u64, seed: u64
     e.preset_memory(head, 0);
     e.preset_memory(alloc_ctr, 1);
 
-    let enq_server = e.add_proc(move |ctx| crate::algos::serve_body(ctx, enq_body));
-    let deq_server = e.add_proc(move |ctx| crate::algos::serve_body(ctx, deq_body));
+    let enq_server = e.add_proc(async move |ctx| crate::algos::serve_body(ctx, enq_body).await);
+    let deq_server = e.add_proc(async move |ctx| crate::algos::serve_body(ctx, deq_body).await);
     for _ in 0..threads {
-        e.add_proc(move |ctx| {
+        e.add_proc(async move |ctx| {
             let mut rng = crate::algos::client_rng(seed, ctx.core());
             let me = ctx.core() as u64;
             let mut i = 0u64;
@@ -234,10 +234,10 @@ pub fn run_queue_mp2(cfg: MachineConfig, threads: usize, horizon: u64, seed: u64
                     (deq_server, 1u64, 0u64)
                 };
                 let t0 = ctx.now();
-                ctx.send(server, &[me, op, arg]);
-                ctx.receive1();
+                ctx.send(server, &[me, op, arg]).await;
+                ctx.receive1().await;
                 crate::algos::record_op(ctx, t0);
-                crate::algos::local_work(ctx, &mut rng, 50, 1);
+                crate::algos::local_work(ctx, &mut rng, 50, 1).await;
                 i += 1;
             }
         });

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tilesim::algos::Approach;
-use tilesim::workload::{run_counter, run_queue_onelock};
+use tilesim::workload::{max_threads, run_counter, run_queue_onelock, servicing_core};
 use tilesim::{MachineConfig, Metric};
 
 proptest! {
@@ -42,6 +42,32 @@ proptest! {
             prop_assert!(served <= ops + 2 * threads as u64 + 2,
                 "served {} way beyond ops {}", served, ops);
         }
+    }
+}
+
+/// Golden pin of the benchmark's round (`sim-counter36`): figures recorded
+/// from the thread-per-proc engine this one replaced. `handoffs` is the
+/// length of the simulated trace, so a match means the same operations were
+/// serviced in the same order, not merely the same totals.
+#[test]
+fn counter36_round_matches_the_threaded_engine() {
+    let cfg = MachineConfig::tile_gx8036();
+    // (approach, Ops, handoffs, end_clock, servicing core's stall cycles)
+    let golden = [
+        (Approach::MpServer, 1813, 12_766, 20_035, 18),
+        (Approach::HybComb, 632, 10_129, 20_030, 8_684),
+        (Approach::ShmServer, 262, 45_389, 20_030, 16_334),
+        (Approach::CcSynch, 242, 45_027, 20_031, 13_618),
+    ];
+    for (a, ops, handoffs, end_clock, stall) in golden {
+        let r = run_counter(cfg, a, max_threads(&cfg, a), 200, 20_000, 1);
+        let got = (
+            r.metric_sum(Metric::Ops),
+            r.host.handoffs,
+            r.end_clock,
+            r.per_core[servicing_core(&r)].stall,
+        );
+        assert_eq!(got, (ops, handoffs, end_clock, stall), "{}", a.label());
     }
 }
 
