@@ -1021,6 +1021,27 @@ impl FrameReader {
     }
 }
 
+/// A decoder a serving loop pulls fully-received frames from: both server
+/// models drive the same serve function, one over a [`FrameReader`], the
+/// other over a [`FrameBuf`].
+pub(crate) trait FrameSource {
+    /// The next complete frame, `Ok(None)` if more bytes are needed, or a
+    /// typed error if the stream is malformed.
+    fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError>;
+}
+
+impl FrameSource for FrameReader {
+    fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
+        FrameReader::next_frame(self)
+    }
+}
+
+impl FrameSource for FrameBuf {
+    fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
+        FrameBuf::next_frame(self)
+    }
+}
+
 /// A fixed-capacity sliding-window frame decoder for non-blocking I/O.
 ///
 /// Where [`FrameReader`] copies each read into a growable `Vec`, `FrameBuf`

@@ -16,9 +16,12 @@
 //!   NetClient ── frames over TCP/UDS ──▶ NetServer
 //!                     ┌─────────────────────┴──────────────────────┐
 //!          ThreadPerConn (1 thread/conn)        Reactor (1 pinned thread/shard)
-//!              │ coalesce + validate                │ epoll + steer-by-key
-//!              ▼                                    ▼
-//!          Session::submit                 Session::submit_with(tick shard)
+//!              │ read everything buffered           │ epoll + steer-by-key
+//!              └──────────────┐      ┌──────────────┘
+//!                             ▼      ▼
+//!              one serve function: decode a run, validate,
+//!              Session::submit_batch_with (reactor: idle = tick shard),
+//!              encode replies in request order
 //!              │ sharded delegation                 │ same-core execution
 //!              ▼                                    ▼
 //!      MP-SERVER / HYBCOMB / CC-SYNCH / lock   externally-driven MP-SERVER

@@ -20,9 +20,9 @@
 //! owned by other shards go through the runtime's normal cross-shard path.
 //!
 //! **Never block without ticking.** A reactor that waits on another shard —
-//! admission to a full window, or a response from a peer's shard — spins
-//! through [`Session::submit_with`] with an idle closure that ticks its own
-//! [`ShardDriver`]. A blocked reactor therefore keeps serving its shard, so
+//! admission to a full window, or responses from a peer's shard — spins
+//! through [`Session::submit_batch_with`] with an idle closure that ticks its
+//! own [`ShardDriver`]. A blocked reactor therefore keeps serving its shard, so
 //! a cycle of reactors waiting on each other's shards always makes
 //! progress; delegation chains cannot deadlock.
 //!
@@ -53,7 +53,7 @@ use mpsync_telemetry::alloc::thread_allocs;
 use mpsync_telemetry::{Algo, Counter, Lane};
 
 use crate::frame::{FrameBuf, Request};
-use crate::server::{handle_request, ConnEnd, Shared, Sock};
+use crate::server::{ConnEnd, ServeEnd, Serving, Shared, Sock};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 
 /// Epoll cookie of the reactor's own wakeup eventfd (connection slots use
@@ -235,7 +235,7 @@ struct Reactor<'a> {
     shared: &'a Shared,
     peers: &'a [Arc<ReactorShared>],
     epoll: Epoll,
-    session: Session,
+    serving: Serving,
     driver: Option<ShardDriver>,
     conns: Vec<Option<Box<Conn>>>,
     free: Vec<usize>,
@@ -269,7 +269,7 @@ pub(crate) fn run_reactor(
         shared: shared.as_ref(),
         peers,
         epoll,
-        session,
+        serving: Serving::new(session, &shared.cfg),
         driver,
         conns: Vec::new(),
         free: Vec::new(),
@@ -562,13 +562,12 @@ impl<'a> Reactor<'a> {
         limit: usize,
         draining: bool,
     ) -> bool {
-        let mut fate = Fate::Alive;
-        {
+        let fate = {
             let Reactor {
                 idx,
                 n,
                 shared,
-                session,
+                serving,
                 driver,
                 conns,
                 ..
@@ -584,55 +583,50 @@ impl<'a> Reactor<'a> {
                 id,
                 ..
             } = &mut **conn;
-            let mut submit = |key: u64, op: u64, arg: u64| {
-                session.submit_with(key, op, arg, || {
-                    // The reactor's wait loop IS its shard's executor: keep
-                    // serving while parked on admission or a peer's shard.
-                    if let Some(d) = driver.as_mut() {
-                        d.tick();
-                    }
-                })
-            };
-            let mut pending_first = first;
-            let mut handled = 0usize;
-            let t0 = telemetry::now_ns();
-            loop {
-                if handled >= limit {
-                    break;
+            // The reactor's wait loop IS its shard's executor: keep serving
+            // while parked on admission or a peer's shard.
+            let mut idle = || {
+                if let Some(d) = driver.as_mut() {
+                    d.tick();
                 }
-                let req = match pending_first.take() {
-                    Some(r) => r,
-                    None => match rx.next_frame::<Request>() {
-                        Ok(Some(r)) => r,
-                        Ok(None) => break,
-                        Err(e) => {
-                            fate = Fate::Close(ConnEnd::Protocol(e));
-                            break;
-                        }
-                    },
-                };
-                if !*steered && !draining {
-                    if let Request::Op { key, .. } = req {
+            };
+            let mut first = first;
+            let mut left = limit;
+            loop {
+                let (handled, end) = serving.serve(
+                    shared,
+                    *id,
+                    rx,
+                    &mut out.tail,
+                    first.take(),
+                    left,
+                    !*steered && !draining,
+                    draining,
+                    &mut idle,
+                );
+                out.frames += handled as u64;
+                left = left.saturating_sub(handled);
+                match end {
+                    ServeEnd::Dry | ServeEnd::Limit => break Fate::Alive,
+                    ServeEnd::Protocol(e) => break Fate::Close(ConnEnd::Protocol(e)),
+                    ServeEnd::Held(req) => {
                         // First op decides the connection's home. Pings are
                         // answered locally without committing a home.
                         *steered = true;
-                        if key < MAX_KEY && *n > 1 {
-                            let target = shared.service.shard_of(key);
-                            if target != *idx && target < *n {
-                                fate = Fate::Migrate(target, req);
-                                break;
+                        if let Request::Op { key, .. } = req {
+                            if key < MAX_KEY && *n > 1 {
+                                let target = shared.service.shard_of(key);
+                                if target != *idx && target < *n {
+                                    break Fate::Migrate(target, req);
+                                }
                             }
                         }
+                        // Staying: answer it with what follows, as one run.
+                        first = Some(req);
                     }
                 }
-                handle_request(shared, *id, req, draining, &mut out.tail, &mut submit);
-                out.frames += 1;
-                handled += 1;
             }
-            if handled > 0 {
-                telemetry::record_span(*id as u32, Algo::Net, Lane::Batch, t0);
-            }
-        }
+        };
         match fate {
             Fate::Alive => true,
             Fate::Close(end) => {

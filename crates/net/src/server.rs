@@ -7,11 +7,19 @@
 //! into a combiner:
 //!
 //! 1. **coalesce** — decode every fully-received request buffered so far
-//!    (bounded by [`ServerConfig::max_coalesce`]), submit each to the
-//!    session, and append the responses to one write buffer;
+//!    (bounded by [`ServerConfig::max_coalesce`]), submit the ops among
+//!    them to the session as one batch ([`Serving::serve`], the serve
+//!    function both server models share), and append the responses, in
+//!    request order, to one write buffer;
 //! 2. **flush** — write the whole response batch with a single
 //!    `write_all`, so pipelined clients pay one syscall per batch instead
 //!    of one per op.
+//!
+//! A connection's turn therefore costs one cross-thread handoff per shard
+//! it touches, however many requests the peer had pipelined. Replies are in
+//! request order; effects are in request order per key. Requests a peer
+//! pipelines to *different* shards without waiting are concurrent
+//! operations and may take effect in either order.
 //!
 //! Backpressure propagates end-to-end with no unbounded queue anywhere:
 //! under [`SubmitPolicy::Fail`](mpsync_runtime::SubmitPolicy) a full shard
@@ -41,8 +49,8 @@ use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
 
 use crate::frame::{
-    reject, stat_kind, trace_word, FrameError, FrameReader, Request, Response, StatReply, Status,
-    Wire,
+    reject, stat_kind, trace_word, FrameError, FrameReader, FrameSource, Request, Response,
+    StatReply, Status, Wire,
 };
 
 /// Anything that can hand out runtime [`Session`]s — the server's only
@@ -887,8 +895,8 @@ fn drive_conn(shared: &Shared, sock: &mut Sock, conn_id: u64) -> ConnEnd {
     if let Err(e) = sock.set_read_timeout(cfg.poll_interval) {
         return ConnEnd::Io(e);
     }
-    let mut session = match shared.service.open_session() {
-        Ok(s) => s,
+    let mut serving = match shared.service.open_session() {
+        Ok(s) => Serving::new(s, cfg),
         Err(_) => {
             // No session budget: close before any byte is exchanged. The
             // peer sees EOF with zero responses — nothing was admitted, so
@@ -916,38 +924,25 @@ fn drive_conn(shared: &Shared, sock: &mut Sock, conn_id: u64) -> ConnEnd {
         // Phase 1: answer everything fully received, a coalesce batch at a
         // time. Each flush is one write_all of many pipelined responses.
         loop {
-            let mut handled = 0usize;
-            let t0 = telemetry::now_ns();
-            while handled < cfg.max_coalesce {
-                match reader.next_frame::<Request>() {
-                    Ok(Some(req)) => {
-                        handle_request(
-                            shared,
-                            conn_id,
-                            req,
-                            draining,
-                            &mut wbuf,
-                            &mut |key, op, arg| session.submit(key, op, arg),
-                        );
-                        handled += 1;
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Best effort: deliver the responses we owe before
-                        // abandoning the unframeable stream.
-                        let _ = flush_batch(shared, sock, &mut wbuf);
-                        return ConnEnd::Protocol(e);
-                    }
-                }
-            }
-            if handled > 0 {
-                if let Err(e) = flush_batch(shared, sock, &mut wbuf) {
-                    return ConnEnd::Io(e);
-                }
-                telemetry::record_span(conn_id as u32, Algo::Net, Lane::Batch, t0);
-            }
-            if handled < cfg.max_coalesce {
-                break; // decoder empty
+            let (handled, end) = serving.serve(
+                shared,
+                conn_id,
+                &mut reader,
+                &mut wbuf,
+                None,
+                cfg.max_coalesce,
+                false,
+                draining,
+                || {},
+            );
+            // On a framing error this is best effort: deliver the responses
+            // we owe before abandoning the unframeable stream.
+            let flushed = flush_batch(shared, sock, &mut wbuf, handled as u64);
+            match (end, flushed) {
+                (ServeEnd::Protocol(e), _) => return ConnEnd::Protocol(e),
+                (_, Err(e)) => return ConnEnd::Io(e),
+                (ServeEnd::Limit, Ok(())) => {}
+                (_, Ok(())) => break, // decoder empty
             }
         }
         if draining {
@@ -1042,119 +1037,249 @@ pub(crate) fn stat_payload(shared: &Shared, kind: u8) -> Vec<u8> {
     }
 }
 
-/// Answers one request into `wbuf`. `submit` abstracts how the op reaches
-/// the runtime: the thread model passes a plain [`Session::submit`]; the
-/// reactor passes a submit that keeps ticking its own shard executor while
-/// waiting, so reactors submitting to each other's shards can't deadlock.
-pub(crate) fn handle_request(
-    shared: &Shared,
-    conn_id: u64,
-    req: Request,
-    draining: bool,
-    wbuf: &mut Vec<u8>,
-    submit: &mut dyn FnMut(u64, u64, u64) -> Result<u64, RuntimeError>,
-) {
-    let resp = match req {
-        Request::Ping { id } => Response {
-            id,
-            status: Status::Ok,
-            value: 0,
-        },
-        Request::Stat { id, kind } => {
-            // Served even while draining: the last scrape sees the final
-            // counters. Not an op — no effect, no request accounting.
-            StatReply {
-                id,
-                kind,
-                payload: stat_payload(shared, kind),
-            }
-            .encode_frame(wbuf);
-            return;
-        }
-        Request::Op {
-            id,
-            key,
-            op,
-            arg,
-            trace,
-        } => {
-            shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-            telemetry::count(Counter::NetRequests, 1);
-            let t0 = telemetry::now_ns();
-            let resp = if key >= MAX_KEY {
-                shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                Response {
-                    id,
-                    status: Status::BadRequest,
-                    value: reject::KEY_RANGE,
-                }
-            } else if op > shared.cfg.max_op {
-                shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                Response {
-                    id,
-                    status: Status::BadRequest,
-                    value: reject::OP_RANGE,
-                }
-            } else {
-                match submit(key, op as u64, arg) {
-                    Ok(value) => Response {
-                        id,
-                        status: Status::Ok,
-                        value,
-                    },
-                    Err(RuntimeError::Busy) => {
-                        shared.stats.busy.fetch_add(1, Ordering::Relaxed);
-                        telemetry::count(Counter::NetBusy, 1);
-                        // Sampled so a backpressure storm leaves a mark in
-                        // the flight log without evicting rarer events.
-                        telemetry::flight_sampled(telemetry::FlightKind::Busy, 64, conn_id, key);
-                        Response {
-                            id,
-                            status: Status::Busy,
-                            value: 0,
-                        }
-                    }
-                    Err(RuntimeError::Closed | RuntimeError::SessionsExhausted) => {
-                        shared
-                            .stats
-                            .closed_responses
-                            .fetch_add(1, Ordering::Relaxed);
-                        Response {
-                            id,
-                            status: Status::Closed,
-                            value: 0,
-                        }
-                    }
-                }
-            };
-            if draining {
-                shared.stats.drained.fetch_add(1, Ordering::Relaxed);
-                telemetry::count(Counter::NetDrainedOps, 1);
-            }
-            telemetry::record_span(conn_id as u32, Algo::Net, Lane::Serve, t0);
-            if trace != 0 {
-                // Hop span on the trace's own track, so a collector can
-                // stitch this serve leg under the client's trace id.
-                telemetry::record_span(
-                    telemetry::trace_track(trace_word::id(trace)),
-                    Algo::Net,
-                    Lane::Serve,
-                    t0,
-                );
-            }
-            resp
-        }
-    };
-    resp.encode_frame(wbuf);
+/// Requests in one run: what [`Serving`]'s fixed scratch holds, so what one
+/// `submit_batch` can carry.
+const RUN_MAX: usize = 64;
+
+/// How a [`Serving::serve`] call ended.
+pub(crate) enum ServeEnd {
+    /// The decoder holds no further complete request.
+    Dry,
+    /// `limit` requests were answered; more may be buffered.
+    Limit,
+    /// The first `Op` request of the connection, decoded but not answered
+    /// (see `hold_first_op`).
+    Held(Request),
+    /// Framing was lost. Everything decoded before it has been answered.
+    Protocol(FrameError),
 }
 
-/// Writes the whole response batch; on success each response counts as
-/// acked (its effect, if any, is now exactly-once from the peer's view).
-fn flush_batch(shared: &Shared, sock: &mut Sock, wbuf: &mut Vec<u8>) -> io::Result<()> {
+/// What one serving thread owns to answer requests: its runtime session,
+/// and scratch for one run — allocated once, so the serve path allocates
+/// nothing per request.
+pub(crate) struct Serving {
+    session: Session,
+    /// The run: consecutive decoded requests, in arrival order.
+    reqs: Vec<Request>,
+    /// The run's valid ops, in arrival order.
+    ops: Vec<(u64, u64, u64)>,
+    /// Their results, positional.
+    results: Vec<Result<u64, RuntimeError>>,
+}
+
+impl Serving {
+    pub(crate) fn new(session: Session, cfg: &ServerConfig) -> Self {
+        let run = cfg.max_coalesce.min(RUN_MAX);
+        Self {
+            session,
+            reqs: Vec::with_capacity(run),
+            ops: Vec::with_capacity(run),
+            results: Vec::with_capacity(run),
+        }
+    }
+
+    /// The serve function of both server models: answers up to `limit`
+    /// fully-received requests from `rx` (serving `first`, an already
+    /// decoded one, before touching `rx`) into `wbuf`, and returns how many
+    /// it answered and why it stopped.
+    ///
+    /// Requests are taken a *run* at a time: decode what is there, submit
+    /// the valid ops among it as one [`Session::submit_batch_with`], then
+    /// encode the replies in request order — pings, stats and `BadRequest`s
+    /// in their positions. How much a turn pipelines is thus decided by how
+    /// many complete requests the peer had in the buffer, by nothing else:
+    /// a run of one is a plain single submit.
+    ///
+    /// `idle` runs on every wait iteration of the submit. The thread model
+    /// passes a no-op; a reactor passes a tick of its own shard executor,
+    /// so reactors submitting to each other's shards can't deadlock.
+    ///
+    /// With `hold_first_op`, the first `Op` request is handed back in
+    /// [`ServeEnd::Held`] instead of being answered (what precedes it is
+    /// answered): the reactor decides the connection's home from its key.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn serve<R: FrameSource>(
+        &mut self,
+        shared: &Shared,
+        conn_id: u64,
+        rx: &mut R,
+        wbuf: &mut Vec<u8>,
+        mut first: Option<Request>,
+        limit: usize,
+        hold_first_op: bool,
+        draining: bool,
+        mut idle: impl FnMut(),
+    ) -> (usize, ServeEnd) {
+        let t0 = telemetry::now_ns();
+        let mut handled = 0usize;
+        let end = loop {
+            self.reqs.clear();
+            let room = (limit - handled).min(self.reqs.capacity());
+            let mut end = None;
+            while self.reqs.len() < room {
+                let req = match first.take() {
+                    Some(req) => req,
+                    None => match rx.next_frame::<Request>() {
+                        Ok(Some(req)) => req,
+                        Ok(None) => {
+                            end = Some(ServeEnd::Dry);
+                            break;
+                        }
+                        Err(e) => {
+                            end = Some(ServeEnd::Protocol(e));
+                            break;
+                        }
+                    },
+                };
+                if hold_first_op && matches!(req, Request::Op { .. }) {
+                    end = Some(ServeEnd::Held(req));
+                    break;
+                }
+                self.reqs.push(req);
+            }
+            handled += self.answer_run(shared, conn_id, wbuf, draining, &mut idle);
+            match end {
+                Some(end) => break end,
+                None if handled >= limit => break ServeEnd::Limit,
+                None => {}
+            }
+        };
+        if handled > 0 {
+            telemetry::record_span(conn_id as u32, Algo::Net, Lane::Batch, t0);
+        }
+        (handled, end)
+    }
+
+    /// Answers the decoded run into `wbuf`; returns its length.
+    fn answer_run(
+        &mut self,
+        shared: &Shared,
+        conn_id: u64,
+        wbuf: &mut Vec<u8>,
+        draining: bool,
+        idle: &mut impl FnMut(),
+    ) -> usize {
+        if self.reqs.is_empty() {
+            return 0;
+        }
+        let max_op = shared.cfg.max_op;
+        self.ops.clear();
+        let mut op_requests = 0u64;
+        for req in &self.reqs {
+            if let Request::Op { key, op, arg, .. } = *req {
+                op_requests += 1;
+                if key < MAX_KEY && op <= max_op {
+                    self.ops.push((key, op as u64, arg));
+                }
+            }
+        }
+        if op_requests > 0 {
+            // Once per run, not per op: every connection thread shares
+            // this cache line.
+            shared
+                .stats
+                .requests
+                .fetch_add(op_requests, Ordering::Relaxed);
+            telemetry::count(Counter::NetRequests, op_requests);
+            if draining {
+                shared
+                    .stats
+                    .drained
+                    .fetch_add(op_requests, Ordering::Relaxed);
+                telemetry::count(Counter::NetDrainedOps, op_requests);
+            }
+        }
+        let t0 = telemetry::now_ns();
+        self.session
+            .submit_batch_with(&self.ops, &mut self.results, idle);
+        let mut results = self.results.iter();
+        for req in &self.reqs {
+            let resp = match *req {
+                Request::Ping { id } => Response {
+                    id,
+                    status: Status::Ok,
+                    value: 0,
+                },
+                Request::Stat { id, kind } => {
+                    // Served even while draining: the last scrape sees the
+                    // final counters. Not an op — no effect, no request
+                    // accounting.
+                    StatReply {
+                        id,
+                        kind,
+                        payload: stat_payload(shared, kind),
+                    }
+                    .encode_frame(wbuf);
+                    continue;
+                }
+                Request::Op {
+                    id, key, op, trace, ..
+                } => {
+                    let (status, value) = if key >= MAX_KEY {
+                        shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        (Status::BadRequest, reject::KEY_RANGE)
+                    } else if op > max_op {
+                        shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        (Status::BadRequest, reject::OP_RANGE)
+                    } else {
+                        match *results.next().expect("one result per valid op") {
+                            Ok(value) => (Status::Ok, value),
+                            Err(RuntimeError::Busy) => {
+                                shared.stats.busy.fetch_add(1, Ordering::Relaxed);
+                                telemetry::count(Counter::NetBusy, 1);
+                                // Sampled so a backpressure storm leaves a
+                                // mark in the flight log without evicting
+                                // rarer events.
+                                telemetry::flight_sampled(
+                                    telemetry::FlightKind::Busy,
+                                    64,
+                                    conn_id,
+                                    key,
+                                );
+                                (Status::Busy, 0)
+                            }
+                            Err(RuntimeError::Closed | RuntimeError::SessionsExhausted) => {
+                                shared
+                                    .stats
+                                    .closed_responses
+                                    .fetch_add(1, Ordering::Relaxed);
+                                (Status::Closed, 0)
+                            }
+                        }
+                    };
+                    telemetry::record_span(conn_id as u32, Algo::Net, Lane::Serve, t0);
+                    if trace != 0 {
+                        // Hop span on the trace's own track, so a collector
+                        // can stitch this serve leg under the client's
+                        // trace id.
+                        telemetry::record_span(
+                            telemetry::trace_track(trace_word::id(trace)),
+                            Algo::Net,
+                            Lane::Serve,
+                            t0,
+                        );
+                    }
+                    Response { id, status, value }
+                }
+            };
+            resp.encode_frame(wbuf);
+        }
+        self.reqs.len()
+    }
+}
+
+/// Writes the whole response batch of `frames` responses; on success each
+/// counts as acked (its effect, if any, is now exactly-once from the peer's
+/// view).
+fn flush_batch(
+    shared: &Shared,
+    sock: &mut Sock,
+    wbuf: &mut Vec<u8>,
+    frames: u64,
+) -> io::Result<()> {
     if wbuf.is_empty() {
         return Ok(());
     }
-    let frames = count_frames(wbuf);
     sock.write_all(wbuf)?;
     sock.flush()?;
     wbuf.clear();
@@ -1162,36 +1287,9 @@ fn flush_batch(shared: &Shared, sock: &mut Sock, wbuf: &mut Vec<u8>) -> io::Resu
     Ok(())
 }
 
-/// Counts length-prefixed frames in an encode buffer we built ourselves.
-fn count_frames(buf: &[u8]) -> u64 {
-    let mut n = 0u64;
-    let mut at = 0usize;
-    while at + 4 <= buf.len() {
-        let len = u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize;
-        at += 4 + len;
-        n += 1;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn count_frames_counts_encoded_responses() {
-        let mut buf = Vec::new();
-        for id in 0..5 {
-            Response {
-                id,
-                status: Status::Ok,
-                value: id,
-            }
-            .encode_frame(&mut buf);
-        }
-        assert_eq!(count_frames(&buf), 5);
-        assert_eq!(count_frames(&[]), 0);
-    }
 
     #[test]
     fn default_config_is_sane() {

@@ -64,9 +64,26 @@ pub(crate) struct ShardMetrics {
     pub batch_hist: AtomicLog2Hist,
 }
 
+/// Why [`Control::try_admit`] claimed no slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NoSlot {
+    /// The runtime is closed: no slot will ever be granted.
+    Closed,
+    /// A backend swap is quiescing the shard; slots return after it.
+    Paused,
+    /// The shard's window is full.
+    Full,
+}
+
 pub(crate) fn spin(spins: &mut u32) {
+    spin_then_yield(spins, 128);
+}
+
+/// One wait iteration: a pause while fewer than `limit` have been spent on
+/// this wait, a `yield_now` from then on.
+pub(crate) fn spin_then_yield(spins: &mut u32, limit: u32) {
     *spins = spins.saturating_add(1);
-    if *spins < 128 {
+    if *spins < limit {
         std::hint::spin_loop();
     } else {
         std::thread::yield_now();
@@ -78,7 +95,7 @@ pub(crate) fn spin(spins: &mut u32) {
 /// can hold it without dragging the state type along.
 pub(crate) struct Control {
     /// Once `true`, no submission passes [`Control::admit`]. SeqCst on both
-    /// sides (see `admit`) so shutdown's in-flight drain cannot miss an
+    /// sides (see `try_admit`) so shutdown's in-flight drain cannot miss an
     /// admitted operation.
     closed: AtomicBool,
     /// Currently live sessions (shutdown waits for zero).
@@ -131,7 +148,7 @@ impl Control {
         self.closed.store(true, Ordering::SeqCst);
     }
 
-    /// Claims an in-flight slot on `shard`, enforcing the bounded window.
+    /// Claims an in-flight slot on `shard` if one can be had without waiting.
     ///
     /// Exactly-once shutdown hinges on the re-check after the CAS: `close()`
     /// stores `closed` with SeqCst and then polls `inflight`. If this
@@ -141,12 +158,52 @@ impl Control {
     /// [`Control::complete`] releases it, i.e. until the operation has been
     /// applied and answered. If the load reads `true`, we back out and the
     /// operation is never sent.
+    #[inline]
+    pub fn try_admit(&self, shard: usize) -> Result<(), NoSlot> {
+        let m = &self.shards[shard];
+        loop {
+            if self.closed.load(Ordering::SeqCst) {
+                return Err(NoSlot::Closed);
+            }
+            if m.paused.load(Ordering::SeqCst) {
+                return Err(NoSlot::Paused);
+            }
+            let cur = m.inflight.load(Ordering::Acquire);
+            if cur >= self.queue_depth {
+                return Err(NoSlot::Full);
+            }
+            if m.inflight
+                .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_err()
+            {
+                continue; // lost the CAS race; re-read
+            }
+            if self.closed.load(Ordering::SeqCst) {
+                m.inflight.fetch_sub(1, Ordering::AcqRel);
+                return Err(NoSlot::Closed);
+            }
+            if m.paused.load(Ordering::SeqCst) {
+                // Same protocol as the closed re-check: if the swapper's
+                // SeqCst `paused` store precedes this load, back out so its
+                // quiesce poll cannot miss us; if our load precedes the
+                // store, our increment does too and the poll waits for us.
+                m.inflight.fetch_sub(1, Ordering::AcqRel);
+                return Err(NoSlot::Paused);
+            }
+            m.submitted.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
+    }
+
+    /// Claims an in-flight slot on `shard`, enforcing the bounded window:
+    /// [`Control::try_admit`] until it succeeds, the runtime closes, or —
+    /// under the Fail policy — the window is full.
     pub fn admit(&self, shard: usize) -> Result<(), RuntimeError> {
         self.admit_with(shard, || {})
     }
 
-    /// [`Control::admit`] with an `idle` hook invoked on every full-window
-    /// wait iteration (Block policy).
+    /// [`Control::admit`] with an `idle` hook invoked on every wait
+    /// iteration.
     ///
     /// External drivers need this: when a reactor thread both submits
     /// operations and *is* the executor for its own shard, a plain spin
@@ -158,57 +215,26 @@ impl Control {
         let mut counted_retry = false;
         let mut spins = 0u32;
         loop {
-            if self.closed.load(Ordering::SeqCst) {
-                return Err(RuntimeError::Closed);
-            }
-            if m.paused.load(Ordering::SeqCst) {
+            match self.try_admit(shard) {
+                Ok(()) => return Ok(()),
+                Err(NoSlot::Closed) => return Err(RuntimeError::Closed),
                 // A backend swap is quiescing this shard; wait it out. This
                 // is deliberately a wait even under the Fail policy: unlike
                 // a full window, a pause is not load the caller could shed.
-                idle();
-                spin(&mut spins);
-                continue;
-            }
-            let cur = m.inflight.load(Ordering::Acquire);
-            if cur < self.queue_depth {
-                if m.inflight
-                    .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    if self.closed.load(Ordering::SeqCst) {
-                        m.inflight.fetch_sub(1, Ordering::AcqRel);
-                        return Err(RuntimeError::Closed);
+                Err(NoSlot::Paused) => {}
+                Err(NoSlot::Full) => {
+                    if self.submit == SubmitPolicy::Fail {
+                        m.rejected.fetch_add(1, Ordering::Relaxed);
+                        return Err(RuntimeError::Busy);
                     }
-                    if m.paused.load(Ordering::SeqCst) {
-                        // Same protocol as the closed re-check: if the
-                        // swapper's SeqCst `paused` store precedes this
-                        // load, back out so its quiesce poll cannot miss
-                        // us; if our load precedes the store, our increment
-                        // does too and the poll waits for us.
-                        m.inflight.fetch_sub(1, Ordering::AcqRel);
-                        idle();
-                        spin(&mut spins);
-                        continue;
-                    }
-                    m.submitted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                continue; // lost the CAS race; re-read
-            }
-            match self.submit {
-                SubmitPolicy::Fail => {
-                    m.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(RuntimeError::Busy);
-                }
-                SubmitPolicy::Block => {
                     if !counted_retry {
                         m.retried.fetch_add(1, Ordering::Relaxed);
                         counted_retry = true;
                     }
-                    idle();
-                    spin(&mut spins);
                 }
             }
+            idle();
+            spin(&mut spins);
         }
     }
 
@@ -228,7 +254,7 @@ impl Control {
 
     /// Closes `shard`'s admission gate without erroring waiters: new
     /// submissions block until [`Control::unpause`]. SeqCst to pair with the
-    /// re-check in [`Control::admit_with`].
+    /// re-check in [`Control::try_admit`].
     pub fn pause(&self, shard: usize) {
         self.shards[shard].paused.store(true, Ordering::SeqCst);
     }

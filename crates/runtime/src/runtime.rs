@@ -15,7 +15,7 @@ use crate::adaptive::{
     Controller, MpModeDispatch, SlotLease, SlotPool, MODE_MP,
 };
 use crate::config::{Backend, OpMask, RuntimeConfig};
-use crate::control::Control;
+use crate::control::{Control, NoSlot};
 use crate::drive::{CoreDrive, DriveShard, ShardDriver};
 use crate::router::{pack, shard_for};
 use crate::shard::{ShardCore, ShardServer, Ticker};
@@ -742,7 +742,9 @@ pub struct ShutdownReport<S> {
 enum Transport {
     /// MP-SERVER backend: one private response endpoint, requests addressed
     /// to the per-shard server queues. One endpoint suffices for all shards
-    /// because a session submits one operation at a time.
+    /// because a session has requests outstanding on one shard at a time,
+    /// and a shard server answers one sender in FIFO order — replies need
+    /// no tag.
     Mp {
         endpoint: Endpoint,
         servers: Arc<[EndpointId]>,
@@ -767,7 +769,15 @@ enum Transport {
 }
 
 /// A client connection to a [`Runtime`]. Sessions are `Send` — move each to
-/// its own thread — and submit one operation at a time.
+/// its own thread.
+///
+/// [`Session::submit`] runs one operation to completion.
+/// [`Session::submit_batch`] is the split-phase form: it walks a list of
+/// operations shard by shard, hands a shard its requests back to back, and
+/// only then collects their replies, so the list costs one cross-thread
+/// handoff per shard instead of one per operation. Either way every
+/// operation is admitted and completed on its own, results are positional,
+/// and a key's operations take effect in the order they were given.
 pub struct Session {
     control: Arc<Control>,
     shards: usize,
@@ -858,33 +868,225 @@ impl Session {
         Ok(ret)
     }
 
-    /// Executes a multi-key fan-out: each `(key, op, arg)` runs on its own
-    /// shard, in deterministic order (ascending shard, then input order),
-    /// and the results come back in input order.
+    /// Executes `ops` — each a `(key, op, arg)` — and fills `out` with one
+    /// result per op, in input order (`out` is cleared first).
+    ///
+    /// The ops run shard by shard (ascending shard, input order within a
+    /// shard). On the MP-SERVER transport a shard's requests are sent back
+    /// to back and their replies collected afterwards, so the shard server
+    /// sees them as one batch; the inline backends apply them one by one.
+    /// Every op is admitted and completed individually, exactly as by
+    /// [`Session::submit`]: under the Fail policy any of them may come back
+    /// [`RuntimeError::Busy`], after [`Runtime::close`] the rest come back
+    /// [`RuntimeError::Closed`], and the ones that ran stay run. Per-key
+    /// order is input order; ops on different shards are independent.
+    ///
+    /// # Panics
+    ///
+    /// Panics — before any op takes effect — if a key exceeds 56 bits or an
+    /// opcode 8 bits (see [`pack`]).
+    pub fn submit_batch(
+        &mut self,
+        ops: &[(u64, u64, u64)],
+        out: &mut Vec<Result<u64, RuntimeError>>,
+    ) {
+        self.submit_batch_with(ops, out, || {})
+    }
+
+    /// [`Session::submit_batch`] with an `idle` hook invoked on every wait
+    /// iteration — blocked on admission or waiting for replies — for the
+    /// same reason [`Session::submit_with`] has one.
+    pub fn submit_batch_with(
+        &mut self,
+        ops: &[(u64, u64, u64)],
+        out: &mut Vec<Result<u64, RuntimeError>>,
+        mut idle: impl FnMut(),
+    ) {
+        out.clear();
+        for &(key, op, _) in ops {
+            pack(key, op);
+        }
+        // Placeholder only: each op belongs to exactly one shard's pass,
+        // which overwrites its slot.
+        out.resize(ops.len(), Err(RuntimeError::Closed));
+        let mut next = ops.iter().map(|o| shard_for(o.0, self.shards)).min();
+        while let Some(shard) = next {
+            next = self.batch_on(shard, ops, out, &mut idle);
+        }
+    }
+
+    /// One shard's pass of a batch: runs every op of `ops` that `shard`
+    /// owns, in input order, and returns the next higher shard any op
+    /// routes to.
+    ///
+    /// **A session never waits while it holds uncollected replies.** Its
+    /// sent requests occupy slots of the shard's window that only its own
+    /// collect releases, so two sessions that each filled part of a window
+    /// and then waited for the rest would wait forever — as would a backend
+    /// swap (`pause` → `wait_quiesced`) against a session waiting for the
+    /// `unpause`. Admission inside the pass is therefore the non-waiting
+    /// [`Control::try_admit`]; when that would wait, the pass first collects
+    /// what it has in flight and only then takes the waiting path.
+    fn batch_on(
+        &mut self,
+        shard: usize,
+        ops: &[(u64, u64, u64)],
+        out: &mut [Result<u64, RuntimeError>],
+        idle: &mut impl FnMut(),
+    ) -> Option<usize> {
+        // A shard server must never block on this session's reply queue:
+        // at most as many requests in flight as it holds one-word replies.
+        let room = match &self.transport {
+            Transport::Mp { endpoint, .. } | Transport::Adaptive { endpoint, .. } => {
+                endpoint.fabric().config().queue_capacity
+            }
+            Transport::Inline { .. } => usize::MAX,
+        };
+        let mut next_shard: Option<usize> = None;
+        let mut flight = Flight::default();
+        for (i, &(key, op, arg)) in ops.iter().enumerate() {
+            let s = shard_for(key, self.shards);
+            if s != shard {
+                if s > shard && next_shard.is_none_or(|n| s < n) {
+                    next_shard = Some(s);
+                }
+                continue;
+            }
+            let word = pack(key, op);
+            let t0 = telemetry::now_ns();
+            // The cache's own-writes-visible argument needs this session's
+            // earlier writes on the shard *answered*: only with nothing in
+            // flight may a masked read be tried from it.
+            if flight.count == 0 {
+                if let Some(ret) = self.try_fast_read(shard, word, op, t0) {
+                    out[i] = Ok(ret);
+                    continue;
+                }
+            }
+            let admitted = match self.control.try_admit(shard) {
+                Ok(()) => Ok(()),
+                Err(NoSlot::Closed) => Err(RuntimeError::Closed),
+                Err(NoSlot::Paused | NoSlot::Full) => {
+                    self.collect(shard, ops, out, &mut flight, idle);
+                    self.control.admit_with(shard, &mut *idle)
+                }
+            };
+            if let Err(e) = admitted {
+                out[i] = Err(e);
+                continue;
+            }
+            match self.start_on(shard, word, arg) {
+                Some(ret) => {
+                    out[i] = Ok(ret);
+                    self.control.complete(shard);
+                    if telemetry::ENABLED {
+                        telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, t0);
+                        telemetry::count(Counter::RuntimeSubmits, 1);
+                    }
+                }
+                None => {
+                    if flight.count == 0 {
+                        flight.head = i;
+                        flight.t0 = t0;
+                    }
+                    flight.count += 1;
+                    if flight.count == room {
+                        self.collect(shard, ops, out, &mut flight, idle);
+                    }
+                }
+            }
+        }
+        self.collect(shard, ops, out, &mut flight, idle);
+        next_shard
+    }
+
+    /// Starts `(word, arg)` on `shard` under an admitted slot: `Some` is the
+    /// result of an inline execution, `None` means the request went to the
+    /// shard's server and its reply is outstanding.
+    fn start_on(&mut self, shard: usize, word: u64, arg: u64) -> Option<u64> {
+        match &mut self.transport {
+            Transport::Mp { endpoint, servers } => {
+                send_request(endpoint, servers[shard], word, arg);
+                None
+            }
+            Transport::Inline { handles } => Some(handles[shard].apply(word, arg)),
+            Transport::Adaptive {
+                endpoint,
+                servers,
+                handles,
+                ..
+            } => {
+                let local = handles[shard].try_apply_local(word, arg);
+                if local.is_none() {
+                    send_request(endpoint, servers[shard], word, arg);
+                }
+                local
+            }
+        }
+    }
+
+    /// Receives the replies `flight` has outstanding on `shard` and
+    /// completes their ops. The server answers one sender in FIFO order and
+    /// nothing else of this session is in flight, so the replies belong, in
+    /// order, to `shard`'s ops from `flight.head` on.
+    fn collect(
+        &mut self,
+        shard: usize,
+        ops: &[(u64, u64, u64)],
+        out: &mut [Result<u64, RuntimeError>],
+        flight: &mut Flight,
+        idle: &mut impl FnMut(),
+    ) {
+        if flight.count == 0 {
+            return;
+        }
+        let (Transport::Mp { endpoint, .. } | Transport::Adaptive { endpoint, .. }) =
+            &mut self.transport
+        else {
+            unreachable!("inline transports leave nothing in flight");
+        };
+        let mut owners =
+            (flight.head..ops.len()).filter(|&i| shard_for(ops[i].0, self.shards) == shard);
+        let mut buf = [0u64; 16];
+        let mut spins = 0u32;
+        while flight.count > 0 {
+            let want = flight.count.min(buf.len());
+            let n = endpoint.try_receive(&mut buf[..want]);
+            if n == 0 {
+                idle();
+                crate::control::spin_then_yield(&mut spins, COLLECT_SPINS);
+                continue;
+            }
+            for &ret in &buf[..n] {
+                let i = owners.next().expect("a reply for every request sent");
+                out[i] = Ok(ret);
+                self.control.complete(shard);
+                if telemetry::ENABLED {
+                    telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, flight.t0);
+                    telemetry::count(Counter::RuntimeSubmits, 1);
+                }
+            }
+            flight.count -= n;
+        }
+    }
+
+    /// Executes a multi-key fan-out: [`Session::submit_batch`] with the
+    /// results unwrapped, in input order.
     ///
     /// Not transactional: operations on different shards execute
-    /// independently, and on error (`Busy`/`Closed` mid-fanout) the
-    /// operations already executed stay executed.
+    /// independently, every operation is attempted, and on error (the first
+    /// `Busy`/`Closed` in input order) the ones that executed stay
+    /// executed.
     pub fn apply_fanout(&mut self, ops: &[(u64, u64, u64)]) -> Result<Vec<u64>, RuntimeError> {
-        let mut order: Vec<usize> = (0..ops.len()).collect();
-        order.sort_by_key(|&i| (shard_for(ops[i].0, self.shards), i));
-        let mut results = vec![0u64; ops.len()];
-        for i in order {
-            let (key, op, arg) = ops[i];
-            results[i] = self.submit(key, op, arg)?;
-        }
-        Ok(results)
+        let mut out = Vec::with_capacity(ops.len());
+        self.submit_batch(ops, &mut out);
+        out.into_iter().collect()
     }
 
     fn apply_on(&mut self, shard: usize, word: u64, arg: u64) -> u64 {
         match &mut self.transport {
             Transport::Mp { endpoint, servers } => {
-                endpoint
-                    .send(
-                        servers[shard],
-                        &wire::request(endpoint.id().to_word(), word, arg),
-                    )
-                    .expect("shard server vanished");
+                send_request(endpoint, servers[shard], word, arg);
                 endpoint.receive1()
             }
             Transport::Inline { handles } => handles[shard].apply(word, arg),
@@ -896,12 +1098,7 @@ impl Session {
             } => match handles[shard].try_apply_local(word, arg) {
                 Some(ret) => ret,
                 None => {
-                    endpoint
-                        .send(
-                            servers[shard],
-                            &wire::request(endpoint.id().to_word(), word, arg),
-                        )
-                        .expect("shard server vanished");
+                    send_request(endpoint, servers[shard], word, arg);
                     endpoint.receive1()
                 }
             },
@@ -916,9 +1113,7 @@ impl Session {
         arg: u64,
         idle: &mut impl FnMut(),
     ) -> u64 {
-        endpoint
-            .send(server, &wire::request(endpoint.id().to_word(), word, arg))
-            .expect("shard server vanished");
+        send_request(endpoint, server, word, arg);
         // Responses are a single word, so a successful try_receive is
         // always complete.
         let mut buf = [0u64; 1];
@@ -957,6 +1152,32 @@ impl Session {
             }
         }
     }
+}
+
+/// A batch's sent-but-uncollected requests on the shard being walked: the
+/// next `count` of that shard's ops from input index `head` on.
+#[derive(Default)]
+struct Flight {
+    head: usize,
+    count: usize,
+    /// When the oldest of them was started (the Submit span's origin).
+    t0: u64,
+}
+
+/// Wait iterations [`Session::collect`] spins before every further one
+/// yields. A `yield_now` that finds nothing else to run returns in about
+/// this many spins' time, so a longer spin cannot save more than that when
+/// the shard server has a core to itself; and when it shares the waiter's
+/// core, the replies cannot arrive until the waiter yields — every spin
+/// before that only delays them.
+const COLLECT_SPINS: u32 = 16;
+
+/// Sends one request to a shard server, addressed for a one-word reply.
+#[inline]
+fn send_request(endpoint: &Endpoint, server: EndpointId, word: u64, arg: u64) {
+    endpoint
+        .send(server, &wire::request(endpoint.id().to_word(), word, arg))
+        .expect("shard server vanished");
 }
 
 impl Drop for Session {

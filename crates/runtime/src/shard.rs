@@ -80,6 +80,11 @@ pub(crate) struct ShardCore<S, D> {
     pending: Vec<[u64; wire::REQ_WORDS]>,
     /// Per-batch "already served" scratch for the merging path.
     done: Vec<bool>,
+    /// Per-group scratch for the merging path: the group's members
+    /// (indices into `pending`), and the senders with an un-served request
+    /// between the group's head and the scan position.
+    members: Vec<usize>,
+    passed: Vec<u64>,
     /// Timer pass for expiring states (see [`Ticker`]); `None` for
     /// untimed runtimes.
     ticker: Option<Ticker<S>>,
@@ -109,6 +114,8 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
             merge,
             pending: Vec::new(),
             done: Vec::new(),
+            members: Vec::new(),
+            passed: Vec::new(),
             ticker: None,
             next_timer: None,
         }
@@ -241,8 +248,15 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
     /// fetch-add-shaped — it wrapping-adds its argument and returns the old
     /// value. Dispatching the group's wrapped sum once yields the first
     /// member's return value; member `k`'s is reconstructed as
-    /// `old ⊞ (args of members before k)`. Replies go out in arrival order,
-    /// so per-session FIFO is preserved.
+    /// `old ⊞ (args of members before k)`.
+    ///
+    /// A group's replies all go out at its head's position, so joining a
+    /// group moves a request *ahead* of everything between the head and
+    /// itself. A session may have several requests in one batch
+    /// ([`Session::submit_batch`](crate::Session::submit_batch)) and matches
+    /// replies to them by order alone, so a request only joins a group if
+    /// its sender has nothing unserved in between: each sender's requests
+    /// are executed and answered in the order it sent them.
     fn serve_merged(&mut self) -> u64 {
         let pending = std::mem::take(&mut self.pending);
         let n = pending.len();
@@ -259,16 +273,29 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
                 continue;
             }
             // Gather the group: every later un-served request for the same
-            // packed word (same key *and* opcode).
+            // packed word (same key *and* opcode) whose sender has nothing
+            // un-served before it.
             let mut total = req.arg;
-            let mut group = 1u64;
-            for j in i + 1..n {
-                if !self.done[j] && pending[j][1] == pending[i][1] {
-                    total = total.wrapping_add(wire::decode(pending[j]).arg);
+            self.members.clear();
+            self.members.push(i);
+            self.passed.clear();
+            for (j, raw) in pending.iter().enumerate().skip(i + 1) {
+                if self.done[j] {
+                    continue;
+                }
+                let later = wire::decode(*raw);
+                if self.passed.contains(&later.sender) {
+                    continue;
+                }
+                if later.op == req.op {
+                    total = total.wrapping_add(later.arg);
                     self.done[j] = true;
-                    group += 1;
+                    self.members.push(j);
+                } else {
+                    self.passed.push(later.sender);
                 }
             }
+            let group = self.members.len() as u64;
             if group == 1 {
                 self.answer(pending[i]);
                 continue;
@@ -288,11 +315,8 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
                 .fetch_add(group - 1, Ordering::Relaxed);
             telemetry::count(Counter::RuntimeMergedOps, group - 1);
             let mut prefix = 0u64;
-            for (j, raw) in pending.iter().enumerate().take(n).skip(i) {
-                if j != i && !(self.done[j] && raw[1] == pending[i][1]) {
-                    continue;
-                }
-                let member = wire::decode(*raw);
+            for &j in &self.members {
+                let member = wire::decode(pending[j]);
                 if j != i && telemetry::ENABLED {
                     telemetry::record_span(track, Algo::Runtime, Lane::QueueWait, member.submit_ns);
                 }
@@ -572,32 +596,38 @@ mod tests {
             64,
             OpMask::of(&[0]), // opcode 0 merges; opcode 1 does not
         );
-        // One client queues three adds on the same word with a
-        // non-mergeable op interleaved; arrival order is FIFO.
-        let mut client = fabric.register_any().unwrap();
-        let me = client.id().to_word();
+        // Two clients, one batch, arrival order:
+        //   a: add 10 | a: other 7 | b: add 20 | a: add 30 | b: add 40
+        let mut a = fabric.register_any().unwrap();
+        let mut b = fabric.register_any().unwrap();
+        let (wa, wb) = (a.id().to_word(), b.id().to_word());
         let w_add = pack(5, 0);
         let w_other = pack(5, 1);
-        client.send(sid, &wire::request(me, w_add, 10)).unwrap();
-        client.send(sid, &wire::request(me, w_other, 7)).unwrap();
-        client.send(sid, &wire::request(me, w_add, 20)).unwrap();
-        client.send(sid, &wire::request(me, w_add, 30)).unwrap();
-        assert_eq!(core.tick(), 4, "one batch serves all four requests");
-        // The add group [10, 20, 30] merges into one dispatch of 60 and
-        // replies with prefix sums of the old value; those replies go out
-        // at the group head's position, so the non-merged op's reply (the
-        // state after the merged adds: 60) arrives last.
-        let replies: Vec<u64> = (0..4).map(|_| client.receive1()).collect();
-        assert_eq!(replies, vec![0, 10, 30, 60]);
+        a.send(sid, &wire::request(wa, w_add, 10)).unwrap();
+        a.send(sid, &wire::request(wa, w_other, 7)).unwrap();
+        b.send(sid, &wire::request(wb, w_add, 20)).unwrap();
+        a.send(sid, &wire::request(wa, w_add, 30)).unwrap();
+        b.send(sid, &wire::request(wb, w_add, 40)).unwrap();
+        assert_eq!(core.tick(), 5, "one batch serves all five requests");
+        // The head's group takes b's two adds (b has nothing else queued)
+        // but not a's `add 30`: a's non-merged op sits between, and a
+        // matches replies to requests by order alone. So: one dispatch of
+        // 10+20+40 answered 0 / 10 / 30, then `other` (sees 70, adds 7),
+        // then `add 30` (sees 77) — each client's replies in its own
+        // request order, its ops applied in that order.
+        let to_a: Vec<u64> = (0..3).map(|_| a.receive1()).collect();
+        let to_b: Vec<u64> = (0..2).map(|_| b.receive1()).collect();
+        assert_eq!(to_a, vec![0, 70, 77]);
+        assert_eq!(to_b, vec![10, 30]);
         // The merged-away ops land on the shard's ops counter (the per-
         // dispatch increment is RtDispatch's job, not exercised by this
         // bare fn-pointer dispatcher): 3 adds − 1 dispatch = 2 extras.
         assert_eq!(control.shards[0].ops.load(Ordering::Relaxed), 2);
         let hist = control.shards[0].batch_hist.snapshot();
         assert_eq!(hist.count(), 1);
-        assert_eq!(hist.max(), 4);
-        drop(client);
-        assert_eq!(core.into_state(), 67);
+        assert_eq!(hist.max(), 5);
+        drop((a, b));
+        assert_eq!(core.into_state(), 107);
     }
 
     #[test]

@@ -216,3 +216,30 @@ fn apps_linearizable_under_forced_adaptive_switches() {
     check_app_histories(adaptive, ledger_op);
     check_app_histories(adaptive, sess_op);
 }
+
+/// The read fast path inside a batch: the cache's own-writes-visible
+/// argument needs the session's earlier write *answered*, which in a batch
+/// it is not yet. Every peek must see the token its own acquire, one slot
+/// earlier in the same batch, just took — not the cached pre-image.
+#[test]
+fn batched_peek_sees_its_own_acquire() {
+    let suite = AppSuite::new(RuntimeConfig::new(2).with_max_sessions(1));
+    let mut s = suite.raw_session().expect("session");
+    let mut out = Vec::new();
+    for key in 1..=16u64 {
+        // Publish the full bucket in the read cache, and prove it serves.
+        for _ in 0..2 {
+            assert_eq!(s.submit(key, ops::RL_PEEK, 0), Ok(CAP));
+        }
+        let batch: Vec<(u64, u64, u64)> = (0..8)
+            .flat_map(|_| [(key, ops::RL_ACQUIRE, 1), (key, ops::RL_PEEK, 0)])
+            .collect();
+        s.submit_batch(&batch, &mut out);
+        for (pair, got) in out.chunks(2).enumerate() {
+            let left = CAP - 1 - pair as u64;
+            assert_eq!(got, [Ok(1), Ok(left)], "key {key}, pair {pair}");
+        }
+    }
+    drop(s);
+    suite.shutdown();
+}

@@ -11,9 +11,13 @@ use std::sync::Arc;
 use mpsync::lincheck::specs::{CounterSpec, QueueOp, QueueSpec, StackOp, StackSpec};
 use mpsync::lincheck::{check, Recorder};
 use mpsync::objects::queue::{CsQueue, Lcrq};
-use mpsync::objects::seq::{counter_dispatch, queue_dispatch, stack_dispatch, SeqQueue, SeqStack};
+use mpsync::objects::seq::{
+    counter_dispatch, keyed_counter_dispatch, keyed_counter_ops, queue_dispatch, stack_dispatch,
+    KeyedCounters, SeqQueue, SeqStack,
+};
 use mpsync::objects::stack::{CsStack, TreiberStack};
 use mpsync::objects::{ConcurrentQueue, ConcurrentStack};
+use mpsync::runtime::{Backend, Runtime, RuntimeConfig};
 use mpsync::sync::{ApplyOp, CcSynch, HybComb, MpServer, ShmServer};
 use mpsync::udn::{Fabric, FabricConfig};
 
@@ -264,4 +268,88 @@ fn flat_combining_counter_linearizable() {
             Box::new(move || c.apply(0, 0))
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Batches: concurrent sessions each issue `submit_batch` calls of several
+// fetch-incs over two keys (one per shard). An op's interval is its batch's
+// — [call, return] — and each key's history must linearize as a counter, on
+// every runtime backend.
+// ---------------------------------------------------------------------------
+
+fn check_batched_counters_linearizable(backend: Backend, pin_mp: bool) {
+    use mpsync::lincheck::{History, Operation};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const BATCHES: usize = 2;
+    const KEYS: [u64; 2] = [0, 1]; // shard 0 and shard 1 under 2-shard striping
+    for _ in 0..ROUNDS {
+        let rt = Arc::new(Runtime::new(
+            RuntimeConfig::new(2)
+                .with_backend(backend)
+                .with_adaptive_auto(false)
+                .with_max_sessions(THREADS)
+                .with_queue_depth(2),
+            |_| KeyedCounters::new(),
+            keyed_counter_dispatch,
+        ));
+        if pin_mp {
+            for shard in 0..2 {
+                assert!(rt.force_backend(shard, Backend::MpServer));
+            }
+        }
+        let clock = Arc::new(AtomicU64::new(0));
+        let mut joins = Vec::new();
+        for t in 0..THREADS {
+            let mut s = rt.session().expect("session budget");
+            let clock = clock.clone();
+            joins.push(std::thread::spawn(move || {
+                // Two incs per key, interleaved: both shards, and more per
+                // shard than the window of 2 admits at once.
+                let ops: Vec<(u64, u64, u64)> = (0..6)
+                    .map(|i| (KEYS[i % 2], keyed_counter_ops::INC, 0))
+                    .collect();
+                let mut out = Vec::new();
+                let mut log = Vec::new();
+                for _ in 0..BATCHES {
+                    let invoked = clock.fetch_add(1, Ordering::AcqRel);
+                    s.submit_batch(&ops, &mut out);
+                    let returned = clock.fetch_add(1, Ordering::AcqRel);
+                    for (op, r) in ops.iter().zip(&out) {
+                        let ret = r.expect("runtime open, Block policy");
+                        log.push((
+                            op.0,
+                            Operation {
+                                thread: t,
+                                op: (),
+                                ret,
+                                invoked,
+                                returned,
+                            },
+                        ));
+                    }
+                }
+                log
+            }));
+        }
+        let log: Vec<_> = joins.into_iter().flat_map(|j| j.join().unwrap()).collect();
+        for key in KEYS {
+            let ops = log
+                .iter()
+                .filter(|(k, _)| *k == key)
+                .map(|(_, op)| op.clone())
+                .collect();
+            check(&CounterSpec, &History::from_ops(ops))
+                .unwrap_or_else(|e| panic!("{backend:?} key {key}: not linearizable: {e:?}"));
+        }
+        Arc::into_inner(rt).expect("sessions dropped").shutdown();
+    }
+}
+
+#[test]
+fn batched_submissions_linearizable_on_every_backend() {
+    for backend in Backend::ALL {
+        check_batched_counters_linearizable(backend, false);
+    }
+    check_batched_counters_linearizable(Backend::Adaptive, false);
+    check_batched_counters_linearizable(Backend::Adaptive, true);
 }

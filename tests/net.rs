@@ -345,3 +345,77 @@ fn kv_store_over_the_wire() {
         assert!(map.is_empty(), "DEL removed the only key: {map:?}");
     }
 }
+
+/// One connection pipelines a burst — ops on keys of both shards,
+/// interleaved with a ping, an out-of-range key and an opcode past
+/// `max_op` — and flushes it whole, so the server finds many complete
+/// requests in its buffer and serves them as one run. Replies must arrive
+/// in request order with the right statuses, each key's pre-values strictly
+/// sequential; and the ops must have reached the shard servers as batches
+/// (`batch_hist.max() > 1`, which one connection submitting op by op can
+/// never produce).
+#[test]
+fn pipelined_run_keeps_request_order_and_batches() {
+    use mpsync::net::frame::{reject, Status};
+    const BURSTS: u64 = 20;
+    const GET: u8 = keyed_counter_ops::GET as u8;
+    // Keys 0 and 2 live on shard 0, key 1 on shard 1.
+    const KEYS: [u64; 3] = [0, 1, 2];
+    for model in models() {
+        let rt = RuntimeConfig::new(2)
+            .with_backend(Backend::MpServer)
+            .with_submit(SubmitPolicy::Block);
+        let cfg = ServerConfig::default().with_max_op(GET).with_model(model);
+        let (server, addr, svc) = counter_server(rt, cfg);
+        let mut client = NetClient::connect_tcp(addr).expect("connect");
+        let mut pre = [0u64; 3];
+        for burst in 0..BURSTS {
+            // (request id, expected status, expected value)
+            let mut want = Vec::new();
+            want.push((client.send_ping(), Status::Ok, 0));
+            for round in 0..4 {
+                for (k, &key) in KEYS.iter().enumerate() {
+                    want.push((client.send(key, INC, 0), Status::Ok, pre[k]));
+                    pre[k] += 1;
+                }
+                match round {
+                    0 => want.push((client.send_ping(), Status::Ok, 0)),
+                    1 => want.push((
+                        client.send(mpsync::runtime::MAX_KEY, INC, 0),
+                        Status::BadRequest,
+                        reject::KEY_RANGE,
+                    )),
+                    2 => want.push((
+                        client.send(1, GET + 1, 0),
+                        Status::BadRequest,
+                        reject::OP_RANGE,
+                    )),
+                    _ => want.push((client.send(1, GET, 0), Status::Ok, pre[1])),
+                }
+            }
+            client.flush().expect("flush");
+            for (id, status, value) in want {
+                let r = client.recv().expect("recv").expect("premature FIN");
+                assert_eq!(
+                    (r.id, r.status, r.value),
+                    (id, status, value),
+                    "{model:?}: burst {burst}"
+                );
+            }
+        }
+        let stats = svc.stats();
+        assert!(
+            stats.batch_hist().max() > 1,
+            "{model:?}: a pipelined run must reach a shard as a batch: {:?}",
+            stats.batch_hist()
+        );
+        let report = server.stats();
+        assert_eq!(report.bad_requests, 2 * BURSTS, "{model:?}: {report}");
+        assert_eq!(report.requests, 15 * BURSTS, "{model:?}: {report}");
+        drop(client);
+        let totals = finish_counter(server, svc);
+        for (k, key) in KEYS.iter().enumerate() {
+            assert_eq!(totals.get(key), Some(&pre[k]), "{model:?}: key {key}");
+        }
+    }
+}

@@ -416,3 +416,287 @@ fn external_drive_cross_shard_waiters_make_progress() {
         "every cross-driven op applied exactly once"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Split-phase submission: `submit_batch` is `submit` one by one, per key —
+// and a session holding uncollected replies never waits (the hold-and-wait
+// tests below hang without that rule, so each runs under a watchdog that
+// fails instead).
+// ---------------------------------------------------------------------------
+
+type Keyed = Runtime<KeyedCounters, fn(&mut KeyedCounters, u64, u64, u64) -> u64>;
+
+fn keyed_runtime(config: RuntimeConfig) -> Keyed {
+    Runtime::new(config, |_| KeyedCounters::new(), keyed_counter_dispatch)
+}
+
+/// Runs `f` on its own thread and fails — instead of hanging the suite — if
+/// it has not finished after `secs` seconds.
+fn watchdog<T: Send + 'static>(what: &str, secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: still running after {secs} s (deadlock)"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what}: worker panicked"),
+    }
+}
+
+/// The five executors a batch must behave identically on. Adaptive appears
+/// twice: in its initial lock mode (inline) and pinned to its server (wire).
+fn batch_runtimes(shards: usize) -> Vec<(String, Keyed)> {
+    let mut rts: Vec<(String, Keyed)> = Backend::ALL
+        .iter()
+        .map(|&b| (format!("{b:?}"), keyed_runtime(small(b, shards, 2))))
+        .collect();
+    for pin_mp in [false, true] {
+        let rt = keyed_runtime(small(Backend::Adaptive, shards, 2).with_adaptive_auto(false));
+        if pin_mp {
+            for s in 0..shards {
+                assert!(rt.force_backend(s, Backend::MpServer));
+            }
+        }
+        rts.push((format!("Adaptive(mp={pin_mp})"), rt));
+    }
+    rts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Keyed-counter ops on different keys commute, so "the same per key"
+    /// is positional equality with the one-by-one run, plus equal states.
+    #[test]
+    fn submit_batch_equals_submit_one_by_one(
+        shards in 1usize..4,
+        // (key 0..7, op INC/ADD/GET, arg 1..100) out of one integer.
+        ops in prop::collection::vec(
+            (0u64..7 * 3 * 99).prop_map(|x| (x % 7, x / 7 % 3, 1 + x / 21)), 0..40),
+    ) {
+        let one_by_one = keyed_runtime(small(Backend::Lock, shards, 1));
+        let mut s = one_by_one.session().unwrap();
+        let want: Vec<_> = ops.iter().map(|&(k, op, arg)| s.submit(k, op, arg)).collect();
+        drop(s);
+        let want_states = one_by_one.shutdown().states;
+        for (name, rt) in batch_runtimes(shards) {
+            let mut s = rt.session().unwrap();
+            let mut got = vec![Ok(77)]; // stale contents must be cleared
+            s.submit_batch(&ops, &mut got);
+            drop(s);
+            prop_assert_eq!(&got, &want, "{}: positional results", name);
+            prop_assert_eq!(&rt.shutdown().states, &want_states, "{}: final states", name);
+        }
+    }
+}
+
+/// What one session saw in the hold-and-wait runs: per key, the pre-values
+/// of its `Ok` INCs in submission order, plus how many ops came back
+/// `Busy` / `Closed`.
+#[derive(Default)]
+struct Seen {
+    ok: std::collections::HashMap<u64, Vec<u64>>,
+    busy: u64,
+    closed: u64,
+}
+
+impl Seen {
+    /// Submits `batches` 64-op INC batches spread over `keys` (which cover
+    /// both shards) and records every slot.
+    fn drive(session: &mut mpsync::runtime::Session, keys: &[u64], batches: usize) -> Seen {
+        let mut seen = Seen::default();
+        let ops: Vec<(u64, u64, u64)> = (0..64)
+            .map(|i| (keys[i % keys.len()], keyed_counter_ops::INC, 0))
+            .collect();
+        let mut out = Vec::new();
+        for _ in 0..batches {
+            session.submit_batch(&ops, &mut out);
+            assert_eq!(out.len(), ops.len());
+            for (&(key, _, _), r) in ops.iter().zip(&out) {
+                match r {
+                    Ok(pre) => seen.ok.entry(key).or_default().push(*pre),
+                    Err(RuntimeError::Busy) => seen.busy += 1,
+                    Err(RuntimeError::Closed) => seen.closed += 1,
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+        }
+        seen
+    }
+
+    fn oks(&self) -> u64 {
+        self.ok.values().map(|v| v.len() as u64).sum()
+    }
+
+    /// Per-key FIFO as a session can observe it: the pre-values of its own
+    /// INCs on a key rise strictly.
+    fn assert_fifo(&self, who: &str) {
+        for (key, pres) in &self.ok {
+            assert!(
+                pres.windows(2).all(|w| w[0] < w[1]),
+                "{who}: key {key} pre-values not strictly rising: {pres:?}"
+            );
+        }
+    }
+}
+
+/// Two sessions, each driving 64-op batches over both shards of `rt` from
+/// its own thread (released together by a barrier, so their chunks do
+/// contend for the 4-slot windows). Returns what each saw.
+fn two_sessions_batching(rt: &Arc<Keyed>, batches: usize) -> Vec<Seen> {
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let joins: Vec<_> = (0..2)
+        .map(|_| {
+            let mut s = rt.session().expect("session budget");
+            let barrier = barrier.clone();
+            std::thread::spawn(move || {
+                barrier.wait();
+                Seen::drive(&mut s, &[0, 1, 2, 3], batches)
+            })
+        })
+        .collect();
+    joins.into_iter().map(|j| j.join().unwrap()).collect()
+}
+
+/// Effects match the `Ok`s exactly: each key's final count is the number of
+/// `Ok` INCs on it, and the pre-values all sessions saw for it are 0..n.
+fn assert_effects_match(seen: &[Seen], rt: Arc<Keyed>) {
+    let report = Arc::into_inner(rt).expect("sessions dropped").shutdown();
+    let mut pres: std::collections::HashMap<u64, Vec<u64>> = Default::default();
+    for s in seen {
+        for (k, v) in &s.ok {
+            pres.entry(*k).or_default().extend(v);
+        }
+    }
+    let total: u64 = seen.iter().map(Seen::oks).sum();
+    assert_eq!(report.stats.total_ops(), total, "stats agree with the Oks");
+    for (key, mut got) in pres {
+        got.sort_unstable();
+        let n = got.len() as u64;
+        assert_eq!(got, (0..n).collect::<Vec<_>>(), "key {key}: exactly once");
+        let applied = report.states.iter().find_map(|m| m.get(&key).copied());
+        assert_eq!(applied, Some(n), "key {key}: final count");
+    }
+}
+
+/// Block policy, `queue_depth` 4, two sessions × 64-op batches over both
+/// shards: each session fills part of a window and needs more. Deadlocks if
+/// admission ever waits while the session holds uncollected replies.
+#[test]
+fn batches_never_wait_while_holding_block_policy() {
+    watchdog("two batching sessions under Block", 20, || {
+        let rt = Arc::new(keyed_runtime(
+            small(Backend::MpServer, 2, 2).with_submit(SubmitPolicy::Block),
+        ));
+        let seen = two_sessions_batching(&rt, 200);
+        for (i, s) in seen.iter().enumerate() {
+            assert_eq!((s.oks(), s.busy, s.closed), (200 * 64, 0, 0));
+            s.assert_fifo(&format!("session {i}"));
+        }
+        assert_effects_match(&seen, rt);
+    });
+}
+
+/// The same under Fail: every slot is `Ok` or `Busy`, nothing else, and the
+/// effects are exactly the `Ok`s. (Fail never waits on a full window, so
+/// without the collect-before-wait rule this fails by refusing the lone
+/// session, not by hanging.)
+#[test]
+fn batches_never_wait_while_holding_fail_policy() {
+    watchdog("two batching sessions under Fail", 20, || {
+        let rt = Arc::new(keyed_runtime(
+            small(Backend::MpServer, 2, 2).with_submit(SubmitPolicy::Fail),
+        ));
+        // Alone, a session is never Busy: a window full of its own sends is
+        // collected, not refused.
+        let mut lone = rt.session().unwrap();
+        let alone = Seen::drive(&mut lone, &[0, 1, 2, 3], 4);
+        drop(lone);
+        assert_eq!((alone.oks(), alone.busy), (4 * 64, 0));
+        let mut seen = two_sessions_batching(&rt, 200);
+        for (i, s) in seen.iter().enumerate() {
+            assert_eq!(s.oks() + s.busy, 200 * 64, "session {i}: ok + busy");
+            assert_eq!(s.closed, 0);
+            s.assert_fifo(&format!("session {i}"));
+        }
+        let rejected = rt.stats().total_rejected();
+        assert_eq!(rejected, seen.iter().map(|s| s.busy).sum::<u64>());
+        seen.push(alone);
+        assert_effects_match(&seen, rt);
+    });
+}
+
+/// Batches in flight across live Lock ↔ Mp swaps of an adaptive runtime: a
+/// swap pauses the shard and waits for its window to empty, which a session
+/// waiting for the unpause with sends outstanding would never let happen.
+#[test]
+fn batches_complete_across_adaptive_backend_swaps() {
+    watchdog("batches across force_backend swaps", 30, || {
+        let rt = Arc::new(keyed_runtime(
+            small(Backend::Adaptive, 2, 2)
+                .with_adaptive_auto(false)
+                .with_submit(SubmitPolicy::Block),
+        ));
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let swapper = {
+            let (rt, done) = (rt.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut swaps = 0u64;
+                for to in [Backend::MpServer, Backend::Lock].into_iter().cycle() {
+                    if done.load(std::sync::atomic::Ordering::Acquire) {
+                        break;
+                    }
+                    for shard in 0..2 {
+                        assert!(rt.force_backend(shard, to));
+                    }
+                    swaps += 1;
+                }
+                swaps
+            })
+        };
+        let seen = two_sessions_batching(&rt, 100);
+        done.store(true, std::sync::atomic::Ordering::Release);
+        let swaps = swapper.join().unwrap();
+        assert!(swaps >= 2, "the run must straddle swaps, saw {swaps}");
+        assert!(rt.swap_epoch(0) >= 2);
+        for (i, s) in seen.iter().enumerate() {
+            assert_eq!((s.oks(), s.busy, s.closed), (100 * 64, 0, 0));
+            s.assert_fifo(&format!("session {i}"));
+        }
+        assert_effects_match(&seen, rt);
+    });
+}
+
+/// `close()` lands mid-batch: each op was either applied and answered `Ok`
+/// or refused `Closed` — never both, never neither — and the shutdown
+/// totals agree with the `Ok`s.
+#[test]
+fn close_mid_batch_is_exactly_once() {
+    watchdog("close() under batching sessions", 30, || {
+        let rt = Arc::new(keyed_runtime(
+            small(Backend::MpServer, 2, 2).with_submit(SubmitPolicy::Block),
+        ));
+        let closer = {
+            let rt = rt.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                rt.close();
+            })
+        };
+        // Far more batches than 20 ms lets through: the close cuts one short.
+        let seen = two_sessions_batching(&rt, 100_000);
+        closer.join().unwrap();
+        for (i, s) in seen.iter().enumerate() {
+            assert_eq!(s.oks() + s.closed, 100_000 * 64, "session {i}: ok + closed");
+            assert_eq!(s.busy, 0);
+            assert!(
+                s.oks() > 0 && s.closed > 0,
+                "session {i}: close landed mid-run"
+            );
+            s.assert_fifo(&format!("session {i}"));
+        }
+        assert_effects_match(&seen, rt);
+    });
+}
