@@ -18,10 +18,12 @@
 //!   session's lifetime and therefore cannot be recycled across live
 //!   switches, so the adaptive layer runs its own combiner with the same
 //!   role);
-//! * **Mp** — requests go over the `udn` fabric to the shard's dedicated
-//!   [`ShardServer`](crate::shard::ShardServer) thread, exactly like the
-//!   fixed MP-SERVER backend (batching included). The server thread always
-//!   exists; in the other two modes it simply receives nothing and idles.
+//! * **Mp** — requests go over the `udn` fabric to the shard's standing
+//!   [`ShardCore`](crate::shard::ShardCore), served by the runtime's
+//!   [`ShardServers`](crate::shard::ShardServers) threads exactly like the
+//!   fixed MP-SERVER backend (batching included). The core always exists;
+//!   in the other two modes it simply receives nothing, and a thread none
+//!   of whose cores is in this mode sleeps.
 //!
 //! # The swap protocol
 //!
@@ -123,7 +125,7 @@ struct Record {
     ret: AtomicU64,
 }
 
-/// One shard's adaptive executor. Shared by the shard's server thread,
+/// One shard's adaptive executor. Shared by the shard's serving thread,
 /// every session, and the controller.
 pub(crate) struct AdaptiveShard<S, F> {
     mode: AtomicU8,
@@ -553,7 +555,7 @@ fn controller_loop<S, F>(
                 return;
             }
             for (i, sum) in occ_sum.iter_mut().enumerate() {
-                *sum += control.shards[i].inflight.load(Ordering::Relaxed) as f64;
+                *sum += control.shards[i].client.inflight.load(Ordering::Relaxed) as f64;
             }
         }
         let lat = latency_probe();
@@ -585,7 +587,7 @@ fn controller_loop<S, F>(
             let occ = occ_sum[i] / SUBSAMPLES as f64;
             st.occ_ewma = 0.5 * st.occ_ewma + 0.5 * occ;
             let cur = sh.mode();
-            let m = &control.shards[i];
+            let m = &control.shards[i].server;
             let ops = m.ops.load(Ordering::Relaxed);
             let batches = m.batches.load(Ordering::Relaxed);
             let (d_ops, d_batches) = (ops - st.last_ops, batches - st.last_batches);

@@ -10,8 +10,12 @@
 /// combining, or a plain lock) without touching application code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// A dedicated batched server thread per shard over `udn` message
-    /// queues (the paper's MP-SERVER shape, §4.1, plus runtime batching).
+    /// A batched server per shard over `udn` message queues (the paper's
+    /// MP-SERVER shape, §4.1, plus runtime batching). The paper gives each
+    /// server a core; the runtime gives the servers `min(shards, CPUs)`
+    /// polling threads, each serving the shards it owns in turn — more
+    /// spinning servers than CPUs only take the CPU from whoever has a
+    /// request (see [`RuntimeStats::server_threads`](crate::RuntimeStats)).
     MpServer,
     /// HYBCOMB combining per shard (§4.2): sessions take combiner duty,
     /// no dedicated threads.
@@ -105,7 +109,9 @@ pub enum SubmitPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Number of delegation shards (key partitions). Each shard owns the
-    /// keys [`shard_for`](crate::shard_for) routes to it.
+    /// keys [`shard_for`](crate::shard_for) routes to it. A shard is a unit
+    /// of state and ordering, not of CPU: how many threads serve the shards
+    /// is derived (for MP-SERVER, `min(shards, CPUs)`), not configured.
     pub shards: usize,
     /// Executor backend serving every shard.
     pub backend: Backend,
@@ -122,7 +128,7 @@ pub struct RuntimeConfig {
     /// Behaviour when a shard's submission window is full.
     pub submit: SubmitPolicy,
     /// When `true` and the backend is [`Backend::MpServer`], the runtime
-    /// does **not** spawn shard server threads. Instead each shard's
+    /// does **not** spawn serving threads. Instead each shard's
     /// executor is handed out once as a [`ShardDriver`](crate::ShardDriver)
     /// via [`Runtime::take_driver`](crate::Runtime::take_driver), and some
     /// external event loop (e.g. an `mpsync-net` reactor) must tick it.

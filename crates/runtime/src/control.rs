@@ -38,11 +38,20 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Per-shard counters. One cache line each so shards don't false-share.
+/// Per-shard counters, split by who writes them so that an operation does
+/// not drag one line between its client's core and its server's twice on top
+/// of the request and reply lines: each half is padded to its own 128-byte
+/// block (the unit adjacent-line prefetch moves), which also keeps
+/// neighbouring shards apart.
 #[derive(Debug, Default)]
 pub(crate) struct ShardMetrics {
-    /// Operations executed by the shard's dispatcher.
-    pub ops: AtomicU64,
+    pub client: CachePadded<ClientMetrics>,
+    pub server: CachePadded<ServerMetrics>,
+}
+
+/// The half submitting threads write (admission: a CAS and two RMWs per op).
+#[derive(Debug, Default)]
+pub(crate) struct ClientMetrics {
     /// Operations admitted through [`Control::admit`].
     pub submitted: AtomicU64,
     /// Submissions refused with [`RuntimeError::Busy`].
@@ -55,8 +64,17 @@ pub(crate) struct ShardMetrics {
     /// While `true`, submissions to this shard wait (even under the Fail
     /// policy — a pause is transient, bounded by the drain of at most
     /// `queue_depth` in-flight operations). The adaptive executor raises it
-    /// to quiesce a shard before swapping its backend mode.
+    /// to quiesce a shard before swapping its backend mode. Written only by
+    /// a swap, read by every admission — so it lives on the line the
+    /// admitting thread is about to write anyway.
     pub paused: AtomicBool,
+}
+
+/// The half the shard's executing thread writes.
+#[derive(Debug, Default)]
+pub(crate) struct ServerMetrics {
+    /// Operations executed by the shard's dispatcher.
+    pub ops: AtomicU64,
     /// Service batches/combining rounds observed.
     pub batches: AtomicU64,
     /// Log2 histogram of batch sizes (always recorded — one update per
@@ -78,6 +96,19 @@ pub(crate) enum NoSlot {
 pub(crate) fn spin(spins: &mut u32) {
     spin_then_yield(spins, 128);
 }
+
+/// Wait iterations spent spinning before every further one yields, for the
+/// two waits on every delegated operation's path: a session collecting its
+/// replies, and a serving thread that found all its queues empty. A
+/// `yield_now` that finds nothing else to run returns in about this many
+/// spins' time, so a longer spin cannot save more than that when the waiter
+/// has a CPU to itself; and when the thread it waits for shares its CPU,
+/// nothing can arrive until the waiter yields — every spin before that only
+/// delays it. (Measured on the serving loop with the benchmark's
+/// `wire-closed`, where connection threads and the serving thread share one
+/// CPU: 128 spins 164k ops/s, 64 spins 178k, 16 spins 190k; the workloads
+/// whose serving thread has a CPU to itself do not move.)
+pub(crate) const HANDOFF_SPINS: u32 = 16;
 
 /// One wait iteration: a pause while fewer than `limit` have been spent on
 /// this wait, a `yield_now` from then on.
@@ -105,7 +136,7 @@ pub(crate) struct Control {
     pub sessions_created: AtomicUsize,
     queue_depth: usize,
     submit: SubmitPolicy,
-    pub shards: Box<[CachePadded<ShardMetrics>]>,
+    pub shards: Box<[ShardMetrics]>,
     /// Per-shard versioned read caches, allocated only when the runtime's
     /// `read_fast` mask is non-empty.
     read: Option<Box<[CachePadded<ReadCache>]>>,
@@ -119,7 +150,7 @@ impl Control {
             sessions_created: AtomicUsize::new(0),
             queue_depth,
             submit,
-            shards: (0..shards).map(|_| CachePadded::default()).collect(),
+            shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
             read: None,
         }
     }
@@ -160,7 +191,7 @@ impl Control {
     /// operation is never sent.
     #[inline]
     pub fn try_admit(&self, shard: usize) -> Result<(), NoSlot> {
-        let m = &self.shards[shard];
+        let m = &self.shards[shard].client;
         loop {
             if self.closed.load(Ordering::SeqCst) {
                 return Err(NoSlot::Closed);
@@ -211,7 +242,7 @@ impl Control {
     /// can perform. The hook lets it keep ticking its shard core while
     /// blocked.
     pub fn admit_with(&self, shard: usize, mut idle: impl FnMut()) -> Result<(), RuntimeError> {
-        let m = &self.shards[shard];
+        let m = &self.shards[shard].client;
         let mut counted_retry = false;
         let mut spins = 0u32;
         loop {
@@ -241,13 +272,16 @@ impl Control {
     /// Releases the in-flight slot claimed by [`Control::admit`]. Called
     /// after the operation's response has been received.
     pub fn complete(&self, shard: usize) {
-        self.shards[shard].inflight.fetch_sub(1, Ordering::AcqRel);
+        self.shards[shard]
+            .client
+            .inflight
+            .fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Records one service batch of `n` operations on `shard`.
     pub fn record_batch(&self, shard: usize, n: u64) {
         debug_assert!(n > 0);
-        let m = &self.shards[shard];
+        let m = &self.shards[shard].server;
         m.batches.fetch_add(1, Ordering::Relaxed);
         m.batch_hist.record(n);
     }
@@ -256,12 +290,18 @@ impl Control {
     /// submissions block until [`Control::unpause`]. SeqCst to pair with the
     /// re-check in [`Control::try_admit`].
     pub fn pause(&self, shard: usize) {
-        self.shards[shard].paused.store(true, Ordering::SeqCst);
+        self.shards[shard]
+            .client
+            .paused
+            .store(true, Ordering::SeqCst);
     }
 
     /// Reopens a paused shard.
     pub fn unpause(&self, shard: usize) {
-        self.shards[shard].paused.store(false, Ordering::SeqCst);
+        self.shards[shard]
+            .client
+            .paused
+            .store(false, Ordering::SeqCst);
     }
 
     /// Blocks until `shard`'s window is empty. Only meaningful while the
@@ -270,7 +310,7 @@ impl Control {
     /// like [`Control::drain_inflight`]'s.
     pub fn wait_quiesced(&self, shard: usize) {
         let mut spins = 0u32;
-        while self.shards[shard].inflight.load(Ordering::SeqCst) != 0 {
+        while self.shards[shard].client.inflight.load(Ordering::SeqCst) != 0 {
             spin(&mut spins);
         }
     }
@@ -280,7 +320,7 @@ impl Control {
     pub fn drain_inflight(&self) {
         for m in self.shards.iter() {
             let mut spins = 0u32;
-            while m.inflight.load(Ordering::SeqCst) != 0 {
+            while m.client.inflight.load(Ordering::SeqCst) != 0 {
                 spin(&mut spins);
             }
         }
@@ -417,9 +457,30 @@ mod tests {
         assert_eq!(c.admit(0), Err(RuntimeError::Busy));
         c.complete(0);
         assert!(c.admit(0).is_ok());
-        let m = &c.shards[0];
+        let m = &c.shards[0].client;
         assert_eq!(m.submitted.load(Ordering::Relaxed), 3);
         assert_eq!(m.rejected.load(Ordering::Relaxed), 1);
+    }
+
+    /// The point of the split: no 128-byte block holds a counter written
+    /// by clients and one written by the server, within a shard or across
+    /// neighbours in the `shards` slice.
+    #[test]
+    fn client_and_server_halves_never_share_a_block() {
+        use std::mem::{align_of, offset_of, size_of};
+        const BLOCK: usize = 128;
+        let client = offset_of!(ShardMetrics, client);
+        let server = offset_of!(ShardMetrics, server);
+        assert_eq!(align_of::<ShardMetrics>() % BLOCK, 0);
+        assert_eq!(size_of::<ShardMetrics>() % BLOCK, 0);
+        assert_eq!((client % BLOCK, server % BLOCK), (0, 0));
+        assert!(client + size_of::<ClientMetrics>() <= server);
+        assert!(server + size_of::<ServerMetrics>() <= size_of::<ShardMetrics>());
+        // The per-op counters of each half sit in its first block.
+        assert!(offset_of!(ClientMetrics, inflight) < BLOCK);
+        assert!(offset_of!(ClientMetrics, submitted) < BLOCK);
+        assert!(offset_of!(ServerMetrics, ops) < BLOCK);
+        assert!(offset_of!(ServerMetrics, batches) < BLOCK);
     }
 
     #[test]
@@ -430,7 +491,7 @@ mod tests {
         assert_eq!(c.admit(0), Err(RuntimeError::Closed));
         assert_eq!(c.admit(1), Err(RuntimeError::Closed));
         // The pre-close admission still holds its slot until completed.
-        assert_eq!(c.shards[1].inflight.load(Ordering::SeqCst), 1);
+        assert_eq!(c.shards[1].client.inflight.load(Ordering::SeqCst), 1);
         c.complete(1);
         c.drain_inflight();
     }
@@ -442,7 +503,7 @@ mod tests {
         for n in [1u64, 2, 3, 4, 127, 128, 1000] {
             c.record_batch(0, n);
         }
-        let hist = c.shards[0].batch_hist.snapshot();
+        let hist = c.shards[0].server.batch_hist.snapshot();
         assert_eq!(hist.count(), 7);
         assert_eq!(hist.max(), 1000);
         assert_eq!(hist.sum(), 1 + 2 + 3 + 4 + 127 + 128 + 1000);
@@ -450,7 +511,7 @@ mod tests {
         assert_eq!(bucket_of(3), bucket_of(2));
         assert_eq!(hist.bucket_count(bucket_of(1)), 1);
         assert_eq!(hist.bucket_count(bucket_of(2)), 2);
-        assert_eq!(c.shards[0].batches.load(Ordering::Relaxed), 7);
+        assert_eq!(c.shards[0].server.batches.load(Ordering::Relaxed), 7);
     }
 
     #[test]
@@ -465,7 +526,7 @@ mod tests {
         c.unpause(0);
         assert_eq!(t.join().unwrap(), Ok(()));
         // Pauses are not rejections.
-        assert_eq!(c.shards[0].rejected.load(Ordering::Relaxed), 0);
+        assert_eq!(c.shards[0].client.rejected.load(Ordering::Relaxed), 0);
         c.complete(0);
     }
 
@@ -510,6 +571,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         c.complete(0);
         assert_eq!(t.join().unwrap(), Ok(()));
-        assert_eq!(c.shards[0].retried.load(Ordering::Relaxed), 1);
+        assert_eq!(c.shards[0].client.retried.load(Ordering::Relaxed), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Externally-driven shard execution.
 //!
 //! With [`RuntimeConfig::external_drive`](crate::RuntimeConfig) set, the
-//! MP-SERVER backend does not spawn `rt-shard-*` threads. Each shard's
+//! MP-SERVER backend does not spawn `rt-serve-*` threads. Each shard's
 //! [`ShardCore`](crate::shard::ShardCore) is instead handed out exactly once
 //! as a [`ShardDriver`] — a type-erased, `Send` handle whose owner calls
 //! [`ShardDriver::tick`] from its own event loop. This is how `mpsync-net`'s

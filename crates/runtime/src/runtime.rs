@@ -18,7 +18,7 @@ use crate::config::{Backend, OpMask, RuntimeConfig};
 use crate::control::{Control, NoSlot};
 use crate::drive::{CoreDrive, DriveShard, ShardDriver};
 use crate::router::{pack, shard_for};
-use crate::shard::{ShardCore, ShardServer, Ticker};
+use crate::shard::{serving_threads, ShardCore, ShardServers, Ticker};
 use crate::stats::RuntimeStats;
 use crate::timer::{self, Expire};
 use crate::RuntimeError;
@@ -71,6 +71,7 @@ where
     fn dispatch(&self, state: &mut S, word: u64, arg: u64) -> u64 {
         let (key, op) = crate::router::unpack(word);
         self.control.shards[self.shard]
+            .server
             .ops
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if let Some(cache) = self.control.read_cache(self.shard) {
@@ -101,7 +102,7 @@ where
 {
     Mp {
         fabric: Arc<Fabric>,
-        servers: Vec<ShardServer<S>>,
+        servers: ShardServers<S>,
         server_ids: Arc<[EndpointId]>,
     },
     /// MP-SERVER without dedicated threads: each shard core is handed out
@@ -124,12 +125,12 @@ where
         execs: Vec<LockCs<S, McsLock, RtDispatch<S, F>>>,
     },
     /// The adaptive executor: every shard can be served by a lock, a
-    /// combiner, or its (always-running) MP server thread, switched live by
+    /// combiner, or its (always-standing) MP server core, switched live by
     /// the controller or [`Runtime::force_backend`].
     Adaptive {
         fabric: Arc<Fabric>,
         shards: Vec<Arc<AdaptiveShard<S, F>>>,
-        servers: Vec<ShardServer<Arc<AdaptiveShard<S, F>>>>,
+        servers: ShardServers<Arc<AdaptiveShard<S, F>>>,
         server_ids: Arc<[EndpointId]>,
         slots: Arc<SlotPool>,
         controller: Option<Controller>,
@@ -226,62 +227,53 @@ where
         };
         let ticker = |shard: usize| timers.as_ref().map(|t| (t.ticker)(&control, shard));
         let executors = match config.backend {
-            Backend::MpServer if config.external_drive => {
-                let fabric = sized_fabric(&config, config.shards + config.max_sessions);
-                let mut drivers = Vec::with_capacity(config.shards);
-                let mut slots = Vec::with_capacity(config.shards);
-                let mut server_ids = Vec::with_capacity(config.shards);
-                for i in 0..config.shards {
-                    let ep = fabric.register_any().expect("fabric sized for shards");
-                    server_ids.push(ep.id());
-                    let mut core = ShardCore::new(
-                        ep,
-                        init(i),
-                        dispatch(i),
-                        Arc::clone(&control),
-                        i,
-                        config.max_batch,
-                        config.merge_ops,
-                    );
-                    if let Some(t) = ticker(i) {
-                        core.set_ticker(t);
-                    }
-                    let slot = Arc::new(Mutex::new(None));
-                    drivers
-                        .push(Some(Box::new(CoreDrive::new(core, Arc::clone(&slot)))
-                            as Box<dyn DriveShard>));
-                    slots.push(slot);
-                }
-                Executors::MpExternal {
-                    fabric,
-                    drivers: Mutex::new(drivers),
-                    slots,
-                    server_ids: server_ids.into(),
-                }
-            }
             Backend::MpServer => {
                 let fabric = sized_fabric(&config, config.shards + config.max_sessions);
-                let mut servers = Vec::with_capacity(config.shards);
                 let mut server_ids = Vec::with_capacity(config.shards);
-                for i in 0..config.shards {
-                    let ep = fabric.register_any().expect("fabric sized for shards");
-                    server_ids.push(ep.id());
-                    servers.push(ShardServer::spawn(
-                        ep,
-                        init(i),
-                        dispatch(i),
-                        Arc::clone(&control),
-                        i,
-                        config.max_batch,
-                        config.merge_ops,
-                        None,
-                        ticker(i),
-                    ));
-                }
-                Executors::Mp {
-                    fabric,
-                    servers,
-                    server_ids: server_ids.into(),
+                let cores: Vec<_> = (0..config.shards)
+                    .map(|i| {
+                        let ep = fabric.register_any().expect("fabric sized for shards");
+                        server_ids.push(ep.id());
+                        let mut core = ShardCore::new(
+                            ep,
+                            init(i),
+                            dispatch(i),
+                            Arc::clone(&control),
+                            i,
+                            config.max_batch,
+                            config.merge_ops,
+                        );
+                        if let Some(t) = ticker(i) {
+                            core.set_ticker(t);
+                        }
+                        core
+                    })
+                    .collect();
+                let server_ids = server_ids.into();
+                if config.external_drive {
+                    let slots: Vec<_> = cores.iter().map(|_| Arc::new(Mutex::new(None))).collect();
+                    let drivers = cores
+                        .into_iter()
+                        .zip(&slots)
+                        .map(|(core, slot)| {
+                            Some(Box::new(CoreDrive::new(core, Arc::clone(slot)))
+                                as Box<dyn DriveShard>)
+                        })
+                        .collect();
+                    Executors::MpExternal {
+                        fabric,
+                        drivers: Mutex::new(drivers),
+                        slots,
+                        server_ids,
+                    }
+                } else {
+                    Executors::Mp {
+                        fabric,
+                        servers: ShardServers::spawn(cores, serving_threads(config.shards), |_| {
+                            true
+                        }),
+                        server_ids,
+                    }
                 }
             }
             Backend::HybComb => {
@@ -308,7 +300,7 @@ where
             Backend::Adaptive => {
                 let fabric = sized_fabric(&config, config.shards + config.max_sessions);
                 let mut shards = Vec::with_capacity(config.shards);
-                let mut servers = Vec::with_capacity(config.shards);
+                let mut cores = Vec::with_capacity(config.shards);
                 let mut server_ids = Vec::with_capacity(config.shards);
                 for i in 0..config.shards {
                     let ep = fabric.register_any().expect("fabric sized for shards");
@@ -320,22 +312,12 @@ where
                         i,
                         &config,
                     ));
-                    // The Mp-mode server runs for the shard's whole life,
-                    // but deadline-polling costs a core: gate it on the
-                    // shard's mode so that outside Mp mode it sleeps
-                    // instead of competing with the lock/comb executors.
-                    let gate = {
-                        let sh = Arc::clone(&sh);
-                        Arc::new(move || sh.mode() == MODE_MP)
-                            as Arc<dyn Fn() -> bool + Send + Sync>
-                    };
-                    // No core-level ticker here: the adaptive server thread
-                    // is only the executor while the shard is in Mp mode,
-                    // and the swap protocol doesn't quiesce against ticks.
-                    // Timed states expire through the dispatch hook
-                    // instead, which runs under whichever mode's exclusion
-                    // is current.
-                    servers.push(ShardServer::spawn(
+                    // No core-level ticker here: the serving thread is only
+                    // the executor while the shard is in Mp mode, and the
+                    // swap protocol doesn't quiesce against ticks. Timed
+                    // states expire through the dispatch hook instead, which
+                    // runs under whichever mode's exclusion is current.
+                    cores.push(ShardCore::new(
                         ep,
                         Arc::clone(&sh),
                         MpModeDispatch,
@@ -343,11 +325,18 @@ where
                         i,
                         config.max_batch,
                         config.merge_ops,
-                        Some(gate),
-                        None,
                     ));
                     shards.push(sh);
                 }
+                // The Mp-mode cores stand for the shards' whole life, but
+                // polling costs a CPU: gate each on its shard's mode, so a
+                // thread none of whose shards is in Mp mode sleeps instead
+                // of competing with the lock/comb executors.
+                let servers = ShardServers::spawn(
+                    cores,
+                    serving_threads(config.shards),
+                    |sh: &Arc<AdaptiveShard<S, F>>| sh.mode() == MODE_MP,
+                );
                 let controller = config
                     .adaptive_auto
                     .then(|| spawn_controller(shards.clone(), Arc::clone(&control), config));
@@ -593,7 +582,22 @@ where
                 }
             }
         }
+        stats.server_threads = match &self.executors {
+            Executors::Mp { servers, .. } => servers.threads(),
+            Executors::Adaptive { servers, .. } => servers.threads(),
+            _ => 0,
+        };
         stats
+    }
+
+    /// Serving-loop rounds that found nothing to do, so far.
+    #[cfg(test)]
+    pub(crate) fn idle_rounds(&self) -> u64 {
+        match &self.executors {
+            Executors::Mp { servers, .. } => servers.idle_rounds(),
+            Executors::Adaptive { servers, .. } => servers.idle_rounds(),
+            _ => 0,
+        }
     }
 
     /// Gracefully shuts the runtime down and returns the final shard states.
@@ -610,7 +614,7 @@ where
         self.control.wait_sessions();
         let stats = self.stats();
         let states = match self.executors {
-            Executors::Mp { servers, .. } => servers.into_iter().map(ShardServer::stop).collect(),
+            Executors::Mp { servers, .. } => servers.stop(),
             Executors::MpExternal { drivers, slots, .. } => {
                 // Drop every driver still in the registry (never taken):
                 // CoreDrive's Drop parks its state in the slot. Drivers
@@ -644,7 +648,7 @@ where
                 if let Some(controller) = controller {
                     controller.stop();
                 }
-                let arcs: Vec<_> = servers.into_iter().map(ShardServer::stop).collect();
+                let arcs = servers.stop();
                 drop(shards);
                 arcs.into_iter()
                     .map(|sh| {
@@ -682,10 +686,12 @@ where
     /// * **every backend** — before each potentially-mutating dispatch, the
     ///   executing thread (server, reactor, combiner, lock holder, or any
     ///   Adaptive mode's executor) sweeps timers that have come due;
-    /// * **MP-SERVER shards** (threaded or externally driven) — the shard
-    ///   loop additionally runs the sweep while *idle*: the blocking tick
-    ///   bounds its wait by the nearest deadline, so TTLs fire on time even
-    ///   with no traffic. Inline backends have no serving thread, so an
+    /// * **MP-SERVER shards** (threaded or externally driven) — a tick that
+    ///   finds the shard's queue empty additionally runs the sweep when the
+    ///   nearest deadline has come due, and the serving loop never blocks,
+    ///   so TTLs fire on time even with no traffic on the shard (or with a
+    ///   saturated sibling on its thread). Inline backends have no serving
+    ///   thread, so an
     ///   idle shard's timers wait for the next operation — reads that must
     ///   not observe expired entries should check deadlines themselves
     ///   (the `mpsync-apps` session store does).
@@ -1054,7 +1060,7 @@ impl Session {
             let n = endpoint.try_receive(&mut buf[..want]);
             if n == 0 {
                 idle();
-                crate::control::spin_then_yield(&mut spins, COLLECT_SPINS);
+                crate::control::spin_then_yield(&mut spins, crate::control::HANDOFF_SPINS);
                 continue;
             }
             for &ret in &buf[..n] {
@@ -1163,14 +1169,6 @@ struct Flight {
     /// When the oldest of them was started (the Submit span's origin).
     t0: u64,
 }
-
-/// Wait iterations [`Session::collect`] spins before every further one
-/// yields. A `yield_now` that finds nothing else to run returns in about
-/// this many spins' time, so a longer spin cannot save more than that when
-/// the shard server has a core to itself; and when it shares the waiter's
-/// core, the replies cannot arrive until the waiter yields — every spin
-/// before that only delays them.
-const COLLECT_SPINS: u32 = 16;
 
 /// Sends one request to a shard server, addressed for a one-word reply.
 #[inline]

@@ -34,6 +34,12 @@ pub struct ShardStats {
 pub struct RuntimeStats {
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardStats>,
+    /// Threads the runtime spawned to serve its MP-SERVER shards:
+    /// `min(shards, CPUs the builder could run on)`, each serving the shards
+    /// `j, j + n, …` — so four shards behind one busy `rt-serve-0` thread
+    /// read as what they are. 0 when nothing is spawned: the inline backends
+    /// and [`external_drive`](crate::RuntimeConfig::external_drive).
+    pub server_threads: usize,
 }
 
 impl RuntimeStats {
@@ -76,6 +82,7 @@ impl RuntimeStats {
     /// ```json
     /// {
     ///   "total_ops": N, "total_rejected": N, "avg_batch": F,
+    ///   "server_threads": N,
     ///   "shards": [ { "ops": N, "submitted": N, "rejected": N,
     ///                 "retried": N, "inflight": N, "batches": N,
     ///                 "avg_batch": F, "batch_hist": { … } }, … ]
@@ -96,10 +103,11 @@ impl RuntimeStats {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!(
-            "  \"total_ops\": {},\n  \"total_rejected\": {},\n  \"avg_batch\": {:.2},\n  \"shards\": [",
+            "  \"total_ops\": {},\n  \"total_rejected\": {},\n  \"avg_batch\": {:.2},\n  \"server_threads\": {},\n  \"shards\": [",
             self.total_ops(),
             self.total_rejected(),
-            self.avg_batch()
+            self.avg_batch(),
+            self.server_threads
         ));
         for (i, sh) in self.shards.iter().enumerate() {
             if i > 0 {
@@ -129,17 +137,20 @@ impl RuntimeStats {
             .shards
             .iter()
             .map(|m| ShardStats {
-                ops: m.ops.load(Ordering::Relaxed),
-                submitted: m.submitted.load(Ordering::Relaxed),
-                rejected: m.rejected.load(Ordering::Relaxed),
-                retried: m.retried.load(Ordering::Relaxed),
-                inflight: m.inflight.load(Ordering::Relaxed),
-                batches: m.batches.load(Ordering::Relaxed),
-                batch_hist: m.batch_hist.snapshot(),
+                ops: m.server.ops.load(Ordering::Relaxed),
+                submitted: m.client.submitted.load(Ordering::Relaxed),
+                rejected: m.client.rejected.load(Ordering::Relaxed),
+                retried: m.client.retried.load(Ordering::Relaxed),
+                inflight: m.client.inflight.load(Ordering::Relaxed),
+                batches: m.server.batches.load(Ordering::Relaxed),
+                batch_hist: m.server.batch_hist.snapshot(),
                 avg_batch: 0.0,
             })
             .collect();
-        Self { shards }
+        Self {
+            shards,
+            server_threads: 0,
+        }
     }
 }
 
@@ -204,6 +215,7 @@ mod tests {
                     ..Default::default()
                 },
             ],
+            server_threads: 2,
         };
         assert_eq!(stats.total_ops(), 400);
         assert_eq!(stats.total_rejected(), 3);
@@ -218,12 +230,12 @@ mod tests {
 
     #[test]
     fn empty_stats_are_quiet() {
-        let stats = RuntimeStats { shards: vec![] };
+        let stats = RuntimeStats::default();
         assert_eq!(stats.total_ops(), 0);
         assert_eq!(stats.avg_batch(), 0.0);
         assert_eq!(
             stats.to_json(),
-            "{\n  \"total_ops\": 0,\n  \"total_rejected\": 0,\n  \"avg_batch\": 0.00,\n  \"shards\": []\n}"
+            "{\n  \"total_ops\": 0,\n  \"total_rejected\": 0,\n  \"avg_batch\": 0.00,\n  \"server_threads\": 0,\n  \"shards\": []\n}"
         );
     }
 
@@ -250,12 +262,14 @@ mod tests {
                 },
                 ShardStats::default(),
             ],
+            server_threads: 1,
         };
         let golden = concat!(
             "{\n",
             "  \"total_ops\": 10,\n",
             "  \"total_rejected\": 2,\n",
             "  \"avg_batch\": 3.33,\n",
+            "  \"server_threads\": 1,\n",
             "  \"shards\": [\n",
             "    { \"ops\": 10, \"submitted\": 12, \"rejected\": 2, \"retried\": 1, \"inflight\": 0, ",
             "\"batches\": 3, \"avg_batch\": 3.33, ",

@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Slots per wheel level (64, so slot indexing is a shift+mask).
 pub const SLOTS: usize = 64;
@@ -43,21 +43,6 @@ pub fn mono_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now);
     Instant::now().duration_since(epoch).as_nanos() as u64
-}
-
-/// The [`Instant`] corresponding to a [`mono_ns`] timestamp (used to bound
-/// blocking waits by the nearest timer deadline).
-pub fn instant_at(ns: u64) -> Instant {
-    // mono_ns is measured from its own first call; re-deriving through the
-    // same function keeps both on one epoch.
-    let now_ns = mono_ns();
-    let now = Instant::now();
-    if ns >= now_ns {
-        now + Duration::from_nanos(ns - now_ns)
-    } else {
-        now.checked_sub(Duration::from_nanos(now_ns - ns))
-            .unwrap_or(now)
-    }
 }
 
 /// Shard states with timer-driven expiry, served by the runtime's expiry
@@ -436,13 +421,9 @@ mod tests {
     }
 
     #[test]
-    fn mono_clock_is_monotonic_and_instant_roundtrips() {
+    fn mono_clock_is_monotonic() {
         let a = mono_ns();
         let b = mono_ns();
         assert!(b >= a);
-        let at = instant_at(b + 5_000_000);
-        assert!(at > Instant::now());
-        // Past timestamps clamp to ~now instead of panicking.
-        let _ = instant_at(0);
     }
 }

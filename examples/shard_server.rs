@@ -3,6 +3,11 @@
 //! (`transfer`), graceful shutdown, and the per-shard stats the runtime
 //! keeps (ops, batch-size distribution, queue pressure).
 //!
+//! A shard is a unit of state and ordering, not a thread: on the default
+//! MP-SERVER backend the four shards below are served by `min(4, CPUs)`
+//! `rt-serve-<j>` threads (`RuntimeStats::server_threads`, printed below),
+//! each polling the shards it owns in turn; the inline backends spawn none.
+//!
 //! Run with: `cargo run --release --example shard_server`
 //! Pick a backend with e.g. `cargo run --release --example shard_server hybcomb`
 //! (one of: mp-server, hybcomb, cc-synch, lock).
@@ -86,8 +91,9 @@ fn main() {
         .map(|a| kv.get(&a).copied().unwrap_or(0))
         .sum();
     println!(
-        "backend {:<10} {moved} transfers across {SHARDS} shards",
-        backend.label()
+        "backend {:<10} {moved} transfers across {SHARDS} shards on {} serving threads",
+        backend.label(),
+        stats.server_threads
     );
     println!(
         "ledger total {total} (conserved: {})",

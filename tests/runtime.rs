@@ -9,7 +9,7 @@ use mpsync::lincheck::specs::CounterSpec;
 use mpsync::lincheck::{check, Recorder};
 use mpsync::objects::seq::{keyed_counter_dispatch, keyed_counter_ops, KeyedCounters};
 use mpsync::runtime::{
-    Backend, Runtime, RuntimeConfig, RuntimeError, ShardedCounter, SubmitPolicy,
+    Backend, Runtime, RuntimeConfig, RuntimeError, ShardedCounter, ShardedKvStore, SubmitPolicy,
 };
 use proptest::prelude::*;
 
@@ -306,7 +306,7 @@ fn submits_after_close_are_refused() {
 
 // ---------------------------------------------------------------------------
 // External drive: the MP-SERVER backend hands each shard's executor out as a
-// ShardDriver instead of spawning rt-shard threads; the owner's event loop
+// ShardDriver instead of spawning rt-serve threads; the owner's event loop
 // becomes the paper's servicing core.
 // ---------------------------------------------------------------------------
 
@@ -415,6 +415,108 @@ fn external_drive_cross_shard_waiters_make_progress() {
         2 * OPS,
         "every cross-driven op applied exactly once"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Serving threads: shards are units of state and ordering, threads are units
+// of CPU — a runtime serves its MP-SERVER shards from min(shards, CPUs)
+// threads, CPUs being those the *building* thread may run on.
+// ---------------------------------------------------------------------------
+
+/// A four-shard store built under a one-CPU mask is served by one thread
+/// (the shape the benchmark's partitioned workloads have); the same build
+/// without the mask gets one thread per CPU. Either way a mixed load from
+/// two sessions runs correctly and shutdown returns every effect once.
+#[cfg(target_os = "linux")]
+#[test]
+fn serving_threads_follow_the_builders_cpu_mask() {
+    use std::os::raw::c_int;
+    extern "C" {
+        fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut u64) -> c_int;
+        fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
+    }
+    /// Narrows the calling thread's CPU mask to its lowest allowed CPU.
+    fn pin_to_one_cpu() {
+        let mut mask = [0u64; 16]; // cpu_set_t: 1024 bits
+        let size = std::mem::size_of_val(&mask);
+        // SAFETY: pid 0 = calling thread; the buffer matches the stated size
+        // and outlives the call.
+        assert!(unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } >= 0);
+        let word = mask.iter().position(|&w| w != 0).expect("some CPU allowed");
+        let lowest = mask[word] & mask[word].wrapping_neg();
+        mask = [0; 16];
+        mask[word] = lowest;
+        // SAFETY: as above.
+        assert_eq!(unsafe { sched_setaffinity(0, size, mask.as_ptr()) }, 0);
+    }
+    const KEYS: u64 = 64;
+    const ROUNDS: u64 = 50;
+    /// Two sessions on disjoint keys spread over every shard: counters that
+    /// must read back exactly, and keys put and deleted again.
+    fn mixed_load(kv: ShardedKvStore) {
+        let kv = Arc::new(kv);
+        let workers: Vec<_> = (0..2u64)
+            .map(|who| {
+                let kv = kv.clone();
+                std::thread::spawn(move || {
+                    let mut s = kv.session().expect("session");
+                    for round in 1..=ROUNDS {
+                        for key in (who..KEYS).step_by(2) {
+                            assert_eq!(s.add(key, key + 1).unwrap(), round * (key + 1));
+                            let scratch = KEYS + key;
+                            assert_eq!(s.put(scratch, round).unwrap(), None);
+                            assert_eq!(s.get(scratch).unwrap(), Some(round));
+                            assert_eq!(s.del(scratch).unwrap(), Some(round));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("worker");
+        }
+        let kv = Arc::try_unwrap(kv).ok().expect("sole owner");
+        let shards_used: std::collections::HashSet<_> = (0..KEYS).map(|k| kv.shard_of(k)).collect();
+        assert_eq!(
+            shards_used.len(),
+            kv.shards(),
+            "the load reaches every shard"
+        );
+        let (map, stats) = kv.shutdown();
+        let expect: std::collections::HashMap<u64, u64> =
+            (0..KEYS).map(|k| (k, ROUNDS * (k + 1))).collect();
+        assert_eq!(map, expect, "every effect applied exactly once");
+        assert_eq!(stats.total_ops(), 4 * KEYS * ROUNDS);
+    }
+    // The watchdog's worker thread takes the mask, so it ends with the test.
+    watchdog("four shards under a one-CPU mask", 60, || {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let config = || small(Backend::MpServer, 4, 2);
+        let unpinned = ShardedKvStore::new(config());
+        assert_eq!(unpinned.stats().server_threads, cpus.min(4));
+        mixed_load(unpinned);
+
+        pin_to_one_cpu();
+        let pinned = ShardedKvStore::new(config());
+        assert_eq!(pinned.stats().server_threads, 1);
+        assert_eq!(
+            ShardedKvStore::new(config().with_backend(Backend::Adaptive))
+                .stats()
+                .server_threads,
+            1
+        );
+        for inline in [Backend::Lock, Backend::HybComb, Backend::CcSynch] {
+            let stats = ShardedKvStore::new(config().with_backend(inline)).stats();
+            assert_eq!(stats.server_threads, 0, "{inline:?} spawns no thread");
+        }
+        let driven = ShardedKvStore::new(config().with_external_drive(true));
+        assert_eq!(
+            driven.stats().server_threads,
+            0,
+            "external drive spawns no thread"
+        );
+        mixed_load(pinned);
+    });
 }
 
 // ---------------------------------------------------------------------------
