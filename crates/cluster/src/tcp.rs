@@ -1,21 +1,24 @@
 //! The socket transport: the same [`NodeCore`] the simulator verifies,
 //! served over real TCP.
 //!
-//! **Threads.** A [`ClusterNode`] runs an acceptor, one reader per inbound
-//! connection, and one core thread. The core is the node's only mutator
-//! *and* its only writer, as a delegation server is the only core that
-//! touches its object: the [`NodeCore`], one outbound link per configured
-//! peer, and the write half of every client and admin connection are its
-//! local state. Client and peer traffic share the listener: the first frame
-//! classifies a connection (a `0x10`-range [`NodeMsg::Hello`] marks a peer
-//! or admin; anything below is a client [`Request`]). Inbound peer
-//! connections are only read — a node answers a peer over its own link.
+//! **Threads.** A [`ClusterNode`] runs an acceptor (`cl-accept-<node>`),
+//! one reader per inbound connection (`cl-read-<node>-<token>`), and one
+//! core thread (`cl-core-<node>`) — and nothing else: the store's shards are
+//! served by the core thread itself, inside each call (`store.rs`). The core
+//! is the node's only mutator *and* its only writer, as a delegation server
+//! is the only core that touches its object: the [`NodeCore`] with its
+//! store, one outbound link per configured peer, and the write half of every
+//! client and admin connection are its local state. Client and peer traffic
+//! share the listener: the first frame classifies a connection (a
+//! `0x10`-range [`NodeMsg::Hello`] marks a peer or admin; anything below is
+//! a client [`Request`]). Inbound peer connections are only read — a node
+//! answers a peer over its own link.
 //!
 //! **The one queue.** Readers decode frames and hand them to the core over
 //! one channel, mirroring how the simulator feeds events to the state
 //! machine; a connection that can be answered sends its write half first
 //! (`Open`) and `Closed` last. That queue is still unbounded (ROADMAP
-//! item 4). Nothing queues on the way out: each [`Outbox`] frame is encoded
+//! item 2). Nothing queues on the way out: each [`Outbox`] frame is encoded
 //! into one reused buffer and written before the next input is taken.
 //!
 //! **Writes.** A write that fails, or cannot complete within `WRITE_BOUND`
@@ -150,11 +153,17 @@ impl ClusterNode {
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<Input>();
 
+        // Thread names say what a thread is and whose — a census of
+        // `/proc/<pid>/task/*/comm` is how the thread model is checked.
+        // `comm` keeps 15 bytes: a long token is cut, never the prefix.
+        let id = cfg.node.id;
+        let named = |name: String| thread::Builder::new().name(name);
+
         // Acceptor: a reader per connection.
         let acceptor = {
             let stop = Arc::clone(&stop);
             let listener = cfg.listener;
-            thread::spawn(move || {
+            let accept = move || {
                 for (token, conn) in (1u64..).zip(listener.incoming()) {
                     if stop.load(Ordering::Acquire) {
                         break;
@@ -162,9 +171,12 @@ impl ClusterNode {
                     let Ok(stream) = conn else { continue };
                     let stop = Arc::clone(&stop);
                     let tx = tx.clone();
-                    thread::spawn(move || serve_conn(stream, token, tx, stop));
+                    // A reader that cannot start is a connection refused.
+                    let _ = named(format!("cl-read-{id}-{token}"))
+                        .spawn(move || serve_conn(stream, token, tx, stop));
                 }
-            })
+            };
+            named(format!("cl-accept-{id}")).spawn(accept)?
         };
 
         // Core loop: sole owner of the NodeCore and of every write half.
@@ -184,11 +196,11 @@ impl ClusterNode {
                 buf: Vec::with_capacity(256),
             };
             let mut node = NodeCore::new(cfg.node, store);
-            thread::spawn(move || {
+            let run = move || {
                 let start = Instant::now();
                 let mut last_tick = 0u64;
+                let mut out = Outbox::default();
                 while !stop.load(Ordering::Acquire) {
-                    let mut out = Outbox::default();
                     match rx.recv_timeout(Duration::from_millis(tick_ms / 2 + 1)) {
                         Ok(Input::Open {
                             token,
@@ -236,15 +248,17 @@ impl ClusterNode {
                         last_tick = now;
                         node.on_tick(now, &mut out);
                     }
-                    for (to, msg) in out.sends {
+                    for (to, msg) in out.sends.drain(..) {
                         socks.send_node(to, &msg);
                     }
-                    for (token, resp) in out.replies {
+                    for (token, resp) in out.replies.drain(..) {
                         socks.send_client(token, &resp);
                     }
+                    out.applied.clear(); // the verifier's feed; nobody reads it here
                 }
                 node
-            })
+            };
+            named(format!("cl-core-{id}")).spawn(run)?
         };
 
         Ok(Self {

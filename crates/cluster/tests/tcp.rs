@@ -324,6 +324,44 @@ fn a_client_connection_costs_the_node_one_thread() {
     }
 }
 
+/// The thread census of a running cluster: every node thread carries its
+/// role and node in its name, and no `rt-serve-*` thread exists — a node's
+/// core thread serves its own store.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_running_cluster_has_no_serving_threads() {
+    let _serial = serial();
+    fn census() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_string())
+            .collect()
+    }
+    let (nodes, addrs) = start_cluster(2);
+    // Both nodes serve and forward with the census taken mid-conversation.
+    let mut c = client(&addrs[..1], 1 << 50);
+    for key in 1..=16u64 {
+        c.call(key, kv_ops::ADD as u8, 1).expect("op");
+    }
+    let names = census();
+    for expected in ["cl-core-0", "cl-core-1", "cl-accept-0", "cl-accept-1"] {
+        assert!(names.iter().any(|n| n == expected), "{expected}: {names:?}");
+    }
+    // This client's reader on node 0, and node 0's link into node 1.
+    for reader in ["cl-read-0-", "cl-read-1-"] {
+        assert!(names.iter().any(|n| n.starts_with(reader)), "{names:?}");
+    }
+    assert!(
+        !names.iter().any(|n| n.starts_with("rt-serve")),
+        "a polling server beside a core thread: {names:?}"
+    );
+    drop(c);
+    for n in nodes {
+        n.shutdown().into_inner().shutdown();
+    }
+}
+
 /// A node that went away and came back on the same address is dialled
 /// again, `Hello` first, by the peers whose links to it broke, and traffic
 /// flows both ways through it. Three nodes, so the survivors are a majority

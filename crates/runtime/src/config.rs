@@ -11,11 +11,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// A batched server per shard over `udn` message queues (the paper's
-    /// MP-SERVER shape, §4.1, plus runtime batching). The paper gives each
-    /// server a core; the runtime gives the servers `min(shards, CPUs)`
-    /// polling threads, each serving the shards it owns in turn — more
-    /// spinning servers than CPUs only take the CPU from whoever has a
-    /// request (see [`RuntimeStats::server_threads`](crate::RuntimeStats)).
+    /// MP-SERVER shape, §4.1, plus runtime batching). The paper gives the
+    /// server one core and the clients the rest; the runtime gives the
+    /// servers `min(shards, max(1, CPUs − 1))` polling threads, each serving
+    /// the shards it owns in turn — a spinning server on every CPU only
+    /// takes it from whoever has a request (see
+    /// [`RuntimeStats::server_threads`](crate::RuntimeStats)).
     MpServer,
     /// HYBCOMB combining per shard (§4.2): sessions take combiner duty,
     /// no dedicated threads.
@@ -111,7 +112,8 @@ pub struct RuntimeConfig {
     /// Number of delegation shards (key partitions). Each shard owns the
     /// keys [`shard_for`](crate::shard_for) routes to it. A shard is a unit
     /// of state and ordering, not of CPU: how many threads serve the shards
-    /// is derived (for MP-SERVER, `min(shards, CPUs)`), not configured.
+    /// is derived (for MP-SERVER, `min(shards, max(1, CPUs − 1))`), not
+    /// configured.
     pub shards: usize,
     /// Executor backend serving every shard.
     pub backend: Backend,
@@ -133,7 +135,9 @@ pub struct RuntimeConfig {
     /// via [`Runtime::take_driver`](crate::Runtime::take_driver), and some
     /// external event loop (e.g. an `mpsync-net` reactor) must tick it.
     /// Ignored by the inline backends (HybComb / CcSynch / Lock), which
-    /// already execute on the submitting thread.
+    /// already execute on the submitting thread. A runtime built without it
+    /// can still be converted:
+    /// [`Runtime::drive_externally`](crate::Runtime::drive_externally).
     pub external_drive: bool,
     /// Opcodes answerable from the per-shard read cache without entering
     /// the executor at all.

@@ -9,6 +9,16 @@
 //! a request off a socket is the same thread that executes it, with no
 //! cross-core handoff in between.
 //!
+//! **Who ticks.** Nobody but the drivers' owners: a request to an externally
+//! driven shard waits in its queue until that shard's driver is ticked. An
+//! owner that also submits — a reactor to a sibling's shard, a cluster
+//! node's core thread to its own store — must therefore wait through
+//! [`Session::submit_with`](crate::Session::submit_with) (or another `_with`
+//! form) and tick from the hook, or it waits for itself.
+//! [`Runtime::drive_externally`](crate::Runtime::drive_externally) puts a
+//! runtime that was built threaded into the same state: its serving threads
+//! hand their cores back and the cores are parked here, untaken.
+//!
 //! Shard state recovery works through a per-shard *return slot*: dropping a
 //! driver parks the shard state in its slot, and
 //! [`Runtime::shutdown`](crate::Runtime::shutdown) collects the slots after

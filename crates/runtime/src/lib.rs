@@ -13,9 +13,10 @@
 //!   copy of the sequential state, so per-key operations are linearizable
 //!   and sessions see their own per-key order preserved;
 //! * **one API, five backends** — each shard is served by any [`Backend`]:
-//!   a batched MP-SERVER executor (the shards share `min(shards, CPUs)`
-//!   polling threads — a shard is a unit of state and ordering, a thread a
-//!   unit of CPU), HYBCOMB or CC-SYNCH combining,
+//!   a batched MP-SERVER executor (the shards share
+//!   `min(shards, max(1, CPUs − 1))` polling threads — a shard is a unit of
+//!   state and ordering, a thread a unit of CPU, and one CPU is the
+//!   callers'), HYBCOMB or CC-SYNCH combining,
 //!   a plain MCS lock, or [`Backend::Adaptive`], which live-switches each
 //!   shard between lock, combining, and server modes as its contention
 //!   moves (`src/adaptive.rs`, DESIGN.md §14). Application code is

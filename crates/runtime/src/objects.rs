@@ -231,6 +231,15 @@ impl ShardedKvStore {
         (merged, stats)
     }
 
+    /// Stops the store's serving threads and parks its shards as untaken
+    /// drivers (delegates to [`Runtime::drive_externally`]): afterwards
+    /// whoever holds the drivers serves the store, and every call into it
+    /// must tick them while it waits — [`Session::submit_with`] and the
+    /// `_with` forms below.
+    pub fn drive_externally(&mut self) {
+        self.runtime.drive_externally();
+    }
+
     /// Snapshots every `(key, value)` pair in the store **while it keeps
     /// serving**: a cursor walk (per-shard [`kv_ops::SCAN`] + `GET`) issued
     /// through an ordinary session, so it serializes against concurrent
@@ -241,6 +250,18 @@ impl ShardedKvStore {
     /// Concurrent writers may land before or after the cursor passes their
     /// key — the snapshot is per-key linearizable, not a global cut.
     pub fn export_entries(&self) -> Result<Vec<(u64, u64)>, RuntimeError> {
+        self.export_entries_with(|| {})
+    }
+
+    /// [`ShardedKvStore::export_entries`] with an `idle` hook invoked on
+    /// every wait iteration, as [`Session::submit_with`] has one: the walk
+    /// opens a session of its own, so on an externally driven store the
+    /// caller that holds the drivers must tick them from here or the first
+    /// request waits forever.
+    pub fn export_entries_with(
+        &self,
+        mut idle: impl FnMut(),
+    ) -> Result<Vec<(u64, u64)>, RuntimeError> {
         let mut s = self.runtime.session()?;
         let shards = self.shards();
         let mut out = Vec::new();
@@ -248,11 +269,11 @@ impl ShardedKvStore {
             let probe = crate::probe_key(shard, shards);
             let mut cursor = 0u64;
             loop {
-                let key = s.submit(probe, kv_ops::SCAN, cursor)?;
+                let key = s.submit_with(probe, kv_ops::SCAN, cursor, &mut idle)?;
                 if key == EMPTY {
                     break;
                 }
-                let val = s.submit(key, kv_ops::GET, 0)?;
+                let val = s.submit_with(key, kv_ops::GET, 0, &mut idle)?;
                 if val != EMPTY {
                     out.push((key, val));
                 }
@@ -266,9 +287,19 @@ impl ShardedKvStore {
     /// [`ShardedKvStore::export_entries`], used when a node imports a
     /// transferred slot). Last write wins against concurrent traffic.
     pub fn import_entries(&self, entries: &[(u64, u64)]) -> Result<(), RuntimeError> {
+        self.import_entries_with(entries, || {})
+    }
+
+    /// [`ShardedKvStore::import_entries`] with an `idle` hook, for the same
+    /// reason [`ShardedKvStore::export_entries_with`] has one.
+    pub fn import_entries_with(
+        &self,
+        entries: &[(u64, u64)],
+        mut idle: impl FnMut(),
+    ) -> Result<(), RuntimeError> {
         let mut s = self.runtime.session()?;
         for &(key, val) in entries {
-            s.submit(key, kv_ops::PUT, val)?;
+            s.submit_with(key, kv_ops::PUT, val, &mut idle)?;
         }
         Ok(())
     }

@@ -102,12 +102,13 @@ where
 {
     Mp {
         fabric: Arc<Fabric>,
-        servers: ShardServers<S>,
+        servers: ShardServers<S, RtDispatch<S, F>>,
         server_ids: Arc<[EndpointId]>,
     },
     /// MP-SERVER without dedicated threads: each shard core is handed out
     /// once as a [`ShardDriver`]; `slots` get the states back on driver
-    /// drop. See [`RuntimeConfig::external_drive`].
+    /// drop. See [`RuntimeConfig::external_drive`] and
+    /// [`Runtime::drive_externally`].
     MpExternal {
         fabric: Arc<Fabric>,
         drivers: Mutex<Vec<Option<Box<dyn DriveShard>>>>,
@@ -130,11 +131,40 @@ where
     Adaptive {
         fabric: Arc<Fabric>,
         shards: Vec<Arc<AdaptiveShard<S, F>>>,
-        servers: ShardServers<Arc<AdaptiveShard<S, F>>>,
+        servers: ShardServers<Arc<AdaptiveShard<S, F>>, MpModeDispatch>,
         server_ids: Arc<[EndpointId]>,
         slots: Arc<SlotPool>,
         controller: Option<Controller>,
     },
+}
+
+impl<S, F> Executors<S, F>
+where
+    S: Send + 'static,
+    F: KeyedDispatch<S>,
+{
+    /// Parks `cores` (in shard order, whatever their queues already hold)
+    /// as untaken drivers, each with its return slot.
+    fn externally_driven(
+        fabric: Arc<Fabric>,
+        cores: Vec<ShardCore<S, RtDispatch<S, F>>>,
+        server_ids: Arc<[EndpointId]>,
+    ) -> Self {
+        let slots: Vec<_> = cores.iter().map(|_| Arc::new(Mutex::new(None))).collect();
+        let drivers = cores
+            .into_iter()
+            .zip(&slots)
+            .map(|(core, slot)| {
+                Some(Box::new(CoreDrive::new(core, Arc::clone(slot))) as Box<dyn DriveShard>)
+            })
+            .collect();
+        Executors::MpExternal {
+            fabric,
+            drivers: Mutex::new(drivers),
+            slots,
+            server_ids,
+        }
+    }
 }
 
 /// A sharded, batched delegation runtime.
@@ -195,23 +225,7 @@ where
         timers: Option<TimerWiring<S>>,
     ) -> Self {
         config.validate();
-        // Flight-record each shard's executor choice: after a panic or a
-        // failed smoke run the first question is "what was this runtime
-        // actually running?", and the recorder works with telemetry off.
-        // Adaptive is not in `Backend::ALL` (it is a policy over the fixed
-        // four); the recorder gives it the next discriminant.
-        let backend_disc = match config.backend {
-            Backend::Adaptive => Backend::ALL.len() as u64,
-            b => Backend::ALL.iter().position(|&x| x == b).unwrap_or(0) as u64,
-        };
-        for i in 0..config.shards {
-            telemetry::flight(
-                telemetry::FlightKind::Backend,
-                i as u64,
-                backend_disc,
-                config.external_drive as u64,
-            );
-        }
+        flight_backend(&config);
         let mut control = Control::new(config.shards, config.queue_depth, config.submit);
         if !config.read_fast.is_empty() {
             control = control.with_read_cache();
@@ -251,21 +265,7 @@ where
                     .collect();
                 let server_ids = server_ids.into();
                 if config.external_drive {
-                    let slots: Vec<_> = cores.iter().map(|_| Arc::new(Mutex::new(None))).collect();
-                    let drivers = cores
-                        .into_iter()
-                        .zip(&slots)
-                        .map(|(core, slot)| {
-                            Some(Box::new(CoreDrive::new(core, Arc::clone(slot)))
-                                as Box<dyn DriveShard>)
-                        })
-                        .collect();
-                    Executors::MpExternal {
-                        fabric,
-                        drivers: Mutex::new(drivers),
-                        slots,
-                        server_ids,
-                    }
+                    Executors::externally_driven(fabric, cores, server_ids)
                 } else {
                     Executors::Mp {
                         fabric,
@@ -357,7 +357,8 @@ where
         }
     }
 
-    /// The configuration this runtime was built with.
+    /// The configuration this runtime was built with (`external_drive` also
+    /// reads `true` after [`Runtime::drive_externally`]).
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
     }
@@ -367,11 +368,47 @@ where
         shard_for(key, self.config.shards)
     }
 
+    /// Turns a threaded MP-SERVER runtime into an externally driven one:
+    /// stops and joins its `rt-serve-*` threads and parks their shard cores
+    /// as untaken drivers, exactly as [`RuntimeConfig::external_drive`]
+    /// would have at construction. From here on [`Runtime::take_driver`]
+    /// hands each shard out once and nothing is served until its driver is
+    /// ticked.
+    ///
+    /// For an owner that is the runtime's only caller (a cluster node's core
+    /// thread over its store): the thread that submits an operation then
+    /// also serves it ([`Session::submit_with`]), and no polling thread
+    /// stands by for it.
+    ///
+    /// The cores keep their endpoints and queues, so sessions opened before
+    /// stay valid and a request already queued is answered — once — by the
+    /// first tick of its shard's driver. No-op on a runtime that is already
+    /// externally driven; the inline backends and [`Backend::Adaptive`]
+    /// (whose standing servers are one of three live modes) are left as
+    /// they are.
+    pub fn drive_externally(&mut self) {
+        let Executors::Mp {
+            fabric,
+            servers,
+            server_ids,
+        } = &mut self.executors
+        else {
+            return;
+        };
+        let cores = servers.stop();
+        self.executors =
+            Executors::externally_driven(Arc::clone(fabric), cores, Arc::clone(server_ids));
+        self.config.external_drive = true;
+        flight_backend(&self.config);
+    }
+
     /// Takes ownership of `shard`'s externally-driven executor.
     ///
-    /// Returns `Some` exactly once per shard, and only for runtimes built
-    /// with [`RuntimeConfig::external_drive`] on the MP-SERVER backend —
-    /// every other configuration executes shards itself and returns `None`.
+    /// Returns `Some` exactly once per shard, and only for externally
+    /// driven MP-SERVER runtimes — built with
+    /// [`RuntimeConfig::external_drive`] or converted by
+    /// [`Runtime::drive_externally`]; every other configuration executes
+    /// shards itself and returns `None`.
     ///
     /// The returned [`ShardDriver`] must be ticked for submissions routed
     /// to that shard to complete; see [`ShardDriver::tick`] and
@@ -614,7 +651,11 @@ where
         self.control.wait_sessions();
         let stats = self.stats();
         let states = match self.executors {
-            Executors::Mp { servers, .. } => servers.stop(),
+            Executors::Mp { mut servers, .. } => servers
+                .stop()
+                .into_iter()
+                .map(ShardCore::into_state)
+                .collect(),
             Executors::MpExternal { drivers, slots, .. } => {
                 // Drop every driver still in the registry (never taken):
                 // CoreDrive's Drop parks its state in the slot. Drivers
@@ -639,7 +680,7 @@ where
             Executors::Lock { execs } => execs.into_iter().map(LockCs::into_state).collect(),
             Executors::Adaptive {
                 shards,
-                servers,
+                mut servers,
                 controller,
                 ..
             } => {
@@ -648,11 +689,12 @@ where
                 if let Some(controller) = controller {
                     controller.stop();
                 }
-                let arcs = servers.stop();
+                let cores = servers.stop();
                 drop(shards);
-                arcs.into_iter()
-                    .map(|sh| {
-                        Arc::try_unwrap(sh)
+                cores
+                    .into_iter()
+                    .map(|core| {
+                        Arc::try_unwrap(core.into_state())
                             .ok()
                             .expect("adaptive shard still shared after drain")
                             .into_state()
@@ -722,6 +764,26 @@ where
             })
         });
         Self::build(config, init, f, Some(TimerWiring { hook, ticker }))
+    }
+}
+
+/// Flight-records each shard's executor choice: after a panic or a failed
+/// smoke run the first question is "what was this runtime actually
+/// running?", and the recorder works with telemetry off. Adaptive is not in
+/// `Backend::ALL` (it is a policy over the fixed four); the recorder gives it
+/// the next discriminant.
+fn flight_backend(config: &RuntimeConfig) {
+    let backend_disc = match config.backend {
+        Backend::Adaptive => Backend::ALL.len() as u64,
+        b => Backend::ALL.iter().position(|&x| x == b).unwrap_or(0) as u64,
+    };
+    for i in 0..config.shards {
+        telemetry::flight(
+            telemetry::FlightKind::Backend,
+            i as u64,
+            backend_disc,
+            config.external_drive as u64,
+        );
     }
 }
 

@@ -16,20 +16,25 @@
 //! separate matter:
 //!
 //! * [`ShardServers`] serves a runtime's cores from
-//!   [`serving_threads`]` = min(shards, CPUs)` threads, shard `i` on thread
-//!   `i % k`. The paper's MP-SERVER owns a *core* whose `receive` costs
-//!   nothing while its queue is empty; a polling thread is only that while it
-//!   has a CPU to itself. Two polling threads on one CPU hand it to each other
-//!   instead of to whoever has a request (≈ 50 context switches per operation
-//!   on the benchmark's `apps-mixed`, p99 one scheduler tick), and parking
-//!   them instead costs a 26 µs vCPU wake-up per request on this kind of
-//!   host (ROADMAP item 1) — so the answer is fewer waiters, not sleeping
-//!   ones: one loop per CPU ticks every core it owns in turn, as an SPDK
-//!   reactor polls its lightweight threads.
-//! * External event loops (an `mpsync-net` reactor) can own a core directly
-//!   (`drive.rs`) and tick it between I/O readiness events — the request
-//!   still executes on exactly one core, but that core is the same one doing
-//!   the socket work.
+//!   [`serving_threads`]` = min(shards, max(1, CPUs − 1))` threads, shard `i`
+//!   on thread `i % k`. The paper's MP-SERVER owns a *core* whose `receive`
+//!   costs nothing while its queue is empty; a polling thread is only that
+//!   while it has a CPU to itself. Two polling threads on one CPU hand it to
+//!   each other instead of to whoever has a request (≈ 50 context switches
+//!   per operation on the benchmark's `apps-mixed`, p99 one scheduler tick),
+//!   and parking them instead costs a 26 µs vCPU wake-up per request on this
+//!   kind of host (ROADMAP item 1) — so the answer is fewer waiters, not
+//!   sleeping ones: one loop ticks every core it owns in turn, as an SPDK
+//!   reactor polls its lightweight threads. And the loops leave one CPU
+//!   alone, as the paper gives one core of N to the server and N − 1 to the
+//!   clients: a poller on every CPU means each caller runs by preempting one
+//!   (`wire-open`: two pollers on two CPUs cost 98 µs of CPU per operation,
+//!   one costs 71, at a median latency no higher).
+//! * External event loops (an `mpsync-net` reactor, a cluster node's core
+//!   thread) can own a core directly (`drive.rs`) and tick it between I/O
+//!   events — the request still executes on exactly one core, but that core
+//!   is the same one doing the socket work. A threaded runtime becomes such
+//!   a runtime through [`ShardServers::stop`], which hands the cores back.
 //!
 //! The serving loop reads its stop flag only after a round that served
 //! nothing, and the control plane sets the flag only after every admitted
@@ -362,29 +367,40 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
 }
 
 /// How many threads serve a runtime of `shards` MP-SERVER shards built by
-/// the calling thread: one per shard, but never more than the CPUs the
-/// caller may run on (its affinity mask and cgroup quota — which the spawned
-/// threads inherit). More polling servers than CPUs is never right: the
-/// surplus can only take the CPU from a thread that has work.
-pub(crate) fn serving_threads(shards: usize) -> usize {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    shards.min(cpus)
+/// the calling thread, which may run on `cpus` CPUs: one per shard, but
+/// always one fewer than the CPUs (and at least one). More polling servers
+/// than CPUs can only take the CPU from a thread that has work, and as many
+/// as CPUs is not right either: the callers run somewhere. The paper's
+/// machine gives the server one core and the clients the other N − 1.
+pub(crate) fn threads_for(shards: usize, cpus: usize) -> usize {
+    shards.min(cpus.saturating_sub(1).max(1))
 }
 
-/// A runtime's serving threads. Own the shard states until
+/// [`threads_for`] the CPUs the calling thread may run on (its affinity mask
+/// and cgroup quota — which the spawned threads inherit).
+pub(crate) fn serving_threads(shards: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    threads_for(shards, cpus)
+}
+
+/// A runtime's serving threads. Own the shard cores until
 /// [`ShardServers::stop`].
-pub(crate) struct ShardServers<S> {
+pub(crate) struct ShardServers<S, D> {
     stop: Arc<AtomicBool>,
     /// Thread `j` serves shards `j, j + k, j + 2k, …` and returns their
-    /// states in that order.
-    joins: Vec<JoinHandle<Vec<S>>>,
+    /// cores in that order.
+    joins: Vec<JoinHandle<Vec<ShardCore<S, D>>>>,
     /// Rounds that served nothing, summed over the threads: how often the
     /// loops came up empty (and so waited or slept).
     #[cfg(test)]
     idle_rounds: Arc<std::sync::atomic::AtomicU64>,
 }
 
-impl<S: Send + 'static> ShardServers<S> {
+impl<S, D> ShardServers<S, D>
+where
+    S: Send + 'static,
+    D: Dispatcher<S> + Send + 'static,
+{
     /// Spawns `threads` serving threads over `cores` (one per shard, in
     /// shard order).
     ///
@@ -404,9 +420,8 @@ impl<S: Send + 'static> ShardServers<S> {
     /// combining mode; the swap protocol quiesces before a mode changes, so
     /// nothing new arrives until a gate flips back — worst case the first
     /// post-switch op waits one current nap.
-    pub fn spawn<D, A>(cores: Vec<ShardCore<S, D>>, threads: usize, active: A) -> Self
+    pub fn spawn<A>(cores: Vec<ShardCore<S, D>>, threads: usize, active: A) -> Self
     where
-        D: Dispatcher<S> + Send + 'static,
         A: Fn(&S) -> bool + Copy + Send + 'static,
     {
         let shards = cores.len();
@@ -454,7 +469,7 @@ impl<S: Send + 'static> ShardServers<S> {
                                 nap = (nap * 2).min(GATED_IDLE_MAX);
                             }
                         }
-                        group.into_iter().map(ShardCore::into_state).collect()
+                        group
                     })
                     .expect("failed to spawn shard serving thread")
             })
@@ -477,15 +492,21 @@ impl<S: Send + 'static> ShardServers<S> {
         self.idle_rounds.load(Ordering::Relaxed)
     }
 
-    /// Stops the loops and returns the shard states, in shard order.
+    /// Stops and joins the loops and returns the shard cores, in shard
+    /// order; no thread is left afterwards.
     ///
-    /// The caller must first guarantee quiescence (no request in flight) —
-    /// the runtime does so by closing admissions and draining the in-flight
-    /// window before calling this.
-    pub fn stop(mut self) -> Vec<S> {
+    /// A loop leaves only after a round that served nothing, and a core
+    /// keeps its endpoint, so a request that arrives while the loops wind
+    /// down is not lost: it waits in the core's queue for the next `tick`,
+    /// whoever calls it. A caller that goes on to take the states
+    /// ([`ShardCore::into_state`]) must first guarantee quiescence (no
+    /// request in flight) — shutdown does so by closing admissions and
+    /// draining the in-flight window before calling this.
+    pub fn stop(&mut self) -> Vec<ShardCore<S, D>> {
         self.stop.store(true, Ordering::Release);
-        let mut per_thread: Vec<_> = std::mem::take(&mut self.joins)
-            .into_iter()
+        let mut per_thread: Vec<_> = self
+            .joins
+            .drain(..)
             .map(|join| {
                 join.join()
                     .expect("shard serving thread panicked")
@@ -495,12 +516,12 @@ impl<S: Send + 'static> ShardServers<S> {
         let threads = per_thread.len();
         let shards: usize = per_thread.iter().map(ExactSizeIterator::len).sum();
         (0..shards)
-            .map(|i| per_thread[i % threads].next().expect("one state per shard"))
+            .map(|i| per_thread[i % threads].next().expect("one core per shard"))
             .collect()
     }
 }
 
-impl<S> Drop for ShardServers<S> {
+impl<S, D> Drop for ShardServers<S, D> {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         for join in self.joins.drain(..) {
@@ -564,6 +585,32 @@ mod tests {
         (fabric, control, cores, ids)
     }
 
+    /// Stops a quiescent group and takes the states out of its cores.
+    fn stop_states<S: Send + 'static>(mut servers: ShardServers<S, Body<S>>) -> Vec<S> {
+        let cores = servers.stop();
+        cores.into_iter().map(ShardCore::into_state).collect()
+    }
+
+    /// The rule on its own: one thread per shard, one CPU left to the
+    /// callers, never fewer than one thread.
+    #[test]
+    fn serving_threads_leave_a_cpu_to_the_callers() {
+        for ((shards, cpus), threads) in [
+            ((1, 1), 1),
+            ((4, 1), 1),
+            ((4, 2), 1),
+            ((4, 4), 3),
+            ((2, 8), 2),
+            ((1, 8), 1),
+        ] {
+            assert_eq!(
+                threads_for(shards, cpus),
+                threads,
+                "{shards} shards, {cpus} CPUs"
+            );
+        }
+    }
+
     fn request(client: &Endpoint, server: EndpointId, op: u64, arg: u64) {
         client
             .send(server, &wire::request(client.id().to_word(), op, arg))
@@ -621,7 +668,7 @@ mod tests {
             request(&client, ids[0], 0, i);
             client.receive1();
         }
-        assert_eq!(servers.stop(), vec![(1..=10).sum::<u64>()]);
+        assert_eq!(stop_states(servers), vec![(1..=10).sum::<u64>()]);
         let batches: u64 = control.shards[0].server.batches.load(Ordering::Relaxed);
         assert!(batches >= 1, "served batches must be recorded");
     }
@@ -629,7 +676,10 @@ mod tests {
     #[test]
     fn idle_server_stops_without_traffic() {
         let (_fabric, _control, cores, _ids) = cores(1, 4, |_| 7u64, add_dispatch);
-        assert_eq!(ShardServers::spawn(cores, 1, |_| true).stop(), vec![7]);
+        assert_eq!(
+            stop_states(ShardServers::spawn(cores, 1, |_| true)),
+            vec![7]
+        );
     }
 
     #[test]
@@ -648,7 +698,7 @@ mod tests {
         }
         assert_eq!(last, (0..6).sum::<u64>());
         drop(client);
-        servers.stop();
+        stop_states(servers);
         let hist = control.shards[0].server.batch_hist.snapshot();
         // No batch may exceed max_batch = 2.
         assert!(hist.count() >= 3, "hist: {hist:?}");
@@ -685,7 +735,7 @@ mod tests {
                 for c in clients {
                     c.join().unwrap();
                 }
-                let states = servers.stop();
+                let states = stop_states(servers);
                 assert_eq!(states, (0..4).map(|i| base(i) + OPS).collect::<Vec<_>>());
                 for m in control.shards.iter() {
                     assert_eq!(m.server.batch_hist.snapshot().sum(), OPS);
@@ -728,7 +778,7 @@ mod tests {
                 .collect();
             stop.store(true, Ordering::Relaxed);
             hot.join().unwrap();
-            drop(servers.stop());
+            stop_states(servers);
             // A probe lands behind at most one hot batch in progress and one
             // more on the next round; the tail allows for the prober being
             // descheduled between its read and its send.
@@ -766,7 +816,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(60));
             stop.store(true, Ordering::Relaxed);
             hot.join().unwrap();
-            let states = servers.stop();
+            let states = stop_states(servers);
             let [fired] = states[1][..] else {
                 panic!("timer must fire exactly once: {:?}", states[1]);
             };

@@ -34,11 +34,12 @@ pub struct ShardStats {
 pub struct RuntimeStats {
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardStats>,
-    /// Threads the runtime spawned to serve its MP-SERVER shards:
-    /// `min(shards, CPUs the builder could run on)`, each serving the shards
-    /// `j, j + n, …` — so four shards behind one busy `rt-serve-0` thread
-    /// read as what they are. 0 when nothing is spawned: the inline backends
-    /// and [`external_drive`](crate::RuntimeConfig::external_drive).
+    /// Threads serving the runtime's MP-SERVER shards: one per shard, but
+    /// one fewer than the CPUs the builder could run on (and at least one),
+    /// each serving the shards `j, j + n, …` — so four shards behind one busy
+    /// `rt-serve-0` thread read as what they are. 0 when there are none: the
+    /// inline backends, [`external_drive`](crate::RuntimeConfig::external_drive),
+    /// and after [`Runtime::drive_externally`](crate::Runtime::drive_externally).
     pub server_threads: usize,
 }
 

@@ -173,39 +173,6 @@ impl Endpoint {
         buf
     }
 
-    /// Receives exactly `buf.len()` words like [`Endpoint::receive`], but
-    /// gives up and returns `None` — consuming nothing — if no message has
-    /// started arriving by `deadline`.
-    ///
-    /// The deadline gates only the wait for the *first* word: once a word is
-    /// available the receive commits and blocks for the rest of the message
-    /// (its words are already published contiguously or in flight behind
-    /// it), so a returned `Some(n)` always means the full `n == buf.len()`
-    /// words were read and the queue was never left mid-message.
-    ///
-    /// This is the building block for serving loops that must wake up
-    /// periodically — e.g. to notice a shutdown flag — without busy-polling
-    /// `try_receive` and without hanging forever on a quiet queue.
-    #[inline]
-    pub fn receive_deadline(
-        &mut self,
-        buf: &mut [u64],
-        deadline: std::time::Instant,
-    ) -> Option<usize> {
-        let queue = self.fabric.queue(self.id).expect("own queue always exists");
-        if queue.receive_deadline(buf, deadline) {
-            if telemetry::ENABLED {
-                // No Receive span here: the wait includes deliberate idle
-                // polling, which would pollute the receive-latency histogram.
-                telemetry::count(Counter::UdnReceives, 1);
-            }
-            self.received.fetch_add(buf.len() as u64, Ordering::Relaxed);
-            Some(buf.len())
-        } else {
-            None
-        }
-    }
-
     /// Non-blocking receive of up to `buf.len()` words; returns the count
     /// actually read.
     #[inline]
@@ -353,51 +320,6 @@ mod tests {
         let stats = f.stats();
         assert_eq!(stats.failed_sends, 1);
         assert_eq!(stats.blocked_sends, 0);
-    }
-
-    #[test]
-    fn receive_deadline_times_out_on_quiet_queue() {
-        let f = Arc::new(Fabric::new(FabricConfig::new(1)));
-        let mut a = f.register_any().unwrap();
-        let mut buf = [0u64; 3];
-        let t0 = std::time::Instant::now();
-        let deadline = t0 + std::time::Duration::from_millis(10);
-        assert_eq!(a.receive_deadline(&mut buf, deadline), None);
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(10));
-        // Nothing was consumed and the endpoint still works normally.
-        let me = a.id();
-        a.send(me, &[1, 2, 3]).unwrap();
-        assert_eq!(a.receive3(), [1, 2, 3]);
-    }
-
-    #[test]
-    fn receive_deadline_returns_message_when_present() {
-        let f = Arc::new(Fabric::new(FabricConfig::new(1)));
-        let mut a = f.register_any().unwrap();
-        let me = a.id();
-        a.send(me, &[7, 8]).unwrap();
-        let mut buf = [0u64; 2];
-        // Already-elapsed deadline still succeeds: the first word is there.
-        let past = std::time::Instant::now();
-        assert_eq!(a.receive_deadline(&mut buf, past), Some(2));
-        assert_eq!(buf, [7, 8]);
-    }
-
-    #[test]
-    fn receive_deadline_waits_for_late_arrival() {
-        let f = Arc::new(Fabric::new(FabricConfig::new(1)));
-        let mut a = f.register_any().unwrap();
-        let target = a.id();
-        let s = f.sender();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            s.send(target, &[42]).unwrap();
-        });
-        let mut buf = [0u64; 1];
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        assert_eq!(a.receive_deadline(&mut buf, deadline), Some(1));
-        assert_eq!(buf, [42]);
-        t.join().unwrap();
     }
 
     #[test]

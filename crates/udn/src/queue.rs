@@ -30,7 +30,6 @@
 //! may cause the sender to block").
 
 use std::sync::atomic::AtomicU64;
-use std::time::Instant;
 
 use crossbeam_utils::CachePadded;
 
@@ -349,39 +348,6 @@ impl WordQueue {
         // that observes the new head also observes every `seq` free above.
         self.head
             .store(head.wrapping_add(buf.len()), Ordering::Release);
-    }
-
-    /// Like [`WordQueue::receive_blocking`], but gives up — returning
-    /// `false` and consuming nothing — if no word has been published at the
-    /// head by `deadline`.
-    ///
-    /// The deadline only gates the *first* word: once any word of a message
-    /// is available the receive commits and blocks for the remaining
-    /// `buf.len() - 1` words regardless of the deadline. Multi-word messages
-    /// are published contiguously, so the remainder is already in flight and
-    /// the committed wait is bounded; aborting midway, in contrast, would
-    /// tear a message (consumed words cannot be re-queued).
-    ///
-    /// # Safety contract (single consumer)
-    ///
-    /// As for [`WordQueue::receive_blocking`].
-    pub(crate) fn receive_deadline(&self, buf: &mut [u64], deadline: Instant) -> bool {
-        if buf.is_empty() {
-            return true;
-        }
-        let head = self.head.load(Ordering::Relaxed);
-        let cell = &self.buf[head % self.buf.len()];
-        let mut spins = 0u32;
-        // Relaxed availability probe: `receive_blocking` below re-loads
-        // `seq` with Acquire before touching any payload.
-        while cell.seq.load(Ordering::Relaxed) != head.wrapping_add(1) {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            backoff(&mut spins);
-        }
-        self.receive_blocking(buf);
-        true
     }
 
     /// Dequeues up to `buf.len()` words without blocking; returns how many

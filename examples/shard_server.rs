@@ -4,9 +4,10 @@
 //! keeps (ops, batch-size distribution, queue pressure).
 //!
 //! A shard is a unit of state and ordering, not a thread: on the default
-//! MP-SERVER backend the four shards below are served by `min(4, CPUs)`
-//! `rt-serve-<j>` threads (`RuntimeStats::server_threads`, printed below),
-//! each polling the shards it owns in turn; the inline backends spawn none.
+//! MP-SERVER backend the four shards below are served by
+//! `min(4, max(1, CPUs − 1))` `rt-serve-<j>` threads — one CPU is left to the
+//! sessions (`RuntimeStats::server_threads`, printed below) — each polling
+//! the shards it owns in turn; the inline backends spawn none.
 //!
 //! Run with: `cargo run --release --example shard_server`
 //! Pick a backend with e.g. `cargo run --release --example shard_server hybcomb`

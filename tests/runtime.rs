@@ -417,16 +417,140 @@ fn external_drive_cross_shard_waiters_make_progress() {
     );
 }
 
+/// A live threaded MP-SERVER runtime becomes an externally driven one: the
+/// serving threads are gone, the session opened before keeps working, what
+/// it had queued is served by a tick — once — and nothing is served without
+/// one; each shard's driver comes out once; a second conversion changes
+/// nothing; shutdown gets every state back when the drivers drop.
+#[test]
+fn drive_externally_hands_a_live_runtime_to_its_caller() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    watchdog("conversion under load", 60, || {
+        let mut rt = keyed_runtime(small(Backend::MpServer, 2, 4));
+        assert!(rt.stats().server_threads >= 1);
+        assert!(rt.take_driver(0).is_none(), "threaded: nothing to take");
+
+        // The early session hammers key 0 (shard 0) from its own thread, one
+        // op outstanding at a time; every pre-value must be the next integer.
+        let mut early = rt.session().expect("session");
+        let (done, stop) = (
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let hammer = {
+            let (done, stop) = (done.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut n = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    assert_eq!(early.submit(0, keyed_counter_ops::INC, 0).unwrap(), n);
+                    n += 1;
+                    done.store(n, Ordering::Relaxed);
+                }
+                n
+            })
+        };
+        while done.load(Ordering::Relaxed) < 100 {
+            std::thread::yield_now();
+        }
+
+        rt.drive_externally();
+        // The threads are joined: what they executed no longer moves, and
+        // the hammer's next request waits in shard 0's queue.
+        let by_threads = rt.stats().shards[0].ops;
+        assert_eq!(rt.stats().server_threads, 0);
+        assert!(rt.config().external_drive);
+        let mut d0 = rt.take_driver(0).expect("shard 0 driver");
+        let mut d1 = rt.take_driver(1).expect("shard 1 driver");
+        assert!(rt.take_driver(0).is_none() && rt.take_driver(1).is_none());
+        rt.drive_externally();
+        assert!(rt.take_driver(0).is_none(), "a second call changes nothing");
+        assert_eq!(rt.stats().server_threads, 0);
+
+        // The first tick that finds the queued request serves exactly it.
+        let mut by_ticks = loop {
+            match d0.tick() {
+                0 => std::thread::yield_now(),
+                n => break n,
+            }
+        };
+        assert_eq!(by_ticks, 1);
+        while done.load(Ordering::Relaxed) < by_threads + 200 {
+            by_ticks += d0.tick();
+        }
+        // A session opened afterwards, driven by its own thread, on shard 1.
+        let mut late = rt.session().expect("session");
+        for i in 0..50 {
+            let pre = late.submit_with(1, keyed_counter_ops::INC, 0, || {
+                by_ticks += d0.tick();
+                d1.tick();
+            });
+            assert_eq!(pre.unwrap(), i);
+        }
+        drop(late);
+        stop.store(true, Ordering::Relaxed);
+        while !hammer.is_finished() {
+            by_ticks += d0.tick();
+        }
+        let hammered = hammer.join().expect("hammer");
+        assert_eq!(hammered, by_threads + by_ticks, "each request served once");
+
+        drop((d0, d1));
+        let report = rt.shutdown();
+        assert_eq!(report.states[0].get(&0), Some(&hammered));
+        assert_eq!(report.states[1].get(&1), Some(&50));
+        assert_eq!(report.stats.total_ops(), hammered + 50);
+    });
+}
+
+/// The conversion only concerns threaded MP-SERVER runtimes: the inline
+/// backends and Adaptive keep serving as they did, and a runtime already
+/// externally driven keeps its drivers where they are.
+#[test]
+fn drive_externally_leaves_every_other_runtime_as_it_was() {
+    watchdog("conversion of other backends", 60, || {
+        let others = [
+            Backend::Lock,
+            Backend::HybComb,
+            Backend::CcSynch,
+            Backend::Adaptive,
+        ];
+        for backend in others {
+            let mut rt = keyed_runtime(small(backend, 2, 2));
+            let threads = rt.stats().server_threads;
+            rt.drive_externally();
+            assert_eq!(rt.stats().server_threads, threads, "{backend:?}");
+            assert!(!rt.config().external_drive, "{backend:?}");
+            assert!(rt.take_driver(0).is_none(), "{backend:?}");
+            let mut s = rt.session().expect("session");
+            for key in [0, 1] {
+                assert_eq!(s.submit(key, keyed_counter_ops::INC, 0).unwrap(), 0);
+            }
+            drop(s);
+            assert_eq!(rt.shutdown().stats.total_ops(), 2, "{backend:?}");
+        }
+
+        let mut driven = keyed_runtime(small(Backend::MpServer, 2, 2).with_external_drive(true));
+        let taken = driven.take_driver(0).expect("shard 0 driver");
+        driven.drive_externally();
+        assert!(driven.take_driver(0).is_none(), "still out");
+        assert!(driven.take_driver(1).is_some(), "still there, then dropped");
+        drop(taken);
+        assert_eq!(driven.shutdown().states.len(), 2);
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Serving threads: shards are units of state and ordering, threads are units
-// of CPU — a runtime serves its MP-SERVER shards from min(shards, CPUs)
-// threads, CPUs being those the *building* thread may run on.
+// of CPU — a runtime serves its MP-SERVER shards from
+// min(shards, max(1, CPUs − 1)) threads, CPUs being those the *building*
+// thread may run on: the callers need one.
 // ---------------------------------------------------------------------------
 
 /// A four-shard store built under a one-CPU mask is served by one thread
-/// (the shape the benchmark's partitioned workloads have); the same build
-/// without the mask gets one thread per CPU. Either way a mixed load from
-/// two sessions runs correctly and shutdown returns every effect once.
+/// (the shape the benchmark's partitioned workloads have), and so is one
+/// built under a two-CPU mask; the same build without a mask leaves one of
+/// the host's CPUs to the callers. Either way a mixed load from two sessions
+/// runs correctly and shutdown returns every effect once.
 #[cfg(target_os = "linux")]
 #[test]
 fn serving_threads_follow_the_builders_cpu_mask() {
@@ -435,17 +559,22 @@ fn serving_threads_follow_the_builders_cpu_mask() {
         fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut u64) -> c_int;
         fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
     }
-    /// Narrows the calling thread's CPU mask to its lowest allowed CPU.
-    fn pin_to_one_cpu() {
+    /// Narrows the calling thread's CPU mask to its `n` lowest allowed CPUs.
+    fn pin_to_lowest_cpus(n: usize) {
         let mut mask = [0u64; 16]; // cpu_set_t: 1024 bits
         let size = std::mem::size_of_val(&mask);
         // SAFETY: pid 0 = calling thread; the buffer matches the stated size
         // and outlives the call.
         assert!(unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } >= 0);
-        let word = mask.iter().position(|&w| w != 0).expect("some CPU allowed");
-        let lowest = mask[word] & mask[word].wrapping_neg();
-        mask = [0; 16];
-        mask[word] = lowest;
+        let mut left = n;
+        for word in &mut mask {
+            let allowed = std::mem::take(word);
+            for bit in (0..64).filter(|b| allowed >> b & 1 == 1).take(left) {
+                *word |= 1 << bit;
+                left -= 1;
+            }
+        }
+        assert_eq!(left, 0, "fewer than {n} CPUs allowed");
         // SAFETY: as above.
         assert_eq!(unsafe { sched_setaffinity(0, size, mask.as_ptr()) }, 0);
     }
@@ -493,10 +622,16 @@ fn serving_threads_follow_the_builders_cpu_mask() {
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let config = || small(Backend::MpServer, 4, 2);
         let unpinned = ShardedKvStore::new(config());
-        assert_eq!(unpinned.stats().server_threads, cpus.min(4));
+        assert_eq!(unpinned.stats().server_threads, (cpus - 1).clamp(1, 4));
         mixed_load(unpinned);
 
-        pin_to_one_cpu();
+        if cpus >= 2 {
+            pin_to_lowest_cpus(2);
+            let two = ShardedKvStore::new(config());
+            assert_eq!(two.stats().server_threads, 1, "one CPU is the callers'");
+            mixed_load(two);
+        }
+        pin_to_lowest_cpus(1);
         let pinned = ShardedKvStore::new(config());
         assert_eq!(pinned.stats().server_threads, 1);
         assert_eq!(
