@@ -19,6 +19,11 @@
 //! Options: `--shards N` (runtime shards per node), `--slots N`,
 //! `--clients N`, `--ops N`, `--seed N`.
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "clusterbench drives the socket transport (`mpsync_cluster::tcp`), which is Linux-only"
+);
+
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;

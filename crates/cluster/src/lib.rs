@@ -28,7 +28,8 @@
 //! machine: inputs are client ops, peer messages, and clock ticks; outputs
 //! are an [`Outbox`] of messages and replies. The same machine runs
 //!
-//! * over real sockets ([`tcp`], reusing `mpsync-net`), and
+//! * over real sockets ([`tcp`], reusing `mpsync-net`; Linux-only, the
+//!   node's one thread waits in `epoll`), and
 //! * inside a deterministic discrete-event simulator ([`sim`]) that drops,
 //!   duplicates, delays, and partitions messages under a seeded RNG,
 //!
@@ -48,6 +49,7 @@ pub mod ring;
 pub mod route;
 pub mod sim;
 pub mod store;
+#[cfg(target_os = "linux")]
 pub mod tcp;
 
 pub use node::{ApplyRecord, NodeConfig, NodeCore, Origin, Outbox, SlotSnapshot};

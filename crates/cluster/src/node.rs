@@ -49,7 +49,9 @@
 //! queues new arrivals, streams state + dedup as idempotent
 //! [`NodeMsg::SlotChunk`]s at `epoch+1`, and on [`NodeMsg::SlotAck`]
 //! becomes the backup, re-forwarding queued ops (uids preserved) and
-//! redirecting clients. The receiver installs the state and serves.
+//! redirecting clients. The receiver installs the state and serves. Until
+//! the ack the sender re-sends the stream, waiting twice as long each time,
+//! and ignores its own route when gossip brings it back early.
 //!
 //! **Failover.** Nodes heartbeat ([`NodeMsg::Hello`]) with a routing
 //! digest. A backup that stops hearing from a primary promotes itself at
@@ -214,13 +216,17 @@ enum Phase {
     /// `role` afterwards).
     Draining { to: NodeId, recv_role: RecvRole },
     /// State streamed to `to` at `epoch`; awaiting its `SlotAck`.
-    /// `chunks` is kept verbatim for retransmission.
+    /// `chunks` is kept verbatim for retransmission, which backs off: the
+    /// wait before re-send `n` is `resend_after << n` (capped at 64×), so a
+    /// stream that takes longer than `resend_after` to deliver is not queued
+    /// again behind itself before its first copy has arrived.
     Transferring {
         to: NodeId,
         recv_role: RecvRole,
         epoch: u64,
         chunks: Vec<NodeMsg>,
         last_send: u64,
+        resends: u32,
     },
 }
 
@@ -1088,6 +1094,18 @@ impl<S: SlotStore> NodeCore<S> {
         backup: Option<NodeId>,
         out: &mut Outbox,
     ) {
+        // The route of our own handoff, gossiped back (the receiver, or a
+        // peer it taught, answering our heartbeat's stale digest) ahead of
+        // the `SlotAck`: it deposes nobody. Taking it for a deposition would
+        // discard the copy that makes us the backup while the receiver may
+        // still be importing; the `SlotAck` applies this route.
+        if matches!(
+            self.slots[slot as usize].phase,
+            Phase::Transferring { to, recv_role: RecvRole::Owner, epoch: sent, .. }
+                if to == owner && sent == epoch
+        ) {
+            return;
+        }
         let before = self.route.get(slot);
         if !self.route.apply(slot, epoch, owner, backup) {
             return;
@@ -1473,6 +1491,7 @@ impl<S: SlotStore> NodeCore<S> {
             epoch,
             chunks,
             last_send: self.now,
+            resends: 0,
         };
     }
 
@@ -1583,41 +1602,31 @@ impl<S: SlotStore> NodeCore<S> {
             let st = &mut self.slots[slot as usize];
             if let Phase::Transferring {
                 to,
+                recv_role,
                 epoch,
                 ref chunks,
-                last_send,
-                ..
+                ref mut last_send,
+                ref mut resends,
             } = st.phase
             {
-                if now.saturating_sub(last_send) >= resend {
-                    let msgs: Vec<NodeMsg> = std::iter::once(NodeMsg::RouteUpdate {
-                        slot,
-                        epoch,
-                        owner: match st.phase {
-                            Phase::Transferring {
-                                recv_role: RecvRole::Owner,
-                                ..
-                            } => to,
-                            _ => self.cfg.id,
+                if now.saturating_sub(*last_send) >= resend << (*resends).min(6) {
+                    *last_send = now;
+                    *resends += 1;
+                    let (owner, backup) = match recv_role {
+                        RecvRole::Owner => (to, self.cfg.id),
+                        RecvRole::Backup => (self.cfg.id, to),
+                    };
+                    out.send(
+                        to,
+                        NodeMsg::RouteUpdate {
+                            slot,
+                            epoch,
+                            owner,
+                            backup,
                         },
-                        backup: match st.phase {
-                            Phase::Transferring {
-                                recv_role: RecvRole::Owner,
-                                ..
-                            } => self.cfg.id,
-                            _ => to,
-                        },
-                    })
-                    .chain(chunks.iter().cloned())
-                    .collect();
-                    if let Phase::Transferring {
-                        ref mut last_send, ..
-                    } = st.phase
-                    {
-                        *last_send = now;
-                    }
-                    for m in msgs {
-                        out.send(to, m);
+                    );
+                    for chunk in chunks {
+                        out.send(to, chunk.clone());
                     }
                 }
             }

@@ -146,6 +146,10 @@ pub struct SimReport {
     pub resends: u64,
     /// Messages the adversarial network dropped.
     pub dropped: u64,
+    /// The most often any one transfer chunk (slot, epoch, index) was handed
+    /// to the network: 1 + the re-sends of the most re-sent stream, 0 when
+    /// no slot moved.
+    pub max_chunk_sends: u32,
     /// Final `(key, value)` contents across the cluster, ascending.
     pub final_entries: Vec<(u64, u64)>,
 }
@@ -240,6 +244,7 @@ struct Sim {
     stale_replies: u64,
     resends: u64,
     dropped: u64,
+    chunk_sends: BTreeMap<(Slot, u64, u32), u32>,
     fault_node: NodeId,
 }
 
@@ -311,6 +316,7 @@ pub fn run(cfg: &SimConfig) -> SimReport {
         stale_replies: 0,
         resends: 0,
         dropped: 0,
+        chunk_sends: BTreeMap::new(),
         fault_node: 0,
     };
     sim.boot();
@@ -479,6 +485,12 @@ impl Sim {
     fn send_net(&mut self, from: NodeId, to: NodeId, msg: NodeMsg) {
         if !self.reachable(from) || !self.alive(to) {
             return;
+        }
+        if let NodeMsg::SlotChunk {
+            slot, epoch, index, ..
+        } = msg
+        {
+            *self.chunk_sends.entry((slot, epoch, index)).or_insert(0) += 1;
         }
         if self.rng.gen_bool(self.cfg.drop_p) {
             self.dropped += 1;
@@ -712,6 +724,7 @@ impl Sim {
             stale_replies: self.stale_replies,
             resends: self.resends,
             dropped: self.dropped,
+            max_chunk_sends: self.chunk_sends.values().copied().max().unwrap_or(0),
             final_entries,
         }
     }

@@ -122,6 +122,46 @@ fn ten_seeds_replay_bit_identically() {
     }
 }
 
+/// A link slower than the re-send interval, 20 seeds: every message takes up
+/// to 40 ticks against `resend_after` = 10, and one slot holds every key, so
+/// a handoff streams several chunks and its ack is several re-send intervals
+/// away. Re-sends that did not back off would put the whole stream on the
+/// wire again every interval until then (up to nine times here; on sockets,
+/// each copy queues behind the last and the stream never catches up). With
+/// the back-off a stream goes out at most four times — at 0, 10, 30 and 70
+/// ticks, the ack being at most 80 away — and the handoffs still complete:
+/// the run would hit its horizon with ops queued on a slot that never moved.
+#[test]
+fn twenty_seeds_of_handoffs_over_a_slow_link() {
+    let mut moved = 0;
+    for seed in 6000..6020u64 {
+        let mut cfg = SimConfig::new(seed);
+        cfg.slots = 1;
+        cfg.keys_per_client = 64;
+        cfg.ops_per_client = 150;
+        cfg.handoffs = 3;
+        cfg.drop_p = 0.0;
+        cfg.dup_p = 0.0;
+        cfg.delay_max = 40;
+        cfg.client_timeout = 400;
+        // Handoffs fall in the first quarter of the horizon: under load.
+        cfg.horizon = 20_000;
+        let r = run(&cfg);
+        assert_eq!(
+            r.ok_replies,
+            (cfg.clients as u64) * (cfg.ops_per_client as u64),
+            "seed {seed}: missing acks"
+        );
+        assert!(
+            r.max_chunk_sends <= 4,
+            "seed {seed}: a transfer stream was sent {} times",
+            r.max_chunk_sends
+        );
+        moved += (r.max_chunk_sends > 0) as u32;
+    }
+    assert!(moved >= 10, "only {moved} of 20 runs moved a slot");
+}
+
 /// A larger cluster under the nastiest weather the suite uses.
 #[test]
 fn five_node_cluster_survives_heavy_loss() {

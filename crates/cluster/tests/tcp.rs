@@ -2,15 +2,16 @@
 //! threads, the real delegation runtime under every node — the same stack
 //! `clusterbench --smoke` exercises across processes, here in one binary
 //! so failures carry backtraces.
+#![cfg(target_os = "linux")]
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use mpsync_cluster::tcp::{admin_handoff, ClusterClient, ClusterNode, TcpNodeConfig};
+use mpsync_cluster::tcp::{admin_handoff, ClusterClient, ClusterNode, TcpNodeConfig, ADMIN_NODE};
 use mpsync_cluster::{slot_for, HashRing, NodeConfig, NodeId, RouteTable, RuntimeStore, SlotStore};
-use mpsync_net::frame::{stat_kind, Request, Wire};
+use mpsync_net::frame::{stat_kind, NodeMsg, Request, Wire, NODE_PROTO_VERSION};
 use mpsync_net::AdminClient;
 use mpsync_objects::seq::{kv_dispatch, kv_ops, KvMap};
 use mpsync_objects::EMPTY;
@@ -55,7 +56,13 @@ fn start_node(
 
 /// Boots `n` nodes on ephemeral ports with a full mesh between them.
 fn start_cluster(n: u16) -> (Vec<ClusterNode>, Vec<(NodeId, String)>) {
-    let listeners: Vec<TcpListener> = (0..n)
+    start_cluster_over((0..n).map(|_| fresh_store()).collect())
+}
+
+/// [`start_cluster`] with node `i` over `stores[i]`.
+fn start_cluster_over(stores: Vec<RuntimeStore>) -> (Vec<ClusterNode>, Vec<(NodeId, String)>) {
+    let listeners: Vec<TcpListener> = stores
+        .iter()
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
         .collect();
     let addrs: Vec<(NodeId, String)> = listeners
@@ -65,8 +72,9 @@ fn start_cluster(n: u16) -> (Vec<ClusterNode>, Vec<(NodeId, String)>) {
         .collect();
     let nodes = listeners
         .into_iter()
+        .zip(stores)
         .enumerate()
-        .map(|(i, listener)| start_node(i as NodeId, listener, &addrs, fresh_store()))
+        .map(|(i, (listener, store))| start_node(i as NodeId, listener, &addrs, store))
         .collect();
     (nodes, addrs)
 }
@@ -279,32 +287,27 @@ fn concurrent_admin_handoffs_both_land() {
     }
 }
 
-/// The mechanism count: a client connection costs the node one thread (its
-/// reader) and nothing else — no writer thread per connection.
-#[cfg(target_os = "linux")]
+/// The names of this process's threads.
+fn census() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect()
+}
+
+/// The mechanism count: a client connection costs the node no thread — its
+/// core thread reads and writes every socket itself.
 #[test]
-fn a_client_connection_costs_the_node_one_thread() {
+fn a_client_connection_costs_the_node_no_thread() {
     let _serial = serial();
-    fn threads() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .expect("/proc/self/task")
-            .count()
-    }
     let (nodes, addrs) = start_cluster(2);
-    // Settle: both peer links up (an op owned by each node through node 0),
-    // and the readers earlier tests left behind gone (they notice their
-    // node stopped within the 200 ms read poll).
+    // Settle: both peer links up (an op owned by each node through node 0).
     let mut settle = client(&addrs[..1], 1 << 45);
     for key in 1..=16u64 {
         settle.call(key, kv_ops::GET as u8, 0).expect("settle");
     }
-    let base = loop {
-        let before = threads();
-        std::thread::sleep(Duration::from_millis(300));
-        if threads() == before {
-            break before;
-        }
-    };
+    let base = census().len();
 
     const K: usize = 5;
     let mut clients: Vec<ClusterClient> = (0..K)
@@ -313,10 +316,11 @@ fn a_client_connection_costs_the_node_one_thread() {
     for (i, c) in clients.iter_mut().enumerate() {
         c.call(1 + i as u64, kv_ops::ADD as u8, 1).expect("op");
     }
-    assert_eq!(threads(), base + K, "threads per client connection");
+    assert_eq!(census().len(), base, "threads with {K} connections open");
     drop(clients);
-    // Each reader wakes on its connection's EOF.
-    wait_for("the readers to exit", || threads() == base);
+    // The node has seen every hang-up once it answers an op sent after them.
+    settle.call(1, kv_ops::GET as u8, 0).expect("op");
+    assert_eq!(census().len(), base, "threads after they closed");
 
     drop(settle);
     for n in nodes {
@@ -324,20 +328,12 @@ fn a_client_connection_costs_the_node_one_thread() {
     }
 }
 
-/// The thread census of a running cluster: every node thread carries its
-/// role and node in its name, and no `rt-serve-*` thread exists — a node's
-/// core thread serves its own store.
-#[cfg(target_os = "linux")]
+/// The thread census of a running cluster: a node is its core thread and
+/// nothing else — no acceptor, no reader per connection, and no `rt-serve-*`
+/// thread, because the core thread serves its own store.
 #[test]
-fn a_running_cluster_has_no_serving_threads() {
+fn a_running_node_is_one_thread() {
     let _serial = serial();
-    fn census() -> Vec<String> {
-        std::fs::read_dir("/proc/self/task")
-            .expect("/proc/self/task")
-            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .map(|comm| comm.trim_end().to_string())
-            .collect()
-    }
     let (nodes, addrs) = start_cluster(2);
     // Both nodes serve and forward with the census taken mid-conversation.
     let mut c = client(&addrs[..1], 1 << 50);
@@ -345,18 +341,125 @@ fn a_running_cluster_has_no_serving_threads() {
         c.call(key, kv_ops::ADD as u8, 1).expect("op");
     }
     let names = census();
-    for expected in ["cl-core-0", "cl-core-1", "cl-accept-0", "cl-accept-1"] {
+    for expected in ["cl-core-0", "cl-core-1"] {
         assert!(names.iter().any(|n| n == expected), "{expected}: {names:?}");
     }
-    // This client's reader on node 0, and node 0's link into node 1.
-    for reader in ["cl-read-0-", "cl-read-1-"] {
-        assert!(names.iter().any(|n| n.starts_with(reader)), "{names:?}");
+    for gone in ["cl-accept", "cl-read", "rt-serve"] {
+        assert!(
+            !names.iter().any(|n| n.starts_with(gone)),
+            "a {gone} thread beside a core thread: {names:?}"
+        );
     }
-    assert!(
-        !names.iter().any(|n| n.starts_with("rt-serve")),
-        "a polling server beside a core thread: {names:?}"
-    );
     drop(c);
+    for n in nodes {
+        n.shutdown().into_inner().shutdown();
+    }
+}
+
+/// Both nodes stream a slot to each other at once, each stream larger than
+/// the loopback socket buffers: a core that waited in a write would wait for
+/// the other core to read, which is waiting in its own write. And a stream
+/// that takes longer to send than the re-send interval must not be queued
+/// again behind itself without end.
+#[test]
+fn crossing_bulk_handoffs_both_complete() {
+    let _serial = serial();
+    // A slot per node, each pre-loaded at its boot owner.
+    let slots: Vec<u16> = (0..2)
+        .map(|n| (0..SLOTS).find(|&s| boot_owner(2, s) == n).expect("a slot"))
+        .collect();
+    // The sizes and bounds are an optimised build's; a debug build moves the
+    // smaller load only, untimed.
+    let timed = !cfg!(debug_assertions);
+    for (entries, bound) in [(200_000, 2), (600_000, 10)] {
+        if !timed && entries > 200_000 {
+            break;
+        }
+        let loads: Vec<Vec<(u64, u64)>> = slots
+            .iter()
+            .map(|&slot| {
+                (1..)
+                    .filter(|&k| slot_for(k, SLOTS) == slot)
+                    .map(|k| (k, k ^ 0x5a5a))
+                    .take(entries)
+                    .collect()
+            })
+            .collect();
+        let stores = slots
+            .iter()
+            .zip(&loads)
+            .map(|(&slot, load)| {
+                let mut store = fresh_store();
+                store.import(slot, load);
+                store
+            })
+            .collect();
+        let (nodes, addrs) = start_cluster_over(stores);
+
+        let start = Barrier::new(3);
+        let took = std::thread::scope(|threads| {
+            for (from, &slot) in slots.iter().enumerate() {
+                let (start, addr) = (&start, &addrs[from].1);
+                threads.spawn(move || {
+                    start.wait();
+                    admin_handoff(addr, slot, 1 - from as NodeId).expect("handoff accepted");
+                });
+            }
+            start.wait();
+            let t0 = Instant::now();
+            wait_for("both slots to cross", || {
+                (0..2).all(|from| owns(&addrs[1 - from].1, slots[from]))
+            });
+            t0.elapsed()
+        });
+        assert!(
+            !timed || took < Duration::from_secs(bound),
+            "{entries} entries each way took {took:?}"
+        );
+
+        let mut stores: Vec<RuntimeStore> = nodes.into_iter().map(|n| n.shutdown()).collect();
+        for (from, mut load) in loads.into_iter().enumerate() {
+            let mut moved = stores[1 - from].export(slots[from]);
+            moved.sort_unstable();
+            load.sort_unstable();
+            assert!(moved == load, "slot {} arrived incomplete", slots[from]);
+        }
+        for s in stores {
+            s.into_inner().shutdown();
+        }
+    }
+}
+
+/// An admin that writes its `Hello` and `Handoff` and hangs up without
+/// reading: every write to it fails from then on, and a write that fails
+/// must not take the frames the connection has already delivered with it.
+/// Every slot is asked to move at once, so each `HelloAck` broadcast meets
+/// the connections that hung up before it.
+#[test]
+fn an_admin_that_hangs_up_early_still_hands_off() {
+    let _serial = serial();
+    let (nodes, addrs) = start_cluster(2);
+    const ROUNDS: u16 = 50;
+    for round in 0..ROUNDS {
+        let owner = |slot: u16| (boot_owner(2, slot) + round) % 2;
+        for slot in 0..SLOTS {
+            let from = owner(slot);
+            let mut admin = TcpStream::connect(&addrs[from as usize].1).expect("connect");
+            let hello = NodeMsg::Hello {
+                version: NODE_PROTO_VERSION,
+                node: ADMIN_NODE,
+                digest: 0,
+            };
+            for msg in [hello, NodeMsg::Handoff { slot, to: 1 - from }] {
+                let mut frame = Vec::new();
+                msg.encode_frame(&mut frame);
+                admin.write_all(&frame).expect("write");
+            }
+        }
+        wait_for("every slot to move", || {
+            (0..SLOTS).all(|slot| owns(&addrs[1 - owner(slot) as usize].1, slot))
+        });
+    }
     for n in nodes {
         n.shutdown().into_inner().shutdown();
     }

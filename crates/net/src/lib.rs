@@ -70,3 +70,5 @@ pub use server::{
     DrainReport, NetServer, ServerBuilder, ServerConfig, ServerModel, Service,
     STAT_SNAPSHOT_VERSION,
 };
+#[cfg(target_os = "linux")]
+pub use sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};

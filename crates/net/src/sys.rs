@@ -6,7 +6,9 @@
 //! std already links libc on Linux, so the `extern "C"` declarations
 //! resolve against what is in the process anyway — and wraps them in
 //! fd-owning, `io::Result`-returning types. Everything here is Linux-only;
-//! the reactor server model is gated accordingly.
+//! the reactor server model is gated accordingly. The epoll half is exported
+//! from the crate root: the cluster's socket transport waits on it too, and
+//! the workspace keeps one `extern "C"` block.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -14,13 +16,13 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_uint};
 
 /// Readable (or peer-FIN'd) — `EPOLLIN`.
-pub(crate) const EPOLLIN: u32 = 0x001;
+pub const EPOLLIN: u32 = 0x001;
 /// Writable — `EPOLLOUT`.
-pub(crate) const EPOLLOUT: u32 = 0x004;
+pub const EPOLLOUT: u32 = 0x004;
 /// Error condition — `EPOLLERR` (always reported, never requested).
-pub(crate) const EPOLLERR: u32 = 0x008;
+pub const EPOLLERR: u32 = 0x008;
 /// Hangup — `EPOLLHUP` (always reported, never requested).
-pub(crate) const EPOLLHUP: u32 = 0x010;
+pub const EPOLLHUP: u32 = 0x010;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
@@ -35,7 +37,7 @@ const EFD_NONBLOCK: c_int = 0o4000;
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Clone, Copy, Default)]
-pub(crate) struct EpollEvent {
+pub struct EpollEvent {
     /// Readiness bit set (`EPOLL*`).
     pub events: u32,
     /// Caller-chosen cookie, returned verbatim with each event.
@@ -59,11 +61,12 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 }
 
 /// An owned epoll instance.
-pub(crate) struct Epoll {
+pub struct Epoll {
     fd: OwnedFd,
 }
 
 impl Epoll {
+    /// A new, empty epoll instance (close-on-exec).
     pub fn new() -> io::Result<Self> {
         // SAFETY: plain syscall; the returned fd is owned exclusively here.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
