@@ -57,8 +57,7 @@
 //! id is the cluster's dedup uid, so a retry that lands after the original
 //! was applied is answered from the dedup table instead of re-executing.
 //!
-//! Linux-only, like `mpsync-net`'s reactor: the loop waits on that crate's
-//! epoll shim.
+//! Linux-only: the loop waits on `mpsync-net`'s epoll shim.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};

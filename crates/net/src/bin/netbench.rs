@@ -16,16 +16,12 @@
 //! Key skew is Zipf (`--theta`, 0 = uniform) over `--keys` keys, sampled
 //! from a precomputed harmonic CDF.
 //!
-//! `--model thread|reactor|both` selects the serving model(s) under test —
-//! the thread-per-connection baseline or the epoll reactor-per-shard core
-//! (DESIGN.md §11) — so every scenario doubles as an A/B between them.
 //! Connection-scale knobs: `--conn-workers N` multiplexes all connections
 //! over N client threads (thousands of connections from one process), and
 //! `--listen`/`--connect` split server and client into separate processes
-//! so a 10k-connection run fits per-process fd limits. `--pinned` runs the
-//! fixed regression scenario behind `BENCH_net.json` (closed loop plus
-//! best-of-3 open-loop trials per model); with `--gate` it fails if the
-//! reactor's best open-loop p99 exceeds the thread model's by >15%.
+//! so a 10k-connection run fits per-process fd limits. `--adaptive-sweep`
+//! runs the contention ladder behind `BENCH_adaptive.json`; with `--gate`
+//! it fails if ADAPTIVE misses its acceptance bar.
 //!
 //! `--smoke` runs the CI acceptance check instead of a benchmark: steady
 //! pipelined connections plus deliberately misbehaving ones (disconnect
@@ -45,9 +41,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use mpsync_apps::{ops as app_ops, pack_put, pack_task, unpack_task, AppConfig, AppSuite};
-use mpsync_net::{
-    AdminClient, NetClient, NetServer, ServerConfig, ServerModel, STAT_SNAPSHOT_VERSION,
-};
+use mpsync_net::{AdminClient, NetClient, NetServer, ServerConfig, STAT_SNAPSHOT_VERSION};
 use mpsync_objects::seq::{keyed_counter_ops, kv_ops};
 use mpsync_runtime::{
     probe_key, Backend, RuntimeConfig, RuntimeStats, ShardedCounter, ShardedKvStore, SubmitPolicy,
@@ -62,7 +56,6 @@ use mpsync_net::frame::Status;
 #[derive(Clone)]
 struct Opts {
     backends: Vec<Backend>,
-    models: Vec<ServerModel>,
     shards: usize,
     connections: usize,
     pipeline: usize,
@@ -85,16 +78,12 @@ struct Opts {
     /// each multiplexing its share of the connections (closed loop only) —
     /// how a 10k-connection run fits in a sane thread budget.
     conn_workers: usize,
-    /// Run the pinned regression suite (both models, closed + open loop)
-    /// and write `bench_json`.
-    pinned: bool,
     /// Run the adaptive contention sweep (fixed backends vs ADAPTIVE
     /// across escalating contention levels) and write `bench_json`.
     adaptive_sweep: bool,
-    /// With `--pinned`: fail if the reactor's open-loop p99 exceeds the
-    /// thread model's by more than 15%. With `--adaptive-sweep`: fail if
-    /// ADAPTIVE falls >10% below the best fixed backend at any level, or
-    /// fails to strictly beat at least one fixed backend at the extremes.
+    /// With `--adaptive-sweep`: fail if ADAPTIVE falls >10% below the best
+    /// fixed backend at any level, or fails to strictly beat at least one
+    /// fixed backend at the extremes.
     gate: bool,
     bench_json: std::path::PathBuf,
     /// Serve-only on this address until stdin reaches EOF, then drain.
@@ -135,7 +124,6 @@ impl Default for Opts {
     fn default() -> Self {
         Self {
             backends: vec![Backend::MpServer],
-            models: vec![ServerModel::ThreadPerConn],
             shards: 2,
             connections: 4,
             pipeline: 8,
@@ -152,10 +140,9 @@ impl Default for Opts {
             smoke: false,
             uds: None,
             conn_workers: 0,
-            pinned: false,
             adaptive_sweep: false,
             gate: false,
-            bench_json: "BENCH_net.json".into(),
+            bench_json: "BENCH_adaptive.json".into(),
             listen: None,
             connect: None,
         }
@@ -169,7 +156,6 @@ USAGE: netbench [FLAGS]
 
   --backend NAME     mp-server | hybcomb | cc-synch | lock |
                      adaptive | all (all = the fixed four)        [mp-server]
-  --model M          thread | reactor | both — serving model(s)   [thread]
   --shards N         runtime shards                               [2]
   --connections N    client connections                           [4]
   --pipeline N       outstanding requests per connection (closed) [8]
@@ -188,17 +174,12 @@ USAGE: netbench [FLAGS]
   --seed N           workload RNG seed                            [42]
   --json             machine-readable report on stdout
   --smoke            run the self-checking CI scenario
-  --pinned           run the pinned regression suite (both models,
-                     closed + open loop) and write --bench-json
   --adaptive-sweep   sweep {lock, hybcomb, mp-server, adaptive} across
                      escalating contention levels; write --bench-json
-                     [BENCH_adaptive.json]
-  --gate             with --pinned: fail if reactor open-loop p99
-                     exceeds the thread model's by more than 15%;
-                     with --adaptive-sweep: fail if adaptive trails the
+  --gate             with --adaptive-sweep: fail if adaptive trails the
                      best fixed backend by >10% anywhere or beats no
                      fixed backend at the contention extremes
-  --bench-json PATH  suite report path  [BENCH_net.json / BENCH_adaptive.json]
+  --bench-json PATH  sweep report path                            [BENCH_adaptive.json]
   --listen ADDR      serve-only on ADDR until stdin EOF, then drain;
                      pair with a --connect client process
   --connect ADDR     client-only against a --listen server
@@ -226,15 +207,6 @@ fn parse_args() -> Result<Opts, String> {
                         .into_iter()
                         .find(|b| b.label() == v)
                         .ok_or_else(|| format!("unknown backend {v:?}"))?]
-                };
-            }
-            "--model" => {
-                let v = val(&mut args, "--model")?;
-                o.models = match v.as_str() {
-                    "thread" => vec![ServerModel::ThreadPerConn],
-                    "reactor" => vec![ServerModel::Reactor],
-                    "both" => vec![ServerModel::ThreadPerConn, ServerModel::Reactor],
-                    m => return Err(format!("unknown model {m:?}")),
                 };
             }
             "--shards" => o.shards = parse_num(&val(&mut args, &a)?, &a)?,
@@ -285,7 +257,6 @@ fn parse_args() -> Result<Opts, String> {
             }
             "--json" => o.json = true,
             "--smoke" => o.smoke = true,
-            "--pinned" => o.pinned = true,
             "--adaptive-sweep" => o.adaptive_sweep = true,
             "--gate" => o.gate = true,
             "--bench-json" => o.bench_json = val(&mut args, &a)?.into(),
@@ -302,16 +273,13 @@ fn parse_args() -> Result<Opts, String> {
     if o.conn_workers > 0 && o.rate.is_some() {
         return Err("--conn-workers multiplexes the closed loop only (no --rate)".into());
     }
-    if o.gate && !o.pinned && !o.adaptive_sweep {
-        return Err("--gate only applies to the --pinned / --adaptive-sweep suites".into());
-    }
-    if o.pinned && o.adaptive_sweep {
-        return Err("--pinned and --adaptive-sweep are separate suites".into());
+    if o.gate && !o.adaptive_sweep {
+        return Err("--gate only applies to the --adaptive-sweep suite".into());
     }
     if o.listen.is_some() && o.connect.is_some() {
         return Err("--listen and --connect are different processes".into());
     }
-    if (o.listen.is_some() || o.connect.is_some()) && (o.smoke || o.pinned || o.adaptive_sweep) {
+    if (o.listen.is_some() || o.connect.is_some()) && (o.smoke || o.adaptive_sweep) {
         return Err("--listen/--connect run the plain benchmark only".into());
     }
     Ok(o)
@@ -785,17 +753,11 @@ enum Svc {
 }
 
 impl Svc {
-    fn build(opts: &Opts, backend: Backend, model: ServerModel) -> Svc {
-        // The reactor pairs with externally-driven MP-SERVER shards: the
-        // reactor thread that reads a request is the thread that executes
-        // it. Other backends keep their own executors; the reactor then
-        // only owns the sockets.
-        let external = model == ServerModel::Reactor && backend == Backend::MpServer;
+    fn build(opts: &Opts, backend: Backend) -> Svc {
         let cfg = RuntimeConfig::new(opts.shards)
             .with_backend(backend)
             .with_queue_depth(opts.queue_depth)
             .with_submit(opts.policy)
-            .with_external_drive(external)
             .with_max_sessions(opts.connections * 4 + 16);
         match opts.workload {
             Workload::Counter => Svc::Counter(Arc::new(ShardedCounter::new(cfg))),
@@ -812,15 +774,13 @@ impl Svc {
         }
     }
 
-    fn serve(&self, opts: &Opts, model: ServerModel) -> std::io::Result<(NetServer, Endpoint)> {
+    fn serve(&self, opts: &Opts) -> std::io::Result<(NetServer, Endpoint)> {
         let max_op = match opts.workload {
             Workload::Counter => keyed_counter_ops::GET as u8,
             Workload::Kv => kv_ops::SUB as u8,
             _ => (app_ops::OP_LIMIT - 1) as u8,
         };
-        let cfg = ServerConfig::default()
-            .with_max_op(max_op)
-            .with_model(model);
+        let cfg = ServerConfig::default().with_max_op(max_op);
         let builder = match self {
             Svc::Counter(svc) => NetServer::builder(svc.clone()),
             Svc::Kv(svc) => NetServer::builder(svc.clone()),
@@ -908,12 +868,10 @@ fn us(ns: u64) -> f64 {
 
 // -------------------------------------------------------------- benchmark
 
-/// One benchmark run's reportable numbers, kept for the suites.
+/// One benchmark run's reportable numbers, kept for the sweep.
 #[derive(Clone)]
 struct BenchRow {
     backend: &'static str,
-    model: &'static str,
-    loop_kind: &'static str,
     acked: u64,
     throughput: f64,
     p50_ns: u64,
@@ -923,28 +881,14 @@ struct BenchRow {
     switches: u64,
 }
 
-fn model_label(model: ServerModel) -> &'static str {
-    match model {
-        ServerModel::ThreadPerConn => "thread",
-        ServerModel::Reactor => "reactor",
-    }
-}
-
-fn run_bench(opts: &Opts, backend: Backend, model: ServerModel) -> Result<BenchRow, String> {
-    // In `--connect` mode the serving model is the remote process's choice;
-    // this client can't see it, so don't claim one in the output.
-    let mlabel = if opts.connect.is_some() {
-        "remote"
-    } else {
-        model_label(model)
-    };
+fn run_bench(opts: &Opts, backend: Backend) -> Result<BenchRow, String> {
     // `--connect`: the server lives in another process; drive it blind.
     let (host, ep) = match opts.connect {
         Some(addr) => (None, Endpoint::Tcp(addr)),
         None => {
-            let svc = Svc::build(opts, backend, model);
+            let svc = Svc::build(opts, backend);
             let (server, ep) = svc
-                .serve(opts, model)
+                .serve(opts)
                 .map_err(|e| format!("{}: server start: {e}", backend.label()))?;
             (Some((server, svc)), ep)
         }
@@ -1037,13 +981,12 @@ fn run_bench(opts: &Opts, backend: Backend, model: ServerModel) -> Result<BenchR
             None => "\"server\": null".into(),
         };
         println!(
-            "{{ \"backend\": \"{}\", \"model\": \"{}\", \"loop\": \"{}\", \"connections\": {}, \
+            "{{ \"backend\": \"{}\", \"loop\": \"{}\", \"connections\": {}, \
              \"pipeline\": {}, \
              \"theta\": {}, \"keys\": {}, \"sent\": {}, \"acked\": {}, \"busy\": {}, \
              \"rejected\": {}, \"elapsed_s\": {:.3}, \"throughput_ops_s\": {:.0}, \
              \"latency_ns\": {}, {server_json} }}",
             backend.label(),
-            mlabel,
             loop_kind,
             opts.connections,
             opts.pipeline,
@@ -1059,9 +1002,8 @@ fn run_bench(opts: &Opts, backend: Backend, model: ServerModel) -> Result<BenchR
         );
     } else {
         println!(
-            "{:<10} {:<8} {loop_kind}-loop conns={} pipeline={} theta={} | acked {} / sent {} (busy {}) in {:.2}s = {:.0} ops/s",
+            "{:<10} {loop_kind}-loop conns={} pipeline={} theta={} | acked {} / sent {} (busy {}) in {:.2}s = {:.0} ops/s",
             backend.label(),
-            mlabel,
             opts.connections,
             opts.pipeline,
             opts.theta,
@@ -1088,15 +1030,12 @@ fn run_bench(opts: &Opts, backend: Backend, model: ServerModel) -> Result<BenchR
     }
     if !all_clean {
         return Err(format!(
-            "{}/{}: connections did not end cleanly",
-            backend.label(),
-            mlabel,
+            "{}: connections did not end cleanly",
+            backend.label()
         ));
     }
     Ok(BenchRow {
         backend: backend.label(),
-        model: mlabel,
-        loop_kind,
         acked: total.acked,
         throughput: thrpt,
         p50_ns: total.hist.p50(),
@@ -1111,23 +1050,14 @@ fn run_bench(opts: &Opts, backend: Backend, model: ServerModel) -> Result<BenchR
 /// prints it, then blocks until stdin reaches EOF — the driving script
 /// closing the pipe is the shutdown signal. Exit 0 iff startup and the
 /// graceful drain both succeed.
-fn run_listen(opts: &Opts, backend: Backend, model: ServerModel) -> Result<(), String> {
-    let svc = Svc::build(opts, backend, model);
-    let (server, ep) = svc
-        .serve(opts, model)
-        .map_err(|e| format!("server start: {e}"))?;
+fn run_listen(opts: &Opts, backend: Backend) -> Result<(), String> {
+    let svc = Svc::build(opts, backend);
+    let (server, ep) = svc.serve(opts).map_err(|e| format!("server start: {e}"))?;
     match &ep {
-        Endpoint::Tcp(addr) => println!(
-            "listening on {addr} ({}/{})",
-            backend.label(),
-            model_label(model)
-        ),
-        Endpoint::Uds(path) => println!(
-            "listening on {} ({}/{})",
-            path.display(),
-            backend.label(),
-            model_label(model)
-        ),
+        Endpoint::Tcp(addr) => println!("listening on {addr} ({})", backend.label()),
+        Endpoint::Uds(path) => {
+            println!("listening on {} ({})", path.display(), backend.label())
+        }
     }
     let mut sink = String::new();
     loop {
@@ -1152,16 +1082,14 @@ fn run_listen(opts: &Opts, backend: Backend, model: ServerModel) -> Result<(), S
 /// The CI scenario: steady pipelined counter streams + churn connections
 /// that vanish mid-flight + a graceful shutdown under load, then end-state
 /// verification of the exactly-once-for-acked contract.
-fn run_smoke(opts: &Opts, backend: Backend, model: ServerModel) -> Result<(), String> {
-    let tag = format!("smoke {}/{}", backend.label(), model_label(model));
+fn run_smoke(opts: &Opts, backend: Backend) -> Result<(), String> {
+    let tag = format!("smoke {}", backend.label());
     let fail = |msg: String| Err(format!("[{tag}] {msg}"));
     let mut opts = opts.clone();
     opts.workload = Workload::Counter;
     opts.policy = SubmitPolicy::Block;
-    let svc = Svc::build(&opts, backend, model);
-    let (server, ep) = svc
-        .serve(&opts, model)
-        .map_err(|e| format!("server start: {e}"))?;
+    let svc = Svc::build(&opts, backend);
+    let (server, ep) = svc.serve(&opts).map_err(|e| format!("server start: {e}"))?;
 
     const STEADY: usize = 4;
     const CHURN: usize = 2;
@@ -1395,17 +1323,15 @@ const NOISE_BASE: u64 = 10_000;
 /// * priority queue — push/pop exactly-once, priority order, FIFO ties;
 /// * rate limiter — capacity clamp, deny-leaves-no-trace, timer refill;
 /// * leaderboard — client-side top-K merge over per-shard rank reads.
-fn run_apps_smoke(opts: &Opts, backend: Backend, model: ServerModel) -> Result<(), String> {
-    let tag = format!("apps-smoke {}/{}", backend.label(), model_label(model));
+fn run_apps_smoke(opts: &Opts, backend: Backend) -> Result<(), String> {
+    let tag = format!("apps-smoke {}", backend.label());
     let fail = |msg: String| Err(format!("[{tag}] {msg}"));
     let mut opts = opts.clone();
     opts.workload = Workload::Mixed;
     opts.policy = SubmitPolicy::Block;
     let shards = opts.shards;
-    let svc = Svc::build(&opts, backend, model);
-    let (server, ep) = svc
-        .serve(&opts, model)
-        .map_err(|e| format!("server start: {e}"))?;
+    let svc = Svc::build(&opts, backend);
+    let (server, ep) = svc.serve(&opts).map_err(|e| format!("server start: {e}"))?;
 
     // Background noise: rate-limiter, pq, and session traffic on a
     // disjoint keyspace (the ledger and leaderboard stay untouched so the
@@ -1680,129 +1606,10 @@ fn run_apps_smoke(opts: &Opts, backend: Backend, model: ServerModel) -> Result<(
     Ok(())
 }
 
-// ----------------------------------------------------------- pinned suite
-
-/// The open-loop arrival rate of the pinned scenario (aggregate ops/s).
-const OPEN_RATE: u64 = 20_000;
-
-/// Open-loop trials per model; the best (min-p99) trial is reported.
-const OPEN_TRIALS: usize = 3;
-
-/// The fixed regression scenario behind `BENCH_net.json`: MP-SERVER over 2
-/// shards, 16 connections × pipeline 4, uniform keys — run closed loop and
-/// open loop, under both serving models. Everything is pinned here, not
-/// taken from the CLI, so successive reports compare.
-fn run_pinned(opts: &Opts) -> Result<(), String> {
-    let mut pinned = Opts {
-        backends: vec![Backend::MpServer],
-        models: vec![ServerModel::ThreadPerConn, ServerModel::Reactor],
-        shards: 2,
-        connections: 16,
-        pipeline: 4,
-        ops: 3000,
-        keys: 1024,
-        theta: 0.0, // uniform: both shards loaded — the reactor's home turf
-        seed: 42,
-        ..Opts::default()
-    };
-    if !cfg!(target_os = "linux") {
-        pinned.models = vec![ServerModel::ThreadPerConn];
-    }
-    let models = pinned.models.clone();
-    let mut rows = Vec::new();
-    for &model in &models {
-        // Closed loop: latency under self-limiting load.
-        pinned.rate = None;
-        pinned.duration = None;
-        pinned.ops = 3000;
-        rows.push(run_bench(&pinned, Backend::MpServer, model)?);
-    }
-    // Open loop: fixed aggregate arrival rate. On a shared (often
-    // single-core) CI host the raw p99 of any one trial is hostage to OS
-    // scheduler stalls — one multi-millisecond preemption of a paced client
-    // thread poisons the tail for both models at random. So run the trials
-    // interleaved across models and keep each model's best (minimum-p99)
-    // row: the achievable tail of the server, with host noise factored out
-    // the same way for both sides of the A/B.
-    let mut best: Vec<Option<BenchRow>> = models.iter().map(|_| None).collect();
-    for _trial in 0..OPEN_TRIALS {
-        for (mi, &model) in models.iter().enumerate() {
-            pinned.rate = Some(OPEN_RATE);
-            pinned.duration = Some(Duration::from_secs(2));
-            pinned.ops = 100_000;
-            let row = run_bench(&pinned, Backend::MpServer, model)?;
-            if best[mi].as_ref().is_none_or(|b| row.p99_ns < b.p99_ns) {
-                best[mi] = Some(row);
-            }
-        }
-    }
-    rows.extend(best.into_iter().flatten());
-    let mut json =
-        format!(
-        "{{\n  \"bench\": \"netbench-pinned\",\n  \"git_rev\": {:?},\n  \"hostname\": {:?},\n  \
-         \"scenario\": {{ \"backend\": \"mp-server\", \
-         \"shards\": {}, \"connections\": {}, \"pipeline\": {}, \"keys\": {}, \"theta\": {}, \
-         \"open_loop_rate\": {OPEN_RATE}, \"open_loop_trials\": {OPEN_TRIALS}, \"seed\": {} \
-         }},\n  \"rows\": [\n",
-        mpsync_telemetry::meta::git_revision(),
-        mpsync_telemetry::meta::hostname(),
-        pinned.shards, pinned.connections, pinned.pipeline, pinned.keys, pinned.theta, pinned.seed,
-    );
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"model\": \"{}\", \"loop\": \"{}\", \"acked\": {}, \
-             \"throughput_ops_s\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {} }}{}\n",
-            r.model,
-            r.loop_kind,
-            r.acked,
-            r.throughput,
-            r.p50_ns,
-            r.p99_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&opts.bench_json, &json)
-        .map_err(|e| format!("write {}: {e}", opts.bench_json.display()))?;
-    println!("pinned suite written to {}", opts.bench_json.display());
-    if opts.gate {
-        // The acceptance metric: at a fixed open-loop arrival rate, the
-        // reactor's tail must not regress past the threaded server's.
-        // Self-normalized — both models measured on this host in this run,
-        // so host speed cancels out of the ratio.
-        let p99_of = |model: &str| {
-            rows.iter()
-                .find(|r| r.model == model && r.loop_kind == "open")
-                .map(|r| r.p99_ns)
-        };
-        match (p99_of("thread"), p99_of("reactor")) {
-            (Some(thread), Some(reactor)) => {
-                let limit = thread + (thread * 15) / 100;
-                if reactor > limit {
-                    return Err(format!(
-                        "gate: reactor open-loop p99 {reactor} ns exceeds thread p99 \
-                         {thread} ns by more than 15% (limit {limit} ns)"
-                    ));
-                }
-                println!(
-                    "gate ok: open-loop reactor p99 {reactor} ns ≤ thread p99 {thread} ns + 15% ({limit} ns)"
-                );
-            }
-            _ => {
-                if cfg!(target_os = "linux") {
-                    return Err("gate: pinned suite missing an open-loop row".into());
-                }
-                println!("gate skipped: reactor model unavailable on this platform");
-            }
-        }
-    }
-    Ok(())
-}
-
 // --------------------------------------------------------- adaptive sweep
 
-/// The contention ladder behind `BENCH_adaptive.json`: closed loop, thread
-/// model, counter workload, 2 shards — only offered load and key skew move.
+/// The contention ladder behind `BENCH_adaptive.json`: closed loop, counter
+/// workload, 2 shards — only offered load and key skew move.
 /// Ops-per-connection shrinks as connections grow so every cell costs
 /// similar wall-clock. Fields: (name, connections, pipeline, keys, theta,
 /// ops per connection).
@@ -1838,11 +1645,7 @@ const SWEEP_ATTEMPTS: usize = 3;
 /// backend at both ends of the ladder (the whole point of switching is
 /// that no single fixed backend wins both extremes).
 fn run_adaptive_sweep(opts: &Opts) -> Result<(), String> {
-    let path = if opts.bench_json == std::path::Path::new("BENCH_net.json") {
-        std::path::PathBuf::from("BENCH_adaptive.json")
-    } else {
-        opts.bench_json.clone()
-    };
+    let path = &opts.bench_json;
     let backends: Vec<Backend> = SWEEP_FIXED
         .iter()
         .copied()
@@ -1868,7 +1671,7 @@ fn run_adaptive_sweep(opts: &Opts) -> Result<(), String> {
         for attempt in 0..attempts {
             for _trial in 0..SWEEP_TRIALS {
                 for (bi, &backend) in backends.iter().enumerate() {
-                    let row = run_bench(&level, backend, ServerModel::ThreadPerConn)?;
+                    let row = run_bench(&level, backend)?;
                     if best[bi]
                         .as_ref()
                         .is_none_or(|b| row.throughput > b.throughput)
@@ -1923,7 +1726,7 @@ fn run_adaptive_sweep(opts: &Opts) -> Result<(), String> {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(&path, &json).map_err(|e| format!("write {}: {e}", path.display()))?;
+    std::fs::write(path, &json).map_err(|e| format!("write {}: {e}", path.display()))?;
     println!("adaptive sweep written to {}", path.display());
     if opts.gate {
         for (li, (name, rows)) in levels.iter().enumerate() {
@@ -1976,15 +1779,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if opts.pinned {
-        return match run_pinned(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("netbench: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     if opts.adaptive_sweep {
         return match run_adaptive_sweep(&opts) {
             Ok(()) => ExitCode::SUCCESS,
@@ -1995,7 +1789,7 @@ fn main() -> ExitCode {
         };
     }
     if opts.listen.is_some() {
-        return match run_listen(&opts, opts.backends[0], opts.models[0]) {
+        return match run_listen(&opts, opts.backends[0]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("netbench: {e}");
@@ -2005,18 +1799,16 @@ fn main() -> ExitCode {
     }
     let mut failed = false;
     for &backend in &opts.backends {
-        for &model in &opts.models {
-            let res = if opts.smoke && opts.workload.is_app() {
-                run_apps_smoke(&opts, backend, model)
-            } else if opts.smoke {
-                run_smoke(&opts, backend, model)
-            } else {
-                run_bench(&opts, backend, model).map(|_| ())
-            };
-            if let Err(e) = res {
-                eprintln!("netbench: {e}");
-                failed = true;
-            }
+        let res = if opts.smoke && opts.workload.is_app() {
+            run_apps_smoke(&opts, backend)
+        } else if opts.smoke {
+            run_smoke(&opts, backend)
+        } else {
+            run_bench(&opts, backend).map(|_| ())
+        };
+        if let Err(e) = res {
+            eprintln!("netbench: {e}");
+            failed = true;
         }
     }
     if failed {

@@ -1021,27 +1021,6 @@ impl FrameReader {
     }
 }
 
-/// A decoder a serving loop pulls fully-received frames from: both server
-/// models drive the same serve function, one over a [`FrameReader`], the
-/// other over a [`FrameBuf`].
-pub(crate) trait FrameSource {
-    /// The next complete frame, `Ok(None)` if more bytes are needed, or a
-    /// typed error if the stream is malformed.
-    fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError>;
-}
-
-impl FrameSource for FrameReader {
-    fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
-        FrameReader::next_frame(self)
-    }
-}
-
-impl FrameSource for FrameBuf {
-    fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
-        FrameBuf::next_frame(self)
-    }
-}
-
 /// A fixed-capacity sliding-window frame decoder for non-blocking I/O.
 ///
 /// Where [`FrameReader`] copies each read into a growable `Vec`, `FrameBuf`
@@ -1049,8 +1028,7 @@ impl FrameSource for FrameBuf {
 /// [`FrameBuf::spare`], the caller [`FrameBuf::commit`]s the byte count, and
 /// [`FrameBuf::next_frame`] decodes in place from the window. Consumed bytes
 /// are reclaimed by `memmove` compaction only when the tail fills — at steady
-/// state a connection performs zero heap allocations per request, which is
-/// what lets the reactor's serve loop be allocation-free.
+/// state decoding performs zero heap allocations per request.
 ///
 /// Capacity is at least one maximal frame plus its prefix (rounded up to a
 /// power of two, floor 16 KiB), so a valid partial frame always has room to

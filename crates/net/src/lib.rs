@@ -10,28 +10,29 @@
 //! keyed-dispatch semantics a local session gets — per-key FIFO order,
 //! bounded shard windows, and explicit backpressure.
 //!
-//! Layer map (two selectable serving models, [`ServerModel`]):
+//! Layer map:
 //!
 //! ```text
 //!   NetClient ── frames over TCP/UDS ──▶ NetServer
-//!                     ┌─────────────────────┴──────────────────────┐
-//!          ThreadPerConn (1 thread/conn)        Reactor (1 pinned thread/shard)
-//!              │ read everything buffered           │ epoll + steer-by-key
-//!              └──────────────┐      ┌──────────────┘
-//!                             ▼      ▼
-//!              one serve function: decode a run, validate,
-//!              Session::submit_batch_with (reactor: idle = tick shard),
-//!              encode replies in request order
-//!              │ sharded delegation                 │ same-core execution
-//!              ▼                                    ▼
-//!      MP-SERVER / HYBCOMB / CC-SYNCH / lock   externally-driven MP-SERVER
+//!                                          │ one acceptor thread per listener
+//!                                          ▼
+//!                           one thread per connection (net-conn-<id>):
+//!                           read everything buffered, decode a run,
+//!                           validate, Session::submit_batch,
+//!                           encode replies in request order, one write
+//!                                          │ sharded delegation
+//!                                          ▼
+//!                           MP-SERVER / HYBCOMB / CC-SYNCH / lock
+//!                           (externally driven shards: net-pump-<i>)
 //! ```
 //!
-//! The reactor model (Linux-only) steers each connection to the reactor
-//! whose shard owns its first key, then reads, decodes (in place), executes
-//! (by ticking the shard executor on the same thread), and flushes (one
-//! `writev`) without the request ever crossing a core — and without heap
-//! allocation at steady state.
+//! The serving model is thread-per-connection, and only that: a connection
+//! thread blocks in `read` with a [`ServerConfig::poll_interval`] timeout
+//! (how soon it notices shutdown), so client-side pipelining turns straight
+//! into per-shard batches at one cross-thread handoff per shard per turn.
+//! An epoll reactor per shard was measured against it and lost (ROADMAP,
+//! "Negative results"); the single event loop the cluster already runs is
+//! where a many-connection model would come from.
 //!
 //! Properties the tests pin down:
 //!
@@ -59,16 +60,13 @@
 pub mod frame;
 
 mod client;
-#[cfg(target_os = "linux")]
-mod reactor;
 mod server;
 #[cfg(target_os = "linux")]
 mod sys;
 
 pub use client::{AdminClient, Backoff, ClientError, ClientReceiver, ClientSender, NetClient};
 pub use server::{
-    DrainReport, NetServer, ServerBuilder, ServerConfig, ServerModel, Service,
-    STAT_SNAPSHOT_VERSION,
+    DrainReport, NetServer, ServerBuilder, ServerConfig, Service, STAT_SNAPSHOT_VERSION,
 };
 #[cfg(target_os = "linux")]
 pub use sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};

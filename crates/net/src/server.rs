@@ -8,9 +8,8 @@
 //!
 //! 1. **coalesce** — decode every fully-received request buffered so far
 //!    (bounded by [`ServerConfig::max_coalesce`]), submit the ops among
-//!    them to the session as one batch ([`Serving::serve`], the serve
-//!    function both server models share), and append the responses, in
-//!    request order, to one write buffer;
+//!    them to the session as one batch ([`Serving::serve`]), and append the
+//!    responses, in request order, to one write buffer;
 //! 2. **flush** — write the whole response batch with a single
 //!    `write_all`, so pipelined clients pay one syscall per batch instead
 //!    of one per op.
@@ -49,33 +48,27 @@ use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
 
 use crate::frame::{
-    reject, stat_kind, trace_word, FrameError, FrameReader, FrameSource, Request, Response,
-    StatReply, Status, Wire,
+    reject, stat_kind, trace_word, FrameError, FrameReader, Request, Response, StatReply, Status,
+    Wire,
 };
 
 /// Anything that can hand out runtime [`Session`]s — the server's only
 /// coupling to the layer below. Implemented by [`Runtime`] itself and by
 /// the ready-made sharded objects.
 ///
-/// The three sharding-aware methods have degenerate defaults (one shard,
-/// nothing to steer, no external drive) so existing single-shard services
-/// keep working; the [`ServerModel::Reactor`] server uses them to size its
-/// reactor pool, steer connections to the shard that owns their keys, and —
-/// with [`RuntimeConfig::with_external_drive`](mpsync_runtime::RuntimeConfig)
-/// — execute each shard inside the reactor thread that reads its sockets.
+/// The two sharding-aware methods have degenerate defaults (one shard, no
+/// external drive) so existing single-shard services keep working; the
+/// server uses them to find the shards of a runtime built
+/// [`with_external_drive`](mpsync_runtime::RuntimeConfig::with_external_drive)
+/// and tick them from fallback pump threads, since no connection thread
+/// owns a shard.
 pub trait Service: Send + Sync {
-    /// Opens one session; called once per accepted connection
-    /// (thread-per-connection) or once per reactor (reactor model).
+    /// Opens one session; called once per accepted connection.
     fn open_session(&self) -> Result<Session, RuntimeError>;
 
-    /// Number of delegation shards (sizes the reactor pool).
+    /// Number of delegation shards.
     fn shards(&self) -> usize {
         1
-    }
-
-    /// The shard that owns `key` — the reactor steering target.
-    fn shard_of(&self, _key: u64) -> usize {
-        0
     }
 
     /// Hands out `shard`'s externally-driven executor, at most once per
@@ -106,10 +99,6 @@ where
         self.config().shards
     }
 
-    fn shard_of(&self, key: u64) -> usize {
-        Runtime::shard_of(self, key)
-    }
-
     fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
         Runtime::take_driver(self, shard)
     }
@@ -126,10 +115,6 @@ impl Service for mpsync_runtime::ShardedKvStore {
 
     fn shards(&self) -> usize {
         mpsync_runtime::ShardedKvStore::shards(self)
-    }
-
-    fn shard_of(&self, key: u64) -> usize {
-        mpsync_runtime::ShardedKvStore::shard_of(self, key)
     }
 
     fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
@@ -150,10 +135,6 @@ impl Service for mpsync_runtime::ShardedCounter {
         mpsync_runtime::ShardedCounter::shards(self)
     }
 
-    fn shard_of(&self, key: u64) -> usize {
-        mpsync_runtime::ShardedCounter::shard_of(self, key)
-    }
-
     fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
         mpsync_runtime::ShardedCounter::take_driver(self, shard)
     }
@@ -172,10 +153,6 @@ impl Service for mpsync_apps::AppSuite {
         mpsync_apps::AppSuite::shards(self)
     }
 
-    fn shard_of(&self, key: u64) -> usize {
-        mpsync_apps::AppSuite::shard_of(self, key)
-    }
-
     fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
         mpsync_apps::AppSuite::take_driver(self, shard)
     }
@@ -183,22 +160,6 @@ impl Service for mpsync_apps::AppSuite {
     fn runtime_stats_json(&self) -> Option<String> {
         Some(self.stats().to_json())
     }
-}
-
-/// Which serving architecture a [`NetServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerModel {
-    /// One OS thread per accepted connection, each owning one session.
-    /// Simple, portable, fine up to a few hundred connections.
-    #[default]
-    ThreadPerConn,
-    /// One pinned reactor thread per runtime shard, each owning an epoll
-    /// set, a session, and (with external drive) its shard's executor.
-    /// Connections are steered to the reactor whose shard owns their first
-    /// key, so a request is read, executed, and answered on one core with
-    /// no cross-core handoff. Linux-only; scales to tens of thousands of
-    /// connections.
-    Reactor,
 }
 
 /// Tuning knobs for a [`NetServer`].
@@ -221,12 +182,6 @@ pub struct ServerConfig {
     /// After the drain's FIN, how long to keep reading (and discarding) so
     /// a still-sending peer receives its final acks instead of a reset.
     pub drain_grace: Duration,
-    /// Which serving architecture to run (see [`ServerModel`]).
-    pub model: ServerModel,
-    /// Reactor model only: pin each reactor thread to a core
-    /// (`reactor index mod available cores`). Best-effort — pinning
-    /// failures are ignored.
-    pub pin_reactors: bool,
 }
 
 impl Default for ServerConfig {
@@ -237,8 +192,6 @@ impl Default for ServerConfig {
             max_coalesce: 64,
             poll_interval: Duration::from_millis(10),
             drain_grace: Duration::from_millis(200),
-            model: ServerModel::default(),
-            pin_reactors: true,
         }
     }
 }
@@ -262,35 +215,21 @@ impl ServerConfig {
         self.max_coalesce = max_coalesce.max(1);
         self
     }
-
-    /// Picks the serving architecture.
-    pub fn with_model(mut self, model: ServerModel) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Enables or disables best-effort reactor core pinning.
-    pub fn with_pin_reactors(mut self, pin: bool) -> Self {
-        self.pin_reactors = pin;
-        self
-    }
 }
 
 /// Always-on serving counters (independent of the `telemetry` feature).
 #[derive(Debug, Default)]
-pub(crate) struct NetStatsInner {
-    pub(crate) connections: AtomicU64,
-    pub(crate) refused_sessions: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) acked: AtomicU64,
-    pub(crate) busy: AtomicU64,
-    pub(crate) closed_responses: AtomicU64,
-    pub(crate) bad_requests: AtomicU64,
-    pub(crate) protocol_errors: AtomicU64,
-    pub(crate) disconnects: AtomicU64,
-    pub(crate) drained: AtomicU64,
-    pub(crate) migrations: AtomicU64,
-    pub(crate) serve_allocs: AtomicU64,
+struct NetStatsInner {
+    connections: AtomicU64,
+    refused_sessions: AtomicU64,
+    requests: AtomicU64,
+    acked: AtomicU64,
+    busy: AtomicU64,
+    closed_responses: AtomicU64,
+    bad_requests: AtomicU64,
+    protocol_errors: AtomicU64,
+    disconnects: AtomicU64,
+    drained: AtomicU64,
 }
 
 /// Snapshot of a server's counters; what [`NetServer::shutdown`] returns.
@@ -298,8 +237,9 @@ pub(crate) struct NetStatsInner {
 pub struct DrainReport {
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
-    /// Connections turned away because the runtime's session budget was
-    /// exhausted (closed before any byte was exchanged).
+    /// Accepted connections closed before any byte was exchanged: the
+    /// runtime's session budget was exhausted, or the OS refused a thread
+    /// to serve the connection.
     pub refused_sessions: u64,
     /// Op requests decoded and dispatched.
     pub requests: u64,
@@ -319,13 +259,6 @@ pub struct DrainReport {
     pub disconnects: u64,
     /// Requests answered during the graceful drain window.
     pub drained: u64,
-    /// Connections migrated between reactors by key steering (always 0
-    /// under [`ServerModel::ThreadPerConn`]).
-    pub migrated: u64,
-    /// Heap allocations observed inside reactor serve iterations after
-    /// warm-up (always 0 under [`ServerModel::ThreadPerConn`]; the reactor
-    /// wire path is designed to keep this at 0 in steady state).
-    pub serve_allocs: u64,
 }
 
 impl NetStatsInner {
@@ -341,8 +274,6 @@ impl NetStatsInner {
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             disconnects: self.disconnects.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
-            migrated: self.migrations.load(Ordering::Relaxed),
-            serve_allocs: self.serve_allocs.load(Ordering::Relaxed),
         }
     }
 }
@@ -352,7 +283,7 @@ impl DrainReport {
     /// `"server"` object of the admin snapshot.
     pub fn to_json(&self) -> String {
         format!(
-            "{{ \"connections\": {}, \"refused_sessions\": {}, \"requests\": {}, \"acked\": {}, \"busy\": {}, \"closed_responses\": {}, \"bad_requests\": {}, \"protocol_errors\": {}, \"disconnects\": {}, \"drained\": {}, \"migrated\": {}, \"serve_allocs\": {} }}",
+            "{{ \"connections\": {}, \"refused_sessions\": {}, \"requests\": {}, \"acked\": {}, \"busy\": {}, \"closed_responses\": {}, \"bad_requests\": {}, \"protocol_errors\": {}, \"disconnects\": {}, \"drained\": {} }}",
             self.connections,
             self.refused_sessions,
             self.requests,
@@ -362,9 +293,7 @@ impl DrainReport {
             self.bad_requests,
             self.protocol_errors,
             self.disconnects,
-            self.drained,
-            self.migrated,
-            self.serve_allocs
+            self.drained
         )
     }
 }
@@ -373,7 +302,7 @@ impl std::fmt::Display for DrainReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "connections={} refused={} requests={} acked={} busy={} closed={} bad={} proto_err={} disconnects={} drained={} migrated={} serve_allocs={}",
+            "connections={} refused={} requests={} acked={} busy={} closed={} bad={} proto_err={} disconnects={} drained={}",
             self.connections,
             self.refused_sessions,
             self.requests,
@@ -383,15 +312,13 @@ impl std::fmt::Display for DrainReport {
             self.bad_requests,
             self.protocol_errors,
             self.disconnects,
-            self.drained,
-            self.migrated,
-            self.serve_allocs
+            self.drained
         )
     }
 }
 
 /// One accepted transport stream (TCP or Unix-domain).
-pub(crate) enum Sock {
+enum Sock {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
@@ -406,24 +333,7 @@ impl Sock {
         }
     }
 
-    pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            Sock::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> std::os::fd::RawFd {
-        use std::os::fd::AsRawFd;
-        match self {
-            Sock::Tcp(s) => s.as_raw_fd(),
-            Sock::Unix(s) => s.as_raw_fd(),
-        }
-    }
-
-    pub(crate) fn shutdown_write(&self) {
+    fn shutdown_write(&self) {
         let _ = match self {
             Sock::Tcp(s) => s.shutdown(Shutdown::Write),
             #[cfg(unix)]
@@ -451,16 +361,6 @@ impl Write for Sock {
         }
     }
 
-    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        // Delegate so the reactor's gathered flushes really are one writev
-        // syscall (the trait default would write only the first buffer).
-        match self {
-            Sock::Tcp(s) => s.write_vectored(bufs),
-            #[cfg(unix)]
-            Sock::Unix(s) => s.write_vectored(bufs),
-        }
-    }
-
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Sock::Tcp(s) => s.flush(),
@@ -470,23 +370,14 @@ impl Write for Sock {
     }
 }
 
-pub(crate) struct Shared {
-    pub(crate) service: Arc<dyn Service>,
-    pub(crate) cfg: ServerConfig,
-    pub(crate) stop: AtomicBool,
-    pub(crate) stats: NetStatsInner,
-    pub(crate) conn_seq: AtomicU64,
-    pub(crate) conns: Mutex<Vec<JoinHandle<()>>>,
-    /// Count of reactors done draining; the shutdown barrier that keeps a
-    /// finished reactor ticking its shard while peers still answer requests.
-    pub(crate) reactors_drained: std::sync::atomic::AtomicUsize,
+struct Shared {
+    service: Arc<dyn Service>,
+    cfg: ServerConfig,
+    stop: AtomicBool,
+    stats: NetStatsInner,
+    conn_seq: AtomicU64,
+    conns: Mutex<Vec<JoinHandle<()>>>,
 }
-
-/// The per-reactor mailbox handles the acceptors round-robin over.
-#[cfg(target_os = "linux")]
-type Inboxes = Vec<Arc<crate::reactor::ReactorShared>>;
-#[cfg(not(target_os = "linux"))]
-type Inboxes = Vec<std::convert::Infallible>;
 
 /// Builder for a [`NetServer`]: pick a service, optionally tune the
 /// [`ServerConfig`], and bind one or more listeners.
@@ -521,9 +412,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Binds every listener and starts the accept threads plus, depending
-    /// on [`ServerConfig::model`], the reactor pool or (for an externally
-    /// driven service under the thread model) fallback driver pumps.
+    /// Binds every listener and starts the accept threads plus, for an
+    /// externally driven service, fallback driver pumps.
     pub fn start(self) -> io::Result<NetServer> {
         if self.tcp.is_empty() && self.uds.is_empty() {
             return Err(io::Error::new(
@@ -541,94 +431,40 @@ impl ServerBuilder {
             stats: NetStatsInner::default(),
             conn_seq: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
-            reactors_drained: std::sync::atomic::AtomicUsize::new(0),
         });
 
-        // Reactor pool first: every fallible per-reactor resource (epoll
-        // set, eventfd, session) is created here so start() fails cleanly
-        // instead of a reactor thread dying half-set-up.
-        let mut reactors: Vec<JoinHandle<()>> = Vec::new();
-        let mut reactor_inboxes: Inboxes = Vec::new();
-        if shared.cfg.model == ServerModel::Reactor {
-            #[cfg(target_os = "linux")]
-            {
-                let n = shared.service.shards().max(1);
-                let mut inboxes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    inboxes.push(Arc::new(crate::reactor::ReactorShared::new()?));
-                }
-                let mut setups = Vec::with_capacity(n);
-                for (i, inbox) in inboxes.iter().enumerate() {
-                    let epoll = crate::sys::Epoll::new()?;
-                    epoll.add(
-                        inbox.wake_fd(),
-                        crate::sys::EPOLLIN,
-                        crate::reactor::WAKE_TOKEN,
-                    )?;
-                    let session = shared.service.open_session().map_err(|e| {
-                        io::Error::other(format!("reactor {i} session open failed: {e}"))
-                    })?;
-                    let driver = shared.service.take_driver(i);
-                    setups.push((epoll, session, driver));
-                }
-                for (i, (epoll, session, driver)) in setups.into_iter().enumerate() {
-                    let shared2 = Arc::clone(&shared);
-                    let peers = inboxes.clone();
-                    reactors.push(
-                        std::thread::Builder::new()
-                            .name(format!("net-reactor-{i}"))
-                            .spawn(move || {
-                                crate::reactor::run_reactor(
-                                    i, n, &shared2, &peers, epoll, session, driver,
-                                )
-                            })?,
-                    );
-                }
-                reactor_inboxes = inboxes;
-            }
-            #[cfg(not(target_os = "linux"))]
-            return Err(io::Error::new(
-                ErrorKind::Unsupported,
-                "ServerModel::Reactor requires Linux (epoll)",
-            ));
-        }
-
-        // Thread-per-connection over an externally driven service: nobody
-        // else ticks the shard executors, so every submit would hang. Pump
-        // threads are the correctness fallback (not a perf path).
+        // An externally driven service: no connection thread owns a shard,
+        // so nobody else ticks the shard executors and every submit would
+        // hang. Pump threads are the correctness fallback (not a perf path).
         let pump_stop = Arc::new(AtomicBool::new(false));
         let mut pumps = Vec::new();
-        if shared.cfg.model == ServerModel::ThreadPerConn {
-            for i in 0..shared.service.shards() {
-                if let Some(mut driver) = shared.service.take_driver(i) {
-                    let stop = Arc::clone(&pump_stop);
-                    pumps.push(
-                        std::thread::Builder::new()
-                            .name(format!("net-pump-{i}"))
-                            .spawn(move || loop {
-                                if driver.tick() == 0 {
-                                    if stop.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    std::thread::sleep(Duration::from_micros(50));
+        for i in 0..shared.service.shards() {
+            if let Some(mut driver) = shared.service.take_driver(i) {
+                let stop = Arc::clone(&pump_stop);
+                pumps.push(
+                    std::thread::Builder::new()
+                        .name(format!("net-pump-{i}"))
+                        .spawn(move || loop {
+                            if driver.tick() == 0 {
+                                if stop.load(Ordering::Acquire) {
+                                    break;
                                 }
-                            })?,
-                    );
-                }
+                                std::thread::sleep(Duration::from_micros(50));
+                            }
+                        })?,
+                );
             }
         }
 
         let mut accepters = Vec::new();
+        let acceptor = |i: usize| std::thread::Builder::new().name(format!("net-accept-{i}"));
         let mut tcp_addrs = Vec::new();
         for addr in self.tcp {
             let listener = TcpListener::bind(addr)?;
             listener.set_nonblocking(true)?;
             tcp_addrs.push(listener.local_addr()?);
             let shared = Arc::clone(&shared);
-            let inboxes = reactor_inboxes.clone();
-            accepters.push(std::thread::spawn(move || {
-                accept_tcp(listener, &shared, &inboxes)
-            }));
+            accepters.push(acceptor(accepters.len()).spawn(move || accept_tcp(listener, &shared))?);
         }
         let mut uds_paths = Vec::new();
         #[cfg(unix)]
@@ -637,17 +473,13 @@ impl ServerBuilder {
             listener.set_nonblocking(true)?;
             uds_paths.push(path);
             let shared = Arc::clone(&shared);
-            let inboxes = reactor_inboxes.clone();
-            accepters.push(std::thread::spawn(move || {
-                accept_uds(listener, &shared, &inboxes)
-            }));
+            accepters.push(acceptor(accepters.len()).spawn(move || accept_uds(listener, &shared))?);
         }
         #[cfg(not(unix))]
         let _ = &mut uds_paths;
         Ok(NetServer {
             shared,
             accepters,
-            reactors,
             pumps,
             pump_stop,
             tcp_addrs,
@@ -678,7 +510,6 @@ impl ServerBuilder {
 pub struct NetServer {
     shared: Arc<Shared>,
     accepters: Vec<JoinHandle<()>>,
-    reactors: Vec<JoinHandle<()>>,
     pumps: Vec<JoinHandle<()>>,
     pump_stop: Arc<AtomicBool>,
     tcp_addrs: Vec<SocketAddr>,
@@ -739,17 +570,6 @@ impl NetServer {
         for a in self.accepters.drain(..) {
             let _ = a.join();
         }
-        // Reactors drain their own connections (answer, flush, FIN) before
-        // exiting; each holds its shard at the drain barrier until all have
-        // finished, so cross-shard submits stay serviceable throughout.
-        for r in self.reactors.drain(..) {
-            if r.join().is_err() {
-                self.shared
-                    .stats
-                    .disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conn registry"));
         for c in conns {
             if c.join().is_err() {
@@ -786,60 +606,37 @@ impl Drop for NetServer {
     }
 }
 
-fn accept_tcp(listener: TcpListener, shared: &Arc<Shared>, inboxes: &Inboxes) {
-    accept_loop(shared, inboxes, || match listener.accept() {
-        Ok((stream, _)) => {
+fn accept_tcp(listener: TcpListener, shared: &Arc<Shared>) {
+    accept_loop(shared, || {
+        listener.accept().map(|(stream, _)| {
             let _ = stream.set_nodelay(true);
-            Some(Ok(Sock::Tcp(stream)))
-        }
-        Err(e) => Some(Err(e)),
+            Sock::Tcp(stream)
+        })
     });
 }
 
 #[cfg(unix)]
-fn accept_uds(listener: UnixListener, shared: &Arc<Shared>, inboxes: &Inboxes) {
-    accept_loop(shared, inboxes, || match listener.accept() {
-        Ok((stream, _)) => Some(Ok(Sock::Unix(stream))),
-        Err(e) => Some(Err(e)),
+fn accept_uds(listener: UnixListener, shared: &Arc<Shared>) {
+    accept_loop(shared, || {
+        listener.accept().map(|(stream, _)| Sock::Unix(stream))
     });
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    inboxes: &Inboxes,
-    mut accept: impl FnMut() -> Option<io::Result<Sock>>,
-) {
-    // Reactor model: new connections go round-robin to the reactor pool;
-    // the first decoded request then migrates each to its key's shard.
-    let mut rr = 0usize;
+fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> io::Result<Sock>) {
     while !shared.stop.load(Ordering::SeqCst) {
         match accept() {
-            Some(Ok(sock)) => {
-                if inboxes.is_empty() {
-                    spawn_conn(shared, sock);
-                } else {
-                    #[cfg(target_os = "linux")]
-                    {
-                        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                        telemetry::count(Counter::NetConnections, 1);
-                        inboxes[rr % inboxes.len()].inject(crate::reactor::Migrant::Fresh(sock));
-                        rr += 1;
-                    }
-                }
-            }
-            Some(Err(e)) if e.kind() == ErrorKind::WouldBlock => {
+            Ok(sock) => spawn_conn(shared, sock),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            Some(Err(e)) if e.kind() == ErrorKind::Interrupted => {}
-            Some(Err(_)) => {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => {
                 // Transient accept failure (e.g. EMFILE): back off briefly
                 // rather than spinning; the listener itself stays up.
                 std::thread::sleep(Duration::from_millis(5));
             }
-            None => break,
         }
     }
-    let _ = rr;
 }
 
 fn spawn_conn(shared: &Arc<Shared>, sock: Sock) {
@@ -847,7 +644,22 @@ fn spawn_conn(shared: &Arc<Shared>, sock: Sock) {
     telemetry::count(Counter::NetConnections, 1);
     let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
     let shared2 = Arc::clone(shared);
-    let handle = std::thread::spawn(move || serve_conn(&shared2, sock, conn_id));
+    let spawned = std::thread::Builder::new()
+        .name(format!("net-conn-{conn_id}"))
+        .spawn(move || serve_conn(&shared2, sock, conn_id));
+    let handle = match spawned {
+        Ok(handle) => handle,
+        Err(_) => {
+            // No thread to serve it (e.g. EAGAIN at the thread limit): the
+            // failed spawn dropped the closure, closing the socket before
+            // any byte was exchanged — a refusal, and the acceptor lives on.
+            shared
+                .stats
+                .refused_sessions
+                .fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+    };
     let mut conns = shared.conns.lock().expect("conn registry");
     // Reap finished threads so a long-lived server's registry stays
     // proportional to its *live* connections, not its lifetime total.
@@ -865,7 +677,7 @@ fn spawn_conn(shared: &Arc<Shared>, sock: Sock) {
 }
 
 /// How one connection ended; drives the per-connection accounting.
-pub(crate) enum ConnEnd {
+enum ConnEnd {
     /// Peer closed cleanly (FIN) or the drain completed.
     Clean,
     /// Framing was lost; the connection cannot continue.
@@ -929,11 +741,8 @@ fn drive_conn(shared: &Shared, sock: &mut Sock, conn_id: u64) -> ConnEnd {
                 conn_id,
                 &mut reader,
                 &mut wbuf,
-                None,
                 cfg.max_coalesce,
-                false,
                 draining,
-                || {},
             );
             // On a framing error this is best effort: deliver the responses
             // we owe before abandoning the unframeable stream.
@@ -1007,13 +816,13 @@ fn slurp_received(sock: &mut Sock, reader: &mut FrameReader, rbuf: &mut [u8]) {
 
 /// The admin snapshot version; bump when the JSON shape changes
 /// incompatibly (key removal or meaning change — adding keys is fine).
-pub const STAT_SNAPSHOT_VERSION: u32 = 1;
+pub const STAT_SNAPSHOT_VERSION: u32 = 2;
 
 /// Builds the versioned admin snapshot (`stat_kind::SNAPSHOT`) for a
 /// single-node server: always-on wire counters, the runtime's per-shard
 /// stats, the telemetry report (empty with the feature off), and the
 /// flight-recorder dump (always on).
-pub(crate) fn snapshot_json(shared: &Shared) -> String {
+fn snapshot_json(shared: &Shared) -> String {
     let runtime = shared
         .service
         .runtime_stats_json()
@@ -1030,7 +839,7 @@ pub(crate) fn snapshot_json(shared: &Shared) -> String {
 /// The payload a `Stat` request of `kind` gets from this server. Unknown
 /// kinds fall back to the snapshot, so an older node still answers a
 /// newer scraper with something parseable.
-pub(crate) fn stat_payload(shared: &Shared, kind: u8) -> Vec<u8> {
+fn stat_payload(shared: &Shared, kind: u8) -> Vec<u8> {
     match kind {
         stat_kind::SPANS => crate::frame::encode_spans(&telemetry::drain_spans()),
         _ => snapshot_json(shared).into_bytes(),
@@ -1042,22 +851,19 @@ pub(crate) fn stat_payload(shared: &Shared, kind: u8) -> Vec<u8> {
 const RUN_MAX: usize = 64;
 
 /// How a [`Serving::serve`] call ended.
-pub(crate) enum ServeEnd {
+enum ServeEnd {
     /// The decoder holds no further complete request.
     Dry,
     /// `limit` requests were answered; more may be buffered.
     Limit,
-    /// The first `Op` request of the connection, decoded but not answered
-    /// (see `hold_first_op`).
-    Held(Request),
     /// Framing was lost. Everything decoded before it has been answered.
     Protocol(FrameError),
 }
 
-/// What one serving thread owns to answer requests: its runtime session,
-/// and scratch for one run — allocated once, so the serve path allocates
-/// nothing per request.
-pub(crate) struct Serving {
+/// What one connection thread owns to answer requests: its runtime
+/// session, and scratch for one run — allocated once, so the serve path
+/// allocates nothing per request.
+struct Serving {
     session: Session,
     /// The run: consecutive decoded requests, in arrival order.
     reqs: Vec<Request>,
@@ -1068,7 +874,7 @@ pub(crate) struct Serving {
 }
 
 impl Serving {
-    pub(crate) fn new(session: Session, cfg: &ServerConfig) -> Self {
+    fn new(session: Session, cfg: &ServerConfig) -> Self {
         let run = cfg.max_coalesce.min(RUN_MAX);
         Self {
             session,
@@ -1078,37 +884,23 @@ impl Serving {
         }
     }
 
-    /// The serve function of both server models: answers up to `limit`
-    /// fully-received requests from `rx` (serving `first`, an already
-    /// decoded one, before touching `rx`) into `wbuf`, and returns how many
-    /// it answered and why it stopped.
+    /// Answers up to `limit` fully-received requests from `rx` into `wbuf`,
+    /// and returns how many it answered and why it stopped.
     ///
     /// Requests are taken a *run* at a time: decode what is there, submit
-    /// the valid ops among it as one [`Session::submit_batch_with`], then
-    /// encode the replies in request order — pings, stats and `BadRequest`s
-    /// in their positions. How much a turn pipelines is thus decided by how
+    /// the valid ops among it as one [`Session::submit_batch`], then encode
+    /// the replies in request order — pings, stats and `BadRequest`s in
+    /// their positions. How much a turn pipelines is thus decided by how
     /// many complete requests the peer had in the buffer, by nothing else:
     /// a run of one is a plain single submit.
-    ///
-    /// `idle` runs on every wait iteration of the submit. The thread model
-    /// passes a no-op; a reactor passes a tick of its own shard executor,
-    /// so reactors submitting to each other's shards can't deadlock.
-    ///
-    /// With `hold_first_op`, the first `Op` request is handed back in
-    /// [`ServeEnd::Held`] instead of being answered (what precedes it is
-    /// answered): the reactor decides the connection's home from its key.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve<R: FrameSource>(
+    fn serve(
         &mut self,
         shared: &Shared,
         conn_id: u64,
-        rx: &mut R,
+        rx: &mut FrameReader,
         wbuf: &mut Vec<u8>,
-        mut first: Option<Request>,
         limit: usize,
-        hold_first_op: bool,
         draining: bool,
-        mut idle: impl FnMut(),
     ) -> (usize, ServeEnd) {
         let t0 = telemetry::now_ns();
         let mut handled = 0usize;
@@ -1117,27 +909,19 @@ impl Serving {
             let room = (limit - handled).min(self.reqs.capacity());
             let mut end = None;
             while self.reqs.len() < room {
-                let req = match first.take() {
-                    Some(req) => req,
-                    None => match rx.next_frame::<Request>() {
-                        Ok(Some(req)) => req,
-                        Ok(None) => {
-                            end = Some(ServeEnd::Dry);
-                            break;
-                        }
-                        Err(e) => {
-                            end = Some(ServeEnd::Protocol(e));
-                            break;
-                        }
-                    },
-                };
-                if hold_first_op && matches!(req, Request::Op { .. }) {
-                    end = Some(ServeEnd::Held(req));
-                    break;
+                match rx.next_frame::<Request>() {
+                    Ok(Some(req)) => self.reqs.push(req),
+                    Ok(None) => {
+                        end = Some(ServeEnd::Dry);
+                        break;
+                    }
+                    Err(e) => {
+                        end = Some(ServeEnd::Protocol(e));
+                        break;
+                    }
                 }
-                self.reqs.push(req);
             }
-            handled += self.answer_run(shared, conn_id, wbuf, draining, &mut idle);
+            handled += self.answer_run(shared, conn_id, wbuf, draining);
             match end {
                 Some(end) => break end,
                 None if handled >= limit => break ServeEnd::Limit,
@@ -1157,7 +941,6 @@ impl Serving {
         conn_id: u64,
         wbuf: &mut Vec<u8>,
         draining: bool,
-        idle: &mut impl FnMut(),
     ) -> usize {
         if self.reqs.is_empty() {
             return 0;
@@ -1190,8 +973,7 @@ impl Serving {
             }
         }
         let t0 = telemetry::now_ns();
-        self.session
-            .submit_batch_with(&self.ops, &mut self.results, idle);
+        self.session.submit_batch(&self.ops, &mut self.results);
         let mut results = self.results.iter();
         for req in &self.reqs {
             let resp = match *req {

@@ -133,7 +133,7 @@ pub struct RuntimeConfig {
     /// does **not** spawn serving threads. Instead each shard's
     /// executor is handed out once as a [`ShardDriver`](crate::ShardDriver)
     /// via [`Runtime::take_driver`](crate::Runtime::take_driver), and some
-    /// external event loop (e.g. an `mpsync-net` reactor) must tick it.
+    /// external event loop (e.g. a cluster node's core thread) must tick it.
     /// Ignored by the inline backends (HybComb / CcSynch / Lock), which
     /// already execute on the submitting thread. A runtime built without it
     /// can still be converted:

@@ -4,14 +4,14 @@
 //! MP-SERVER backend does not spawn `rt-serve-*` threads. Each shard's
 //! [`ShardCore`](crate::shard::ShardCore) is instead handed out exactly once
 //! as a [`ShardDriver`] — a type-erased, `Send` handle whose owner calls
-//! [`ShardDriver::tick`] from its own event loop. This is how `mpsync-net`'s
-//! reactor threads become the paper's servicing cores: the thread that reads
-//! a request off a socket is the same thread that executes it, with no
-//! cross-core handoff in between.
+//! [`ShardDriver::tick`] from its own event loop. This is how a cluster
+//! node's core thread becomes the paper's servicing core: the thread that
+//! reads a request off a socket is the same thread that executes it, with
+//! no cross-core handoff in between.
 //!
 //! **Who ticks.** Nobody but the drivers' owners: a request to an externally
 //! driven shard waits in its queue until that shard's driver is ticked. An
-//! owner that also submits — a reactor to a sibling's shard, a cluster
+//! owner that also submits — an event loop to a sibling's shard, a cluster
 //! node's core thread to its own store — must therefore wait through
 //! [`Session::submit_with`](crate::Session::submit_with) (or another `_with`
 //! form) and tick from the hook, or it waits for itself.

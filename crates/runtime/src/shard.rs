@@ -30,8 +30,8 @@
 //!   clients: a poller on every CPU means each caller runs by preempting one
 //!   (`wire-open`: two pollers on two CPUs cost 98 µs of CPU per operation,
 //!   one costs 71, at a median latency no higher).
-//! * External event loops (an `mpsync-net` reactor, a cluster node's core
-//!   thread) can own a core directly (`drive.rs`) and tick it between I/O
+//! * External event loops (a cluster node's core thread, `mpsync-net`'s
+//!   pump fallback) can own a core directly (`drive.rs`) and tick it between I/O
 //!   events — the request still executes on exactly one core, but that core
 //!   is the same one doing the socket work. A threaded runtime becomes such
 //!   a runtime through [`ShardServers::stop`], which hands the cores back.

@@ -49,7 +49,6 @@
 //! never collide in one stitched trace file; local recorders use
 //! [`local_track`].
 
-pub mod alloc;
 pub mod hist;
 pub mod meta;
 pub mod recorder;
@@ -166,14 +165,10 @@ pub enum Lane {
     Submit = 8,
     /// Words resident in a receive queue, sampled at receive time.
     Occupancy = 9,
-    /// A reactor's readiness wait (epoll or equivalent), when it slept.
-    Poll = 10,
-    /// A reactor flushing buffered responses to a socket.
-    Flush = 11,
 }
 
 impl Lane {
-    pub const ALL: [Lane; 12] = [
+    pub const ALL: [Lane; 10] = [
         Lane::ClientWait,
         Lane::QueueWait,
         Lane::Serve,
@@ -184,8 +179,6 @@ impl Lane {
         Lane::Blocked,
         Lane::Submit,
         Lane::Occupancy,
-        Lane::Poll,
-        Lane::Flush,
     ];
 
     /// Stable lowercase name used in JSON and trace output.
@@ -201,8 +194,6 @@ impl Lane {
             Lane::Blocked => "blocked",
             Lane::Submit => "submit",
             Lane::Occupancy => "occupancy",
-            Lane::Poll => "poll",
-            Lane::Flush => "flush",
         }
     }
 
@@ -250,63 +241,55 @@ pub enum Counter {
     /// Requests acked during a graceful server drain (already-received
     /// requests answered before FIN).
     NetDrainedOps = 15,
-    /// Reactor loop iterations that found work (I/O events, migrated
-    /// connections, or executor requests).
-    NetReactorWakes = 16,
-    /// Non-empty reactor service passes (≥ 1 request handled in one tick).
-    NetReactorBatches = 17,
-    /// Heap allocations observed inside reactor serve passes (only advances
-    /// when the process installs [`alloc::CountingAlloc`]).
-    NetServeAllocs = 18,
     /// Client ops applied locally by a cluster node that owned the slot.
-    ClusterLocalOps = 19,
+    ClusterLocalOps = 16,
     /// Client ops forwarded to the owning node.
-    ClusterForwards = 20,
+    ClusterForwards = 17,
     /// Forwarded/retried ops answered from the dedup table instead of
     /// re-applying (the exactly-once path doing its job).
-    ClusterDedupHits = 21,
+    ClusterDedupHits = 18,
     /// Replication records sent primary → backup.
-    ClusterReplSent = 22,
+    ClusterReplSent = 19,
     /// Replication records applied on a backup.
-    ClusterReplApplied = 23,
+    ClusterReplApplied = 20,
     /// Slot handoffs completed (receiver imported state and took ownership).
-    ClusterHandoffs = 24,
+    ClusterHandoffs = 21,
     /// Backup promotions after a primary was declared dead.
-    ClusterFailovers = 25,
+    ClusterFailovers = 22,
     /// Responses redirecting a client to the owning node.
-    ClusterRedirects = 26,
+    ClusterRedirects = 23,
     /// Read-mostly ops answered from the shard's versioned snapshot
     /// without entering the combiner/server at all.
-    RuntimeFastReads = 27,
+    RuntimeFastReads = 24,
     /// Fast-path read attempts that missed (cold entry or version
     /// conflict) and fell back to delegation.
-    RuntimeFastFallbacks = 28,
+    RuntimeFastFallbacks = 25,
     /// Commutative ops collapsed into a merged apply inside one service
     /// batch (counts the ops elided, not the merged applies).
-    RuntimeMergedOps = 29,
+    RuntimeMergedOps = 26,
     /// Live backend switches performed by adaptive shards.
-    RuntimeSwitches = 30,
+    RuntimeSwitches = 27,
     /// Retries of an already-applied-and-evicted op rejected by the
     /// cluster dedup eviction watermark instead of re-applied.
-    ClusterStaleRetries = 31,
+    ClusterStaleRetries = 28,
     /// Rate-limiter acquire attempts (mpsync-apps).
-    AppRateChecks = 32,
+    AppRateChecks = 29,
     /// Rate-limiter acquires denied for lack of tokens.
-    AppRateDenied = 33,
+    AppRateDenied = 30,
     /// Priority-queue pops that returned a task.
-    AppPqPops = 34,
+    AppPqPops = 31,
     /// Sessions removed by the timer-wheel expiry sweep.
-    AppSessionExpired = 35,
+    AppSessionExpired = 32,
     /// Sessions found expired at access time (lazy TTL check).
-    AppSessionLazyExpired = 36,
+    AppSessionLazyExpired = 33,
     /// Two-phase transfers that committed.
-    AppTxnCommits = 37,
+    AppTxnCommits = 34,
     /// Two-phase transfers aborted at the reserve phase.
-    AppTxnAborts = 38,
+    AppTxnAborts = 35,
 }
 
 impl Counter {
-    pub const ALL: [Counter; 39] = [
+    pub const ALL: [Counter; 36] = [
         Counter::UdnSends,
         Counter::UdnReceives,
         Counter::UdnBlockedSends,
@@ -323,9 +306,6 @@ impl Counter {
         Counter::NetBusy,
         Counter::NetDisconnects,
         Counter::NetDrainedOps,
-        Counter::NetReactorWakes,
-        Counter::NetReactorBatches,
-        Counter::NetServeAllocs,
         Counter::ClusterLocalOps,
         Counter::ClusterForwards,
         Counter::ClusterDedupHits,
@@ -367,9 +347,6 @@ impl Counter {
             Counter::NetBusy => "net.busy",
             Counter::NetDisconnects => "net.disconnects",
             Counter::NetDrainedOps => "net.drained_ops",
-            Counter::NetReactorWakes => "net.reactor_wakes",
-            Counter::NetReactorBatches => "net.reactor_batches",
-            Counter::NetServeAllocs => "net.serve_allocs",
             Counter::ClusterLocalOps => "cluster.local_ops",
             Counter::ClusterForwards => "cluster.forwards",
             Counter::ClusterDedupHits => "cluster.dedup_hits",
@@ -669,8 +646,6 @@ mod tests {
                 "blocked",
                 "submit",
                 "occupancy",
-                "poll",
-                "flush",
             ]
         );
         let counter_names: Vec<_> = Counter::ALL.iter().map(|c| c.name()).collect();
@@ -693,9 +668,6 @@ mod tests {
                 "net.busy",
                 "net.disconnects",
                 "net.drained_ops",
-                "net.reactor_wakes",
-                "net.reactor_batches",
-                "net.serve_allocs",
                 "cluster.local_ops",
                 "cluster.forwards",
                 "cluster.dedup_hits",
@@ -743,7 +715,7 @@ mod tests {
         let before = spans_dropped();
         let t = now_ns();
         for _ in 0..(RING_CAPACITY + 10) {
-            record_span(90_001, Algo::Net, Lane::Flush, t);
+            record_span(90_001, Algo::Net, Lane::Batch, t);
         }
         // At least the 10 beyond-capacity pushes overwrote spans no drain
         // ever observed.

@@ -1,6 +1,6 @@
 //! The flight recorder: an always-on, bounded log of rare structural
 //! events (backend choice, drains, handoff phase transitions,
-//! promotion/demotion, BUSY storms, connection migration).
+//! promotion/demotion, BUSY storms, backend switches, timer expiry).
 //!
 //! Unlike the rest of the crate this module is **not** gated by the
 //! `enabled` feature: the events it records fire at most a few times per
@@ -11,9 +11,7 @@
 //! disabled-telemetry production build needs them most.
 //!
 //! The storage is a const-initialized static array behind a `Mutex`: no
-//! lazy heap allocation ever happens on the recording path, so recording
-//! from inside an allocation-audited region (the reactor's serve pass) does
-//! not perturb its `serve_allocs == 0` gate.
+//! lazy heap allocation ever happens on the recording path.
 //!
 //! Dump paths: [`install_panic_hook`] prints the recorder to stderr when
 //! the process panics; the net/cluster admin endpoints embed
@@ -52,21 +50,18 @@ pub enum FlightKind {
     /// `a` = context (conn id or slot), `b` = occupancy, `c` = how many
     /// BUSY events of this kind have fired so far.
     Busy = 6,
-    /// A connection migrated between reactors/shards: `a` = connection id,
-    /// `b` = source shard, `c` = destination shard.
-    ConnMigrate = 7,
     /// An adaptive runtime shard live-switched its backend:
     /// `a` = shard index, `b` = `from_mode << 8 | to_mode` (mode
     /// discriminants), `c` = the shard's swap epoch after the switch.
-    BackendSwitch = 8,
+    BackendSwitch = 7,
     /// A timer-wheel expiry pass removed entries: `a` = shard index,
     /// `b` = entries expired, `c` = lateness of the earliest entry in ns
     /// (fire time − deadline).
-    Expire = 9,
+    Expire = 8,
 }
 
 impl FlightKind {
-    pub const ALL: [FlightKind; 10] = [
+    pub const ALL: [FlightKind; 9] = [
         FlightKind::Backend,
         FlightKind::DrainStart,
         FlightKind::DrainEnd,
@@ -74,7 +69,6 @@ impl FlightKind {
         FlightKind::Promote,
         FlightKind::Demote,
         FlightKind::Busy,
-        FlightKind::ConnMigrate,
         FlightKind::BackendSwitch,
         FlightKind::Expire,
     ];
@@ -89,7 +83,6 @@ impl FlightKind {
             FlightKind::Promote => "promote",
             FlightKind::Demote => "demote",
             FlightKind::Busy => "busy",
-            FlightKind::ConnMigrate => "conn_migrate",
             FlightKind::BackendSwitch => "backend_switch",
             FlightKind::Expire => "expire",
         }
@@ -363,7 +356,6 @@ mod tests {
                 "promote",
                 "demote",
                 "busy",
-                "conn_migrate",
                 "backend_switch",
                 "expire",
             ]

@@ -364,7 +364,7 @@ fn take_driver_is_none_without_external_drive() {
 
 /// Cross-drive under contention: two threads each own one shard's driver
 /// and submit to *both* shards, ticking their own shard while waiting on
-/// the other — the deadlock-avoidance discipline the reactor uses. Every
+/// the other — the deadlock-avoidance discipline of `submit_with`. Every
 /// op must complete and count exactly once.
 #[test]
 fn external_drive_cross_shard_waiters_make_progress() {
