@@ -406,6 +406,15 @@ mod tests {
 
     static DROPS: AtomicUsize = AtomicUsize::new(0);
 
+    /// The registry is process-global: a guard another test holds keeps
+    /// `min_active` below a retirement, so no test here may pin while
+    /// another runs. Each takes this first.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     struct Counted(#[allow(dead_code)] u64);
 
     impl Drop for Counted {
@@ -416,6 +425,7 @@ mod tests {
 
     #[test]
     fn defer_destroy_runs_after_guards_drop() {
+        let _serial = serial();
         let a: Atomic<Counted> = Atomic::null();
         let g1 = pin();
         a.store(Owned::new(Counted(1)), Ordering::SeqCst);
@@ -437,6 +447,7 @@ mod tests {
 
     #[test]
     fn compare_exchange_returns_new_on_failure() {
+        let _serial = serial();
         let g = pin();
         let a: Atomic<u64> = Atomic::null();
         a.store(Owned::new(1), Ordering::SeqCst);
@@ -459,6 +470,7 @@ mod tests {
 
     #[test]
     fn concurrent_pin_defer_smoke() {
+        let _serial = serial();
         let a = Arc::new(Atomic::<u64>::null());
         a.store(Owned::new(0), Ordering::SeqCst);
         let mut joins = Vec::new();

@@ -4,8 +4,8 @@
 //! packed `(priority, item)` words ([`pack_task`]). `PQ_POP` is the
 //! combining-friendly shape: a burst of pops against a hot queue rides one
 //! delegation batch, and the suite facet's `pop_n` issues them
-//! back-to-back so HYBCOMB/MP-SERVER fold the burst into one critical-
-//! section pass.
+//! back-to-back so the combiner or MP-SERVER folds the burst into one
+//! critical-section pass.
 
 use std::collections::{BTreeMap, HashMap};
 

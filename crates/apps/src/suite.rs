@@ -670,7 +670,7 @@ mod tests {
 
     #[test]
     fn top_k_merges_across_shards() {
-        let svc = suite(Backend::HybComb);
+        let svc = suite(Backend::Comb);
         let mut s = svc.session().unwrap();
         for member in 0..20u64 {
             s.board().add(member, member * 10).unwrap();
@@ -683,7 +683,7 @@ mod tests {
 
     #[test]
     fn multi_key_transfer_sorts_debits_and_aborts_clean() {
-        let svc = suite(Backend::CcSynch);
+        let svc = suite(Backend::Comb);
         let mut s = svc.session().unwrap();
         for key in [1u64, 2, 3] {
             s.ledger().deposit(key, 100).unwrap();
@@ -743,7 +743,7 @@ mod tests {
                 .with_adaptive_auto(false),
         );
         let mut s = svc.session().unwrap();
-        for (round, &backend) in [Backend::Lock, Backend::MpServer, Backend::HybComb]
+        for (round, &backend) in [Backend::Lock, Backend::MpServer, Backend::Comb]
             .iter()
             .enumerate()
         {

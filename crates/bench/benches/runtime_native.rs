@@ -27,8 +27,7 @@ fn config(backend: Backend, shards: usize) -> RuntimeConfig {
 }
 
 /// Runs `ops` keyed increments on every session concurrently. Sessions are
-/// created once and reused across iterations (the combining backends'
-/// session slots are a lifetime budget).
+/// created once and reused across iterations.
 fn hammer(sessions: &mut [CounterSession], ops: u64) {
     std::thread::scope(|scope| {
         for (t, s) in sessions.iter_mut().enumerate() {

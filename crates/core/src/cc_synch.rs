@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use mpsync_telemetry as telemetry;
-use mpsync_telemetry::{Algo, AtomicLog2Hist, Counter, Lane, Log2Hist};
+use mpsync_telemetry::{Algo, Counter, Lane};
 
 use crate::dispatch::Dispatcher;
 use crate::state::{CsState, PoisonGuard};
@@ -87,10 +87,6 @@ struct Shared<S, D> {
     /// plus their own — used to compute the actual combining rate (Fig. 4b).
     rounds: StdAtomicU64,
     combined: StdAtomicU64,
-    /// Distribution of combining-round sizes. Always recorded (one update
-    /// per round), so runtime-level stats see round sizes even without the
-    /// telemetry feature.
-    batch_hist: AtomicLog2Hist,
 }
 
 /// The CC-SYNCH construction protecting a state `S`.
@@ -143,7 +139,6 @@ where
                 next_handle: StdAtomicUsize::new(0),
                 rounds: StdAtomicU64::new(0),
                 combined: StdAtomicU64::new(0),
-                batch_hist: AtomicLog2Hist::new(),
             }),
         }
     }
@@ -172,13 +167,6 @@ where
         } else {
             self.shared.combined.load(Ordering::Relaxed) as f64 / rounds as f64
         }
-    }
-
-    /// Distribution of combining-round sizes observed so far (requests per
-    /// round, the combiner's own operation included). Complements
-    /// [`CcSynch::combining_rate`] with the full shape, not just the mean.
-    pub fn batch_hist(&self) -> Log2Hist {
-        self.shared.batch_hist.snapshot()
     }
 
     /// Consumes the construction and returns the protected state.
@@ -330,9 +318,6 @@ where
 
         sh.rounds.fetch_add(1, Ordering::Relaxed);
         sh.combined.fetch_add(served, Ordering::Relaxed);
-        // One histogram update per round, recorded regardless of the
-        // telemetry feature (the combiner always serves at least itself).
-        sh.batch_hist.record(served);
         if telemetry::ENABLED {
             telemetry::count(Counter::CcRounds, 1);
             telemetry::count(Counter::CcServed, served);

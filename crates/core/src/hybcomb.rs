@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use mpsync_telemetry as telemetry;
-use mpsync_telemetry::{Algo, AtomicLog2Hist, Counter, Lane, Log2Hist};
+use mpsync_telemetry::{Algo, Counter, Lane};
 use mpsync_udn::{Endpoint, EndpointId};
 
 use crate::dispatch::Dispatcher;
@@ -142,11 +142,6 @@ struct Shared<S, D> {
     rounds: StdAtomicU64,
     combined_ops: StdAtomicU64,
     orphan_rounds: StdAtomicU64,
-    /// Distribution of combining-round sizes (requests served per round,
-    /// combiner's own included). Always recorded — one histogram update per
-    /// *round*, negligible next to the round itself — so runtime-level
-    /// stats see round sizes even without the telemetry feature.
-    batch_hist: AtomicLog2Hist,
     /// Debug-build check of Proposition 1 (mutual exclusion of lines
     /// 23–43): the number of threads currently in `combine`. Under loom the
     /// proposition is additionally *model-checked*: the `CsState` cell turns
@@ -239,7 +234,6 @@ where
                 rounds: StdAtomicU64::new(0),
                 combined_ops: StdAtomicU64::new(0),
                 orphan_rounds: StdAtomicU64::new(0),
-                batch_hist: AtomicLog2Hist::new(),
                 #[cfg(debug_assertions)]
                 active_combiners: StdAtomicU64::new(0),
             }),
@@ -276,14 +270,6 @@ where
             combined_ops: sh.combined_ops.load(Ordering::Relaxed),
             orphan_rounds: sh.orphan_rounds.load(Ordering::Relaxed),
         }
-    }
-
-    /// Distribution of combining-round sizes observed so far (requests per
-    /// round, the combiner's own operation included). Complements
-    /// [`HybCombStats::combining_rate`] with the full shape, not just the
-    /// mean.
-    pub fn batch_hist(&self) -> Log2Hist {
-        self.shared.batch_hist.snapshot()
     }
 
     /// Consumes the construction and returns the protected state.
@@ -435,9 +421,6 @@ where
         if ops_completed == 0 {
             sh.orphan_rounds.fetch_add(1, Ordering::Relaxed);
         }
-        // Round size including the combiner's own op; one histogram update
-        // per round, recorded regardless of the telemetry feature.
-        sh.batch_hist.record(ops_completed + 1);
         if telemetry::ENABLED {
             telemetry::count(Counter::HybRounds, 1);
             telemetry::count(Counter::HybServed, ops_completed + 1);

@@ -154,8 +154,8 @@ netbench — loopback load generator for the mpsync-net serving layer
 
 USAGE: netbench [FLAGS]
 
-  --backend NAME     mp-server | hybcomb | cc-synch | lock |
-                     adaptive | all (all = the fixed four)        [mp-server]
+  --backend NAME     lock | comb | mp-server | adaptive |
+                     all (all = the three fixed backends)         [mp-server]
   --shards N         runtime shards                               [2]
   --connections N    client connections                           [4]
   --pipeline N       outstanding requests per connection (closed) [8]
@@ -174,7 +174,7 @@ USAGE: netbench [FLAGS]
   --seed N           workload RNG seed                            [42]
   --json             machine-readable report on stdout
   --smoke            run the self-checking CI scenario
-  --adaptive-sweep   sweep {lock, hybcomb, mp-server, adaptive} across
+  --adaptive-sweep   sweep {lock, comb, mp-server, adaptive} across
                      escalating contention levels; write --bench-json
   --gate             with --adaptive-sweep: fail if adaptive trails the
                      best fixed backend by >10% anywhere or beats no
@@ -200,7 +200,7 @@ fn parse_args() -> Result<Opts, String> {
                     Backend::ALL.to_vec()
                 } else if v == "adaptive" {
                     // Not in `Backend::ALL` (it's a policy over the fixed
-                    // backends, not a fifth peer), so matched explicitly.
+                    // backends, not a fourth peer), so matched explicitly.
                     vec![Backend::Adaptive]
                 } else {
                     vec![Backend::ALL
@@ -1621,9 +1621,6 @@ const SWEEP_LEVELS: [(&str, usize, usize, u64, f64, u64); 5] = [
     ("hot-key", 16, 8, 1, 0.0, 4000),
 ];
 
-/// The fixed backends ADAPTIVE is judged against — its three modes.
-const SWEEP_FIXED: [Backend; 3] = [Backend::Lock, Backend::HybComb, Backend::MpServer];
-
 /// Trials per (level, backend) cell; the best (max-throughput) trial is
 /// kept. Trials interleave across backends so a host-noise burst degrades
 /// every backend's trial alike instead of poisoning one side of the
@@ -1646,9 +1643,9 @@ const SWEEP_ATTEMPTS: usize = 3;
 /// that no single fixed backend wins both extremes).
 fn run_adaptive_sweep(opts: &Opts) -> Result<(), String> {
     let path = &opts.bench_json;
-    let backends: Vec<Backend> = SWEEP_FIXED
-        .iter()
-        .copied()
+    // The fixed backends ADAPTIVE is judged against are its three modes.
+    let backends: Vec<Backend> = Backend::ALL
+        .into_iter()
         .chain([Backend::Adaptive])
         .collect();
     let mut levels: Vec<(&'static str, Vec<BenchRow>)> = Vec::new();
@@ -1746,7 +1743,7 @@ fn gate_level(li: usize, name: &str, rows: &[BenchRow]) -> Result<String, String
         .find(|r| r.backend == "adaptive")
         .ok_or("gate: sweep missing an adaptive row")?;
     let fixed: Vec<&BenchRow> = rows.iter().filter(|r| r.backend != "adaptive").collect();
-    if fixed.len() != SWEEP_FIXED.len() {
+    if fixed.len() != Backend::ALL.len() {
         return Err(format!("gate: level {name:?} missing fixed-backend rows"));
     }
     let best = fixed.iter().map(|r| r.throughput).fold(0.0f64, f64::max);

@@ -22,7 +22,7 @@
 //!                           encode replies in request order, one write
 //!                                          │ sharded delegation
 //!                                          ▼
-//!                           MP-SERVER / HYBCOMB / CC-SYNCH / lock
+//!                           MP-SERVER / combiner / lock / adaptive
 //!                           (externally driven shards: net-pump-<i>)
 //! ```
 //!

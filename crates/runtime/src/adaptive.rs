@@ -7,17 +7,15 @@
 //! deployment pick once; this module closes the loop at runtime instead.
 //!
 //! Each shard owns one [`AdaptiveShard`]: a single `CsState` that can be
-//! served by any of three *modes* —
+//! served by any of three *modes*, one per member of
+//! [`Backend::ALL`](crate::Backend::ALL) and numbered by its discriminant —
 //!
 //! * **Lock** — the submitting thread takes a per-shard MCS lock and runs
 //!   the critical section inline;
-//! * **Comb** — flat combining over per-session publication records: the
-//!   submitting thread publishes its request and either waits for the
-//!   current combiner or takes combiner duty itself (the combining-family
-//!   representative; HYBCOMB's handles consume fabric endpoints for the
-//!   session's lifetime and therefore cannot be recycled across live
-//!   switches, so the adaptive layer runs its own combiner with the same
-//!   role);
+//! * **Comb** — the runtime's flat [`Combiner`], the one
+//!   [`Backend::Comb`](crate::Backend::Comb) runs: the submitting thread
+//!   publishes its request and either waits for the current combiner or
+//!   takes combiner duty itself;
 //! * **Mp** — requests go over the `udn` fabric to the shard's standing
 //!   [`ShardCore`](crate::shard::ShardCore), served by the runtime's
 //!   [`ShardServers`](crate::shard::ShardServers) threads exactly like the
@@ -75,59 +73,19 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_utils::CachePadded;
-use mpsync_core::{CsLock, CsState, Dispatcher, McsLock};
+use mpsync_core::{CsLock, McsLock};
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, FlightKind, Lane};
 
+use crate::comb::Combiner;
 use crate::config::{Backend, RuntimeConfig};
-use crate::control::{spin, Control};
+use crate::control::Control;
 use crate::runtime::{KeyedDispatch, RtDispatch};
-
-/// Mode discriminants (also the payload encoding of `BackendSwitch` flight
-/// events: `b = from << 8 | to`).
-pub(crate) const MODE_LOCK: u8 = 0;
-pub(crate) const MODE_COMB: u8 = 1;
-pub(crate) const MODE_MP: u8 = 2;
-
-/// The fixed backend a mode corresponds to (for reporting).
-pub(crate) fn mode_backend(mode: u8) -> Backend {
-    match mode {
-        MODE_LOCK => Backend::Lock,
-        MODE_COMB => Backend::HybComb,
-        _ => Backend::MpServer,
-    }
-}
-
-/// The mode a fixed backend maps to, if the adaptive executor can run it.
-/// `CcSynch` (a second combining construction) and `Adaptive` itself have
-/// no mode.
-pub(crate) fn backend_mode(backend: Backend) -> Option<u8> {
-    match backend {
-        Backend::Lock => Some(MODE_LOCK),
-        Backend::HybComb => Some(MODE_COMB),
-        Backend::MpServer => Some(MODE_MP),
-        Backend::CcSynch | Backend::Adaptive => None,
-    }
-}
-
-const REC_EMPTY: u64 = 0;
-const REC_PENDING: u64 = 1;
-const REC_DONE: u64 = 2;
-
-/// One session's combining publication record (Comb mode).
-#[derive(Default)]
-struct Record {
-    /// EMPTY → PENDING (publish) → DONE (served) → EMPTY (collected).
-    state: AtomicU64,
-    word: AtomicU64,
-    arg: AtomicU64,
-    ret: AtomicU64,
-}
 
 /// One shard's adaptive executor. Shared by the shard's serving thread,
 /// every session, and the controller.
 pub(crate) struct AdaptiveShard<S, F> {
+    /// The current mode's [`Backend`] discriminant.
     mode: AtomicU8,
     /// Completed switches; monotone. Lets tests and the admin plane pin a
     /// result to the mode that produced it.
@@ -136,14 +94,12 @@ pub(crate) struct AdaptiveShard<S, F> {
     swap: Mutex<()>,
     /// Set by `force_backend`: the controller leaves this shard alone.
     pinned: AtomicBool,
-    state: CsState<S>,
-    dispatch: RtDispatch<S, F>,
+    /// The shard state, behind the combiner that serves Comb mode; the
+    /// other two modes execute through [`Combiner::exec`].
+    comb: Combiner<S, RtDispatch<S, F>>,
     mcs: McsLock,
-    comb_lock: CachePadded<AtomicBool>,
-    records: Box<[CachePadded<Record>]>,
     control: Arc<Control>,
     shard: usize,
-    max_batch: u64,
 }
 
 impl<S, F> AdaptiveShard<S, F>
@@ -159,47 +115,25 @@ where
         config: &RuntimeConfig,
     ) -> Self {
         Self {
-            mode: AtomicU8::new(MODE_LOCK),
+            mode: AtomicU8::new(Backend::Lock as u8),
             epoch: AtomicU64::new(0),
             swap: Mutex::new(()),
             pinned: AtomicBool::new(false),
-            state: CsState::new(state),
-            dispatch,
+            comb: Combiner::new(state, dispatch, Arc::clone(&control), shard, config),
             mcs: McsLock::default(),
-            comb_lock: CachePadded::new(AtomicBool::new(false)),
-            records: (0..config.max_sessions)
-                .map(|_| CachePadded::default())
-                .collect(),
             control,
             shard,
-            max_batch: config.max_batch,
         }
     }
 
     /// The shard's current mode (Acquire: pairs with the switcher's store).
-    pub fn mode(&self) -> u8 {
-        self.mode.load(Ordering::Acquire)
+    pub fn mode(&self) -> Backend {
+        Backend::ALL[self.mode.load(Ordering::Acquire) as usize]
     }
 
     /// Completed switches so far.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Runs one dispatch against the shard state.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the shard's unique executing thread for the call's
-    /// duration: the MCS lock holder (Lock), the combiner (Comb), or the
-    /// server thread (Mp). Cross-mode exclusion is the swap protocol's
-    /// quiesce (see the module docs).
-    pub unsafe fn exec(&self, word: u64, arg: u64) -> u64 {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe {
-            self.state
-                .with_mut(|s| self.dispatch.dispatch(s, word, arg))
-        }
     }
 
     /// Lock-mode application: MCS critical section on the caller's thread.
@@ -209,7 +143,7 @@ where
         // SAFETY: the MCS lock is held, and the swap quiesce guarantees no
         // thread is executing in another mode (caller holds a slot admitted
         // under mode == Lock).
-        let ret = unsafe { self.exec(word, arg) };
+        let ret = unsafe { self.comb.exec(word, arg) };
         self.mcs.unlock(node);
         // Keep the shard's batch accounting meaningful across modes: a lock
         // op is a batch of one.
@@ -217,64 +151,12 @@ where
         ret
     }
 
-    /// Comb-mode application: publish on the session's record, then wait
-    /// for a combiner or become one. Caller must hold an admitted slot.
-    pub fn comb_apply(&self, slot: usize, word: u64, arg: u64) -> u64 {
-        let rec = &self.records[slot];
-        rec.word.store(word, Ordering::Relaxed);
-        rec.arg.store(arg, Ordering::Relaxed);
-        // Release: the combiner's Acquire load of PENDING sees word/arg.
-        rec.state.store(REC_PENDING, Ordering::Release);
-        let mut spins = 0u32;
-        loop {
-            // Acquire: pairs with the combiner's Release store of DONE so
-            // `ret` is visible.
-            if rec.state.load(Ordering::Acquire) == REC_DONE {
-                rec.state.store(REC_EMPTY, Ordering::Relaxed);
-                return rec.ret.load(Ordering::Relaxed);
-            }
-            if !self.comb_lock.swap(true, Ordering::Acquire) {
-                self.combine();
-                self.comb_lock.store(false, Ordering::Release);
-                continue; // our record was served by us or a predecessor
-            }
-            spin(&mut spins);
-        }
-    }
-
-    /// Serves every pending record (two scan passes, bounded by
-    /// `max_batch`). Caller holds `comb_lock`.
-    fn combine(&self) {
-        let mut served = 0u64;
-        'passes: for _ in 0..2 {
-            for rec in self.records.iter() {
-                if served >= self.max_batch {
-                    break 'passes;
-                }
-                if rec.state.load(Ordering::Acquire) == REC_PENDING {
-                    let word = rec.word.load(Ordering::Relaxed);
-                    let arg = rec.arg.load(Ordering::Relaxed);
-                    // SAFETY: unique combiner (comb_lock TAS); cross-mode
-                    // exclusion per the swap protocol (every publisher and
-                    // this combiner hold admitted slots under mode ==
-                    // Comb).
-                    let ret = unsafe { self.exec(word, arg) };
-                    rec.ret.store(ret, Ordering::Relaxed);
-                    rec.state.store(REC_DONE, Ordering::Release);
-                    served += 1;
-                }
-            }
-        }
-        if served > 0 {
-            self.control.record_batch(self.shard, served);
-        }
-    }
-
-    /// Switches the shard to `to`, quiescing first. Idempotent; serialized
-    /// against concurrent switches by the swap mutex.
-    pub fn switch(&self, to: u8) {
+    /// Switches the shard to `to` (a member of [`Backend::ALL`]), quiescing
+    /// first. Idempotent; serialized against concurrent switches by the swap
+    /// mutex.
+    pub fn switch(&self, to: Backend) {
         let _guard = self.swap.lock().expect("swap mutex poisoned");
-        let from = self.mode.load(Ordering::Relaxed);
+        let from = self.mode();
         if from == to {
             return;
         }
@@ -283,7 +165,7 @@ where
         // Quiesced: zero slots held, admissions blocked. The mode store is
         // ordered before unpause; every future slot holder reads the mode
         // after admitting, hence after unpause's SeqCst store.
-        self.mode.store(to, Ordering::SeqCst);
+        self.mode.store(to as u8, Ordering::SeqCst);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         telemetry::flight(
             FlightKind::BackendSwitch,
@@ -296,22 +178,16 @@ where
     }
 
     /// Pins the shard to `to`: switches and excludes it from the
-    /// controller's decisions until [`AdaptiveShard::unpin`].
-    pub fn force(&self, to: u8) {
+    /// controller's decisions from then on.
+    pub fn force(&self, to: Backend) {
         self.pinned.store(true, Ordering::Release);
         self.switch(to);
-    }
-
-    /// Returns the shard to controller management.
-    #[allow(dead_code)]
-    pub fn unpin(&self) {
-        self.pinned.store(false, Ordering::Release);
     }
 
     /// Surrenders the shard state. Caller must guarantee quiescence (the
     /// runtime's shutdown drain) and sole ownership (`Arc::try_unwrap`).
     pub fn into_state(self) -> S {
-        self.state.into_inner()
+        self.comb.into_state()
     }
 }
 
@@ -330,53 +206,7 @@ where
         // mode == Mp while holding an admitted slot, and the server thread
         // is the unique consumer of the shard's queue; the swap quiesce
         // keeps the other modes out (module docs).
-        unsafe { shared.exec(word, arg) }
-    }
-}
-
-/// Hands out combining-record slot indices, one per live session, recycled
-/// on session drop.
-pub(crate) struct SlotPool {
-    free: Mutex<Vec<usize>>,
-}
-
-impl SlotPool {
-    pub fn new(slots: usize) -> Arc<Self> {
-        Arc::new(Self {
-            free: Mutex::new((0..slots).collect()),
-        })
-    }
-
-    /// Claims a slot. The session budget guarantees one is (about to be)
-    /// free: a dropping session decrements `sessions_live` slightly before
-    /// its lease returns, so this may briefly spin, never deadlock.
-    pub fn acquire(self: &Arc<Self>) -> SlotLease {
-        let mut spins = 0u32;
-        loop {
-            if let Some(slot) = self.free.lock().expect("slot pool poisoned").pop() {
-                return SlotLease {
-                    pool: Arc::clone(self),
-                    slot,
-                };
-            }
-            spin(&mut spins);
-        }
-    }
-}
-
-/// A claimed combining-record slot; returns to the pool on drop.
-pub(crate) struct SlotLease {
-    pool: Arc<SlotPool>,
-    pub slot: usize,
-}
-
-impl Drop for SlotLease {
-    fn drop(&mut self) {
-        self.pool
-            .free
-            .lock()
-            .expect("slot pool poisoned")
-            .push(self.slot);
+        unsafe { shared.comb.exec(word, arg) }
     }
 }
 
@@ -417,9 +247,9 @@ where
         // cannot change until the slot is released, so the chosen path
         // matches every other in-flight operation's.
         match self.shared.mode() {
-            MODE_MP => None,
-            MODE_LOCK => Some(self.shared.lock_apply(&mut self.node, word, arg)),
-            _ => Some(self.shared.comb_apply(self.slot, word, arg)),
+            Backend::MpServer => None,
+            Backend::Lock => Some(self.shared.lock_apply(&mut self.node, word, arg)),
+            _ => Some(self.shared.comb.apply(self.slot, word, arg)),
         }
     }
 }
@@ -452,7 +282,7 @@ impl Drop for Controller {
 struct ShardCtl {
     occ_ewma: f64,
     /// The mode the current agreement streak argues for.
-    streak_mode: u8,
+    streak_mode: Backend,
     streak: u32,
     /// Samples to wait after a switch before considering another.
     dwell: u32,
@@ -466,14 +296,14 @@ struct ShardCtl {
     /// checks whether it actually did, and reverts the switch if the
     /// shard's completion rate cratered instead (on hosts where delegation
     /// has no parallelism to exploit, occupancy alone mispredicts).
-    verify_from: u8,
+    verify_from: Backend,
     verify_rate: f64,
     verify_left: u32,
     /// A target mode that failed verification, vetoed while `burned_cool`
     /// samples remain — without this the occupancy streak re-argues for the
     /// same losing mode the moment the dwell expires, and the shard
     /// ping-pongs through the pause/quiesce swap forever.
-    burned: u8,
+    burned: Option<Backend>,
     burned_cool: u32,
 }
 
@@ -538,7 +368,7 @@ fn controller_loop<S, F>(
             verify_from: sh.mode(),
             verify_rate: 0.0,
             verify_left: 0,
-            burned: u8::MAX,
+            burned: None,
             burned_cool: 0,
         })
         .collect();
@@ -607,7 +437,7 @@ fn controller_loop<S, F>(
                     && st.verify_rate >= VERIFY_MIN_RATE
                     && st.rate_ewma < REVERT_FRACTION * st.verify_rate
                 {
-                    st.burned = cur;
+                    st.burned = Some(cur);
                     st.burned_cool = BURN_COOLDOWN * config.adaptive_confirm;
                     sh.switch(st.verify_from);
                     st.streak = 0;
@@ -618,25 +448,25 @@ fn controller_loop<S, F>(
             // Regime from occupancy; the achieved combining degree (the
             // batch histogram's raw feed) refines the middle band.
             let mut target = if st.occ_ewma <= config.adaptive_low {
-                MODE_LOCK
+                Backend::Lock
             } else if st.occ_ewma >= config.adaptive_high {
-                MODE_MP
+                Backend::MpServer
             } else {
-                MODE_COMB
+                Backend::Comb
             };
-            if target == MODE_COMB && d_batches > 0 {
+            if target == Backend::Comb && d_batches > 0 {
                 let achieved = d_ops as f64 / d_batches as f64;
                 if achieved >= config.adaptive_high {
                     // Combining already finds server-sized batches: the
                     // shard is busier than occupancy alone suggests.
-                    target = MODE_MP;
+                    target = Backend::MpServer;
                 }
             }
             // Downswitch = toward less service capacity (Mp → Comb → Lock).
-            if latency_regressed && target < cur {
+            if latency_regressed && (target as u8) < cur as u8 {
                 target = cur;
             }
-            if st.burned_cool > 0 && target == st.burned {
+            if st.burned_cool > 0 && st.burned == Some(target) {
                 target = cur;
             }
             if target == cur {
@@ -708,11 +538,11 @@ mod tests {
         let mut node = Default::default();
         assert_eq!(sh.lock_apply(&mut node, 0, 5), 0);
         assert_eq!(sh.lock_apply(&mut node, 0, 5), 5);
-        sh.switch(MODE_COMB);
-        assert_eq!(sh.mode(), MODE_COMB);
+        sh.switch(Backend::Comb);
+        assert_eq!(sh.mode(), Backend::Comb);
         assert_eq!(sh.epoch(), 1);
-        assert_eq!(sh.comb_apply(0, 0, 1), 10);
-        assert_eq!(sh.comb_apply(1, 0, 1), 11);
+        assert_eq!(sh.comb.apply(0, 0, 1), 10);
+        assert_eq!(sh.comb.apply(1, 0, 1), 11);
         assert_eq!(sh.into_state(), 12);
     }
 
@@ -721,34 +551,12 @@ mod tests {
         let config = RuntimeConfig::new(1);
         let control = Arc::new(Control::new(1, 8, SubmitPolicy::Block));
         let sh = shard(&control, &config);
-        sh.switch(MODE_LOCK); // no-op: already there
+        sh.switch(Backend::Lock); // no-op: already there
         assert_eq!(sh.epoch(), 0);
-        sh.switch(MODE_MP);
-        sh.switch(MODE_LOCK);
-        assert_eq!(sh.epoch(), 2);
-    }
-
-    #[test]
-    fn slot_pool_recycles() {
-        let pool = SlotPool::new(2);
-        let a = pool.acquire();
-        let b = pool.acquire();
-        let freed = a.slot;
-        drop(a);
-        let c = pool.acquire();
-        assert_eq!(c.slot, freed);
-        drop(b);
-        drop(c);
-        assert_eq!(pool.free.lock().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn backend_mode_round_trips() {
-        for b in [Backend::Lock, Backend::HybComb, Backend::MpServer] {
-            let m = backend_mode(b).unwrap();
-            assert_eq!(mode_backend(m), b);
+        for (i, &b) in Backend::ALL.iter().rev().enumerate() {
+            sh.switch(b);
+            assert_eq!(sh.mode(), b);
+            assert_eq!(sh.epoch(), i as u64 + 1);
         }
-        assert_eq!(backend_mode(Backend::CcSynch), None);
-        assert_eq!(backend_mode(Backend::Adaptive), None);
     }
 }

@@ -3,13 +3,24 @@
 
 /// Which critical-section executor serves each shard.
 ///
-/// All four run the *same* shard workload behind the same
-/// [`Session`](crate::Session) API — the runtime is generic over the paper's
-/// [`ApplyOp`](mpsync_core::ApplyOp) executors, so deployments can pick the
-/// construction that fits their machine (message-passing delegation,
-/// combining, or a plain lock) without touching application code.
+/// All of them run the *same* shard workload behind the same
+/// [`Session`](crate::Session) API, so a deployment picks the construction
+/// that fits its machine (message-passing delegation, combining, or a plain
+/// lock) without touching application code.
+///
+/// The discriminant is the one encoding of "which backend" everywhere a
+/// number stands for it: the flight recorder's `backend` and
+/// `backend_switch` events, and the live mode of an adaptive shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
+    /// A plain MCS-lock critical section per shard (classical baseline).
+    Lock = 0,
+    /// Flat combining per shard: a session publishes its request on its
+    /// own record and the first to take the combiner lock serves every
+    /// pending one. No dedicated threads. The paper's HYBCOMB and
+    /// CC-SYNCH stay in `mpsync-core`; on this runtime's emulated fabric
+    /// this combiner matches CC-SYNCH and outruns HYBCOMB (DESIGN.md §14).
+    Comb = 1,
     /// A batched server per shard over `udn` message queues (the paper's
     /// MP-SERVER shape, §4.1, plus runtime batching). The paper gives the
     /// server one core and the clients the rest; the runtime gives the
@@ -17,41 +28,29 @@ pub enum Backend {
     /// the shards it owns in turn — a spinning server on every CPU only
     /// takes it from whoever has a request (see
     /// [`RuntimeStats::server_threads`](crate::RuntimeStats)).
-    MpServer,
-    /// HYBCOMB combining per shard (§4.2): sessions take combiner duty,
-    /// no dedicated threads.
-    HybComb,
-    /// CC-SYNCH combining per shard (shared-memory baseline).
-    CcSynch,
-    /// A plain MCS-lock critical section per shard (classical baseline).
-    Lock,
+    MpServer = 2,
     /// Per-shard adaptive executor: starts on a lock and live-switches each
-    /// shard between lock, combining, and MP-SERVER modes as observed
-    /// contention changes (the paper's "no single construction wins
-    /// everywhere" conclusion, closed as a runtime control loop).
-    Adaptive,
+    /// shard between the modes of [`Backend::ALL`] as observed contention
+    /// changes (the paper's "no single construction wins everywhere"
+    /// conclusion, closed as a runtime control loop).
+    Adaptive = 3,
 }
 
 impl Backend {
-    /// Every *fixed* backend, in the order benches sweep them.
+    /// Every *fixed* backend, in discriminant order (so `ALL[b as usize] ==
+    /// b`) — which is also the order benches sweep them.
     ///
     /// [`Backend::Adaptive`] is deliberately not listed: it is a policy over
-    /// these four, and sweeps compare it *against* them rather than
-    /// alongside them.
-    pub const ALL: [Backend; 4] = [
-        Backend::MpServer,
-        Backend::HybComb,
-        Backend::CcSynch,
-        Backend::Lock,
-    ];
+    /// these three, each of which is one of its modes, and sweeps compare it
+    /// *against* them rather than alongside them.
+    pub const ALL: [Backend; 3] = [Backend::Lock, Backend::Comb, Backend::MpServer];
 
     /// Short human-readable label.
     pub fn label(self) -> &'static str {
         match self {
-            Backend::MpServer => "mp-server",
-            Backend::HybComb => "hybcomb",
-            Backend::CcSynch => "cc-synch",
             Backend::Lock => "lock",
+            Backend::Comb => "comb",
+            Backend::MpServer => "mp-server",
             Backend::Adaptive => "adaptive",
         }
     }
@@ -134,8 +133,8 @@ pub struct RuntimeConfig {
     /// executor is handed out once as a [`ShardDriver`](crate::ShardDriver)
     /// via [`Runtime::take_driver`](crate::Runtime::take_driver), and some
     /// external event loop (e.g. a cluster node's core thread) must tick it.
-    /// Ignored by the inline backends (HybComb / CcSynch / Lock), which
-    /// already execute on the submitting thread. A runtime built without it
+    /// Ignored by the inline backends (Comb / Lock), which already execute
+    /// on the submitting thread. A runtime built without it
     /// can still be converted:
     /// [`Runtime::drive_externally`](crate::Runtime::drive_externally).
     pub external_drive: bool,
@@ -309,13 +308,13 @@ mod tests {
     #[test]
     fn builder_chains() {
         let c = RuntimeConfig::new(8)
-            .with_backend(Backend::HybComb)
+            .with_backend(Backend::Comb)
             .with_max_batch(200)
             .with_queue_depth(16)
             .with_max_sessions(4)
             .with_submit(SubmitPolicy::Fail);
         assert_eq!(c.shards, 8);
-        assert_eq!(c.backend, Backend::HybComb);
+        assert_eq!(c.backend, Backend::Comb);
         assert_eq!(c.max_batch, 200);
         assert_eq!(c.queue_depth, 16);
         assert_eq!(c.max_sessions, 4);
@@ -349,8 +348,12 @@ mod tests {
             .with_backend(Backend::Adaptive)
             .validate();
         assert_eq!(Backend::Adaptive.label(), "adaptive");
-        // The fixed-backend sweep list must not grow Adaptive implicitly.
+        // The fixed-backend sweep list must not grow Adaptive implicitly,
+        // and indexes by discriminant.
         assert!(!Backend::ALL.contains(&Backend::Adaptive));
+        for (i, b) in Backend::ALL.into_iter().enumerate() {
+            assert_eq!(b as usize, i);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! whatever executor ends up running it, first claims a slot in its target
 //! shard's bounded window here. That is what makes the runtime's
 //! backpressure and its exactly-once shutdown guarantee uniform across
-//! MP-SERVER, HYBCOMB, CC-SYNCH and plain locks.
+//! MP-SERVER, the combiner and plain locks.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -129,11 +129,9 @@ pub(crate) struct Control {
     /// sides (see `try_admit`) so shutdown's in-flight drain cannot miss an
     /// admitted operation.
     closed: AtomicBool,
-    /// Currently live sessions (shutdown waits for zero).
+    /// Currently live sessions (the session budget; shutdown waits for
+    /// zero).
     pub sessions_live: AtomicUsize,
-    /// Sessions ever created (the budget for backends whose per-thread
-    /// executor slots are not recycled).
-    pub sessions_created: AtomicUsize,
     queue_depth: usize,
     submit: SubmitPolicy,
     pub shards: Box<[ShardMetrics]>,
@@ -147,7 +145,6 @@ impl Control {
         Self {
             closed: AtomicBool::new(false),
             sessions_live: AtomicUsize::new(0),
-            sessions_created: AtomicUsize::new(0),
             queue_depth,
             submit,
             shards: (0..shards).map(|_| ShardMetrics::default()).collect(),

@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mpsync_core::{wire, ApplyOp, CcSynch, Dispatcher, HybComb, LockCs, McsLock};
+use mpsync_core::{wire, ApplyOp, Dispatcher, LockCs, McsLock};
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
 use mpsync_udn::{
@@ -11,9 +11,9 @@ use mpsync_udn::{
 };
 
 use crate::adaptive::{
-    backend_mode, mode_backend, spawn_controller, AdaptiveAccess, AdaptiveHandle, AdaptiveShard,
-    Controller, MpModeDispatch, SlotLease, SlotPool, MODE_MP,
+    spawn_controller, AdaptiveAccess, AdaptiveHandle, AdaptiveShard, Controller, MpModeDispatch,
 };
+use crate::comb::{CombHandle, Combiner, SlotLease, SlotPool};
 use crate::config::{Backend, OpMask, RuntimeConfig};
 use crate::control::{Control, NoSlot};
 use crate::drive::{CoreDrive, DriveShard, ShardDriver};
@@ -55,8 +55,8 @@ pub(crate) struct RtDispatch<S, F> {
     pub(crate) read_fast: OpMask,
     /// Timer pass for expiring states, run before each potentially-mutating
     /// dispatch; `None` for untimed runtimes. This is what makes expiry
-    /// work identically on the inline backends (Lock/HybComb/CcSynch) and
-    /// in every Adaptive mode: whoever executes the critical section also
+    /// work identically on the inline backends (Lock/Comb) and in every
+    /// Adaptive mode: whoever executes the critical section also
     /// sweeps the timers, so expiry is always linearized before the op
     /// that triggered the sweep.
     pub(crate) expire: Option<ExpiryHook<S>>,
@@ -115,12 +115,10 @@ where
         slots: Vec<Arc<Mutex<Option<S>>>>,
         server_ids: Arc<[EndpointId]>,
     },
-    Hyb {
-        fabric: Arc<Fabric>,
-        combs: Vec<HybComb<S, RtDispatch<S, F>>>,
-    },
-    Cc {
-        execs: Vec<CcSynch<S, RtDispatch<S, F>>>,
+    /// Every session leases one record slot, the same index on every shard.
+    Comb {
+        combs: Vec<Arc<Combiner<S, RtDispatch<S, F>>>>,
+        slots: Arc<SlotPool>,
     },
     Lock {
         execs: Vec<LockCs<S, McsLock, RtDispatch<S, F>>>,
@@ -276,21 +274,14 @@ where
                     }
                 }
             }
-            Backend::HybComb => {
-                let fabric = sized_fabric(&config, config.shards * config.max_sessions);
-                let combs = (0..config.shards)
+            Backend::Comb => Executors::Comb {
+                combs: (0..config.shards)
                     .map(|i| {
-                        HybComb::new(config.max_sessions, config.max_batch, init(i), dispatch(i))
-                    })
-                    .collect();
-                Executors::Hyb { fabric, combs }
-            }
-            Backend::CcSynch => Executors::Cc {
-                execs: (0..config.shards)
-                    .map(|i| {
-                        CcSynch::new(config.max_sessions, config.max_batch, init(i), dispatch(i))
+                        let control = Arc::clone(&control);
+                        Arc::new(Combiner::new(init(i), dispatch(i), control, i, &config))
                     })
                     .collect(),
+                slots: SlotPool::new(config.max_sessions),
             },
             Backend::Lock => Executors::Lock {
                 execs: (0..config.shards)
@@ -335,7 +326,7 @@ where
                 let servers = ShardServers::spawn(
                     cores,
                     serving_threads(config.shards),
-                    |sh: &Arc<AdaptiveShard<S, F>>| sh.mode() == MODE_MP,
+                    |sh: &Arc<AdaptiveShard<S, F>>| sh.mode() == Backend::MpServer,
                 );
                 let controller = config
                     .adaptive_auto
@@ -427,47 +418,23 @@ where
 
     /// Opens a client session.
     ///
-    /// At most [`RuntimeConfig::max_sessions`] sessions may be live at once.
-    /// For the combining backends (`HybComb`, `CcSynch`) the bound is on
-    /// sessions *ever created* — their per-thread executor slots are not
-    /// recycled when a session drops.
+    /// At most [`RuntimeConfig::max_sessions`] sessions may be live at once;
+    /// a dropped session's place is free again.
     pub fn session(&self) -> Result<Session, RuntimeError> {
         use std::sync::atomic::Ordering;
         if self.control.is_closed() {
             return Err(RuntimeError::Closed);
         }
         let max = self.config.max_sessions;
-        match self.config.backend {
-            Backend::HybComb | Backend::CcSynch => {
-                // Lifetime budget: executor handle slots are consumed forever.
-                if self
-                    .control
-                    .sessions_created
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                        (n < max).then_some(n + 1)
-                    })
-                    .is_err()
-                {
-                    return Err(RuntimeError::SessionsExhausted);
-                }
-                self.control.sessions_live.fetch_add(1, Ordering::AcqRel);
-            }
-            Backend::MpServer | Backend::Lock | Backend::Adaptive => {
-                // Concurrency budget: slots are returned on session drop.
-                if self
-                    .control
-                    .sessions_live
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                        (n < max).then_some(n + 1)
-                    })
-                    .is_err()
-                {
-                    return Err(RuntimeError::SessionsExhausted);
-                }
-                self.control
-                    .sessions_created
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+        if self
+            .control
+            .sessions_live
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < max).then_some(n + 1)
+            })
+            .is_err()
+        {
+            return Err(RuntimeError::SessionsExhausted);
         }
         let transport = match &self.executors {
             Executors::Mp {
@@ -481,23 +448,18 @@ where
                     .expect("fabric sized for session budget"),
                 servers: Arc::clone(server_ids),
             },
-            Executors::Hyb { fabric, combs } => Transport::Inline {
-                handles: combs
-                    .iter()
-                    .map(|c| {
-                        let ep = fabric
-                            .register_any()
-                            .expect("fabric sized for session budget");
-                        Box::new(c.handle(ep)) as Box<dyn ApplyOp + Send>
-                    })
-                    .collect(),
-            },
-            Executors::Cc { execs } => Transport::Inline {
-                handles: execs
-                    .iter()
-                    .map(|e| Box::new(e.handle()) as Box<dyn ApplyOp + Send>)
-                    .collect(),
-            },
+            Executors::Comb { combs, slots } => {
+                let lease = Arc::new(slots.acquire());
+                Transport::Inline {
+                    handles: combs
+                        .iter()
+                        .map(|c| {
+                            Box::new(CombHandle::new(Arc::clone(c), Arc::clone(&lease)))
+                                as Box<dyn ApplyOp + Send>
+                        })
+                        .collect(),
+                }
+            }
             Executors::Lock { execs } => Transport::Inline {
                 handles: execs
                     .iter()
@@ -539,15 +501,14 @@ where
     /// Pins `shard` to the fixed backend's execution mode, switching live
     /// (quiesce → install → reopen) and excluding the shard from the
     /// controller's decisions. Returns `false` when this runtime is not
-    /// adaptive or `backend` has no adaptive mode (`CcSynch`, `Adaptive`).
+    /// adaptive or `backend` is [`Backend::Adaptive`] itself.
     pub fn force_backend(&self, shard: usize, backend: Backend) -> bool {
-        if let (Executors::Adaptive { shards, .. }, Some(mode)) =
-            (&self.executors, backend_mode(backend))
-        {
-            shards[shard].force(mode);
-            true
-        } else {
-            false
+        match &self.executors {
+            Executors::Adaptive { shards, .. } if backend != Backend::Adaptive => {
+                shards[shard].force(backend);
+                true
+            }
+            _ => false,
         }
     }
 
@@ -555,7 +516,7 @@ where
     /// adaptive runtime, the configured backend otherwise.
     pub fn shard_backend(&self, shard: usize) -> Backend {
         match &self.executors {
-            Executors::Adaptive { shards, .. } => mode_backend(shards[shard].mode()),
+            Executors::Adaptive { shards, .. } => shards[shard].mode(),
             _ => self.config.backend,
         }
     }
@@ -578,45 +539,15 @@ where
     /// Snapshot of the runtime's counters.
     pub fn stats(&self) -> RuntimeStats {
         let mut stats = RuntimeStats::from_control(&self.control);
-        match &self.executors {
-            Executors::Mp { .. } | Executors::MpExternal { .. } => {
-                for s in &mut stats.shards {
-                    if s.batches > 0 {
-                        s.avg_batch = s.ops as f64 / s.batches as f64;
-                    }
-                }
+        // A lock op is a batch of one. Every other executor records its
+        // batches into the control plane (Adaptive's lock mode included).
+        let lock = matches!(self.executors, Executors::Lock { .. });
+        for s in &mut stats.shards {
+            if lock {
+                s.batches = s.ops;
             }
-            Executors::Hyb { combs, .. } => {
-                for (s, c) in stats.shards.iter_mut().zip(combs) {
-                    let hs = c.stats();
-                    s.batches = hs.rounds;
-                    s.avg_batch = hs.combining_rate();
-                    s.batch_hist = c.batch_hist();
-                }
-            }
-            Executors::Cc { execs } => {
-                for (s, e) in stats.shards.iter_mut().zip(execs) {
-                    s.avg_batch = e.combining_rate();
-                    s.batch_hist = e.batch_hist();
-                    s.batches = s.batch_hist.count();
-                }
-            }
-            Executors::Lock { .. } => {
-                for s in &mut stats.shards {
-                    s.batches = s.ops;
-                    if s.ops > 0 {
-                        s.avg_batch = 1.0;
-                    }
-                }
-            }
-            Executors::Adaptive { .. } => {
-                // Every mode records batches into the control plane (lock
-                // ops as batches of one), so the Mp arithmetic applies.
-                for s in &mut stats.shards {
-                    if s.batches > 0 {
-                        s.avg_batch = s.ops as f64 / s.batches as f64;
-                    }
-                }
+            if s.batches > 0 {
+                s.avg_batch = s.ops as f64 / s.batches as f64;
             }
         }
         stats.server_threads = match &self.executors {
@@ -675,8 +606,15 @@ where
                     })
                     .collect()
             }
-            Executors::Hyb { combs, .. } => combs.into_iter().map(HybComb::into_state).collect(),
-            Executors::Cc { execs } => execs.into_iter().map(CcSynch::into_state).collect(),
+            Executors::Comb { combs, .. } => combs
+                .into_iter()
+                .map(|c| {
+                    Arc::try_unwrap(c)
+                        .ok()
+                        .expect("combiner still shared after drain")
+                        .into_state()
+                })
+                .collect(),
             Executors::Lock { execs } => execs.into_iter().map(LockCs::into_state).collect(),
             Executors::Adaptive {
                 shards,
@@ -767,21 +705,16 @@ where
     }
 }
 
-/// Flight-records each shard's executor choice: after a panic or a failed
-/// smoke run the first question is "what was this runtime actually
-/// running?", and the recorder works with telemetry off. Adaptive is not in
-/// `Backend::ALL` (it is a policy over the fixed four); the recorder gives it
-/// the next discriminant.
+/// Flight-records each shard's executor choice (its [`Backend`]
+/// discriminant): after a panic or a failed smoke run the first question is
+/// "what was this runtime actually running?", and the recorder works with
+/// telemetry off.
 fn flight_backend(config: &RuntimeConfig) {
-    let backend_disc = match config.backend {
-        Backend::Adaptive => Backend::ALL.len() as u64,
-        b => Backend::ALL.iter().position(|&x| x == b).unwrap_or(0) as u64,
-    };
     for i in 0..config.shards {
         telemetry::flight(
             telemetry::FlightKind::Backend,
             i as u64,
-            backend_disc,
+            config.backend as u64,
             config.external_drive as u64,
         );
     }
@@ -817,9 +750,9 @@ enum Transport {
         endpoint: Endpoint,
         servers: Arc<[EndpointId]>,
     },
-    /// Inline backends (HybComb / CcSynch / Lock): one executor handle per
-    /// shard; the session's own thread runs or delegates the critical
-    /// section through it.
+    /// Inline backends (Comb / Lock): one executor handle per shard; the
+    /// session's own thread runs the critical section, or has a combiner
+    /// run it, through it.
     Inline {
         handles: Vec<Box<dyn ApplyOp + Send>>,
     },
@@ -1242,6 +1175,13 @@ fn send_request(endpoint: &Endpoint, server: EndpointId, word: u64, arg: u64) {
 
 impl Drop for Session {
     fn drop(&mut self) {
+        // Release the transport (endpoint, executor handles, record slot)
+        // before handing the session's place back: a session opened the
+        // moment this one is counted out finds them free, and shutdown's
+        // wait for zero sessions also waits for them.
+        self.transport = Transport::Inline {
+            handles: Vec::new(),
+        };
         self.control
             .sessions_live
             .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);

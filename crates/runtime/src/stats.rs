@@ -20,9 +20,8 @@ pub struct ShardStats {
     /// Service batches / combining rounds observed.
     pub batches: u64,
     /// Log2 histogram of batch sizes ([`Log2Hist`]). Filled for every
-    /// batching backend: the MP-SERVER shard loop records it through the
-    /// control plane, and the combining backends (HYBCOMB, CC-SYNCH) record
-    /// one entry per combining round inside the executor.
+    /// batching backend through the control plane: one entry per MP-SERVER
+    /// shard-loop batch or combining round.
     pub batch_hist: Log2Hist,
     /// Average operations per service batch (the achieved combining
     /// degree; 1.0 for the lock backend by construction).

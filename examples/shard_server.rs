@@ -10,8 +10,8 @@
 //! the shards it owns in turn; the inline backends spawn none.
 //!
 //! Run with: `cargo run --release --example shard_server`
-//! Pick a backend with e.g. `cargo run --release --example shard_server hybcomb`
-//! (one of: mp-server, hybcomb, cc-synch, lock).
+//! Pick a backend with e.g. `cargo run --release --example shard_server comb`
+//! (one of: lock, comb, mp-server).
 
 use std::sync::Arc;
 
@@ -41,9 +41,9 @@ fn main() {
     let store = Arc::new(ShardedKvStore::new(
         RuntimeConfig::new(SHARDS)
             .with_backend(backend)
-            // +1 for the seeding session below: the combining backends'
-            // executor slots are a lifetime budget, not a concurrent one.
-            .with_max_sessions(SESSIONS + 1)
+            // The seeding session below is dropped before the tellers open
+            // theirs: the budget is on sessions live at once.
+            .with_max_sessions(SESSIONS)
             .with_max_batch(64)
             .with_queue_depth(32),
     ));

@@ -16,10 +16,6 @@ use mpsync::objects::seq::{keyed_counter_dispatch, keyed_counter_ops, KeyedCount
 use mpsync::runtime::{Backend, OpMask, Runtime, RuntimeConfig, RuntimeError, SubmitPolicy};
 use mpsync_telemetry as telemetry;
 
-/// The three fixed backends the adaptive executor can impersonate; every
-/// ordered pair of these is a live-switch edge the tests must cover.
-const MODES: [Backend; 3] = [Backend::Lock, Backend::HybComb, Backend::MpServer];
-
 /// Small adaptive config for the CI host; the controller is off so tests
 /// drive switches deterministically through `force_backend`.
 fn adaptive(shards: usize, sessions: usize) -> RuntimeConfig {
@@ -40,7 +36,8 @@ fn keyed_runtime(config: RuntimeConfig) -> Keyed {
 // ---------------------------------------------------------------------------
 // Linearizability across every swap pair: concurrent fetch-inc histories on
 // one hot key stay linearizable while a switcher thread flips the shard
-// between the pair's two modes mid-history.
+// between the pair's two modes mid-history. The modes are `Backend::ALL`,
+// the fixed backends, so every ordered pair of them is a live-switch edge.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -49,8 +46,8 @@ fn lincheck_across_all_swap_pairs() {
     const THREADS: usize = 3;
     const OPS_PER_THREAD: usize = 6;
     const HOT_KEY: u64 = 17;
-    for from in MODES {
-        for to in MODES {
+    for from in Backend::ALL {
+        for to in Backend::ALL {
             if from == to {
                 continue;
             }
@@ -140,7 +137,7 @@ fn exactly_once_with_switches_racing_close() {
         std::thread::spawn(move || {
             let mut i = 0usize;
             while !done.load(Ordering::Acquire) {
-                rt.force_backend(i % 2, MODES[i % MODES.len()]);
+                rt.force_backend(i % 2, Backend::ALL[i % Backend::ALL.len()]);
                 i += 1;
                 std::thread::yield_now();
             }
@@ -207,8 +204,8 @@ fn per_key_fifo_preserved_across_switches() {
             // deterministic even if the workers drain their ops quickly.
             let mut i = 0usize;
             while i < 12 || !done.load(Ordering::Acquire) {
-                rt.force_backend(0, MODES[i % MODES.len()]);
-                rt.force_backend(1, MODES[(i + 1) % MODES.len()]);
+                rt.force_backend(0, Backend::ALL[i % Backend::ALL.len()]);
+                rt.force_backend(1, Backend::ALL[(i + 1) % Backend::ALL.len()]);
                 i += 1;
                 std::thread::yield_now();
             }
@@ -227,7 +224,8 @@ fn per_key_fifo_preserved_across_switches() {
 // ---------------------------------------------------------------------------
 // Observability: every switch bumps the shard's epoch, is reflected by
 // shard_backend(), and lands in the flight recorder (which the admin
-// endpoint serves) as a BackendSwitch event encoding from → to.
+// endpoint serves) as a BackendSwitch event encoding from → to, numbered
+// exactly as the `backend` event a fixed runtime of that backend records.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -236,52 +234,57 @@ fn switches_are_observable_via_epoch_and_flight_events() {
     assert_eq!(rt.shard_backend(0), Backend::Lock, "adaptive starts locked");
     assert_eq!(rt.swap_epoch(0), 0);
 
-    // Walk Lock → HybComb → MpServer → Lock; each edge is one epoch.
-    let walk = [Backend::HybComb, Backend::MpServer, Backend::Lock];
-    for (i, &b) in walk.iter().enumerate() {
-        assert!(rt.force_backend(0, b));
-        assert_eq!(rt.shard_backend(0), b, "live mode reflects the switch");
+    // The flight recorder (always on, feature-independent) keeps the last
+    // events of every test in this process, so each check reads a fresh
+    // snapshot right after its events and asserts containment.
+    let recorded = |kind| -> Vec<u64> {
+        telemetry::flight_snapshot()
+            .into_iter()
+            .filter(|e| e.kind == kind && e.a == 0)
+            .map(|e| e.b)
+            .collect()
+    };
+
+    // Walk Lock → MpServer → Comb → Lock; each edge is one epoch and one
+    // switch event whose payload encodes from << 8 | to.
+    let mut from = Backend::Lock;
+    for (i, to) in [Backend::MpServer, Backend::Comb, Backend::Lock]
+        .into_iter()
+        .enumerate()
+    {
+        assert!(rt.force_backend(0, to));
+        assert_eq!(rt.shard_backend(0), to, "live mode reflects the switch");
         assert_eq!(rt.swap_epoch(0), i as u64 + 1, "each switch bumps epoch");
+        let edge = (from as u64) << 8 | to as u64;
+        assert!(
+            recorded(telemetry::FlightKind::BackendSwitch).contains(&edge),
+            "flight recorder missing switch {from:?} → {to:?}"
+        );
+        from = to;
     }
     // Re-forcing the current mode is idempotent: no epoch, no event.
     assert!(rt.force_backend(0, Backend::Lock));
     assert_eq!(rt.swap_epoch(0), 3);
-
-    // Backends with no adaptive mode are refused.
-    assert!(!rt.force_backend(0, Backend::CcSynch));
+    // Every fixed backend is a mode; only Adaptive itself is refused.
     assert!(!rt.force_backend(0, Backend::Adaptive));
-
-    // The flight recorder (always on, feature-independent) retains the
-    // switches: mode discriminants are Lock=0, HybComb=1, MpServer=2 and
-    // the payload encodes from << 8 | to. Other tests in this process also
-    // record events, so assert containment, not exact contents.
-    let events = telemetry::flight_snapshot();
-    let switches: Vec<(u64, u64)> = events
-        .iter()
-        .filter(|e| e.kind == telemetry::FlightKind::BackendSwitch && e.a == 0)
-        .map(|e| (e.b >> 8, e.b & 0xff))
-        .collect();
-    for edge in [(0, 1), (1, 2), (2, 0)] {
-        assert!(
-            switches.contains(&edge),
-            "flight recorder missing switch edge {edge:?}; saw {switches:?}"
-        );
-    }
     // The JSON rendering the admin endpoint serves names the kind.
-    assert!(telemetry::flight_events_json(&events).contains("backend_switch"));
-    rt.shutdown();
+    assert!(telemetry::flight_events_json(&telemetry::flight_snapshot()).contains("backend_switch"));
 
-    // A fixed-backend runtime reports its configured backend and never
-    // switches.
-    let fixed = keyed_runtime(
-        RuntimeConfig::new(1)
-            .with_backend(Backend::HybComb)
-            .with_max_sessions(1),
-    );
-    assert_eq!(fixed.shard_backend(0), Backend::HybComb);
-    assert_eq!(fixed.swap_epoch(0), 0);
-    assert!(!fixed.force_backend(0, Backend::Lock));
-    fixed.shutdown();
+    // A fixed runtime of each backend records the same number for it in
+    // its `backend` event that the switches above used for its mode,
+    // reports that backend and never switches.
+    for b in Backend::ALL {
+        let fixed = keyed_runtime(RuntimeConfig::new(1).with_backend(b).with_max_sessions(1));
+        assert!(
+            recorded(telemetry::FlightKind::Backend).contains(&(b as u64)),
+            "{b:?}: backend event must carry its mode number"
+        );
+        assert_eq!(fixed.shard_backend(0), b);
+        assert_eq!(fixed.swap_epoch(0), 0);
+        assert!(!fixed.force_backend(0, Backend::Lock));
+        fixed.shutdown();
+    }
+    rt.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -468,11 +471,13 @@ fn controller_switches_away_from_lock_under_contention() {
     }
     stop.store(true, Ordering::Release);
     let accepted: u64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
+    // Every shard starts in Lock and a same-mode switch never bumps the
+    // epoch, so a positive epoch is the proof. The live mode proves nothing:
+    // once the load stops, an idle shard may already be back in Lock.
     assert!(
         rt.swap_epoch(0) > 0,
         "controller never switched a contended shard away from Lock"
     );
-    assert_ne!(rt.shard_backend(0), Backend::Lock);
     let rt = Arc::try_unwrap(rt).ok().expect("sessions dropped");
     let report = rt.shutdown();
     let applied: u64 = report.states.iter().flat_map(|m| m.values()).sum();

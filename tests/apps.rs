@@ -145,7 +145,7 @@ fn check_app_histories(config: impl Fn() -> RuntimeConfig, gen: fn(usize, usize)
             for &backend in &[
                 Backend::Lock,
                 Backend::MpServer,
-                Backend::HybComb,
+                Backend::Comb,
                 Backend::Lock,
             ] {
                 for shard in 0..suite.shards() {

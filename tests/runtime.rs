@@ -134,13 +134,8 @@ fn sharded_counter_linearizable_mp_server() {
 }
 
 #[test]
-fn sharded_counter_linearizable_hybcomb() {
-    check_sharded_counter_linearizable(Backend::HybComb);
-}
-
-#[test]
-fn sharded_counter_linearizable_cc_synch() {
-    check_sharded_counter_linearizable(Backend::CcSynch);
+fn sharded_counter_linearizable_comb() {
+    check_sharded_counter_linearizable(Backend::Comb);
 }
 
 #[test]
@@ -197,13 +192,8 @@ fn shutdown_applies_accepted_ops_exactly_once_mp_server() {
 }
 
 #[test]
-fn shutdown_applies_accepted_ops_exactly_once_hybcomb() {
-    run_exactly_once_shutdown(Backend::HybComb);
-}
-
-#[test]
-fn shutdown_applies_accepted_ops_exactly_once_cc_synch() {
-    run_exactly_once_shutdown(Backend::CcSynch);
+fn shutdown_applies_accepted_ops_exactly_once_comb() {
+    run_exactly_once_shutdown(Backend::Comb);
 }
 
 #[test]
@@ -213,15 +203,15 @@ fn shutdown_applies_accepted_ops_exactly_once_lock() {
 
 // ---------------------------------------------------------------------------
 // Batch-size accounting: every batching backend must populate the shard
-// batch histogram (MP-SERVER through the control plane, HYBCOMB and
-// CC-SYNCH through their executors' per-round recording).
+// batch histogram through the control plane (MP-SERVER per shard-loop
+// batch, the combiner per round).
 // ---------------------------------------------------------------------------
 
 #[test]
 fn batch_hist_populated_for_all_batching_backends() {
     const THREADS: usize = 2;
     const OPS: usize = 300;
-    for backend in [Backend::MpServer, Backend::HybComb, Backend::CcSynch] {
+    for backend in [Backend::MpServer, Backend::Comb] {
         let svc = Arc::new(ShardedCounter::new(
             small(backend, 2, THREADS).with_submit(SubmitPolicy::Block),
         ));
@@ -281,20 +271,28 @@ fn fail_policy_rejects_only_when_window_full() {
 
 #[test]
 fn session_budget_is_enforced() {
-    let svc = ShardedCounter::new(small(Backend::Lock, 1, 2));
-    let a = svc.session().unwrap();
-    let _b = svc.session().unwrap();
-    assert!(matches!(
-        svc.session(),
-        Err(RuntimeError::SessionsExhausted)
-    ));
-    drop(a); // Lock backend recycles slots on drop
-    let _c = svc.session().unwrap();
+    for backend in Backend::ALL {
+        let svc = ShardedCounter::new(small(backend, 1, 2));
+        let mut a = svc.session().unwrap();
+        let mut b = svc.session().unwrap();
+        assert!(
+            matches!(svc.session(), Err(RuntimeError::SessionsExhausted)),
+            "{backend:?}"
+        );
+        a.fetch_inc(1).unwrap();
+        drop(a); // every backend recycles a dropped session's place
+        let mut c = svc.session().unwrap();
+        c.fetch_inc(1).unwrap();
+        b.fetch_inc(1).unwrap();
+        drop((b, c));
+        let (totals, _) = svc.shutdown();
+        assert_eq!(totals.get(&1), Some(&3), "{backend:?}");
+    }
 }
 
 #[test]
 fn submits_after_close_are_refused() {
-    let svc = ShardedCounter::new(small(Backend::CcSynch, 2, 1));
+    let svc = ShardedCounter::new(small(Backend::Comb, 2, 1));
     let mut s = svc.session().unwrap();
     s.fetch_inc(3).unwrap();
     svc.close();
@@ -508,12 +506,7 @@ fn drive_externally_hands_a_live_runtime_to_its_caller() {
 #[test]
 fn drive_externally_leaves_every_other_runtime_as_it_was() {
     watchdog("conversion of other backends", 60, || {
-        let others = [
-            Backend::Lock,
-            Backend::HybComb,
-            Backend::CcSynch,
-            Backend::Adaptive,
-        ];
+        let others = [Backend::Lock, Backend::Comb, Backend::Adaptive];
         for backend in others {
             let mut rt = keyed_runtime(small(backend, 2, 2));
             let threads = rt.stats().server_threads;
@@ -640,7 +633,7 @@ fn serving_threads_follow_the_builders_cpu_mask() {
                 .server_threads,
             1
         );
-        for inline in [Backend::Lock, Backend::HybComb, Backend::CcSynch] {
+        for inline in [Backend::Lock, Backend::Comb] {
             let stats = ShardedKvStore::new(config().with_backend(inline)).stats();
             assert_eq!(stats.server_threads, 0, "{inline:?} spawns no thread");
         }
@@ -682,8 +675,9 @@ fn watchdog<T: Send + 'static>(what: &str, secs: u64, f: impl FnOnce() -> T + Se
     }
 }
 
-/// The five executors a batch must behave identically on. Adaptive appears
-/// twice: in its initial lock mode (inline) and pinned to its server (wire).
+/// The executors a batch must behave identically on: every fixed backend,
+/// and Adaptive twice — in its initial lock mode (inline) and pinned to its
+/// server (wire).
 fn batch_runtimes(shards: usize) -> Vec<(String, Keyed)> {
     let mut rts: Vec<(String, Keyed)> = Backend::ALL
         .iter()
@@ -882,7 +876,9 @@ fn batches_complete_across_adaptive_backend_swaps() {
             std::thread::spawn(move || {
                 let mut swaps = 0u64;
                 for to in [Backend::MpServer, Backend::Lock].into_iter().cycle() {
-                    if done.load(std::sync::atomic::Ordering::Acquire) {
+                    // At least two rounds: sessions that finish before the
+                    // scheduler runs this thread must not fail the count.
+                    if swaps >= 2 && done.load(std::sync::atomic::Ordering::Acquire) {
                         break;
                     }
                     for shard in 0..2 {
@@ -893,6 +889,11 @@ fn batches_complete_across_adaptive_backend_swaps() {
                 swaps
             })
         };
+        // Start the batches once the swapper is swapping, so they straddle
+        // its swaps.
+        while rt.swap_epoch(1) == 0 {
+            std::thread::yield_now();
+        }
         let seen = two_sessions_batching(&rt, 100);
         done.store(true, std::sync::atomic::Ordering::Release);
         let swaps = swapper.join().unwrap();
