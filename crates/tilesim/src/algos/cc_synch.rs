@@ -6,11 +6,11 @@
 //! more to publish the response (invalidating the owner's spinning copy) —
 //! the same two-RMRs-per-CS pattern as the RCL-style server (§3).
 
-use crate::engine::{Ctx, Engine};
+use crate::engine::{Backoff, Ctx, Engine, Until};
 use crate::mem::{Addr, WORDS_PER_LINE};
 use crate::stats::Metric;
 
-use super::{client_rng, exec_cs, local_work, record_op, spin_until_eq, AddrAlloc, RunSpec};
+use super::{client_rng, exec_cs, local_work, record_op, AddrAlloc, RunSpec};
 
 /// Word offsets within a node's line.
 const WAIT: u64 = 0;
@@ -94,7 +94,8 @@ async fn apply(
     *my_node = cur;
 
     // Local spin until served or promoted.
-    spin_until_eq(ctx, cur_addr + WAIT, 0).await;
+    ctx.spin_until(cur_addr + WAIT, Until::Equals(0), &mut Backoff::new(2, 32))
+        .await;
     if ctx.read(cur_addr + COMPLETED).await == 1 {
         return ctx.read(cur_addr + RET).await;
     }

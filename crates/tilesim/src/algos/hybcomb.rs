@@ -12,11 +12,11 @@
 //! for ablation: the eager drain loop (lines 25–28) and CAS-vs-SWAP
 //! combiner registration (§4.2's discussion).
 
-use crate::engine::{Ctx, Engine};
+use crate::engine::{Backoff, Ctx, Engine, Until};
 use crate::mem::{Addr, WORDS_PER_LINE};
 use crate::stats::Metric;
 
-use super::{client_rng, exec_cs, local_work, record_op, spin_until_eq, AddrAlloc, RunSpec};
+use super::{client_rng, exec_cs, local_work, record_op, AddrAlloc, RunSpec};
 
 /// Word offsets within a node's *meta* line.
 const TID: u64 = 0; // owner's core id
@@ -213,7 +213,9 @@ async fn apply(ctx: &mut Ctx, spec: &RunSpec, sh: &Shared, my: &mut u64, op: u64
             // the benign race of §4.2).
             ctx.write(sh.n_ops_of(*my), 0).await;
             // Lines 19–20: wait for the predecessor to finish combining.
-            spin_until_eq(ctx, sh.meta_of(pred) + DONE, 1).await;
+            let done = sh.meta_of(pred) + DONE;
+            ctx.spin_until(done, Until::Equals(1), &mut Backoff::new(2, 32))
+                .await;
             return combine(ctx, spec, sh, my, op, arg).await;
         }
     }

@@ -10,7 +10,7 @@
 
 use std::ops::AsyncFnOnce;
 
-use crate::engine::{Ctx, Engine};
+use crate::engine::{Backoff, Ctx, Engine, Until};
 use crate::mem::{Addr, WORDS_PER_LINE};
 use crate::stats::Metric;
 
@@ -94,16 +94,14 @@ async fn tas_loop(ctx: &mut Ctx, spec: RunSpec, lock: Addr) {
             &spec,
             i,
             async |ctx| {
-                let mut backoff = 4u64;
+                // The backoff carries over from one test loop to the next.
+                let mut backoff = Backoff::new(4, 256);
                 loop {
                     if ctx.swap(lock, 1).await == 0 {
                         return;
                     }
-                    // Test loop on the (cached) lock word plus backoff.
-                    while ctx.read(lock).await != 0 {
-                        ctx.work(backoff).await;
-                        backoff = (backoff * 2).min(256);
-                    }
+                    // Test loop on the (cached) lock word.
+                    ctx.spin_until(lock, Until::Equals(0), &mut backoff).await;
                 }
             },
             async |ctx| ctx.write(lock, 0).await,
@@ -124,11 +122,8 @@ async fn ticket_loop(ctx: &mut Ctx, spec: RunSpec, next: Addr, serving: Addr) {
             i,
             async |ctx| {
                 let my = ctx.faa(next, 1).await;
-                let mut backoff = 2u64;
-                while ctx.read(serving).await != my {
-                    ctx.work(backoff).await;
-                    backoff = (backoff * 2).min(64);
-                }
+                ctx.spin_until(serving, Until::Equals(my), &mut Backoff::new(2, 64))
+                    .await;
             },
             async |ctx| {
                 let s = ctx.read(serving).await;
@@ -159,30 +154,22 @@ async fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64
                 if pred != 0 {
                     ctx.write(node(pred - 1) + NEXT, me + 1).await;
                     // Local spin on my own node line.
-                    let mut backoff = 2u64;
-                    while ctx.read(node(me) + LOCKED).await != 0 {
-                        ctx.work(backoff).await;
-                        backoff = (backoff * 2).min(64);
-                    }
+                    let locked = node(me) + LOCKED;
+                    ctx.spin_until(locked, Until::Equals(0), &mut Backoff::new(2, 64))
+                        .await;
                 }
             },
             async |ctx| {
-                let next = ctx.read(node(me) + NEXT).await;
+                let link = node(me) + NEXT;
+                let mut next = ctx.read(link).await;
                 if next == 0 {
                     if ctx.cas(tail, me + 1, 0).await {
                         return;
                     }
                     // A successor is linking itself; wait for the link.
-                    let mut backoff = 2u64;
-                    loop {
-                        let n = ctx.read(node(me) + NEXT).await;
-                        if n != 0 {
-                            ctx.write(node(n - 1) + LOCKED, 0).await;
-                            return;
-                        }
-                        ctx.work(backoff).await;
-                        backoff = (backoff * 2).min(32);
-                    }
+                    next = ctx
+                        .spin_until(link, Until::Differs(0), &mut Backoff::new(2, 32))
+                        .await;
                 }
                 ctx.write(node(next - 1) + LOCKED, 0).await;
             },

@@ -1,6 +1,7 @@
 //! Simulator implementations of the four synchronization constructions the
 //! paper evaluates, plus the shared building blocks (address allocation,
-//! critical-section bodies, workload op generators, spin helpers).
+//! critical-section bodies, workload op generators). Every local spin is a
+//! [`Ctx::spin_until`](crate::Ctx::spin_until).
 //!
 //! Each construction installs one proc per participating thread into an
 //! [`Engine`](crate::Engine); application procs run the paper's §5.2
@@ -344,22 +345,6 @@ pub(crate) async fn local_work(ctx: &mut Ctx, rng: &mut StdRng, max_iters: u64, 
 
 pub(crate) fn client_rng(seed: u64, core: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (core as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Spins until `read(addr) == expected`, with growing local backoff so the
-/// simulation does not drown in spin events. Real local spinning costs the
-/// interconnect nothing; the backoff (capped at 32 cycles) only adds a small
-/// wake-up delay, the same price a PAUSE-loop pays on silicon.
-pub(crate) async fn spin_until_eq(ctx: &mut Ctx, addr: Addr, expected: u64) -> u64 {
-    let mut backoff = 2u64;
-    loop {
-        let v = ctx.read(addr).await;
-        if v == expected {
-            return v;
-        }
-        ctx.work(backoff).await;
-        backoff = (backoff * 2).min(32);
-    }
 }
 
 /// Records one completed application operation with its latency (average

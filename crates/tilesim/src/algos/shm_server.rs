@@ -6,7 +6,7 @@
 //! response (invalidating the client's spinning copy). Those two stalls are
 //! what Figure 4a shows eating more than half of the server's cycles.
 
-use crate::engine::{Ctx, Engine};
+use crate::engine::{Backoff, Ctx, Engine, Until};
 use crate::mem::Addr;
 use crate::stats::Metric;
 
@@ -56,11 +56,8 @@ async fn client(ctx: &mut Ctx, spec: RunSpec, ch: Addr) {
         ctx.write(ch + ARG, arg).await;
         ctx.write(ch + STATUS, REQ).await;
         // Local spin on the channel line until the server writes DONE.
-        let mut backoff = 2u64;
-        while ctx.read(ch + STATUS).await != DONE {
-            ctx.work(backoff).await;
-            backoff = (backoff * 2).min(32);
-        }
+        ctx.spin_until(ch + STATUS, Until::Equals(DONE), &mut Backoff::new(2, 32))
+            .await;
         let _ret = ctx.read(ch + RET).await;
         ctx.write(ch + STATUS, IDLE).await;
         record_op(ctx, t0);

@@ -15,6 +15,34 @@
 //! a proc never runs past the operation it was suspended in, and whatever
 //! its body owns is destroyed in place — so workload bodies are written as
 //! infinite loops without any stop-flag plumbing.
+//!
+//! # Engine-run spins
+//!
+//! [`Ctx::spin_until`] is a read-then-backoff loop that the engine runs
+//! itself, without polling the proc once per iteration. A read that does
+//! not end the spin leaves the spinner holding the line, so every later
+//! read would hit and return the same value; only a write or an atomic by
+//! another core can change the word, and both invalidate the spinner's
+//! copy. So the spinner sleeps: the line's directory entry records it, and
+//! the access that invalidates the line reports it. On that invalidation
+//! by core `w` at cycle `T` the engine replays the sleep with arithmetic —
+//! each phase is the backoff's busy cycles, then a hit read (`l1_hit` busy
+//! cycles, one memory op) — up to the first read ordered after `(T, w)`,
+//! which it schedules as a real event: it misses, as it would have. The
+//! result is the per-iteration loop's to the cycle:
+//!
+//! - *Ties follow the heap.* A read on cycle `T` comes before `w`'s write
+//!   only if the spinner's core id is lower. (Every operation takes at
+//!   least one cycle, so the spinner's read would have been in the heap
+//!   before that write was serviced.)
+//! - *The horizon.* A phase at or past the horizon is not charged; the
+//!   first such phase's time is scheduled, so the run's final clock counts
+//!   it like any other pending resume.
+//! - *Quiescence.* A heap that runs empty while spinners sleep is not
+//!   quiescence: nothing can wake them, so they spin on to the horizon.
+//!
+//! `HostStats::handoffs` counts only real resumptions of proc bodies, so a
+//! spin adds one to it however many times it reads.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -108,6 +136,7 @@ enum Request {
     QueueEmpty,
     PendingTraffic,
     Work(u64),
+    Spin(Spin),
 }
 
 /// The engine's answer to a [`Request`], handed over when the proc's event
@@ -117,6 +146,70 @@ enum Response {
     Unit,
     Value(u64),
     Words(Words),
+    /// The value that ended a spin and the backoff it ended with.
+    Spun(u64, Backoff),
+}
+
+/// The condition a [`Ctx::spin_until`] waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Until {
+    /// The word equals this value.
+    Equals(u64),
+    /// The word differs from this value.
+    Differs(u64),
+}
+
+impl Until {
+    /// Whether `v` ends the spin.
+    pub fn holds(self, v: u64) -> bool {
+        match self {
+            Until::Equals(x) => v == x,
+            Until::Differs(x) => v != x,
+        }
+    }
+}
+
+/// A spin's exponential backoff: after each read that does not end the
+/// spin, the spinner works the current pause, which then doubles up to
+/// the cap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Backoff {
+    cur: u64,
+    cap: u64,
+}
+
+impl Backoff {
+    /// A backoff whose first pause is `start` cycles and whose pauses
+    /// never exceed `cap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < start <= cap`.
+    pub fn new(start: u64, cap: u64) -> Self {
+        assert!(0 < start && start <= cap, "backoff {start} / cap {cap}");
+        Self { cur: start, cap }
+    }
+
+    /// The next pause.
+    pub fn current(&self) -> u64 {
+        self.cur
+    }
+
+    /// Returns the next pause and doubles the one after it, up to the cap.
+    pub fn advance(&mut self) -> u64 {
+        let b = self.cur;
+        self.cur = (b * 2).min(self.cap);
+        b
+    }
+}
+
+/// A proc inside [`Ctx::spin_until`]. The engine runs the spin itself and
+/// resumes the proc's body only with the value that ends it.
+#[derive(Debug, Clone, Copy)]
+struct Spin {
+    addr: Addr,
+    until: Until,
+    backoff: Backoff,
 }
 
 /// The slot a proc shares with the engine. Only one of the two runs at any
@@ -256,6 +349,42 @@ impl Ctx {
         self.value(Request::PendingTraffic).await != 0
     }
 
+    /// Spins until the word at `a` satisfies `until`, and returns that
+    /// value. Each iteration reads the word and, if the read does not end
+    /// the spin, works `backoff`'s next pause; `backoff` keeps its state
+    /// across calls.
+    ///
+    /// This is exactly the loop
+    ///
+    /// ```text
+    /// loop {
+    ///     let v = ctx.read(a).await;
+    ///     if until.holds(v) { return v; }
+    ///     ctx.work(backoff.advance()).await;
+    /// }
+    /// ```
+    ///
+    /// to the cycle, but the engine runs it without resuming the proc: a
+    /// read that does not end the spin leaves the spinner holding the line,
+    /// so it sleeps until a write invalidates its copy (see the module
+    /// doc). Real local spinning costs the interconnect nothing; the
+    /// backoff only adds a small wake-up delay, the price a PAUSE loop
+    /// pays on silicon.
+    pub async fn spin_until(&mut self, a: Addr, until: Until, backoff: &mut Backoff) -> u64 {
+        let spin = Spin {
+            addr: a,
+            until,
+            backoff: *backoff,
+        };
+        match self.transact(Request::Spin(spin)).await {
+            Response::Spun(v, b) => {
+                *backoff = b;
+                v
+            }
+            other => unreachable!("expected a spin's end, got {other:?}"),
+        }
+    }
+
     /// Burns `cycles` of local computation.
     pub async fn work(&mut self, cycles: u64) {
         if cycles > 0 {
@@ -292,6 +421,14 @@ enum ProcState {
         words: Words,
         since: u64,
     },
+    /// In a spin whose next read is the proc's event in the heap.
+    SpinRead(Spin),
+    /// In a spin, asleep on its line until a write invalidates it; its
+    /// last read completed at `phase`, where its next backoff phase starts.
+    Asleep {
+        spin: Spin,
+        phase: u64,
+    },
     Finished,
 }
 
@@ -318,6 +455,10 @@ pub struct Engine {
     queues: Vec<SimQueue>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     clock: u64,
+    /// The horizon of the current [`Engine::run`].
+    horizon: u64,
+    /// How many procs are [`ProcState::Asleep`].
+    asleep: usize,
     host: HostStats,
 }
 
@@ -338,6 +479,8 @@ impl Engine {
             queues,
             heap: BinaryHeap::new(),
             clock: 0,
+            horizon: 0,
+            asleep: 0,
             host: HostStats::default(),
         }
     }
@@ -495,11 +638,13 @@ impl Engine {
                 let acc = self.mem.write(proc, a, v, now);
                 self.charge_mem(proc, acc.latency);
                 self.schedule(proc, now + acc.latency, Response::Unit);
+                self.wake(acc.woken, now, proc);
             }
             Request::Faa(a, d) => {
                 let (old, acc) = self.mem.atomic(proc, a, now, |v| v.wrapping_add(d));
                 self.charge_mem(proc, acc.latency);
                 self.schedule(proc, now + acc.latency, Response::Value(old));
+                self.wake(acc.woken, now, proc);
             }
             Request::Cas(a, expect, new) => {
                 let mut ok = false;
@@ -513,11 +658,13 @@ impl Engine {
                 });
                 self.charge_mem(proc, acc.latency);
                 self.schedule(proc, now + acc.latency, Response::Value(ok as u64));
+                self.wake(acc.woken, now, proc);
             }
             Request::Swap(a, new) => {
                 let (old, acc) = self.mem.atomic(proc, a, now, |_| new);
                 self.charge_mem(proc, acc.latency);
                 self.schedule(proc, now + acc.latency, Response::Value(old));
+                self.wake(acc.woken, now, proc);
             }
             Request::Send(dest, msg) => {
                 assert!(dest < self.queues.len(), "send to core {dest} out of range");
@@ -575,6 +722,94 @@ impl Engine {
                 self.procs[proc].stats.busy += cycles;
                 self.schedule(proc, now + cycles, Response::Unit);
             }
+            Request::Spin(spin) => self.spin_read(proc, spin),
+        }
+    }
+
+    /// One read of `proc`'s spin, at the current clock: it either ends the
+    /// spin or puts the proc to sleep on the line it now holds.
+    fn spin_read(&mut self, proc: usize, spin: Spin) {
+        let now = self.clock;
+        let (v, acc) = self.mem.read(proc, spin.addr, now);
+        self.charge_mem(proc, acc.latency);
+        let done = now + acc.latency;
+        if spin.until.holds(v) {
+            self.schedule(proc, done, Response::Spun(v, spin.backoff));
+        } else {
+            self.mem.sleep(proc, spin.addr);
+            self.procs[proc].state = ProcState::Asleep { spin, phase: done };
+            self.asleep += 1;
+        }
+    }
+
+    /// Wakes the sleepers in `mask`, whose copies core `w` invalidated at
+    /// cycle `t`.
+    fn wake(&mut self, mut mask: u64, t: u64, w: usize) {
+        while mask != 0 {
+            let sleeper = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            self.replay(sleeper, t, w);
+        }
+    }
+
+    /// Charges `proc`'s sleep up to its first read ordered after event
+    /// `(t, w)` — the invalidation — and schedules that read as a real
+    /// event, or stops at the first phase at or past the horizon.
+    ///
+    /// Every read before `(t, w)` hits and returns the value that put the
+    /// proc to sleep, so a phase is arithmetic: `b` busy cycles of backoff,
+    /// then a hit read of `l1_hit` busy cycles and one memory op. Requires
+    /// `t < horizon`, so every such read falls before the horizon.
+    fn replay(&mut self, proc: usize, t: u64, w: usize) {
+        let ProcState::Asleep { spin, phase } = self.procs[proc].state else {
+            unreachable!("proc {proc} woken while not asleep");
+        };
+        self.asleep -= 1;
+        let hit = self.cfg.l1_hit;
+        let before = |r: u64| (r, proc) < (t, w);
+        let mut backoff = spin.backoff;
+        let (mut a, mut busy, mut reads) = (phase, 0, 0);
+        let due = loop {
+            if backoff.cur == backoff.cap && before(a + backoff.cap) {
+                // Steady state: skip every whole phase whose read is
+                // still before the invalidation.
+                let period = backoff.cap + hit;
+                let first = a + backoff.cap;
+                let mut n = (t - first) / period + 1;
+                if !before(first + (n - 1) * period) {
+                    n -= 1;
+                }
+                a += n * period;
+                busy += n * period;
+                reads += n;
+            }
+            if a >= self.horizon {
+                break a;
+            }
+            let r = a + backoff.advance();
+            busy += r - a;
+            if !before(r) {
+                break r;
+            }
+            busy += hit;
+            reads += 1;
+            a = r + hit;
+        };
+        let slot = &mut self.procs[proc];
+        slot.stats.busy += busy;
+        slot.stats.mem_ops += reads;
+        slot.state = ProcState::SpinRead(Spin { backoff, ..spin });
+        self.heap.push(Reverse((due, proc)));
+    }
+
+    /// Runs every sleeper on to the horizon: nothing can wake it before.
+    fn wake_all_at_horizon(&mut self) {
+        for proc in 0..self.procs.len() {
+            if matches!(self.procs[proc].state, ProcState::Asleep { .. }) {
+                // `(horizon - 1, past every core)` orders after every read
+                // before the horizon and before every read at or after it.
+                self.replay(proc, self.horizon.saturating_sub(1), usize::MAX);
+            }
         }
     }
 
@@ -617,18 +852,31 @@ impl Engine {
     pub fn run(mut self, horizon: u64) -> SimResult {
         let mut cx = Context::from_waker(Waker::noop());
         let mut live = self.procs.len();
+        self.horizon = horizon;
         while live > 0 {
-            // An empty heap is quiescence: every remaining proc is blocked
-            // and no event is left that could ever wake one.
             let Some(Reverse((t, proc))) = self.heap.pop() else {
-                break;
+                // An empty heap is quiescence: every remaining proc is
+                // blocked and no event is left that could ever wake one —
+                // unless some are asleep in a spin, which then spin on to
+                // the horizon.
+                if self.asleep == 0 {
+                    break;
+                }
+                self.wake_all_at_horizon();
+                continue;
             };
             self.clock = self.clock.max(t);
             if self.clock >= horizon {
-                // The run ends at the latest resume already scheduled.
+                // The run ends at the latest resume already scheduled,
+                // counting each sleeper's first phase at the horizon.
+                self.wake_all_at_horizon();
                 let scheduled = self.heap.iter().map(|&Reverse((t, _))| t);
                 self.clock = scheduled.fold(self.clock, u64::max);
                 break;
+            }
+            if let ProcState::SpinRead(spin) = self.procs[proc].state {
+                self.spin_read(proc, spin);
+                continue;
             }
             match self.resume(proc, &mut cx) {
                 Poll::Ready(()) => {

@@ -67,7 +67,7 @@ mod stats;
 pub mod workload;
 
 pub use config::MachineConfig;
-pub use engine::{Ctx, Engine};
+pub use engine::{Backoff, Ctx, Engine, Until};
 pub use mem::{line_of, Addr, WORDS_PER_LINE};
 pub use stats::{
     lat_bucket, lat_bucket_bound, CoreStats, HostStats, Metric, SimResult, LAT_BUCKETS, N_METRICS,

@@ -75,6 +75,9 @@ struct Line {
     owner: usize,
     /// Bitmask of sharer cores (the simulator supports up to 64 cores).
     sharers: u64,
+    /// Bitmask of the cores asleep in a spin on this line (see
+    /// [`Memory::sleep`]); always a subset of `sharers`.
+    sleepers: u64,
 }
 
 impl Line {
@@ -83,17 +86,22 @@ impl Line {
             state: LineState::Invalid,
             owner: 0,
             sharers: 0,
+            sleepers: 0,
         }
     }
 }
 
-/// Outcome of a memory access: its latency and whether it was an RMR.
+/// Outcome of a memory access: its latency, whether it was an RMR, and
+/// which sleeping spinners it invalidated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// Total cycles the access occupies the issuing core.
     pub latency: u64,
     /// Whether the access involved the interconnection network.
     pub rmr: bool,
+    /// Bitmask of the cores asleep on the line whose copy this access
+    /// invalidated (always 0 for reads). Each is no longer asleep.
+    pub woken: u64,
 }
 
 /// The memory system shared by all simulated cores.
@@ -179,6 +187,7 @@ impl Memory {
                 Access {
                     latency: cfg.l1_hit,
                     rmr: false,
+                    woken: 0,
                 },
             );
         }
@@ -204,7 +213,14 @@ impl Memory {
         let start = self.home_slot(home, now + travel);
         let latency = (start + service + travel).saturating_sub(now) + cfg.rmr_base;
         self.rmr_count[core] += 1;
-        (value, Access { latency, rmr: true })
+        (
+            value,
+            Access {
+                latency,
+                rmr: true,
+                woken: 0,
+            },
+        )
     }
 
     /// Writes a word at cycle `now`. A hit requires Modified ownership;
@@ -219,9 +235,11 @@ impl Memory {
 
         let line = self.line_mut(l);
         if line.state == LineState::Modified && line.owner == core {
+            // No other core holds a copy, so none can be asleep on it.
             return Access {
                 latency: cfg.l1_hit,
                 rmr: false,
+                woken: 0,
             };
         }
 
@@ -233,6 +251,7 @@ impl Memory {
         line.state = LineState::Modified;
         line.owner = core;
         line.sharers = bit;
+        let woken = std::mem::take(&mut line.sleepers);
 
         let travel = cfg.hop * cfg.hops(core, home);
         let mut service = cfg.dir_occupancy;
@@ -242,7 +261,11 @@ impl Memory {
         let start = self.home_slot(home, now + travel);
         let latency = (start + service + travel).saturating_sub(now) + cfg.rmr_base;
         self.rmr_count[core] += 1;
-        Access { latency, rmr: true }
+        Access {
+            latency,
+            rmr: true,
+            woken,
+        }
     }
 
     /// Executes an atomic read-modify-write at the line's memory
@@ -266,12 +289,12 @@ impl Memory {
         // Invalidate every cached copy: after the operation, memory holds
         // the only current version.
         let home = self.home(l);
-        let had_copies = {
+        let (had_copies, woken) = {
             let line = self.line_mut(l);
             let had = line.state != LineState::Invalid;
             line.state = LineState::Invalid;
             line.sharers = 0;
-            had
+            (had, std::mem::take(&mut line.sleepers))
         };
         if had_copies {
             // The invalidation is a directory transaction at the home tile.
@@ -300,7 +323,28 @@ impl Memory {
             latency += cfg.coherence_extra;
         }
         self.atomic_count[core] += 1;
-        (old, Access { latency, rmr: true })
+        (
+            old,
+            Access {
+                latency,
+                rmr: true,
+                woken,
+            },
+        )
+    }
+
+    /// Puts `core` to sleep on `addr`'s line, which it must hold (it has
+    /// just read `addr`). While it holds the line every read it makes hits
+    /// and returns the same value, so it sleeps until the next write or
+    /// atomic by another core invalidates its copy; that access reports it
+    /// in [`Access::woken`].
+    pub fn sleep(&mut self, core: usize, addr: Addr) {
+        let line = self.line_mut(line_of(addr));
+        debug_assert!(
+            line.sharers & (1u64 << core) != 0,
+            "sleeper must hold the line"
+        );
+        line.sleepers |= 1u64 << core;
     }
 
     /// Reads a value without touching coherence state or charging cycles
@@ -348,6 +392,12 @@ impl Memory {
                         return Err(format!("line {l}: Invalid with sharers"));
                     }
                 }
+            }
+            if line.sleepers & !line.sharers != 0 {
+                return Err(format!(
+                    "line {l}: sleepers {:b} not among sharers {:b}",
+                    line.sleepers, line.sharers
+                ));
             }
         }
         Ok(())

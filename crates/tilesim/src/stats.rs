@@ -135,8 +135,8 @@ impl Metric {
 pub struct HostStats {
     /// Proc resumptions: one per poll of a proc's body, plus one for each
     /// body the engine drops while it is still suspended at the end of the
-    /// run. A deterministic function of the simulated trace, so it doubles
-    /// as a trace-length check.
+    /// run. A spin run by the engine ([`Ctx::spin_until`](crate::Ctx::spin_until))
+    /// is one resumption however many reads it makes.
     pub handoffs: u64,
     /// Always 0: procs are polled in place and no thread exists that could
     /// park. The field survives only because

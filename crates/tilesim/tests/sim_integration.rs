@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tilesim::algos::Approach;
 use tilesim::workload::{max_threads, run_counter, run_queue_onelock, servicing_core};
-use tilesim::{MachineConfig, Metric};
+use tilesim::{CoreStats, MachineConfig, Metric};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -45,29 +45,54 @@ proptest! {
     }
 }
 
-/// Golden pin of the benchmark's round (`sim-counter36`): figures recorded
-/// from the thread-per-proc engine this one replaced. `handoffs` is the
-/// length of the simulated trace, so a match means the same operations were
-/// serviced in the same order, not merely the same totals.
+/// Golden pin of the benchmark's round (`sim-counter36`): model figures
+/// recorded from the thread-per-proc engine this one replaced, and again
+/// before spins ran inside the engine. The cycle sums are the trace-length
+/// check: they cover every operation every core issued, spin reads
+/// included, so a match means the same trace, not merely the same totals.
 #[test]
 fn counter36_round_matches_the_threaded_engine() {
     let cfg = MachineConfig::tile_gx8036();
-    // (approach, Ops, handoffs, end_clock, servicing core's stall cycles)
+    // (approach, Ops, end_clock, servicing core's stall cycles, and the
+    // sums over cores of mem_ops, busy and idle)
     let golden = [
-        (Approach::MpServer, 1813, 12_766, 20_035, 18),
-        (Approach::HybComb, 632, 10_129, 20_030, 8_684),
-        (Approach::ShmServer, 262, 45_389, 20_030, 16_334),
-        (Approach::CcSynch, 242, 45_027, 20_031, 13_618),
+        (Approach::MpServer, 1813, 20_035, 18, 3_630, 75_728, 639_214),
+        (
+            Approach::HybComb,
+            632,
+            20_030,
+            8_684,
+            5_342,
+            65_182,
+            319_557,
+        ),
+        (Approach::ShmServer, 262, 20_030, 16_334, 24_308, 691_641, 0),
+        (Approach::CcSynch, 242, 20_031, 13_618, 24_694, 670_502, 0),
     ];
-    for (a, ops, handoffs, end_clock, stall) in golden {
+    // Host-side, not part of the model: proc-body resumptions, which engine-
+    // run spins do not add to. Pinned so a change in how the engine steps
+    // the same trace is noticed.
+    let handoffs = [12_766, 8_055, 3_845, 4_940];
+    for ((a, ops, end_clock, stall, mem_ops, busy, idle), handoffs) in
+        golden.into_iter().zip(handoffs)
+    {
         let r = run_counter(cfg, a, max_threads(&cfg, a), 200, 20_000, 1);
+        let sum = |f: fn(&CoreStats) -> u64| r.per_core.iter().map(f).sum::<u64>();
         let got = (
             r.metric_sum(Metric::Ops),
-            r.host.handoffs,
             r.end_clock,
             r.per_core[servicing_core(&r)].stall,
+            sum(|c| c.mem_ops),
+            sum(|c| c.busy),
+            sum(|c| c.idle),
         );
-        assert_eq!(got, (ops, handoffs, end_clock, stall), "{}", a.label());
+        assert_eq!(
+            got,
+            (ops, end_clock, stall, mem_ops, busy, idle),
+            "{}",
+            a.label()
+        );
+        assert_eq!(r.host.handoffs, handoffs, "{} handoffs", a.label());
     }
 }
 

@@ -2,10 +2,10 @@
 //! machine model — the executable form of EXPERIMENTS.md. Horizons are kept
 //! modest; the simulator is deterministic, so these are stable.
 
-use mpsync::tilesim::algos::Approach;
+use mpsync::tilesim::algos::{Approach, LockKind};
 use mpsync::tilesim::workload::{
-    run_counter, run_counter_fixed, run_queue_lcrq, run_queue_onelock, run_stack,
-    run_stack_treiber, servicing_core,
+    max_threads, run_counter, run_counter_fixed, run_counter_lock, run_queue_lcrq,
+    run_queue_onelock, run_stack, run_stack_treiber, servicing_core,
 };
 use mpsync::tilesim::{MachineConfig, Metric, SimResult};
 
@@ -193,4 +193,64 @@ fn figures_are_deterministic() {
     let c = run_counter(cfg(), Approach::HybComb, 10, 200, 100_000, 10).mops();
     // Different seed, different local-work schedule (almost surely).
     assert_ne!(a, c);
+}
+
+/// FNV-1a over everything the simulated machine produced: per-core cycle
+/// accounting, per-proc metrics, `cycles` and `end_clock`. `host` is left
+/// out: it counts the simulator's own work, not the model's.
+fn model_digest(r: &SimResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for c in &r.per_core {
+        for v in [
+            c.busy,
+            c.stall,
+            c.idle,
+            c.mem_ops,
+            c.rmrs,
+            c.atomics,
+            c.msgs_sent,
+            c.msgs_recv,
+            c.blocked_sends,
+        ] {
+            eat(v);
+        }
+    }
+    for row in &r.metrics {
+        row.iter().for_each(|&v| eat(v));
+    }
+    eat(r.cycles);
+    eat(r.end_clock);
+    h
+}
+
+/// Golden digests of the model: the counter under each construction at its
+/// maximum thread count and under each spin lock on every core. Recorded
+/// before spins ran inside the engine; any drift in the simulated machine,
+/// however small, changes one of them.
+#[test]
+fn model_digests_are_unchanged() {
+    let golden = [
+        (Approach::MpServer, 0xc0c4_6d01_0218_1428),
+        (Approach::HybComb, 0xd8e2_bb9c_15eb_518e),
+        (Approach::ShmServer, 0x5e8b_91a4_8d93_f074),
+        (Approach::CcSynch, 0xcdf7_63c1_b697_8776),
+    ];
+    for (a, digest) in golden {
+        let r = run_counter(cfg(), a, max_threads(&cfg(), a), 200, H, 1);
+        assert_eq!(model_digest(&r), digest, "{}", a.label());
+    }
+    let golden = [
+        (LockKind::Tas, 0x469a_a8a7_f97c_43a9),
+        (LockKind::Ticket, 0x894c_0222_a33e_bfb8),
+        (LockKind::Mcs, 0xc0d6_7d70_44af_4269),
+    ];
+    for (kind, digest) in golden {
+        let r = run_counter_lock(cfg(), kind, cfg().cores(), H, 1);
+        assert_eq!(model_digest(&r), digest, "{}", kind.label());
+    }
 }
