@@ -11,7 +11,7 @@
 use mpsync_objects::EMPTY;
 use mpsync_runtime::{
     probe_key, Backend, OpMask, Runtime, RuntimeConfig, RuntimeError, RuntimeStats, Session,
-    ShardDriver, StateExport,
+    StateExport,
 };
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::Counter;
@@ -92,12 +92,6 @@ impl AppSuite {
     /// The shard that owns `key`.
     pub fn shard_of(&self, key: u64) -> usize {
         self.runtime.shard_of(key)
-    }
-
-    /// Claims `shard`'s driver for an external event loop (see
-    /// [`RuntimeConfig::with_external_drive`]).
-    pub fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
-        self.runtime.take_driver(shard)
     }
 
     /// Forces an Adaptive shard onto `backend` (no-op on fixed backends).
@@ -737,11 +731,7 @@ mod tests {
 
     #[test]
     fn adaptive_suite_survives_forced_switches() {
-        let svc = AppSuite::new(
-            RuntimeConfig::new(1)
-                .with_backend(Backend::Adaptive)
-                .with_adaptive_auto(false),
-        );
+        let svc = AppSuite::new(RuntimeConfig::new(1).with_backend(Backend::Adaptive));
         let mut s = svc.session().unwrap();
         for (round, &backend) in [Backend::Lock, Backend::MpServer, Backend::Comb]
             .iter()

@@ -22,8 +22,9 @@
 //!                           encode replies in request order, one write
 //!                                          │ sharded delegation
 //!                                          ▼
-//!                           MP-SERVER / combiner / lock / adaptive
-//!                           (externally driven shards: net-pump-<i>)
+//!                           MP-SERVER / combiner / lock / adaptive,
+//!                           executed by the service's own threads
+//!                           (rt-serve-<j>) or by the submitting thread
 //! ```
 //!
 //! The serving model is thread-per-connection, and only that: a connection

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mpsync_runtime::{KeyedDispatch, Runtime, RuntimeError, Session, ShardDriver, MAX_KEY};
+use mpsync_runtime::{KeyedDispatch, Runtime, RuntimeError, Session, MAX_KEY};
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
 
@@ -56,26 +56,13 @@ use crate::frame::{
 /// coupling to the layer below. Implemented by [`Runtime`] itself and by
 /// the ready-made sharded objects.
 ///
-/// The two sharding-aware methods have degenerate defaults (one shard, no
-/// external drive) so existing single-shard services keep working; the
-/// server uses them to find the shards of a runtime built
-/// [`with_external_drive`](mpsync_runtime::RuntimeConfig::with_external_drive)
-/// and tick them from fallback pump threads, since no connection thread
-/// owns a shard.
+/// A `NetServer` serves services that execute their own shards: on serving
+/// threads of their own or on the submitting connection thread. Nothing in
+/// the server ticks a shard, so a runtime converted with
+/// [`Runtime::drive_externally`] answers no request here.
 pub trait Service: Send + Sync {
     /// Opens one session; called once per accepted connection.
     fn open_session(&self) -> Result<Session, RuntimeError>;
-
-    /// Number of delegation shards.
-    fn shards(&self) -> usize {
-        1
-    }
-
-    /// Hands out `shard`'s externally-driven executor, at most once per
-    /// shard. `None` when the service drives its shards itself.
-    fn take_driver(&self, _shard: usize) -> Option<ShardDriver> {
-        None
-    }
 
     /// Per-shard runtime counters as JSON (the
     /// [`RuntimeStats::to_json`](mpsync_runtime::RuntimeStats::to_json)
@@ -95,14 +82,6 @@ where
         self.session()
     }
 
-    fn shards(&self) -> usize {
-        self.config().shards
-    }
-
-    fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
-        Runtime::take_driver(self, shard)
-    }
-
     fn runtime_stats_json(&self) -> Option<String> {
         Some(self.stats().to_json())
     }
@@ -111,14 +90,6 @@ where
 impl Service for mpsync_runtime::ShardedKvStore {
     fn open_session(&self) -> Result<Session, RuntimeError> {
         self.raw_session()
-    }
-
-    fn shards(&self) -> usize {
-        mpsync_runtime::ShardedKvStore::shards(self)
-    }
-
-    fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
-        mpsync_runtime::ShardedKvStore::take_driver(self, shard)
     }
 
     fn runtime_stats_json(&self) -> Option<String> {
@@ -131,14 +102,6 @@ impl Service for mpsync_runtime::ShardedCounter {
         self.raw_session()
     }
 
-    fn shards(&self) -> usize {
-        mpsync_runtime::ShardedCounter::shards(self)
-    }
-
-    fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
-        mpsync_runtime::ShardedCounter::take_driver(self, shard)
-    }
-
     fn runtime_stats_json(&self) -> Option<String> {
         Some(self.stats().to_json())
     }
@@ -147,14 +110,6 @@ impl Service for mpsync_runtime::ShardedCounter {
 impl Service for mpsync_apps::AppSuite {
     fn open_session(&self) -> Result<Session, RuntimeError> {
         self.raw_session()
-    }
-
-    fn shards(&self) -> usize {
-        mpsync_apps::AppSuite::shards(self)
-    }
-
-    fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
-        mpsync_apps::AppSuite::take_driver(self, shard)
     }
 
     fn runtime_stats_json(&self) -> Option<String> {
@@ -412,8 +367,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Binds every listener and starts the accept threads plus, for an
-    /// externally driven service, fallback driver pumps.
+    /// Binds every listener and starts the accept threads.
     pub fn start(self) -> io::Result<NetServer> {
         if self.tcp.is_empty() && self.uds.is_empty() {
             return Err(io::Error::new(
@@ -432,29 +386,6 @@ impl ServerBuilder {
             conn_seq: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
         });
-
-        // An externally driven service: no connection thread owns a shard,
-        // so nobody else ticks the shard executors and every submit would
-        // hang. Pump threads are the correctness fallback (not a perf path).
-        let pump_stop = Arc::new(AtomicBool::new(false));
-        let mut pumps = Vec::new();
-        for i in 0..shared.service.shards() {
-            if let Some(mut driver) = shared.service.take_driver(i) {
-                let stop = Arc::clone(&pump_stop);
-                pumps.push(
-                    std::thread::Builder::new()
-                        .name(format!("net-pump-{i}"))
-                        .spawn(move || loop {
-                            if driver.tick() == 0 {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                std::thread::sleep(Duration::from_micros(50));
-                            }
-                        })?,
-                );
-            }
-        }
 
         let mut accepters = Vec::new();
         let acceptor = |i: usize| std::thread::Builder::new().name(format!("net-accept-{i}"));
@@ -480,8 +411,6 @@ impl ServerBuilder {
         Ok(NetServer {
             shared,
             accepters,
-            pumps,
-            pump_stop,
             tcp_addrs,
             uds_paths,
             done: false,
@@ -510,8 +439,6 @@ impl ServerBuilder {
 pub struct NetServer {
     shared: Arc<Shared>,
     accepters: Vec<JoinHandle<()>>,
-    pumps: Vec<JoinHandle<()>>,
-    pump_stop: Arc<AtomicBool>,
     tcp_addrs: Vec<SocketAddr>,
     uds_paths: Vec<PathBuf>,
     done: bool,
@@ -579,12 +506,6 @@ impl NetServer {
                     .disconnects
                     .fetch_add(1, Ordering::Relaxed);
             }
-        }
-        // Pumps stop only after the connection threads finish: their drain
-        // phase still submits, and those submits need live shard drivers.
-        self.pump_stop.store(true, Ordering::Release);
-        for p in self.pumps.drain(..) {
-            let _ = p.join();
         }
         for path in &self.uds_paths {
             let _ = std::fs::remove_file(path);

@@ -105,7 +105,16 @@ pub enum SubmitPolicy {
     Fail,
 }
 
-/// Configuration for a [`Runtime`](crate::Runtime).
+/// Configuration for a [`Runtime`](crate::Runtime): what the state is split
+/// into, which executor serves it, and how much each shard admits and
+/// batches.
+///
+/// Who serves the shards is not configured here: MP-SERVER shards get
+/// serving threads at construction, and an owner that wants to serve them
+/// itself converts the runtime with
+/// [`Runtime::drive_externally`](crate::Runtime::drive_externally). Nor is
+/// [`Backend::Adaptive`]'s controller: its interval and thresholds are
+/// constants of the policy (`adaptive.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Number of delegation shards (key partitions). Each shard owns the
@@ -128,16 +137,6 @@ pub struct RuntimeConfig {
     pub max_sessions: usize,
     /// Behaviour when a shard's submission window is full.
     pub submit: SubmitPolicy,
-    /// When `true` and the backend is [`Backend::MpServer`], the runtime
-    /// does **not** spawn serving threads. Instead each shard's
-    /// executor is handed out once as a [`ShardDriver`](crate::ShardDriver)
-    /// via [`Runtime::take_driver`](crate::Runtime::take_driver), and some
-    /// external event loop (e.g. a cluster node's core thread) must tick it.
-    /// Ignored by the inline backends (Comb / Lock), which already execute
-    /// on the submitting thread. A runtime built without it
-    /// can still be converted:
-    /// [`Runtime::drive_externally`](crate::Runtime::drive_externally).
-    pub external_drive: bool,
     /// Opcodes answerable from the per-shard read cache without entering
     /// the executor at all.
     ///
@@ -156,27 +155,6 @@ pub struct RuntimeConfig {
     /// single dispatch of the wrapped sum and reconstructs each caller's
     /// return value as `old ⊞ (sum of earlier args in the run)`.
     pub merge_ops: OpMask,
-    /// When the backend is [`Backend::Adaptive`]: spawn the contention
-    /// controller thread that samples each shard and switches modes
-    /// automatically. With `false`, shards stay in their current mode until
-    /// [`Runtime::force_backend`](crate::Runtime::force_backend) moves them.
-    pub adaptive_auto: bool,
-    /// Controller sampling interval in microseconds. The controller
-    /// sub-samples occupancy 4× per interval, so its wakeup rate is
-    /// `4 / interval` — keep the interval in the milliseconds for
-    /// production runtimes (timer wakeups cost real CPU on virtualized
-    /// hosts); contention regimes shift on far coarser timescales anyway.
-    pub adaptive_interval_us: u64,
-    /// Consecutive agreeing samples required before the controller switches
-    /// a shard (hysteresis: one noisy interval never flips a mode).
-    pub adaptive_confirm: u32,
-    /// Mean in-flight occupancy (EWMA, in operations) at or below which a
-    /// shard is considered uncontended → lock mode.
-    pub adaptive_low: f64,
-    /// Mean in-flight occupancy at or above which a shard is considered
-    /// heavily contended → MP-SERVER mode. Between `adaptive_low` and this,
-    /// the controller picks combining.
-    pub adaptive_high: f64,
 }
 
 impl Default for RuntimeConfig {
@@ -188,14 +166,8 @@ impl Default for RuntimeConfig {
             queue_depth: 32,
             max_sessions: 8,
             submit: SubmitPolicy::Block,
-            external_drive: false,
             read_fast: OpMask::EMPTY,
             merge_ops: OpMask::EMPTY,
-            adaptive_auto: true,
-            adaptive_interval_us: 5_000,
-            adaptive_confirm: 4,
-            adaptive_low: 1.25,
-            adaptive_high: 4.0,
         }
     }
 }
@@ -239,13 +211,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Hands shard execution to an external driver (see
-    /// [`RuntimeConfig::external_drive`]).
-    pub fn with_external_drive(mut self, external: bool) -> Self {
-        self.external_drive = external;
-        self
-    }
-
     /// Marks opcodes for the read-side fast path (see
     /// [`RuntimeConfig::read_fast`] for the required contract).
     pub fn with_read_fast(mut self, mask: OpMask) -> Self {
@@ -260,44 +225,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables or disables the adaptive controller thread.
-    pub fn with_adaptive_auto(mut self, auto: bool) -> Self {
-        self.adaptive_auto = auto;
-        self
-    }
-
-    /// Tunes the adaptive controller: sampling interval (µs), confirmation
-    /// streak, and the low/high occupancy thresholds.
-    pub fn with_adaptive_thresholds(
-        mut self,
-        interval_us: u64,
-        confirm: u32,
-        low: f64,
-        high: f64,
-    ) -> Self {
-        self.adaptive_interval_us = interval_us;
-        self.adaptive_confirm = confirm;
-        self.adaptive_low = low;
-        self.adaptive_high = high;
-        self
-    }
-
     pub(crate) fn validate(&self) {
         assert!(self.shards > 0, "runtime needs at least one shard");
         assert!(self.max_batch > 0, "max_batch must be positive");
         assert!(self.queue_depth > 0, "queue_depth must be positive");
         assert!(self.max_sessions > 0, "runtime needs session capacity");
-        if self.backend == Backend::Adaptive {
-            assert!(
-                self.adaptive_interval_us > 0,
-                "adaptive interval must be positive"
-            );
-            assert!(self.adaptive_confirm > 0, "adaptive confirm must be ≥ 1");
-            assert!(
-                self.adaptive_low <= self.adaptive_high,
-                "adaptive_low must not exceed adaptive_high"
-            );
-        }
     }
 }
 
@@ -354,14 +286,5 @@ mod tests {
         for (i, b) in Backend::ALL.into_iter().enumerate() {
             assert_eq!(b as usize, i);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "adaptive_low")]
-    fn inverted_adaptive_thresholds_rejected() {
-        RuntimeConfig::new(1)
-            .with_backend(Backend::Adaptive)
-            .with_adaptive_thresholds(500, 4, 8.0, 2.0)
-            .validate();
     }
 }

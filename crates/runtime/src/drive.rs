@@ -1,13 +1,15 @@
 //! Externally-driven shard execution.
 //!
-//! With [`RuntimeConfig::external_drive`](crate::RuntimeConfig) set, the
-//! MP-SERVER backend does not spawn `rt-serve-*` threads. Each shard's
-//! [`ShardCore`](crate::shard::ShardCore) is instead handed out exactly once
-//! as a [`ShardDriver`] — a type-erased, `Send` handle whose owner calls
-//! [`ShardDriver::tick`] from its own event loop. This is how a cluster
-//! node's core thread becomes the paper's servicing core: the thread that
-//! reads a request off a socket is the same thread that executes it, with
-//! no cross-core handoff in between.
+//! [`Runtime::drive_externally`](crate::Runtime::drive_externally) stops a
+//! threaded MP-SERVER runtime's `rt-serve-*` threads and parks each shard's
+//! [`ShardCore`](crate::shard::ShardCore) here, to be handed out exactly
+//! once as a [`ShardDriver`] — a type-erased, `Send` handle whose owner
+//! calls [`ShardDriver::tick`] from its own event loop. This is how a
+//! cluster node's core thread becomes the paper's servicing core: the
+//! thread that reads a request off a socket is the same thread that
+//! executes it, with no cross-core handoff in between. The cores keep their
+//! endpoints and queues, so sessions opened before the conversion stay
+//! valid.
 //!
 //! **Who ticks.** Nobody but the drivers' owners: a request to an externally
 //! driven shard waits in its queue until that shard's driver is ticked. An
@@ -15,9 +17,6 @@
 //! node's core thread to its own store — must therefore wait through
 //! [`Session::submit_with`](crate::Session::submit_with) (or another `_with`
 //! form) and tick from the hook, or it waits for itself.
-//! [`Runtime::drive_externally`](crate::Runtime::drive_externally) puts a
-//! runtime that was built threaded into the same state: its serving threads
-//! hand their cores back and the cores are parked here, untaken.
 //!
 //! Shard state recovery works through a per-shard *return slot*: dropping a
 //! driver parks the shard state in its slot, and

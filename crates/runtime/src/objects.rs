@@ -82,12 +82,6 @@ impl ShardedCounter {
         self.runtime.shard_of(key)
     }
 
-    /// Takes `shard`'s externally-driven executor (delegates to
-    /// [`Runtime::take_driver`]).
-    pub fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
-        self.runtime.take_driver(shard)
-    }
-
     /// Completed backend switches on `shard` — always 0 for fixed
     /// backends (delegates to [`Runtime::swap_epoch`]).
     pub fn swap_epoch(&self, shard: usize) -> u64 {
@@ -203,8 +197,8 @@ impl ShardedKvStore {
         self.runtime.shard_of(key)
     }
 
-    /// Takes `shard`'s externally-driven executor (delegates to
-    /// [`Runtime::take_driver`]).
+    /// Takes `shard`'s executor once [`ShardedKvStore::drive_externally`]
+    /// has parked it (delegates to [`Runtime::take_driver`]).
     pub fn take_driver(&self, shard: usize) -> Option<ShardDriver> {
         self.runtime.take_driver(shard)
     }

@@ -107,8 +107,7 @@ where
     },
     /// MP-SERVER without dedicated threads: each shard core is handed out
     /// once as a [`ShardDriver`]; `slots` get the states back on driver
-    /// drop. See [`RuntimeConfig::external_drive`] and
-    /// [`Runtime::drive_externally`].
+    /// drop. See [`Runtime::drive_externally`].
     MpExternal {
         fabric: Arc<Fabric>,
         drivers: Mutex<Vec<Option<Box<dyn DriveShard>>>>,
@@ -132,7 +131,7 @@ where
         servers: ShardServers<Arc<AdaptiveShard<S, F>>, MpModeDispatch>,
         server_ids: Arc<[EndpointId]>,
         slots: Arc<SlotPool>,
-        controller: Option<Controller>,
+        controller: Controller,
     },
 }
 
@@ -223,7 +222,7 @@ where
         timers: Option<TimerWiring<S>>,
     ) -> Self {
         config.validate();
-        flight_backend(&config);
+        flight_backend(&config, false);
         let mut control = Control::new(config.shards, config.queue_depth, config.submit);
         if !config.read_fast.is_empty() {
             control = control.with_read_cache();
@@ -261,17 +260,10 @@ where
                         core
                     })
                     .collect();
-                let server_ids = server_ids.into();
-                if config.external_drive {
-                    Executors::externally_driven(fabric, cores, server_ids)
-                } else {
-                    Executors::Mp {
-                        fabric,
-                        servers: ShardServers::spawn(cores, serving_threads(config.shards), |_| {
-                            true
-                        }),
-                        server_ids,
-                    }
+                Executors::Mp {
+                    fabric,
+                    servers: ShardServers::spawn(cores, serving_threads(config.shards), |_| true),
+                    server_ids: server_ids.into(),
                 }
             }
             Backend::Comb => Executors::Comb {
@@ -328,9 +320,7 @@ where
                     serving_threads(config.shards),
                     |sh: &Arc<AdaptiveShard<S, F>>| sh.mode() == Backend::MpServer,
                 );
-                let controller = config
-                    .adaptive_auto
-                    .then(|| spawn_controller(shards.clone(), Arc::clone(&control), config));
+                let controller = spawn_controller(shards.clone(), Arc::clone(&control));
                 Executors::Adaptive {
                     fabric,
                     shards,
@@ -348,8 +338,9 @@ where
         }
     }
 
-    /// The configuration this runtime was built with (`external_drive` also
-    /// reads `true` after [`Runtime::drive_externally`]).
+    /// The configuration this runtime was built with. A later
+    /// [`Runtime::drive_externally`] changes who serves the shards, not the
+    /// configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
     }
@@ -361,10 +352,9 @@ where
 
     /// Turns a threaded MP-SERVER runtime into an externally driven one:
     /// stops and joins its `rt-serve-*` threads and parks their shard cores
-    /// as untaken drivers, exactly as [`RuntimeConfig::external_drive`]
-    /// would have at construction. From here on [`Runtime::take_driver`]
-    /// hands each shard out once and nothing is served until its driver is
-    /// ticked.
+    /// as untaken drivers. This is the only way a runtime becomes externally
+    /// driven. From here on [`Runtime::take_driver`] hands each shard out
+    /// once and nothing is served until its driver is ticked.
     ///
     /// For an owner that is the runtime's only caller (a cluster node's core
     /// thread over its store): the thread that submits an operation then
@@ -389,17 +379,14 @@ where
         let cores = servers.stop();
         self.executors =
             Executors::externally_driven(Arc::clone(fabric), cores, Arc::clone(server_ids));
-        self.config.external_drive = true;
-        flight_backend(&self.config);
+        flight_backend(&self.config, true);
     }
 
     /// Takes ownership of `shard`'s externally-driven executor.
     ///
-    /// Returns `Some` exactly once per shard, and only for externally
-    /// driven MP-SERVER runtimes — built with
-    /// [`RuntimeConfig::external_drive`] or converted by
-    /// [`Runtime::drive_externally`]; every other configuration executes
-    /// shards itself and returns `None`.
+    /// Returns `Some` exactly once per shard, and only for an MP-SERVER
+    /// runtime converted by [`Runtime::drive_externally`]; every other
+    /// runtime executes its shards itself and returns `None`.
     ///
     /// The returned [`ShardDriver`] must be ticked for submissions routed
     /// to that shard to complete; see [`ShardDriver::tick`] and
@@ -624,9 +611,7 @@ where
             } => {
                 // Stop the controller first: it holds shard Arcs and could
                 // otherwise race a switch against teardown.
-                if let Some(controller) = controller {
-                    controller.stop();
-                }
+                controller.stop();
                 let cores = servers.stop();
                 drop(shards);
                 cores
@@ -706,16 +691,17 @@ where
 }
 
 /// Flight-records each shard's executor choice (its [`Backend`]
-/// discriminant): after a panic or a failed smoke run the first question is
-/// "what was this runtime actually running?", and the recorder works with
-/// telemetry off.
-fn flight_backend(config: &RuntimeConfig) {
+/// discriminant) and whether an external owner drives it (0 at
+/// construction, 1 after [`Runtime::drive_externally`]): after a panic or a
+/// failed smoke run the first question is "what was this runtime actually
+/// running?", and the recorder works with telemetry off.
+fn flight_backend(config: &RuntimeConfig, external: bool) {
     for i in 0..config.shards {
         telemetry::flight(
             telemetry::FlightKind::Backend,
             i as u64,
             config.backend as u64,
-            config.external_drive as u64,
+            external as u64,
         );
     }
 }

@@ -30,11 +30,11 @@
 //!   clients: a poller on every CPU means each caller runs by preempting one
 //!   (`wire-open`: two pollers on two CPUs cost 98 µs of CPU per operation,
 //!   one costs 71, at a median latency no higher).
-//! * External event loops (a cluster node's core thread, `mpsync-net`'s
-//!   pump fallback) can own a core directly (`drive.rs`) and tick it between I/O
-//!   events — the request still executes on exactly one core, but that core
-//!   is the same one doing the socket work. A threaded runtime becomes such
-//!   a runtime through [`ShardServers::stop`], which hands the cores back.
+//! * An external event loop (a cluster node's core thread) can own a core
+//!   directly (`drive.rs`) and tick it between I/O events — the request
+//!   still executes on exactly one core, but that core is the same one
+//!   doing the socket work. A threaded runtime becomes such a runtime
+//!   through [`ShardServers::stop`], which hands the cores back.
 //!
 //! The serving loop reads its stop flag only after a round that served
 //! nothing, and the control plane sets the flag only after every admitted
@@ -841,13 +841,15 @@ mod tests {
             let threads = serving_threads(usize::MAX);
             let shards = 2 * threads;
             let rt = Arc::new(Runtime::new(
-                RuntimeConfig::new(shards)
-                    .with_backend(Backend::Adaptive)
-                    .with_adaptive_auto(false),
+                RuntimeConfig::new(shards).with_backend(Backend::Adaptive),
                 |_| 0u64,
                 body as fn(&mut u64, u64, u64, u64) -> u64,
             ));
             assert_eq!(rt.stats().server_threads, threads);
+            // Every shard pinned: only the forced swaps below move a mode.
+            for shard in 0..shards {
+                assert!(rt.force_backend(shard, Backend::Lock));
+            }
             let (swapped, sibling) = (0, threads);
             assert!(rt.force_backend(sibling, Backend::MpServer));
             let stop = Arc::new(AtomicBool::new(false));

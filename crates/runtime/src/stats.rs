@@ -37,8 +37,8 @@ pub struct RuntimeStats {
     /// one fewer than the CPUs the builder could run on (and at least one),
     /// each serving the shards `j, j + n, …` — so four shards behind one busy
     /// `rt-serve-0` thread read as what they are. 0 when there are none: the
-    /// inline backends, [`external_drive`](crate::RuntimeConfig::external_drive),
-    /// and after [`Runtime::drive_externally`](crate::Runtime::drive_externally).
+    /// inline backends, and after
+    /// [`Runtime::drive_externally`](crate::Runtime::drive_externally).
     pub server_threads: usize,
 }
 

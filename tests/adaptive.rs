@@ -16,12 +16,10 @@ use mpsync::objects::seq::{keyed_counter_dispatch, keyed_counter_ops, KeyedCount
 use mpsync::runtime::{Backend, OpMask, Runtime, RuntimeConfig, RuntimeError, SubmitPolicy};
 use mpsync_telemetry as telemetry;
 
-/// Small adaptive config for the CI host; the controller is off so tests
-/// drive switches deterministically through `force_backend`.
+/// Small adaptive config for the CI host.
 fn adaptive(shards: usize, sessions: usize) -> RuntimeConfig {
     RuntimeConfig::new(shards)
         .with_backend(Backend::Adaptive)
-        .with_adaptive_auto(false)
         .with_max_sessions(sessions)
         .with_queue_depth(4)
         .with_max_batch(8)
@@ -31,6 +29,17 @@ type Keyed = Runtime<KeyedCounters, fn(&mut KeyedCounters, u64, u64, u64) -> u64
 
 fn keyed_runtime(config: RuntimeConfig) -> Keyed {
     Runtime::new(config, |_| KeyedCounters::new(), keyed_counter_dispatch)
+}
+
+/// An adaptive runtime with every shard pinned to Lock, so only the test's
+/// own `force_backend` calls move a mode: the controller leaves pinned
+/// shards alone.
+fn pinned_runtime(config: RuntimeConfig) -> Keyed {
+    let rt = keyed_runtime(config);
+    for shard in 0..config.shards {
+        assert!(rt.force_backend(shard, Backend::Lock));
+    }
+    rt
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +121,7 @@ fn exactly_once_with_switches_racing_close() {
     const THREADS: usize = 2;
     const KEYS: u64 = 5;
     const MAX_OPS: usize = 200_000;
-    let rt = Arc::new(keyed_runtime(
+    let rt = Arc::new(pinned_runtime(
         adaptive(2, THREADS).with_submit(SubmitPolicy::Block),
     ));
     let done = Arc::new(AtomicBool::new(false));
@@ -168,7 +177,7 @@ fn exactly_once_with_switches_racing_close() {
 fn per_key_fifo_preserved_across_switches() {
     const THREADS: usize = 2;
     const OPS: u64 = 300;
-    let rt = Arc::new(keyed_runtime(
+    let rt = Arc::new(pinned_runtime(
         adaptive(2, THREADS).with_submit(SubmitPolicy::Block),
     ));
     let done = Arc::new(AtomicBool::new(false));
@@ -230,7 +239,7 @@ fn per_key_fifo_preserved_across_switches() {
 
 #[test]
 fn switches_are_observable_via_epoch_and_flight_events() {
-    let rt = keyed_runtime(adaptive(1, 1));
+    let rt = pinned_runtime(adaptive(1, 1));
     assert_eq!(rt.shard_backend(0), Backend::Lock, "adaptive starts locked");
     assert_eq!(rt.swap_epoch(0), 0);
 
@@ -296,7 +305,7 @@ fn switches_are_observable_via_epoch_and_flight_events() {
 #[test]
 fn fast_reads_see_own_writes_and_survive_invalidation() {
     let rt =
-        keyed_runtime(adaptive(1, 1).with_read_fast(OpMask::of(&[keyed_counter_ops::GET as u8])));
+        pinned_runtime(adaptive(1, 1).with_read_fast(OpMask::of(&[keyed_counter_ops::GET as u8])));
     let mut s = rt.session().unwrap();
     assert_eq!(s.submit(7, keyed_counter_ops::ADD, 5).unwrap(), 5);
     // First GET takes the slow path and publishes; the second is a cache
@@ -318,7 +327,7 @@ fn fast_reads_see_own_writes_and_survive_invalidation() {
 fn fast_reads_are_monotone_under_concurrent_increments() {
     const INCS: u64 = 3_000;
     const KEY: u64 = 42;
-    let rt = Arc::new(keyed_runtime(
+    let rt = Arc::new(pinned_runtime(
         adaptive(1, 2).with_read_fast(OpMask::of(&[keyed_counter_ops::GET as u8])),
     ));
     let writer = {
@@ -433,8 +442,9 @@ fn merged_fetch_adds_linearize_on_adaptive_mp_mode() {
 
 // ---------------------------------------------------------------------------
 // The controller closes the loop: under sustained multi-session contention
-// an auto-adaptive shard leaves its initial lock mode on its own, and the
-// workload's correctness is untouched by the autonomous switches.
+// an unpinned shard leaves its initial lock mode on its own, with the
+// controller's own constants, and the workload's correctness is untouched by
+// the autonomous switches.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -446,10 +456,7 @@ fn controller_switches_away_from_lock_under_contention() {
             .with_max_sessions(THREADS)
             .with_queue_depth(8)
             .with_max_batch(8)
-            .with_submit(SubmitPolicy::Block)
-            // Tiny thresholds: any sustained occupancy forces an upswitch,
-            // so the test observes a controller decision quickly.
-            .with_adaptive_thresholds(200, 1, 0.01, 0.5),
+            .with_submit(SubmitPolicy::Block),
     ));
     let stop = Arc::new(AtomicBool::new(false));
     let mut joins = Vec::new();

@@ -128,6 +128,12 @@ fn check_app_histories(config: impl Fn() -> RuntimeConfig, gen: fn(usize, usize)
     let switch = matches!(config().backend, Backend::Adaptive);
     for _ in 0..ROUNDS {
         let suite = Arc::new(AppSuite::new(config()));
+        if switch {
+            // Pinned: only the forced switches below move a shard.
+            for shard in 0..suite.shards() {
+                suite.force_backend(shard, Backend::Lock);
+            }
+        }
         let rec: Recorder<AppOp, u64> = Recorder::new();
         let mut joins = Vec::new();
         for t in 0..THREADS {
@@ -142,12 +148,7 @@ fn check_app_histories(config: impl Fn() -> RuntimeConfig, gen: fn(usize, usize)
             }));
         }
         if switch {
-            for &backend in &[
-                Backend::Lock,
-                Backend::MpServer,
-                Backend::Comb,
-                Backend::Lock,
-            ] {
+            for &backend in &[Backend::MpServer, Backend::Comb, Backend::Lock] {
                 for shard in 0..suite.shards() {
                     suite.force_backend(shard, backend);
                 }
@@ -207,11 +208,7 @@ fn mixed_apps_linearizable_on_every_backend() {
 
 #[test]
 fn apps_linearizable_under_forced_adaptive_switches() {
-    let adaptive = || {
-        RuntimeConfig::new(1)
-            .with_backend(Backend::Adaptive)
-            .with_adaptive_auto(false)
-    };
+    let adaptive = || RuntimeConfig::new(1).with_backend(Backend::Adaptive);
     check_app_histories(adaptive, mixed_op);
     check_app_histories(adaptive, ledger_op);
     check_app_histories(adaptive, sess_op);

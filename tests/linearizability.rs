@@ -286,15 +286,19 @@ fn check_batched_counters_linearizable(backend: Backend, pin_mp: bool) {
         let rt = Arc::new(Runtime::new(
             RuntimeConfig::new(2)
                 .with_backend(backend)
-                .with_adaptive_auto(false)
                 .with_max_sessions(THREADS)
                 .with_queue_depth(2),
             |_| KeyedCounters::new(),
             keyed_counter_dispatch,
         ));
-        if pin_mp {
+        if backend == Backend::Adaptive {
+            let pin = if pin_mp {
+                Backend::MpServer
+            } else {
+                Backend::Lock
+            };
             for shard in 0..2 {
-                assert!(rt.force_backend(shard, Backend::MpServer));
+                assert!(rt.force_backend(shard, pin));
             }
         }
         let clock = Arc::new(AtomicU64::new(0));

@@ -44,8 +44,7 @@ fn finish_counter(
 /// backends. Each connection INCs a private key through a full pipeline and
 /// checks the returned pre-values are exactly `0..n` — any lost, duplicated,
 /// or reordered acked op breaks the sequence — then the final server-side
-/// counts must equal the acks. The MP-SERVER backend additionally runs
-/// externally driven, which exercises the server's pump fallback.
+/// counts must equal the acks.
 #[test]
 fn pipelined_loopback_exactly_once_every_backend() {
     const CONNS: usize = 4;
@@ -55,8 +54,7 @@ fn pipelined_loopback_exactly_once_every_backend() {
         let rt = RuntimeConfig::new(2)
             .with_backend(backend)
             .with_queue_depth(64)
-            .with_submit(SubmitPolicy::Block)
-            .with_external_drive(backend == Backend::MpServer);
+            .with_submit(SubmitPolicy::Block);
         let (server, addr, svc) = counter_server(rt, ServerConfig::default());
         let mut workers = Vec::new();
         for c in 0..CONNS {
@@ -174,8 +172,7 @@ fn graceful_shutdown_drains_received_requests() {
     let rt = RuntimeConfig::new(2)
         .with_backend(Backend::MpServer)
         .with_queue_depth(64)
-        .with_submit(SubmitPolicy::Block)
-        .with_external_drive(true);
+        .with_submit(SubmitPolicy::Block);
     let (server, addr, svc) = counter_server(rt, cfg);
     let mut client = NetClient::connect_tcp(addr).expect("connect");
     client.ping().expect("ping");

@@ -303,29 +303,35 @@ fn submits_after_close_are_refused() {
 }
 
 // ---------------------------------------------------------------------------
-// External drive: the MP-SERVER backend hands each shard's executor out as a
-// ShardDriver instead of spawning rt-serve threads; the owner's event loop
-// becomes the paper's servicing core.
+// External drive: `Runtime::drive_externally` stops an MP-SERVER runtime's
+// rt-serve threads and hands each shard's executor out as a ShardDriver; the
+// owner's event loop becomes the paper's servicing core.
 // ---------------------------------------------------------------------------
 
-/// Each shard's driver is handed out exactly once, only under
-/// `external_drive`, and submissions complete precisely when the owner
-/// ticks. The self-driving form (`submit_with` ticking one's own driver)
-/// must make progress single-threadedly.
-#[test]
-fn external_drive_hands_out_each_shard_once_and_ticks_serve() {
-    let svc = ShardedCounter::new(small(Backend::MpServer, 2, 4).with_external_drive(true));
-    let mut d0 = svc.take_driver(0).expect("shard 0 driver");
-    let mut d1 = svc.take_driver(1).expect("shard 1 driver");
-    assert_eq!((d0.shard(), d1.shard()), (0, 1));
-    assert!(svc.take_driver(0).is_none(), "drivers are single-take");
-    assert!(svc.take_driver(1).is_none());
-    assert!(svc.take_driver(99).is_none(), "out of range is None");
+/// An MP-SERVER runtime converted to external drive.
+fn driven_runtime(config: RuntimeConfig) -> Keyed {
+    let mut rt = keyed_runtime(config);
+    rt.drive_externally();
+    rt
+}
 
-    // Self-drive: one thread owns both drivers and a raw session; ticking
-    // from the idle hook serves its own submissions. Keys 0 and 1 land on
-    // shards 0 and 1 respectively under 2-shard striping.
-    let mut s = svc.raw_session().expect("session");
+/// Each shard's driver is handed out exactly once, and submissions complete
+/// precisely when the owner ticks. The self-driving form (`submit_with`
+/// ticking one's own driver) must make progress single-threadedly.
+#[test]
+fn externally_driven_runtime_hands_out_each_shard_once_and_ticks_serve() {
+    let rt = driven_runtime(small(Backend::MpServer, 2, 4));
+    let mut d0 = rt.take_driver(0).expect("shard 0 driver");
+    let mut d1 = rt.take_driver(1).expect("shard 1 driver");
+    assert_eq!((d0.shard(), d1.shard()), (0, 1));
+    assert!(rt.take_driver(0).is_none(), "drivers are single-take");
+    assert!(rt.take_driver(1).is_none());
+    assert!(rt.take_driver(99).is_none(), "out of range is None");
+
+    // Self-drive: one thread owns both drivers and a session; ticking from
+    // the idle hook serves its own submissions. Keys 0 and 1 land on shards
+    // 0 and 1 respectively under 2-shard striping.
+    let mut s = rt.session().expect("session");
     for i in 0..50u64 {
         let idle = || {
             d0.tick();
@@ -340,24 +346,9 @@ fn external_drive_hands_out_each_shard_once_and_ticks_serve() {
     // Shutdown must recover the shard state parked by the dropped drivers.
     drop(d0);
     drop(d1);
-    let (totals, _) = svc.shutdown();
-    assert_eq!(totals.get(&0), Some(&25));
-    assert_eq!(totals.get(&1), Some(&25));
-}
-
-/// A runtime without `external_drive` (or on a non-MP backend) never gives
-/// drivers out — it executes shards itself.
-#[test]
-fn take_driver_is_none_without_external_drive() {
-    let svc = ShardedCounter::new(small(Backend::MpServer, 2, 2));
-    assert!(svc.take_driver(0).is_none());
-    let lock = ShardedCounter::new(small(Backend::Lock, 2, 2).with_external_drive(true));
-    assert!(lock.take_driver(0).is_none(), "only MP-SERVER honors it");
-    let mut s = lock.session().unwrap();
-    s.fetch_inc(9).unwrap();
-    drop(s);
-    let (totals, _) = lock.shutdown();
-    assert_eq!(totals.get(&9), Some(&1));
+    let states = rt.shutdown().states;
+    assert_eq!(states[0].get(&0), Some(&25));
+    assert_eq!(states[1].get(&1), Some(&25));
 }
 
 /// Cross-drive under contention: two threads each own one shard's driver
@@ -365,23 +356,21 @@ fn take_driver_is_none_without_external_drive() {
 /// the other — the deadlock-avoidance discipline of `submit_with`. Every
 /// op must complete and count exactly once.
 #[test]
-fn external_drive_cross_shard_waiters_make_progress() {
+fn externally_driven_cross_shard_waiters_make_progress() {
     const OPS: u64 = 200;
-    let svc = Arc::new(ShardedCounter::new(
-        small(Backend::MpServer, 2, 4)
-            .with_queue_depth(2)
-            .with_external_drive(true),
+    let rt = Arc::new(driven_runtime(
+        small(Backend::MpServer, 2, 4).with_queue_depth(2),
     ));
     let barrier = Arc::new(std::sync::Barrier::new(2));
     let submitting = Arc::new(std::sync::atomic::AtomicUsize::new(2));
     let mut threads = Vec::new();
     for shard in 0..2usize {
-        let svc = svc.clone();
+        let rt = rt.clone();
         let barrier = barrier.clone();
         let submitting = submitting.clone();
         threads.push(std::thread::spawn(move || {
-            let mut driver = svc.take_driver(shard).expect("driver");
-            let mut s = svc.raw_session().expect("session");
+            let mut driver = rt.take_driver(shard).expect("driver");
+            let mut s = rt.session().expect("session");
             barrier.wait();
             for i in 0..OPS {
                 // Alternate own-shard and cross-shard keys (0 → shard 0,
@@ -406,10 +395,10 @@ fn external_drive_cross_shard_waiters_make_progress() {
     for t in threads {
         t.join().expect("thread");
     }
-    let svc = Arc::try_unwrap(svc).ok().expect("sole owner");
-    let (totals, _) = svc.shutdown();
+    let rt = Arc::try_unwrap(rt).ok().expect("sole owner");
+    let states = rt.shutdown().states;
     assert_eq!(
-        totals.get(&0).copied().unwrap_or(0) + totals.get(&1).copied().unwrap_or(0),
+        states[0].get(&0).copied().unwrap_or(0) + states[1].get(&1).copied().unwrap_or(0),
         2 * OPS,
         "every cross-driven op applied exactly once"
     );
@@ -456,7 +445,6 @@ fn drive_externally_hands_a_live_runtime_to_its_caller() {
         // the hammer's next request waits in shard 0's queue.
         let by_threads = rt.stats().shards[0].ops;
         assert_eq!(rt.stats().server_threads, 0);
-        assert!(rt.config().external_drive);
         let mut d0 = rt.take_driver(0).expect("shard 0 driver");
         let mut d1 = rt.take_driver(1).expect("shard 1 driver");
         assert!(rt.take_driver(0).is_none() && rt.take_driver(1).is_none());
@@ -501,7 +489,8 @@ fn drive_externally_hands_a_live_runtime_to_its_caller() {
 }
 
 /// The conversion only concerns threaded MP-SERVER runtimes: the inline
-/// backends and Adaptive keep serving as they did, and a runtime already
+/// backends and Adaptive never give a driver out — before or after the
+/// call, they keep executing their shards themselves — and a runtime already
 /// externally driven keeps its drivers where they are.
 #[test]
 fn drive_externally_leaves_every_other_runtime_as_it_was() {
@@ -510,9 +499,9 @@ fn drive_externally_leaves_every_other_runtime_as_it_was() {
         for backend in others {
             let mut rt = keyed_runtime(small(backend, 2, 2));
             let threads = rt.stats().server_threads;
+            assert!(rt.take_driver(0).is_none(), "{backend:?}");
             rt.drive_externally();
             assert_eq!(rt.stats().server_threads, threads, "{backend:?}");
-            assert!(!rt.config().external_drive, "{backend:?}");
             assert!(rt.take_driver(0).is_none(), "{backend:?}");
             let mut s = rt.session().expect("session");
             for key in [0, 1] {
@@ -522,7 +511,7 @@ fn drive_externally_leaves_every_other_runtime_as_it_was() {
             assert_eq!(rt.shutdown().stats.total_ops(), 2, "{backend:?}");
         }
 
-        let mut driven = keyed_runtime(small(Backend::MpServer, 2, 2).with_external_drive(true));
+        let mut driven = driven_runtime(small(Backend::MpServer, 2, 2));
         let taken = driven.take_driver(0).expect("shard 0 driver");
         driven.drive_externally();
         assert!(driven.take_driver(0).is_none(), "still out");
@@ -637,11 +626,12 @@ fn serving_threads_follow_the_builders_cpu_mask() {
             let stats = ShardedKvStore::new(config().with_backend(inline)).stats();
             assert_eq!(stats.server_threads, 0, "{inline:?} spawns no thread");
         }
-        let driven = ShardedKvStore::new(config().with_external_drive(true));
+        let mut driven = ShardedKvStore::new(config());
+        driven.drive_externally();
         assert_eq!(
             driven.stats().server_threads,
             0,
-            "external drive spawns no thread"
+            "external drive keeps no thread"
         );
         mixed_load(pinned);
     });
@@ -684,11 +674,14 @@ fn batch_runtimes(shards: usize) -> Vec<(String, Keyed)> {
         .map(|&b| (format!("{b:?}"), keyed_runtime(small(b, shards, 2))))
         .collect();
     for pin_mp in [false, true] {
-        let rt = keyed_runtime(small(Backend::Adaptive, shards, 2).with_adaptive_auto(false));
-        if pin_mp {
-            for s in 0..shards {
-                assert!(rt.force_backend(s, Backend::MpServer));
-            }
+        let rt = keyed_runtime(small(Backend::Adaptive, shards, 2));
+        let pin = if pin_mp {
+            Backend::MpServer
+        } else {
+            Backend::Lock
+        };
+        for s in 0..shards {
+            assert!(rt.force_backend(s, pin));
         }
         rts.push((format!("Adaptive(mp={pin_mp})"), rt));
     }
@@ -866,10 +859,11 @@ fn batches_never_wait_while_holding_fail_policy() {
 fn batches_complete_across_adaptive_backend_swaps() {
     watchdog("batches across force_backend swaps", 30, || {
         let rt = Arc::new(keyed_runtime(
-            small(Backend::Adaptive, 2, 2)
-                .with_adaptive_auto(false)
-                .with_submit(SubmitPolicy::Block),
+            small(Backend::Adaptive, 2, 2).with_submit(SubmitPolicy::Block),
         ));
+        for shard in 0..2 {
+            assert!(rt.force_backend(shard, Backend::Lock));
+        }
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let swapper = {
             let (rt, done) = (rt.clone(), done.clone());
