@@ -20,6 +20,7 @@
 //! | [`HybComb`]   | HYBCOMB    (§4.2, Algorithm 1) | combining; messages for requests/responses, shared memory for combiner identity |
 //! | [`ShmServer`] | SHM-SERVER (§5.2, RCL-like) | dedicated server thread; per-client cache-line channels |
 //! | [`CcSynch`]   | CC-SYNCH [Fatourou & Kallimanis 2012] | combining over a SWAP-built request list |
+//! | [`FlatCombining`] | flat combining [Hendler et al. 2010]; the runtime's Comb executor | combining over per-slot publication records behind a TAS lock |
 //! | [`LockCs`]    | classic locks (§3) | inline execution under [`TasLock`]/[`TicketLock`]/[`McsLock`] |
 //!
 //! Every per-thread handle implements [`ApplyOp`], so code built on top (see
@@ -74,7 +75,7 @@ mod loom_models;
 
 pub use cc_synch::{CcSynch, CcSynchHandle};
 pub use dispatch::{Dispatcher, OpTable};
-pub use flat_combining::{FlatCombining, FlatCombiningHandle};
+pub use flat_combining::{FlatCombining, FlatCombiningHandle, SlotLease, SlotPool};
 pub use hybcomb::{HybComb, HybCombHandle, HybCombStats, DEFAULT_MAX_OPS};
 pub use locks::{CsLock, LockCs, LockCsHandle, McsLock, TasLock, TicketLock};
 pub use mp_server::{MpClient, MpServer};

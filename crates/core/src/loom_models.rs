@@ -18,7 +18,7 @@ use std::sync::Arc;
 use mpsync_udn::{Fabric, FabricConfig};
 
 use crate::locks::{McsLock, TasLock};
-use crate::{ApplyOp, CcSynch, HybComb, LockCs};
+use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs};
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
 
@@ -129,6 +129,89 @@ fn cc_synch_combiner_panic_poisons_waiters() {
         }
         // Op 1 executed (and panicked) under exactly one combiner, so at
         // least one of the two applies must have unwound.
+        assert!(ra.is_err() || rb.is_err());
+    });
+}
+
+/// Flat combining, two threads, one op each: every interleaving executes
+/// both ops exactly once (a permutation of {0, 1}, final state 2) with the
+/// state cell race-free. The edge under test is the combiner lock's unlock
+/// Release → the next combiner's `swap` Acquire, which orders consecutive
+/// combiners' accesses to the cell.
+///
+/// The record-state edges (publish PENDING Release → combiner Acquire, serve
+/// DONE Release → owner Acquire) are atomic-to-atomic: they carry only the
+/// `op`/`arg`/`ret` atomics, never a cell access, and the vendored loom does
+/// not generate stale atomic loads (DESIGN.md §9.4). Weakening one of them
+/// is outside what these models can catch.
+#[test]
+fn flat_combining_two_threads_exactly_once() {
+    loom::model(|| {
+        let fc = Arc::new(FlatCombining::new(2, 8, 0u64, fai as CounterFn));
+        let t = {
+            let fc = Arc::clone(&fc);
+            loom::thread::spawn(move || fc.apply(1, 0, 0, |_| {}))
+        };
+        let ra = fc.apply(0, 0, 0, |_| {});
+        let rb = t.join().unwrap();
+        let mut seen = [ra, rb];
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1]);
+        let fc = Arc::try_unwrap(fc).unwrap_or_else(|_| panic!("thread joined"));
+        assert_eq!(fc.into_state(), 2);
+    });
+}
+
+/// Flat combining with `max_batch == 1`: a round serves one request, so a
+/// waiter whose record the combiner did not serve must take the lock and
+/// combine for itself, and a combiner that served the other record first
+/// must go round again for its own. The round sizes reported to the two
+/// callers sum to the two ops.
+#[test]
+fn flat_combining_max_batch_one_waiter_combines_for_itself() {
+    loom::model(|| {
+        let fc = Arc::new(FlatCombining::new(2, 1, 0u64, fai as CounterFn));
+        let t = {
+            let fc = Arc::clone(&fc);
+            loom::thread::spawn(move || {
+                let mut rounds = 0;
+                (fc.apply(1, 0, 0, |n| rounds += n), rounds)
+            })
+        };
+        let mut rounds = 0;
+        let ra = fc.apply(0, 0, 0, |n| rounds += n);
+        let (rb, rounds_b) = t.join().unwrap();
+        let mut seen = [ra, rb];
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1]);
+        assert_eq!(rounds + rounds_b, 2);
+    });
+}
+
+/// Loom regression model for the poison protocol: a flat combiner whose
+/// dispatch panics keeps the lock forever, so the other thread must panic
+/// (with the injected or the poison message) or complete — never spin on
+/// the lock (loom's step bound would flag that wedge).
+#[test]
+fn flat_combining_combiner_panic_poisons_waiters() {
+    loom::model(|| {
+        let fc = Arc::new(FlatCombining::new(2, 8, 0u64, boom as CounterFn));
+        let t = {
+            let fc = Arc::clone(&fc);
+            loom::thread::spawn(move || {
+                // The benign op: served before the poisoning round, sees the
+                // poisoning, or combines op 1 itself and panics.
+                catch_unwind(AssertUnwindSafe(|| fc.apply(1, 0, 0, |_| {})))
+            })
+        };
+        let ra = catch_unwind(AssertUnwindSafe(|| fc.apply(0, 1, 0, |_| {})));
+        let rb = t.join().unwrap();
+        for r in [&ra, &rb] {
+            if let Err(e) = r {
+                assert_expected_panic(e.as_ref(), "FLAT-COMBINING poisoned");
+            }
+        }
+        // Op 1 ran (and panicked) under exactly one combiner.
         assert!(ra.is_err() || rb.is_err());
     });
 }

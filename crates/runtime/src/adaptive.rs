@@ -12,7 +12,7 @@
 //!
 //! * **Lock** — the submitting thread takes a per-shard MCS lock and runs
 //!   the critical section inline;
-//! * **Comb** — the runtime's flat [`Combiner`], the one
+//! * **Comb** — `mpsync-core`'s [`FlatCombining`], the executor
 //!   [`Backend::Comb`](crate::Backend::Comb) runs: the submitting thread
 //!   publishes its request and either waits for the current combiner or
 //!   takes combiner duty itself;
@@ -77,11 +77,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mpsync_core::{CsLock, McsLock};
+use mpsync_core::{CsLock, FlatCombining, McsLock};
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Counter, FlightKind};
 
-use crate::comb::Combiner;
 use crate::config::{Backend, RuntimeConfig};
 use crate::control::Control;
 use crate::runtime::{KeyedDispatch, RtDispatch};
@@ -99,8 +98,8 @@ pub(crate) struct AdaptiveShard<S, F> {
     /// pinned shard alone.
     swap: Mutex<bool>,
     /// The shard state, behind the combiner that serves Comb mode; the
-    /// other two modes execute through [`Combiner::exec`].
-    comb: Combiner<S, RtDispatch<S, F>>,
+    /// other two modes execute through [`FlatCombining::exec`].
+    comb: FlatCombining<S, RtDispatch<S, F>>,
     mcs: McsLock,
     control: Arc<Control>,
     shard: usize,
@@ -122,7 +121,7 @@ where
             mode: AtomicU8::new(Backend::Lock as u8),
             epoch: AtomicU64::new(0),
             swap: Mutex::new(false),
-            comb: Combiner::new(state, dispatch, Arc::clone(&control), shard, config),
+            comb: FlatCombining::new(config.max_sessions, config.max_batch, state, dispatch),
             mcs: McsLock::default(),
             control,
             shard,
@@ -267,7 +266,11 @@ where
         match self.shared.mode() {
             Backend::MpServer => None,
             Backend::Lock => Some(self.shared.lock_apply(&mut self.node, word, arg)),
-            _ => Some(self.shared.comb.apply(self.slot, word, arg)),
+            _ => {
+                let sh = &*self.shared;
+                let record = |n| sh.control.record_batch(sh.shard, n);
+                Some(sh.comb.apply(self.slot, word, arg, record))
+            }
         }
     }
 }
@@ -573,8 +576,8 @@ mod tests {
         assert!(sh.apply(Verdict::Switch(Backend::Comb)));
         assert_eq!(sh.mode(), Backend::Comb);
         assert_eq!(sh.epoch(), 1);
-        assert_eq!(sh.comb.apply(0, 0, 1), 10);
-        assert_eq!(sh.comb.apply(1, 0, 1), 11);
+        assert_eq!(sh.comb.apply(0, 0, 1, |_| {}), 10);
+        assert_eq!(sh.comb.apply(1, 0, 1, |_| {}), 11);
         assert_eq!(sh.into_state(), 12);
     }
 

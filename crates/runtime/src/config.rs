@@ -15,9 +15,10 @@
 pub enum Backend {
     /// A plain MCS-lock critical section per shard (classical baseline).
     Lock = 0,
-    /// Flat combining per shard: a session publishes its request on its
-    /// own record and the first to take the combiner lock serves every
-    /// pending one. No dedicated threads. The paper's HYBCOMB and
+    /// Flat combining per shard (`mpsync-core`'s `FlatCombining`): a
+    /// session publishes its request on its own record and the first to
+    /// take the combiner lock serves every pending one. No dedicated
+    /// threads. The paper's HYBCOMB and
     /// CC-SYNCH stay in `mpsync-core`; on this runtime's emulated fabric
     /// this combiner matches CC-SYNCH and outruns HYBCOMB (DESIGN.md §14).
     Comb = 1,

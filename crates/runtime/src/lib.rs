@@ -13,14 +13,14 @@
 //!   copy of the sequential state, so per-key operations are linearizable
 //!   and sessions see their own per-key order preserved;
 //! * **one API, four backends** — each shard is served by any [`Backend`]:
-//!   a plain MCS lock, a flat combiner, a batched MP-SERVER executor (the
-//!   shards share `min(shards, max(1, CPUs − 1))` polling threads — a shard
-//!   is a unit of state and ordering, a thread a unit of CPU, and one CPU is
-//!   the callers'), or [`Backend::Adaptive`], which live-switches each shard
-//!   between those three as its contention moves (`src/adaptive.rs`,
-//!   DESIGN.md §14). Application code is identical across them. The paper's
-//!   HYBCOMB and CC-SYNCH live in `mpsync-core` only: on the emulated fabric
-//!   neither beats the runtime's combiner;
+//!   a plain MCS lock, `mpsync-core`'s `FlatCombining`, a batched MP-SERVER
+//!   executor (the shards share `min(shards, max(1, CPUs − 1))` polling
+//!   threads — a shard is a unit of state and ordering, a thread a unit of
+//!   CPU, and one CPU is the callers'), or [`Backend::Adaptive`], which
+//!   live-switches each shard between those three as its contention moves
+//!   (`src/adaptive.rs`, DESIGN.md §14). Application code is identical across
+//!   them. The paper's HYBCOMB and CC-SYNCH serve no runtime backend: on the
+//!   emulated fabric neither beats flat combining;
 //! * **adaptive batching** — the paper's `MAX_OPS` combining degree (§5.1)
 //!   becomes runtime configuration ([`RuntimeConfig::max_batch`]); the
 //!   MP-SERVER backend drains up to that many queued requests per service
@@ -54,7 +54,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod adaptive;
-mod comb;
 mod config;
 mod control;
 mod drive;

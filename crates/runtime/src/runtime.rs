@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mpsync_core::{wire, ApplyOp, Dispatcher, LockCs, McsLock};
+use mpsync_core::{wire, ApplyOp, Dispatcher, FlatCombining, LockCs, McsLock, SlotLease, SlotPool};
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
 use mpsync_udn::{
@@ -13,7 +13,6 @@ use mpsync_udn::{
 use crate::adaptive::{
     spawn_controller, AdaptiveAccess, AdaptiveHandle, AdaptiveShard, Controller, MpModeDispatch,
 };
-use crate::comb::{CombHandle, Combiner, SlotLease, SlotPool};
 use crate::config::{Backend, OpMask, RuntimeConfig};
 use crate::control::{Control, NoSlot};
 use crate::drive::{CoreDrive, DriveShard, ShardDriver};
@@ -115,8 +114,10 @@ where
         server_ids: Arc<[EndpointId]>,
     },
     /// Every session leases one record slot, the same index on every shard.
+    /// `max_sessions` slots always suffice: a dropping session returns its
+    /// lease before its budget place (`Session::drop`).
     Comb {
-        combs: Vec<Arc<Combiner<S, RtDispatch<S, F>>>>,
+        combs: Vec<Arc<FlatCombining<S, RtDispatch<S, F>>>>,
         slots: Arc<SlotPool>,
     },
     Lock {
@@ -269,8 +270,8 @@ where
             Backend::Comb => Executors::Comb {
                 combs: (0..config.shards)
                     .map(|i| {
-                        let control = Arc::clone(&control);
-                        Arc::new(Combiner::new(init(i), dispatch(i), control, i, &config))
+                        let (slots, batch) = (config.max_sessions, config.max_batch);
+                        Arc::new(FlatCombining::new(slots, batch, init(i), dispatch(i)))
                     })
                     .collect(),
                 slots: SlotPool::new(config.max_sessions),
@@ -440,9 +441,14 @@ where
                 Transport::Inline {
                     handles: combs
                         .iter()
-                        .map(|c| {
-                            Box::new(CombHandle::new(Arc::clone(c), Arc::clone(&lease)))
-                                as Box<dyn ApplyOp + Send>
+                        .enumerate()
+                        .map(|(shard, comb)| {
+                            Box::new(CombHandle {
+                                comb: Arc::clone(comb),
+                                lease: Arc::clone(&lease),
+                                control: Arc::clone(&self.control),
+                                shard,
+                            }) as Box<dyn ApplyOp + Send>
                         })
                         .collect(),
                 }
@@ -469,7 +475,7 @@ where
                     handles: shards
                         .iter()
                         .map(|sh| {
-                            Box::new(AdaptiveHandle::new(Arc::clone(sh), lease.slot))
+                            Box::new(AdaptiveHandle::new(Arc::clone(sh), lease.slot()))
                                 as Box<dyn AdaptiveAccess>
                         })
                         .collect(),
@@ -753,6 +759,27 @@ enum Transport {
         /// recycled when the session drops.
         _lease: SlotLease,
     },
+}
+
+/// A session's face of one [`Backend::Comb`] shard: the session's record
+/// slot, shared by its handles on every shard, and where the shard's
+/// combining rounds are counted.
+struct CombHandle<S, D> {
+    comb: Arc<FlatCombining<S, D>>,
+    lease: Arc<SlotLease>,
+    control: Arc<Control>,
+    shard: usize,
+}
+
+impl<S, D> ApplyOp for CombHandle<S, D>
+where
+    S: Send + 'static,
+    D: Dispatcher<S>,
+{
+    fn apply(&mut self, word: u64, arg: u64) -> u64 {
+        let record = |n| self.control.record_batch(self.shard, n);
+        self.comb.apply(self.lease.slot(), word, arg, record)
+    }
 }
 
 /// A client connection to a [`Runtime`]. Sessions are `Send` — move each to
@@ -1171,5 +1198,45 @@ impl Drop for Session {
         self.control
             .sessions_live
             .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+
+    use super::*;
+    use crate::config::SubmitPolicy;
+
+    fn fetch_add(s: &mut u64, _op: u64, arg: u64) -> u64 {
+        let old = *s;
+        *s = s.wrapping_add(arg);
+        old
+    }
+
+    #[test]
+    fn combiner_applies_and_records_batches() {
+        let control = Arc::new(Control::new(1, 8, SubmitPolicy::Block));
+        let comb = Arc::new(FlatCombining::new(
+            2,
+            64,
+            5u64,
+            fetch_add as fn(&mut u64, u64, u64) -> u64,
+        ));
+        let slots = SlotPool::new(2);
+        let mut handles: Vec<_> = (0..2)
+            .map(|_| CombHandle {
+                comb: Arc::clone(&comb),
+                lease: Arc::new(slots.acquire()),
+                control: Arc::clone(&control),
+                shard: 0,
+            })
+            .collect();
+        assert_eq!(handles[0].apply(0, 1), 5);
+        assert_eq!(handles[1].apply(0, 2), 6);
+        assert_eq!(control.shards[0].server.batches.load(Ordering::Relaxed), 2);
+        drop(handles);
+        let comb = Arc::try_unwrap(comb).ok().expect("handles dropped");
+        assert_eq!(comb.into_state(), 8);
     }
 }

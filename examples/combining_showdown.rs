@@ -11,7 +11,8 @@ use std::time::Instant;
 use mpsync::objects::counter::{AtomicCounter, CsCounter};
 use mpsync::objects::Counter;
 use mpsync::sync::{
-    CcSynch, FlatCombining, HybComb, LockCs, McsLock, MpServer, ShmServer, TasLock, TicketLock,
+    CcSynch, FlatCombining, HybComb, LockCs, McsLock, MpServer, ShmServer, SlotPool, TasLock,
+    TicketLock,
 };
 use mpsync::udn::{Fabric, FabricConfig};
 
@@ -98,9 +99,11 @@ fn main() {
         run("cc-synch", move |_| CsCounter::new(c.handle()));
     }
     {
-        let fc = Arc::new(FlatCombining::new(THREADS, 2, 0u64, DISPATCH));
-        let f = Arc::clone(&fc);
-        run("flat-combining", move |_| CsCounter::new(f.handle()));
+        let fc = Arc::new(FlatCombining::new(THREADS, 64, 0u64, DISPATCH));
+        let slots = SlotPool::new(THREADS);
+        run("flat-combining", move |_| {
+            CsCounter::new(fc.handle(slots.acquire()))
+        });
     }
     {
         let cs = Arc::new(LockCs::<u64, TasLock, CounterFn>::new(0, DISPATCH));

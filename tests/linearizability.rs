@@ -255,16 +255,17 @@ fn elimination_stack_linearizable() {
 
 #[test]
 fn flat_combining_counter_linearizable() {
-    use mpsync::sync::FlatCombining;
+    use mpsync::sync::{FlatCombining, SlotPool};
     check_counter_impl(|| {
         let fc = Arc::new(FlatCombining::new(
             THREADS,
-            2,
+            64,
             0u64,
             counter_dispatch as CounterFn,
         ));
+        let slots = SlotPool::new(THREADS);
         move |_t| {
-            let mut c = fc.handle();
+            let mut c = fc.handle(slots.acquire());
             Box::new(move || c.apply(0, 0))
         }
     });

@@ -302,6 +302,42 @@ fn submits_after_close_are_refused() {
     assert_eq!(totals.get(&3), Some(&1));
 }
 
+/// A dispatch that panics inside a combining round poisons the shard: the
+/// shard's other sessions panic with the poison report instead of spinning
+/// forever on the combiner lock the panicked round never released. Session
+/// B waits on its own thread, so a wedge fails the test instead of hanging
+/// it.
+#[test]
+fn comb_dispatch_panic_poisons_the_shard_instead_of_wedging_it() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    fn message(err: Box<dyn std::any::Any + Send>) -> String {
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    let svc = ShardedCounter::new(small(Backend::Comb, 1, 2));
+    let mut a = svc.raw_session().unwrap();
+    let mut b = svc.raw_session().unwrap();
+    let err = catch_unwind(AssertUnwindSafe(|| a.submit(1, 99, 0))).unwrap_err();
+    assert!(message(err).contains("unknown opcode 99"));
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let r = catch_unwind(AssertUnwindSafe(|| b.submit(1, keyed_counter_ops::ADD, 1)));
+        let _ = tx.send(r.map_err(message));
+    });
+    let got = rx
+        .recv_timeout(Duration::from_secs(3))
+        .expect("session B got no answer within 3 s: the shard is wedged");
+    waiter.join().expect("session B's panic was caught");
+    let msg = got.expect_err("a poisoned shard must not serve B");
+    assert!(msg.contains("FLAT-COMBINING poisoned"), "got: {msg}");
+}
+
 // ---------------------------------------------------------------------------
 // External drive: `Runtime::drive_externally` stops an MP-SERVER runtime's
 // rt-serve threads and hands each shard's executor out as a ShardDriver; the
