@@ -10,83 +10,208 @@
 //! Per served request the combiner performs one remote read (fetching the
 //! request from the owner's node) and one remote write (the release) — the
 //! two RMRs the paper identifies as the dominant cost for short critical
-//! sections.
+//! sections. Each thread owns one node and, after its `SWAP`, adopts the node
+//! it displaced (the classic recycling), so nodes migrate between threads.
 //!
-//! # Node recycling
-//!
-//! Each thread owns one node and, after a successful `SWAP`, adopts the node
-//! it displaced (the classic CC-SYNCH recycling). Nodes therefore migrate
-//! between threads; they live in a fixed arena owned by the construction and
-//! are addressed by index, which keeps the implementation free of dangling
-//! pointers by construction.
+//! The protocol is [`CcSynchLayout::apply`], written once against
+//! [`Machine`]: [`CcSynch`] runs it on the host, tilesim on simulated cores.
 
 // Statistics counters stay on std atomics on purpose (see `crate::sync`).
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, AtomicUsize as StdAtomicUsize};
 use std::sync::Arc;
 
-use crossbeam_utils::CachePadded;
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
 
 use crate::dispatch::Dispatcher;
-use crate::state::{CsState, PoisonGuard};
-use crate::sync::{spin, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::machine::{
+    block_on, Addr, Arena, Backoff, Critical, Machine, Native, Probe, Until, WORDS_PER_LINE,
+};
+use crate::sync::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use crate::ApplyOp;
 
-/// Sentinel for "no successor" in a node's `next` field.
-const NIL: usize = usize::MAX;
+/// Word offsets within a node's line: the owner's local-spin flags, the
+/// request and its result, and the successor's id plus one (0 is none).
+const WAIT: Addr = 0;
+const COMPLETED: Addr = 1;
+const OP: Addr = 2;
+const ARG: Addr = 3;
+const RET: Addr = 4;
+const NEXT: Addr = 5;
+/// Enqueue timestamp for queue-wait telemetry: the native probe's word, not
+/// the protocol's.
+const T_ENQ: Addr = 6;
 
-/// Panic message once the construction is poisoned (a combiner panicked
-/// while holding the critical section, so the protected state may be torn
-/// and the hand-off chain is broken).
+/// Panic message once a combiner's dispatch panicked mid-round.
 const POISONED: &str =
     "CC-SYNCH poisoned: a combiner panicked inside the critical section and the \
      protected state may be inconsistent";
 
-/// One list node. `wait`/`completed` are the owner's local-spin flags; `op`,
-/// `arg`, `ret` carry the request and its result.
-struct Node {
-    wait: AtomicBool,
-    completed: AtomicBool,
-    next: AtomicUsize,
-    op: AtomicU64,
-    arg: AtomicU64,
-    ret: AtomicU64,
-    /// Enqueue timestamp (ns, telemetry epoch) — written only when
-    /// telemetry is enabled; lets the combiner attribute queue-wait to the
-    /// request's owner.
-    t_enq: AtomicU64,
+/// Where a CC-SYNCH instance lives in a machine's memory, and its combining
+/// bound. Node `i` is the `i`-th line from `nodes`; node 0 is the
+/// initial tail dummy, all zero, so the first thread to swap it out combines
+/// at once.
+#[derive(Debug, Clone, Copy)]
+pub struct CcSynchLayout {
+    /// The first node's line.
+    pub nodes: Addr,
+    /// The tail word: the id of the current dummy node.
+    pub tail: Addr,
+    /// Requests a combiner serves at most per round (the paper's `MAX_OPS`).
+    pub max_ops: u64,
 }
 
-impl Node {
-    fn new() -> Self {
-        Self {
-            wait: AtomicBool::new(false),
-            completed: AtomicBool::new(false),
-            next: AtomicUsize::new(NIL),
-            op: AtomicU64::new(0),
-            arg: AtomicU64::new(0),
-            ret: AtomicU64::new(0),
-            t_enq: AtomicU64::new(0),
+impl CcSynchLayout {
+    /// Node `id`'s line. Written from `nodes`' line, so that the native
+    /// machine sees every access to a node fall in one line.
+    fn node(&self, id: u64) -> Addr {
+        (self.nodes / WORDS_PER_LINE + id) * WORDS_PER_LINE
+    }
+
+    /// One operation by the thread that owns node `*my_node`; afterwards it
+    /// owns the node it displaced.
+    pub async fn apply<M: Machine>(
+        &self,
+        m: &mut M,
+        cs: &M::Cs,
+        my_node: &mut u64,
+        op: u64,
+        arg: u64,
+        probe: &mut impl Probe<M>,
+    ) -> u64 {
+        // Prepare my node to become the new tail dummy.
+        let next_node = *my_node;
+        let mine = self.node(next_node);
+        m.store(mine + NEXT, 0, Relaxed).await;
+        m.store(mine + WAIT, 1, Relaxed).await;
+        m.store(mine + COMPLETED, 0, Relaxed).await;
+
+        // Enqueue: displace the tail, write my request into the displaced
+        // node, link it to my (former) node, and adopt the displaced node.
+        // AcqRel edge on `tail`: the Release side publishes my node-init
+        // stores above to the *next* swapper (which writes its request into
+        // my node); the Acquire side makes the displaced node's init by its
+        // previous owner visible before I write into it.
+        let cur_node = m.swap(self.tail, next_node, AcqRel).await;
+        let cur = self.node(cur_node);
+        m.store(cur + OP, op, Relaxed).await;
+        m.store(cur + ARG, arg, Relaxed).await;
+        probe.published(m, cur);
+        // Release edge on `next`: publishes the request to the combiner's
+        // Acquire load in its serve loop.
+        m.store(cur + NEXT, next_node + 1, Release).await;
+        *my_node = cur_node;
+
+        // Local spin until a combiner either served me or made me combiner.
+        m.spin_until(
+            cur + WAIT,
+            Until::Equals(0),
+            &mut Backoff::new(2, 32),
+            Acquire,
+        )
+        .await;
+        if m.load(cur + COMPLETED, Relaxed).await == 1 {
+            // Relaxed is enough for `completed`/`ret`: both were published
+            // by the same `wait` Release/Acquire edge the spin just crossed.
+            return m.load(cur + RET, Relaxed).await;
         }
+
+        // I am the combiner: exactly one thread at a time observes `wait ==
+        // 0 && completed == 0` for the head node (each node is released
+        // once), and the release of `wait` by my predecessor orders every
+        // earlier critical section before this point. Each `cs` call below
+        // runs before the release that ends this round.
+        let mut served = 0u64;
+        let mut tmp = cur_node;
+        loop {
+            let at = self.node(tmp);
+            // Acquire pairs with the enqueuer's `next` Release: it makes
+            // the request words visible.
+            let next = m.load(at + NEXT, Acquire).await;
+            if next == 0 || served >= self.max_ops {
+                break;
+            }
+            probe.serving(m, at);
+            let o = m.load(at + OP, Relaxed).await;
+            let a = m.load(at + ARG, Relaxed).await;
+            let ret = m.cs(cs, o, a).await;
+            m.store(at + RET, ret, Relaxed).await;
+            m.store(at + COMPLETED, 1, Relaxed).await;
+            // Release publishes ret/completed to the owner's Acquire spin.
+            m.store(at + WAIT, 0, Release).await;
+            probe.served(m, at);
+            served += 1;
+            tmp = next - 1;
+        }
+        // Hand over the combiner role to the first unserved node (or mark
+        // the tail dummy ready for the next arrival). Release publishes this
+        // whole round's state mutations to the next combiner's Acquire spin.
+        m.store(self.node(tmp) + WAIT, 0, Release).await;
+        probe.round(m, served);
+        m.load(cur + RET, Relaxed).await
     }
 }
 
 struct Shared<S, D> {
-    nodes: Box<[CachePadded<Node>]>,
-    tail: CachePadded<AtomicUsize>,
-    state: CsState<S>,
-    dispatch: D,
-    max_ops: u64,
-    /// Set when a combiner's dispatch panicked mid-round: the hand-off chain
-    /// is broken, so every waiter and later caller panics instead of
-    /// spinning forever (see [`PoisonGuard`]).
-    poisoned: AtomicBool,
+    /// The nodes, then the tail's line; poisoned when a combiner's dispatch
+    /// panicked mid-round and the hand-off chain is broken.
+    arena: Arena,
+    layout: CcSynchLayout,
+    cs: Critical<S, D>,
     next_handle: StdAtomicUsize,
-    /// Total requests executed by combiners on behalf of *other* threads
-    /// plus their own — used to compute the actual combining rate (Fig. 4b).
+    /// Combining rounds and the requests they served — the actual
+    /// combining rate of Figure 4b.
     rounds: StdAtomicU64,
     combined: StdAtomicU64,
+}
+
+/// The native probe: what one `apply` saw, for its statistics and
+/// telemetry.
+#[derive(Default)]
+struct Stats {
+    /// The caller's node, as a span track.
+    track: u32,
+    t_enq: u64,
+    t_serve: u64,
+    /// Start of the caller's combining round (telemetry only).
+    t_hold: u64,
+    /// Requests served, if the caller combined.
+    round: Option<u64>,
+}
+
+fn track(req: Addr) -> u32 {
+    (req / WORDS_PER_LINE) as u32
+}
+
+impl<C> Probe<Native<'_, C>> for Stats {
+    fn published(&mut self, m: &mut Native<'_, C>, req: Addr) {
+        self.track = track(req);
+        if telemetry::ENABLED {
+            self.t_enq = telemetry::now_ns();
+            // Published by the Release of `next` alongside op/arg.
+            m.word(req + T_ENQ).store(self.t_enq, Relaxed);
+        }
+    }
+
+    fn serving(&mut self, m: &mut Native<'_, C>, req: Addr) {
+        if telemetry::ENABLED {
+            // Queue wait: owner's enqueue → combiner reaching it.
+            let t_enq = m.word(req + T_ENQ).load(Relaxed);
+            telemetry::record_span(track(req), Algo::CcSynch, Lane::QueueWait, t_enq);
+            self.t_serve = telemetry::now_ns();
+            if self.t_hold == 0 {
+                self.t_hold = self.t_serve;
+            }
+        }
+    }
+
+    fn served(&mut self, _: &mut Native<'_, C>, req: Addr) {
+        telemetry::record_span(track(req), Algo::CcSynch, Lane::Serve, self.t_serve);
+    }
+
+    fn round(&mut self, _: &mut Native<'_, C>, n: u64) {
+        self.round = Some(n);
+    }
 }
 
 /// The CC-SYNCH construction protecting a state `S`.
@@ -122,20 +247,17 @@ where
     pub fn new(max_threads: usize, max_ops: u64, state: S, dispatch: D) -> Self {
         assert!(max_threads > 0, "need at least one thread");
         assert!(max_ops > 0, "max_ops must be positive");
-        // One node per thread plus the initial tail dummy.
-        let nodes: Box<[CachePadded<Node>]> = (0..max_threads + 1)
-            .map(|_| CachePadded::new(Node::new()))
-            .collect();
-        // Node 0 is the initial dummy: wait == false so the first thread to
-        // swap it out becomes the combiner immediately.
+        // One node per thread plus the initial dummy, then the tail.
+        let nodes = max_threads as u64 + 1;
         Self {
             shared: Arc::new(Shared {
-                nodes,
-                tail: CachePadded::new(AtomicUsize::new(0)),
-                state: CsState::new(state),
-                dispatch,
-                max_ops,
-                poisoned: AtomicBool::new(false),
+                arena: Arena::new(nodes + 1, POISONED),
+                layout: CcSynchLayout {
+                    nodes: 0,
+                    tail: nodes * WORDS_PER_LINE,
+                    max_ops,
+                },
+                cs: Critical::new(state, dispatch),
                 next_handle: StdAtomicUsize::new(0),
                 rounds: StdAtomicU64::new(0),
                 combined: StdAtomicU64::new(0),
@@ -149,23 +271,23 @@ where
     ///
     /// Panics if more than `max_threads` handles are created.
     pub fn handle(&self) -> CcSynchHandle<S, D> {
-        let i = self.shared.next_handle.fetch_add(1, Ordering::Relaxed);
-        let max = self.shared.nodes.len() - 1;
-        assert!(i < max, "CC-SYNCH sized for {max} threads");
+        let i = self.shared.next_handle.fetch_add(1, Relaxed);
+        let max = self.shared.layout.tail / WORDS_PER_LINE - 1;
+        assert!((i as u64) < max, "CC-SYNCH sized for {max} threads");
         CcSynchHandle {
             shared: Arc::clone(&self.shared),
-            my_node: i + 1, // node 0 is the initial dummy
+            my_node: i as u64 + 1, // node 0 is the initial dummy
         }
     }
 
     /// Average number of requests served per combining round so far
     /// (the "actual combining rate" of Figure 4b).
     pub fn combining_rate(&self) -> f64 {
-        let rounds = self.shared.rounds.load(Ordering::Relaxed);
+        let rounds = self.shared.rounds.load(Relaxed);
         if rounds == 0 {
             0.0
         } else {
-            self.shared.combined.load(Ordering::Relaxed) as f64 / rounds as f64
+            self.shared.combined.load(Relaxed) as f64 / rounds as f64
         }
     }
 
@@ -179,8 +301,8 @@ where
     pub fn into_state(self) -> S {
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => {
-                assert!(!shared.poisoned.load(Ordering::Relaxed), "{POISONED}");
-                shared.state.into_inner()
+                shared.arena.check();
+                shared.cs.state.into_inner()
             }
             Err(_) => panic!("CC-SYNCH handles still alive at into_state"),
         }
@@ -190,8 +312,8 @@ where
 /// Per-thread handle to a [`CcSynch`] instance.
 pub struct CcSynchHandle<S, D> {
     shared: Arc<Shared<S, D>>,
-    /// Index of the node this thread currently owns.
-    my_node: usize,
+    /// Id of the node this thread currently owns.
+    my_node: u64,
 }
 
 impl<S, D> ApplyOp for CcSynchHandle<S, D>
@@ -201,129 +323,25 @@ where
 {
     fn apply(&mut self, op: u64, arg: u64) -> u64 {
         let sh = &*self.shared;
-        let nodes = &sh.nodes;
-        assert!(!sh.poisoned.load(Ordering::Relaxed), "{POISONED}");
-
-        // Prepare my node to become the new tail dummy.
-        let next_node = self.my_node;
-        nodes[next_node].next.store(NIL, Ordering::Relaxed);
-        nodes[next_node].wait.store(true, Ordering::Relaxed);
-        nodes[next_node].completed.store(false, Ordering::Relaxed);
-
-        // Enqueue: displace the tail, write my request into the displaced
-        // node, link it to my (former) node, and adopt the displaced node.
-        // AcqRel edge on `tail`: the Release side publishes my node-init
-        // stores above to the *next* swapper (which writes its request into
-        // my node); the Acquire side makes the displaced node's init by its
-        // previous owner visible before I write into it.
-        let cur_node = sh.tail.swap(next_node, Ordering::AcqRel);
-        let cur = &nodes[cur_node];
-        cur.op.store(op, Ordering::Relaxed);
-        cur.arg.store(arg, Ordering::Relaxed);
-        let t_enq = telemetry::now_ns();
-        if telemetry::ENABLED {
-            // Published by the Release below alongside op/arg.
-            cur.t_enq.store(t_enq, Ordering::Relaxed);
-        }
-        // Release edge on `next`: publishes op/arg/t_enq to the combiner's
-        // Acquire load in its serve loop.
-        cur.next.store(next_node, Ordering::Release);
-        self.my_node = cur_node;
-
-        // Local spin until a combiner either served me or made me combiner.
-        // The poison check keeps a waiter from spinning forever when the
-        // combiner ahead of it panicked and will never release this node.
-        let mut spins = 0u32;
-        while cur.wait.load(Ordering::Acquire) {
-            if sh.poisoned.load(Ordering::Relaxed) {
-                panic!("{POISONED}");
-            }
-            spin(&mut spins);
-        }
-        if cur.completed.load(Ordering::Relaxed) {
-            if telemetry::ENABLED {
-                telemetry::record_span(cur_node as u32, Algo::CcSynch, Lane::ClientWait, t_enq);
-            }
-            // Relaxed is enough for `completed`/`ret`: both were published
-            // by the same `wait` Release/Acquire edge the spin just crossed.
-            return cur.ret.load(Ordering::Relaxed);
-        }
-
-        // I am the combiner. The release of `wait` by my predecessor (or the
-        // initial dummy state) orders all previous critical sections before
-        // this point.
-        let t_hold = telemetry::now_ns();
-        let mut served = 0u64;
-        let mut tmp_node = cur_node;
-        // If a dispatched operation panics, mark the construction poisoned
-        // on the way out so every spinning waiter panics too instead of
-        // wedging on a release that will never come.
-        let guard = PoisonGuard::new(&sh.poisoned);
-        // SAFETY: exactly one thread at a time observes `wait == false &&
-        // completed == false` for the head node — mutual exclusion follows
-        // from the list structure (each node released exactly once), so this
-        // thread is the unique accessor for the closure's whole extent. The
-        // hand-off store below runs *after* the closure, so the next
-        // combiner's access is ordered after ours (loom checks exactly this).
-        unsafe {
-            sh.state.with_mut(|state| {
-                loop {
-                    // Acquire pairs with the enqueuer's `next` Release: it
-                    // makes the request words (op/arg/t_enq) visible.
-                    let next = nodes[tmp_node].next.load(Ordering::Acquire);
-                    if next == NIL || served >= sh.max_ops {
-                        break;
-                    }
-                    let tmp = &nodes[tmp_node];
-                    let t_serve = if telemetry::ENABLED {
-                        // Queue wait: owner's enqueue → combiner reaching it.
-                        telemetry::record_span(
-                            tmp_node as u32,
-                            Algo::CcSynch,
-                            Lane::QueueWait,
-                            tmp.t_enq.load(Ordering::Relaxed),
-                        );
-                        telemetry::now_ns()
-                    } else {
-                        0
-                    };
-                    let ret = sh.dispatch.dispatch(
-                        state,
-                        tmp.op.load(Ordering::Relaxed),
-                        tmp.arg.load(Ordering::Relaxed),
-                    );
-                    tmp.ret.store(ret, Ordering::Relaxed);
-                    tmp.completed.store(true, Ordering::Relaxed);
-                    // Release publishes ret/completed (stored Relaxed above)
-                    // to the owner's Acquire spin on `wait`.
-                    tmp.wait.store(false, Ordering::Release);
-                    if telemetry::ENABLED {
-                        telemetry::record_span(
-                            tmp_node as u32,
-                            Algo::CcSynch,
-                            Lane::Serve,
-                            t_serve,
-                        );
-                    }
-                    served += 1;
-                    tmp_node = next;
-                }
-            });
-        }
-        guard.disarm();
-        // Hand over the combiner role to the first unserved node (or mark
-        // the tail dummy ready for the next arrival). Release publishes this
-        // whole round's state mutations to the next combiner's Acquire spin.
-        nodes[tmp_node].wait.store(false, Ordering::Release);
-
-        sh.rounds.fetch_add(1, Ordering::Relaxed);
-        sh.combined.fetch_add(served, Ordering::Relaxed);
+        sh.arena.check();
+        let mut stats = Stats::default();
+        let mut m = Native::new(&sh.arena);
+        let ret = block_on(
+            sh.layout
+                .apply(&mut m, &sh.cs, &mut self.my_node, op, arg, &mut stats),
+        );
+        let Some(served) = stats.round else {
+            telemetry::record_span(stats.track, Algo::CcSynch, Lane::ClientWait, stats.t_enq);
+            return ret;
+        };
+        sh.rounds.fetch_add(1, Relaxed);
+        sh.combined.fetch_add(served, Relaxed);
         if telemetry::ENABLED {
             telemetry::count(Counter::CcRounds, 1);
             telemetry::count(Counter::CcServed, served);
-            telemetry::record_span(cur_node as u32, Algo::CcSynch, Lane::Hold, t_hold);
+            telemetry::record_span(stats.track, Algo::CcSynch, Lane::Hold, stats.t_hold);
         }
-        cur.ret.load(Ordering::Relaxed)
+        ret
     }
 }
 

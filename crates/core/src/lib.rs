@@ -64,6 +64,7 @@ mod dispatch;
 mod flat_combining;
 mod hybcomb;
 pub mod locks;
+pub mod machine;
 mod mp_server;
 mod shm_server;
 mod state;
@@ -73,13 +74,13 @@ pub mod wire;
 #[cfg(all(test, loom))]
 mod loom_models;
 
-pub use cc_synch::{CcSynch, CcSynchHandle};
+pub use cc_synch::{CcSynch, CcSynchHandle, CcSynchLayout};
 pub use dispatch::{Dispatcher, OpTable};
 pub use flat_combining::{FlatCombining, FlatCombiningHandle, SlotLease, SlotPool};
 pub use hybcomb::{HybComb, HybCombHandle, HybCombStats, DEFAULT_MAX_OPS};
-pub use locks::{CsLock, LockCs, LockCsHandle, McsLock, TasLock, TicketLock};
+pub use locks::{CsLock, LockCs, LockCsHandle, McsLock, PoisonLock, TasLock, TicketLock};
 pub use mp_server::{MpClient, MpServer};
-pub use shm_server::{ShmClient, ShmServer};
+pub use shm_server::{ShmClient, ShmServer, ShmServerLayout};
 pub use state::CsState;
 
 /// A per-thread handle through which operations are submitted for execution

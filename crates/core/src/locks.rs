@@ -9,6 +9,9 @@
 //! * [`TicketLock`] — FIFO-fair, one RMR-generating variable;
 //! * [`McsLock`] — the queue lock of Mellor-Crummey & Scott with *local
 //!   spinning* and O(1) RMR complexity per acquisition.
+//!
+//! [`PoisonLock`] puts any of them under the poison protocol (DESIGN.md
+//! §9.3), so a panicking critical section cannot wedge the lock.
 
 use std::ptr;
 use std::sync::Arc;
@@ -16,7 +19,7 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 
 use crate::dispatch::Dispatcher;
-use crate::state::CsState;
+use crate::state::{CsState, PoisonGuard};
 use crate::sync::{spin, AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use crate::ApplyOp;
 
@@ -188,8 +191,60 @@ impl CsLock for McsLock {
     }
 }
 
-struct LockShared<S, L, D> {
+/// Panic message once a critical section unwound holding the lock.
+const POISONED: &str =
+    "LOCK poisoned: a critical section panicked holding the lock and the protected state \
+     may be inconsistent";
+
+/// A [`CsLock`] under the poison protocol: a critical section that unwinds
+/// poisons and releases the lock, and every later acquirer releases it
+/// again and panics instead of running on a state that may be torn.
+#[derive(Default)]
+pub struct PoisonLock<L> {
     lock: L,
+    poisoned: AtomicBool,
+}
+
+impl<L: CsLock> PoisonLock<L> {
+    /// Runs `f` holding the lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an earlier critical section unwound; a panicking `f`
+    /// unwinds out of this call.
+    #[inline]
+    pub fn run<R>(&self, ctx: &mut L::Ctx, f: impl FnOnce() -> R) -> R {
+        self.lock.lock(ctx);
+        let _held = Held(&self.lock, ctx);
+        // Relaxed: a poisoner stores the flag before its release, which
+        // this acquisition crossed.
+        if self.poisoned.load(Ordering::Relaxed) {
+            panic!("{POISONED}");
+        }
+        let guard = PoisonGuard::new(&self.poisoned);
+        let ret = f();
+        guard.disarm();
+        ret
+    }
+
+    /// Whether a critical section unwound holding the lock.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Relaxed)
+    }
+}
+
+/// Releases the lock when dropped, on unwind too.
+struct Held<'a, L: CsLock>(&'a L, &'a mut L::Ctx);
+
+impl<L: CsLock> Drop for Held<'_, L> {
+    #[inline]
+    fn drop(&mut self) {
+        self.0.unlock(self.1);
+    }
+}
+
+struct LockShared<S, L, D> {
+    lock: PoisonLock<L>,
     state: CsState<S>,
     dispatch: D,
 }
@@ -210,7 +265,7 @@ where
     pub fn new(state: S, dispatch: D) -> Self {
         Self {
             shared: Arc::new(LockShared {
-                lock: L::default(),
+                lock: PoisonLock::default(),
                 state: CsState::new(state),
                 dispatch,
             }),
@@ -229,10 +284,14 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if handles are still alive.
+    /// Panics if handles are still alive, or if a critical section
+    /// panicked (the state may be torn).
     pub fn into_state(self) -> S {
         match Arc::try_unwrap(self.shared) {
-            Ok(shared) => shared.state.into_inner(),
+            Ok(shared) => {
+                assert!(!shared.lock.is_poisoned(), "{POISONED}");
+                shared.state.into_inner()
+            }
             Err(_) => panic!("LockCs handles still alive at into_state"),
         }
     }
@@ -252,17 +311,14 @@ where
 {
     #[inline]
     fn apply(&mut self, op: u64, arg: u64) -> u64 {
-        self.shared.lock.lock(&mut self.ctx);
-        // SAFETY: we hold the lock for the closure's whole extent; `CsLock`
-        // implementations provide mutual exclusion and release/acquire
-        // ordering across the hand-off.
-        let ret = unsafe {
-            self.shared
-                .state
-                .with_mut(|state| self.shared.dispatch.dispatch(state, op, arg))
-        };
-        self.shared.lock.unlock(&mut self.ctx);
-        ret
+        let sh = &*self.shared;
+        // SAFETY: `run` holds the lock for the closure's whole extent;
+        // `CsLock` implementations provide mutual exclusion and
+        // release/acquire ordering across the hand-off.
+        sh.lock.run(&mut self.ctx, || unsafe {
+            sh.state
+                .with_mut(|state| sh.dispatch.dispatch(state, op, arg))
+        })
     }
 }
 
@@ -308,6 +364,51 @@ mod tests {
     #[test]
     fn mcs_lock_mutual_exclusion() {
         hammer::<McsLock>();
+    }
+
+    /// A dispatch panic releases and poisons the lock: every later acquirer
+    /// panics with the poison report instead of spinning on a lock nobody
+    /// releases, and `into_state` refuses the state. The later submissions
+    /// run on their own thread, so a wedge fails the test instead of
+    /// hanging it.
+    #[test]
+    fn dispatch_panic_poisons_instead_of_wedging() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+
+        fn boom(state: &mut u64, op: u64, arg: u64) -> u64 {
+            if op == 1 {
+                panic!("dispatch exploded");
+            }
+            fai(state, op, arg)
+        }
+
+        let cs = LockCs::<u64, McsLock, CounterFn>::new(0, boom as CounterFn);
+        let (mut a, mut b) = (cs.handle(), cs.handle());
+        let err = catch_unwind(AssertUnwindSafe(|| a.apply(1, 0))).unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"dispatch exploded"));
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handles = std::thread::spawn(move || {
+            for h in [&mut a, &mut b] {
+                let r = catch_unwind(AssertUnwindSafe(|| h.apply(0, 0)));
+                let _ = tx.send(r.map_err(|e| e.downcast_ref::<String>().cloned()));
+            }
+        });
+        for _ in 0..2 {
+            let got = rx
+                .recv_timeout(Duration::from_secs(3))
+                .expect("no answer within 3 s: the lock is wedged");
+            let msg = got.expect_err("a poisoned lock must not serve");
+            assert!(
+                msg.as_deref().is_some_and(|m| m.contains("LOCK poisoned")),
+                "got: {msg:?}"
+            );
+        }
+        handles.join().expect("both panics were caught");
+        let err = catch_unwind(AssertUnwindSafe(|| cs.into_state())).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("LOCK poisoned"), "got: {msg}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use mpsync_udn::{Fabric, FabricConfig};
 
 use crate::locks::{McsLock, TasLock};
-use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs};
+use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs, ShmServer};
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
 
@@ -35,6 +35,16 @@ fn boom(state: &mut u64, op: u64, _arg: u64) -> u64 {
     }
     let old = *state;
     *state += 1;
+    old
+}
+
+/// Dispatch that half-applies opcode 1, then panics: the state is torn.
+fn torn(state: &mut u64, op: u64, _arg: u64) -> u64 {
+    let old = *state;
+    *state += 1;
+    if op == 1 {
+        panic!("dispatch exploded");
+    }
     old
 }
 
@@ -349,5 +359,67 @@ fn tas_lock_cs_mutual_exclusion() {
         let mut seen = [ra, rb];
         seen.sort_unstable();
         assert_eq!(seen, [0, 1]);
+    });
+}
+
+/// SHM-SERVER, one client, two ops: the server (a model thread here) runs
+/// each exactly once, in order, and hands the state back at shutdown. The
+/// edges under test are the channel's `status` REQ Release → server
+/// Acquire and DONE Release → client Acquire.
+#[test]
+fn shm_server_one_client_exactly_once() {
+    loom::model(|| {
+        let server = ShmServer::spawn(1, 0u64, fai as CounterFn);
+        let mut c = server.client();
+        assert_eq!(c.apply(0, 0), 0);
+        assert_eq!(c.apply(0, 0), 1);
+        drop(c);
+        assert_eq!(server.shutdown(), 2);
+    });
+}
+
+/// Loom regression model for the SHM-SERVER poison protocol: a server whose
+/// dispatch panics never answers, so its client must panic with the poison
+/// report instead of spinning on its channel forever (loom's step bound
+/// flags that wedge), and shutdown reports the dead server.
+#[test]
+fn shm_server_panic_poisons_the_client() {
+    loom::model(|| {
+        let server = ShmServer::spawn(1, 0u64, boom as CounterFn);
+        let mut c = server.client();
+        let err = catch_unwind(AssertUnwindSafe(|| c.apply(1, 0))).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("SHM-SERVER poisoned"), "got: {msg}");
+        assert!(catch_unwind(AssertUnwindSafe(|| server.shutdown())).is_err());
+    });
+}
+
+/// Loom regression model for the lock's poison protocol: a critical section
+/// that unwinds must poison and release the MCS lock. The other thread then
+/// either ran first (and saw the untouched state, 0) or panics with the
+/// poison report: it never runs on the torn state and never spins on a lock
+/// nobody releases. `into_state` refuses the torn state.
+#[test]
+fn mcs_lock_cs_panic_poisons_waiters() {
+    loom::model(|| {
+        let cs = Arc::new(LockCs::<u64, McsLock, CounterFn>::new(0, torn as CounterFn));
+        let mut a = cs.handle();
+        let t = {
+            let cs = Arc::clone(&cs);
+            loom::thread::spawn(move || {
+                let mut b = cs.handle();
+                catch_unwind(AssertUnwindSafe(|| b.apply(0, 0)))
+            })
+        };
+        let ra = catch_unwind(AssertUnwindSafe(|| a.apply(1, 0)));
+        assert_expected_panic(ra.unwrap_err().as_ref(), "dispatch exploded");
+        match t.join().unwrap() {
+            Ok(v) => assert_eq!(v, 0, "ran on the torn state"),
+            Err(e) => assert_expected_panic(e.as_ref(), "LOCK poisoned"),
+        }
+        drop(a);
+        let cs = Arc::try_unwrap(cs).unwrap_or_else(|_| panic!("handles alive"));
+        let err = catch_unwind(AssertUnwindSafe(|| cs.into_state())).unwrap_err();
+        assert_expected_panic(err.as_ref(), "LOCK poisoned");
     });
 }

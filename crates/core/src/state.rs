@@ -69,16 +69,19 @@ pub(crate) struct PoisonGuard<'a> {
 }
 
 impl<'a> PoisonGuard<'a> {
+    #[inline]
     pub(crate) fn new(flag: &'a AtomicBool) -> Self {
         Self { flag, armed: true }
     }
 
+    #[inline]
     pub(crate) fn disarm(mut self) {
         self.armed = false;
     }
 }
 
 impl Drop for PoisonGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         if self.armed {
             // Relaxed would suffice for the waiters (they only panic on

@@ -2,9 +2,10 @@
 //! `RUSTFLAGS="--cfg loom"` (see DESIGN.md §9).
 //!
 //! Only *protocol-bearing* shared state goes through this module — the
-//! enqueue/hand-off atomics of CC-SYNCH, HYBCOMB's combiner-identity words,
-//! the lock words, flat combining's publication records, and the `CsState`
-//! cell they all guard. Pure statistics counters (`rounds`, `combined`,
+//! native machine's words (CC-SYNCH's nodes, SHM-SERVER's channels),
+//! HYBCOMB's combiner-identity words, the lock words, flat combining's
+//! publication records, the `CsState` cell they all guard, and the server
+//! threads that run them. Pure statistics counters (`rounds`, `combined`,
 //! `cas_attempts`, …) stay on `std::sync::atomic` deliberately: they carry
 //! no synchronization and modelling them would blow up loom's state space
 //! without checking anything.
@@ -16,6 +17,39 @@ pub(crate) use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsiz
 
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+#[cfg(not(loom))]
+pub(crate) use std::thread::JoinHandle;
+
+/// Spawns a construction's named server thread; under loom, a model
+/// thread whose panic `join` reports as std's does (loom's own would abort
+/// the execution).
+#[cfg(not(loom))]
+pub(crate) fn spawn<T: Send + 'static>(
+    name: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    let builder = std::thread::Builder::new().name(name.into());
+    builder.spawn(f).expect("failed to spawn a server thread")
+}
+
+#[cfg(loom)]
+pub(crate) struct JoinHandle<T>(loom::thread::JoinHandle<std::thread::Result<T>>);
+
+#[cfg(loom)]
+impl<T> JoinHandle<T> {
+    pub(crate) fn join(self) -> std::thread::Result<T> {
+        self.0.join().and_then(|r| r)
+    }
+}
+
+#[cfg(loom)]
+pub(crate) fn spawn<T: Send + 'static>(
+    _: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    let f = std::panic::AssertUnwindSafe(f);
+    JoinHandle(loom::thread::spawn(move || std::panic::catch_unwind(f)))
+}
 
 /// Thin `std` stand-in for loom's closure-based `UnsafeCell` so production
 /// code and model share one access idiom (`with` / `with_mut`).

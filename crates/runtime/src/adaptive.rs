@@ -77,7 +77,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mpsync_core::{CsLock, FlatCombining, McsLock};
+use mpsync_core::{CsLock, FlatCombining, McsLock, PoisonLock};
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Counter, FlightKind};
 
@@ -100,7 +100,7 @@ pub(crate) struct AdaptiveShard<S, F> {
     /// The shard state, behind the combiner that serves Comb mode; the
     /// other two modes execute through [`FlatCombining::exec`].
     comb: FlatCombining<S, RtDispatch<S, F>>,
-    mcs: McsLock,
+    mcs: PoisonLock<McsLock>,
     control: Arc<Control>,
     shard: usize,
 }
@@ -122,7 +122,7 @@ where
             epoch: AtomicU64::new(0),
             swap: Mutex::new(false),
             comb: FlatCombining::new(config.max_sessions, config.max_batch, state, dispatch),
-            mcs: McsLock::default(),
+            mcs: PoisonLock::default(),
             control,
             shard,
         }
@@ -141,12 +141,10 @@ where
     /// Lock-mode application: MCS critical section on the caller's thread.
     /// Caller must hold an admitted slot (so the mode is stable).
     pub fn lock_apply(&self, node: &mut <McsLock as CsLock>::Ctx, word: u64, arg: u64) -> u64 {
-        self.mcs.lock(node);
-        // SAFETY: the MCS lock is held, and the swap quiesce guarantees no
-        // thread is executing in another mode (caller holds a slot admitted
-        // under mode == Lock).
-        let ret = unsafe { self.comb.exec(word, arg) };
-        self.mcs.unlock(node);
+        // SAFETY: `run` holds the MCS lock, and the swap quiesce guarantees
+        // no thread is executing in another mode (caller holds a slot
+        // admitted under mode == Lock).
+        let ret = self.mcs.run(node, || unsafe { self.comb.exec(word, arg) });
         // Keep the shard's batch accounting meaningful across modes: a lock
         // op is a batch of one.
         self.control.record_batch(self.shard, 1);
@@ -204,6 +202,10 @@ where
     /// Surrenders the shard state. Caller must guarantee quiescence (the
     /// runtime's shutdown drain) and sole ownership (`Arc::try_unwrap`).
     pub fn into_state(self) -> S {
+        assert!(
+            !self.mcs.is_poisoned(),
+            "LOCK poisoned: the shard's state may be torn"
+        );
         self.comb.into_state()
     }
 }

@@ -12,11 +12,14 @@
 //! for ablation: the eager drain loop (lines 25–28) and CAS-vs-SWAP
 //! combiner registration (§4.2's discussion).
 
-use crate::engine::{Backoff, Ctx, Engine, Until};
+use mpsync_core::machine::Probe;
+
+use crate::engine::{Ctx, Engine};
 use crate::mem::{Addr, WORDS_PER_LINE};
 use crate::stats::Metric;
+use crate::{Backoff, Until};
 
-use super::{client_rng, exec_cs, local_work, record_op, AddrAlloc, RunSpec};
+use super::{client_loop, exec_cs, AddrAlloc, Metrics, RunSpec};
 
 /// Word offsets within a node's *meta* line.
 const TID: u64 = 0; // owner's core id
@@ -100,7 +103,11 @@ pub fn install_hybcomb(
             // The handle registers its endpoint: node → owner core.
             let me = ctx.core() as u64;
             ctx.write(sh.meta_of(my_node) + TID, me).await;
-            thread_loop(ctx, spec, sh, my_node).await;
+            let mut my = my_node;
+            client_loop(ctx, spec, async |ctx, op, arg| {
+                apply(ctx, &spec, &sh, &mut my, op, arg).await;
+            })
+            .await
         });
     }
 }
@@ -150,37 +157,16 @@ pub fn install_hybcomb_fixed(
     // succeeds because the combiner never closes its node).
     for _t in 1..spec.threads {
         engine.add_proc(async move |ctx| {
-            let mut rng = client_rng(spec.seed, ctx.core());
-            let me = ctx.core() as u64;
-            let mut i = 0u64;
-            loop {
-                let (op, arg) = spec.opgen.op(i);
-                let t0 = ctx.now();
+            client_loop(ctx, spec, async |ctx, op, arg| {
                 let lr = ctx.read(sh.lrc).await;
                 let n = ctx.faa(sh.n_ops_of(lr), 1).await;
                 debug_assert!(n < sh.max_ops);
                 let dest = ctx.read(sh.meta_of(lr) + TID).await as usize;
-                ctx.send(dest, &[me, op, arg]).await;
+                ctx.send(dest, &[ctx.core() as u64, op, arg]).await;
                 ctx.receive1().await;
-                record_op(ctx, t0);
-                local_work(ctx, &mut rng, spec.max_local_work, 1).await;
-                i += 1;
-            }
+            })
+            .await
         });
-    }
-}
-
-async fn thread_loop(ctx: &mut Ctx, spec: RunSpec, sh: Shared, my_node: u64) {
-    let mut rng = client_rng(spec.seed, ctx.core());
-    let mut my = my_node;
-    let mut i = 0u64;
-    loop {
-        let (op, arg) = spec.opgen.op(i);
-        let t0 = ctx.now();
-        apply(ctx, &spec, &sh, &mut my, op, arg).await;
-        record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
-        i += 1;
     }
 }
 
@@ -266,11 +252,7 @@ async fn combine(
         completed += 1;
     }
 
-    ctx.record(Metric::Rounds, 1);
-    ctx.record(Metric::Combined, completed + 1);
-    if completed == 0 {
-        ctx.record(Metric::Orphans, 1);
-    }
+    Metrics.round(ctx, completed + 1);
 
     // Lines 39–42: exchange nodes with the departed-combiner spare and
     // release the successor.

@@ -10,11 +10,12 @@
 
 use std::ops::AsyncFnOnce;
 
-use crate::engine::{Backoff, Ctx, Engine, Until};
+use crate::engine::{Ctx, Engine};
 use crate::mem::{Addr, WORDS_PER_LINE};
 use crate::stats::Metric;
+use crate::{Backoff, Until};
 
-use super::{client_rng, exec_cs, local_work, record_op, AddrAlloc, RunSpec};
+use super::{client_loop, exec_cs, AddrAlloc, RunSpec};
 
 /// Which lock model to install.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,115 +70,90 @@ pub fn install_lock(engine: &mut Engine, spec: RunSpec, kind: LockKind, alloc: &
     }
 }
 
-async fn workload_iteration(
+/// One operation under the lock: acquire, the critical section, release.
+async fn locked(
     ctx: &mut Ctx,
     spec: &RunSpec,
-    i: u64,
+    op: u64,
+    arg: u64,
     acquire: impl AsyncFnOnce(&mut Ctx),
     release: impl AsyncFnOnce(&mut Ctx),
 ) {
-    let (op, arg) = spec.opgen.op(i);
-    let t0 = ctx.now();
     acquire(ctx).await;
     let _ = exec_cs(ctx, &spec.body, op, arg).await;
     ctx.record(Metric::Served, 1);
     release(ctx).await;
-    record_op(ctx, t0);
 }
 
 async fn tas_loop(ctx: &mut Ctx, spec: RunSpec, lock: Addr) {
-    let mut rng = client_rng(spec.seed, ctx.core());
-    let mut i = 0u64;
-    loop {
-        workload_iteration(
-            ctx,
-            &spec,
-            i,
-            async |ctx| {
-                // The backoff carries over from one test loop to the next.
-                let mut backoff = Backoff::new(4, 256);
-                loop {
-                    if ctx.swap(lock, 1).await == 0 {
-                        return;
-                    }
-                    // Test loop on the (cached) lock word.
-                    ctx.spin_until(lock, Until::Equals(0), &mut backoff).await;
-                }
-            },
-            async |ctx| ctx.write(lock, 0).await,
-        )
-        .await;
-        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
-        i += 1;
-    }
+    let acquire = async |ctx: &mut Ctx| {
+        // The backoff carries over from one test loop to the next.
+        let mut backoff = Backoff::new(4, 256);
+        loop {
+            if ctx.swap(lock, 1).await == 0 {
+                return;
+            }
+            // Test loop on the (cached) lock word.
+            ctx.spin_until(lock, Until::Equals(0), &mut backoff).await;
+        }
+    };
+    let release = async |ctx: &mut Ctx| ctx.write(lock, 0).await;
+    client_loop(ctx, spec, async |ctx, op, arg| {
+        locked(ctx, &spec, op, arg, acquire, release).await
+    })
+    .await
 }
 
 async fn ticket_loop(ctx: &mut Ctx, spec: RunSpec, next: Addr, serving: Addr) {
-    let mut rng = client_rng(spec.seed, ctx.core());
-    let mut i = 0u64;
-    loop {
-        workload_iteration(
-            ctx,
-            &spec,
-            i,
-            async |ctx| {
-                let my = ctx.faa(next, 1).await;
-                ctx.spin_until(serving, Until::Equals(my), &mut Backoff::new(2, 64))
-                    .await;
-            },
-            async |ctx| {
-                let s = ctx.read(serving).await;
-                ctx.write(serving, s + 1).await;
-            },
-        )
-        .await;
-        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
-        i += 1;
-    }
+    let acquire = async |ctx: &mut Ctx| {
+        let my = ctx.faa(next, 1).await;
+        ctx.spin_until(serving, Until::Equals(my), &mut Backoff::new(2, 64))
+            .await;
+    };
+    let release = async |ctx: &mut Ctx| {
+        let s = ctx.read(serving).await;
+        ctx.write(serving, s + 1).await;
+    };
+    client_loop(ctx, spec, async |ctx, op, arg| {
+        locked(ctx, &spec, op, arg, acquire, release).await
+    })
+    .await
 }
 
 async fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64) {
     let node = |id: u64| nodes + id * WORDS_PER_LINE;
     const LOCKED: u64 = 0;
     const NEXT: u64 = 1;
-    let mut rng = client_rng(spec.seed, ctx.core());
-    let mut i = 0u64;
-    loop {
-        workload_iteration(
-            ctx,
-            &spec,
-            i,
-            async |ctx| {
-                ctx.write(node(me) + NEXT, 0).await;
-                ctx.write(node(me) + LOCKED, 1).await;
-                let pred = ctx.swap(tail, me + 1).await;
-                if pred != 0 {
-                    ctx.write(node(pred - 1) + NEXT, me + 1).await;
-                    // Local spin on my own node line.
-                    let locked = node(me) + LOCKED;
-                    ctx.spin_until(locked, Until::Equals(0), &mut Backoff::new(2, 64))
-                        .await;
-                }
-            },
-            async |ctx| {
-                let link = node(me) + NEXT;
-                let mut next = ctx.read(link).await;
-                if next == 0 {
-                    if ctx.cas(tail, me + 1, 0).await {
-                        return;
-                    }
-                    // A successor is linking itself; wait for the link.
-                    next = ctx
-                        .spin_until(link, Until::Differs(0), &mut Backoff::new(2, 32))
-                        .await;
-                }
-                ctx.write(node(next - 1) + LOCKED, 0).await;
-            },
-        )
-        .await;
-        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
-        i += 1;
-    }
+    let acquire = async |ctx: &mut Ctx| {
+        ctx.write(node(me) + NEXT, 0).await;
+        ctx.write(node(me) + LOCKED, 1).await;
+        let pred = ctx.swap(tail, me + 1).await;
+        if pred != 0 {
+            ctx.write(node(pred - 1) + NEXT, me + 1).await;
+            // Local spin on my own node line.
+            let locked = node(me) + LOCKED;
+            ctx.spin_until(locked, Until::Equals(0), &mut Backoff::new(2, 64))
+                .await;
+        }
+    };
+    let release = async |ctx: &mut Ctx| {
+        let link = node(me) + NEXT;
+        let mut next = ctx.read(link).await;
+        if next == 0 {
+            if ctx.cas(tail, me + 1, 0).await {
+                return;
+            }
+            // A successor is linking itself; wait for the link.
+            next = ctx
+                .spin_until(link, Until::Differs(0), &mut Backoff::new(2, 32))
+                .await;
+        }
+        ctx.write(node(next - 1) + LOCKED, 0).await;
+    };
+    client_loop(ctx, spec, async |ctx, op, arg| {
+        locked(ctx, &spec, op, arg, acquire, release).await
+    })
+    .await
 }
 
 #[cfg(test)]

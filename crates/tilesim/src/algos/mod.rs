@@ -3,8 +3,12 @@
 //! critical-section bodies, workload op generators). Every local spin is a
 //! [`Ctx::spin_until`](crate::Ctx::spin_until).
 //!
+//! CC-SYNCH and SHM-SERVER are not models: `Ctx` is a [`Machine`], and
+//! their installers run `mpsync-core`'s protocol code on it. MP-SERVER,
+//! HYBCOMB and the locks are written out here.
+//!
 //! Each construction installs one proc per participating thread into an
-//! [`Engine`](crate::Engine); application procs run the paper's §5.2
+//! [`Engine`]; application procs run the paper's §5.2
 //! methodology loop — execute one operation on the shared object, then a
 //! random number (at most 50) of empty loop iterations of local work — until
 //! the simulation horizon tears them down.
@@ -14,23 +18,23 @@
 //! combiners additionally count `Rounds`/`Combined`/`Orphans`, and HYBCOMB
 //! clients count `Cas`.
 
-mod cc_synch;
 mod hybcomb;
 mod locks;
 mod mp_server;
-mod shm_server;
 
-pub use cc_synch::{install_cc_synch, install_cc_synch_fixed};
 pub use hybcomb::{install_hybcomb, install_hybcomb_fixed, HybOptions};
 pub use locks::{install_lock, LockKind};
 pub use mp_server::install_mp_server;
 pub(crate) use mp_server::serve as serve_body;
-pub use shm_server::install_shm_server;
 
+use std::sync::atomic::Ordering;
+
+use mpsync_core::machine::{Backoff, Machine, Probe, Until};
+use mpsync_core::{CcSynchLayout, ShmServerLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::Ctx;
+use crate::engine::{Ctx, Engine};
 use crate::mem::{Addr, WORDS_PER_LINE};
 use crate::stats::Metric;
 
@@ -263,6 +267,98 @@ pub async fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
     }
 }
 
+/// A simulated core is a [`Machine`]: each access is the matching `Ctx`
+/// operation (orderings mean nothing to a sequentially consistent memory),
+/// and the critical section is [`exec_cs`] on a [`CsBody`].
+impl Machine for Ctx {
+    type Cs = CsBody;
+
+    async fn load(&mut self, a: Addr, _: Ordering) -> u64 {
+        self.read(a).await
+    }
+
+    async fn store(&mut self, a: Addr, v: u64, _: Ordering) {
+        self.write(a, v).await;
+    }
+
+    async fn swap(&mut self, a: Addr, v: u64, _: Ordering) -> u64 {
+        Ctx::swap(self, a, v).await
+    }
+
+    async fn spin_until(&mut self, a: Addr, until: Until, b: &mut Backoff, _: Ordering) -> u64 {
+        Ctx::spin_until(self, a, until, b).await
+    }
+
+    async fn cs(&mut self, body: &CsBody, op: u64, arg: u64) -> u64 {
+        exec_cs(self, body, op, arg).await
+    }
+}
+
+/// What combiners and servers count.
+struct Metrics;
+
+impl Probe<Ctx> for Metrics {
+    fn served(&mut self, ctx: &mut Ctx, _: Addr) {
+        ctx.record(Metric::Served, 1);
+    }
+
+    fn round(&mut self, ctx: &mut Ctx, n: u64) {
+        ctx.record(Metric::Rounds, 1);
+        ctx.record(Metric::Combined, n);
+        if n <= 1 {
+            ctx.record(Metric::Orphans, 1);
+        }
+    }
+}
+
+/// Installs a CC-SYNCH run with `spec.threads` application procs. Node 0
+/// is the initial tail dummy; thread `t` starts owning node `t + 1`.
+pub fn install_cc_synch(engine: &mut Engine, spec: RunSpec, alloc: &mut AddrAlloc) {
+    let cc = CcSynchLayout {
+        nodes: alloc.lines(spec.threads as u64 + 1),
+        tail: alloc.line(),
+        max_ops: spec.max_ops,
+    };
+    for t in 0..spec.threads {
+        let mut node = t as u64 + 1;
+        engine.add_proc(async move |ctx| {
+            client_loop(ctx, spec, async |ctx, op, arg| {
+                cc.apply(ctx, &spec.body, &mut node, op, arg, &mut Metrics)
+                    .await;
+            })
+            .await
+        });
+    }
+}
+
+/// The fixed-combiner variant used by Figure 4a: equivalent to
+/// `MAX_OPS = ∞` (footnote 4 of the paper).
+pub fn install_cc_synch_fixed(engine: &mut Engine, spec: RunSpec, alloc: &mut AddrAlloc) {
+    let max_ops = u64::MAX / 2;
+    install_cc_synch(engine, RunSpec { max_ops, ..spec }, alloc);
+}
+
+/// Installs a SHM-SERVER run: the server on the engine's next core, then
+/// `spec.threads` clients, each owning a channel line taken from `alloc`.
+/// Returns the server's core id.
+pub fn install_shm_server(engine: &mut Engine, spec: RunSpec, alloc: &mut AddrAlloc) -> usize {
+    let shm = ShmServerLayout {
+        channels: alloc.lines(spec.threads as u64),
+        clients: spec.threads as u64,
+    };
+    let server = engine.add_proc(async move |ctx| shm.serve(ctx, &spec.body, &mut Metrics).await);
+    for i in 0..shm.clients {
+        let ch = shm.channel(i);
+        engine.add_proc(async move |ctx| {
+            client_loop(ctx, spec, async |ctx, op, arg| {
+                ShmServerLayout::request(ctx, ch, op, arg).await;
+            })
+            .await
+        });
+    }
+    server
+}
+
 /// What sequence of `(op, arg)` an application thread submits.
 #[derive(Debug, Clone, Copy)]
 pub enum OpGen {
@@ -340,6 +436,25 @@ pub(crate) async fn local_work(ctx: &mut Ctx, rng: &mut StdRng, max_iters: u64, 
     if max_iters > 0 {
         let iters = rng.gen_range(0..=max_iters);
         ctx.work(iters * iter_cycles).await;
+    }
+}
+
+/// An application proc's loop: one operation through `apply`, then local
+/// work, until the horizon tears the proc down.
+pub(crate) async fn client_loop(
+    ctx: &mut Ctx,
+    spec: RunSpec,
+    mut apply: impl AsyncFnMut(&mut Ctx, u64, u64),
+) {
+    let mut rng = client_rng(spec.seed, ctx.core());
+    let mut i = 0u64;
+    loop {
+        let (op, arg) = spec.opgen.op(i);
+        let t0 = ctx.now();
+        apply(ctx, op, arg).await;
+        record_op(ctx, t0);
+        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
+        i += 1;
     }
 }
 
@@ -490,5 +605,87 @@ mod tests {
             assert_eq!(ctx.read(base + 2 * WORDS_PER_LINE).await, 1);
         });
         e.run(100_000);
+    }
+
+    fn run_cc_synch(threads: usize, max_ops: u64, horizon: u64) -> crate::SimResult {
+        let mut alloc = AddrAlloc::new();
+        let spec = RunSpec::counter(threads, max_ops, &mut alloc);
+        let mut e = Engine::new(MachineConfig::tile_gx8036());
+        install_cc_synch(&mut e, spec, &mut alloc);
+        e.run(horizon)
+    }
+
+    #[test]
+    fn counter_ops_all_executed() {
+        let r = run_cc_synch(8, 64, 200_000);
+        let ops = r.metric_sum(Metric::Ops);
+        assert!(ops > 1_000, "too few ops: {ops}");
+        // Served counts combiner-executed CSes; every *completed* client op
+        // was executed (a few more may have executed but not yet returned
+        // at teardown).
+        let served = r.metric_sum(Metric::Served);
+        assert!(served >= ops, "served {served} < ops {ops}");
+        assert!(served <= ops + 2 * 8, "served {served} vs ops {ops}");
+    }
+
+    #[test]
+    fn combining_rate_grows_with_threads() {
+        let r2 = run_cc_synch(2, 200, 150_000);
+        let r12 = run_cc_synch(12, 200, 150_000);
+        assert!(
+            r12.combining_rate() > r2.combining_rate(),
+            "combining rate should grow with concurrency: {} vs {}",
+            r12.combining_rate(),
+            r2.combining_rate()
+        );
+    }
+
+    #[test]
+    fn single_thread_works() {
+        let r = run_cc_synch(1, 200, 50_000);
+        assert!(r.metric_sum(Metric::Ops) > 100);
+        // Alone, every round serves exactly one request.
+        assert!((r.combining_rate() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn counter_is_exact_and_server_stalls_heavily() {
+        let mut alloc = AddrAlloc::new();
+        let spec = RunSpec::counter(8, 200, &mut alloc);
+        let mut e = Engine::new(MachineConfig::tile_gx8036());
+        let server = install_shm_server(&mut e, spec, &mut alloc);
+        let r = e.run(200_000);
+
+        let ops = r.metric_sum(Metric::Ops);
+        assert!(ops > 500, "too few ops simulated: {ops}");
+        // The paper's Figure 4a: stalls account for >50% of the servicing
+        // thread's cycles under load.
+        let s = &r.per_core[server];
+        let stall_frac = s.stall as f64 / (s.busy + s.stall) as f64;
+        assert!(
+            stall_frac > 0.35,
+            "SHM-SERVER server should stall heavily, got {stall_frac:.2}"
+        );
+    }
+
+    #[test]
+    fn slower_than_mp_server() {
+        fn throughput(mp: bool) -> f64 {
+            let mut alloc = AddrAlloc::new();
+            let spec = RunSpec::counter(10, 200, &mut alloc);
+            let mut e = Engine::new(MachineConfig::tile_gx8036());
+            if mp {
+                install_mp_server(&mut e, spec);
+            } else {
+                install_shm_server(&mut e, spec, &mut alloc);
+            }
+            e.run(200_000).mops()
+        }
+        let mp = throughput(true);
+        let shm = throughput(false);
+        assert!(
+            mp > 1.5 * shm,
+            "expected MP-SERVER to clearly win: mp={mp:.1} shm={shm:.1} Mops/s"
+        );
     }
 }

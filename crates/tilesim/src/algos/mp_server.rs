@@ -8,7 +8,7 @@
 use crate::engine::{Ctx, Engine};
 use crate::stats::Metric;
 
-use super::{client_rng, exec_cs, local_work, record_op, CsBody, RunSpec};
+use super::{client_loop, exec_cs, CsBody, RunSpec};
 
 /// Installs an MP-SERVER run: the server on the engine's next core, then
 /// `spec.threads` client procs. Returns the server's core id.
@@ -16,7 +16,13 @@ pub fn install_mp_server(engine: &mut Engine, spec: RunSpec) -> usize {
     let body = spec.body;
     let server_core = engine.add_proc(async move |ctx| serve(ctx, body).await);
     for _ in 0..spec.threads {
-        engine.add_proc(async move |ctx| client(ctx, spec, server_core).await);
+        engine.add_proc(async move |ctx| {
+            client_loop(ctx, spec, async |ctx, op, arg| {
+                ctx.send(server_core, &[ctx.core() as u64, op, arg]).await;
+                ctx.receive1().await;
+            })
+            .await
+        });
     }
     server_core
 }
@@ -28,21 +34,6 @@ pub(crate) async fn serve(ctx: &mut Ctx, body: CsBody) {
         let ret = exec_cs(ctx, &body, op, arg).await;
         ctx.send(sender as usize, &[ret]).await;
         ctx.record(Metric::Served, 1);
-    }
-}
-
-async fn client(ctx: &mut Ctx, spec: RunSpec, server: usize) {
-    let mut rng = client_rng(spec.seed, ctx.core());
-    let me = ctx.core() as u64;
-    let mut i = 0u64;
-    loop {
-        let (op, arg) = spec.opgen.op(i);
-        let t0 = ctx.now();
-        ctx.send(server, &[me, op, arg]).await;
-        ctx.receive1().await;
-        record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
-        i += 1;
     }
 }
 

@@ -54,6 +54,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+use mpsync_core::machine::{Backoff, Until};
+
 use crate::config::MachineConfig;
 use crate::mem::{Addr, Memory};
 use crate::stats::{CoreStats, HostStats, Metric, SimResult, N_METRICS};
@@ -148,59 +150,6 @@ enum Response {
     Words(Words),
     /// The value that ended a spin and the backoff it ended with.
     Spun(u64, Backoff),
-}
-
-/// The condition a [`Ctx::spin_until`] waits for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Until {
-    /// The word equals this value.
-    Equals(u64),
-    /// The word differs from this value.
-    Differs(u64),
-}
-
-impl Until {
-    /// Whether `v` ends the spin.
-    pub fn holds(self, v: u64) -> bool {
-        match self {
-            Until::Equals(x) => v == x,
-            Until::Differs(x) => v != x,
-        }
-    }
-}
-
-/// A spin's exponential backoff: after each read that does not end the
-/// spin, the spinner works the current pause, which then doubles up to
-/// the cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    cur: u64,
-    cap: u64,
-}
-
-impl Backoff {
-    /// A backoff whose first pause is `start` cycles and whose pauses
-    /// never exceed `cap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < start <= cap`.
-    pub fn new(start: u64, cap: u64) -> Self {
-        assert!(0 < start && start <= cap, "backoff {start} / cap {cap}");
-        Self { cur: start, cap }
-    }
-
-    /// The next pause.
-    pub fn current(&self) -> u64 {
-        self.cur
-    }
-
-    /// Returns the next pause and doubles the one after it, up to the cap.
-    pub fn advance(&mut self) -> u64 {
-        let b = self.cur;
-        self.cur = (b * 2).min(self.cap);
-        b
-    }
 }
 
 /// A proc inside [`Ctx::spin_until`]. The engine runs the spin itself and
@@ -770,11 +719,12 @@ impl Engine {
         let mut backoff = spin.backoff;
         let (mut a, mut busy, mut reads) = (phase, 0, 0);
         let due = loop {
-            if backoff.cur == backoff.cap && before(a + backoff.cap) {
+            let cap = backoff.cap();
+            if backoff.current() == cap && before(a + cap) {
                 // Steady state: skip every whole phase whose read is
                 // still before the invalidation.
-                let period = backoff.cap + hit;
-                let first = a + backoff.cap;
+                let period = cap + hit;
+                let first = a + cap;
                 let mut n = (t - first) / period + 1;
                 if !before(first + (n - 1) * period) {
                     n -= 1;

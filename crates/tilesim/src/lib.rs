@@ -24,10 +24,11 @@
 //! * a deterministic, single-threaded discrete-event **engine**
 //!   ([`Engine`]) that runs simulated threads written as `async` Rust
 //!   closures and polls them in place;
-//! * simulator implementations of MP-SERVER, HYBCOMB, SHM-SERVER and
-//!   CC-SYNCH ([`algos`]), of the nonblocking LCRQ/Treiber comparators
-//!   ([`nonblocking`]), and of every workload in the paper's evaluation
-//!   ([`workload`]).
+//! * the four constructions ([`algos`]): models of MP-SERVER and HYBCOMB,
+//!   and CC-SYNCH and SHM-SERVER run from `mpsync-core`'s own code, whose
+//!   `Machine` trait [`Ctx`] implements; models of the nonblocking
+//!   LCRQ/Treiber comparators ([`nonblocking`]); and every workload in the
+//!   paper's evaluation ([`workload`]).
 //!
 //! The simulator implements the paper's formal model (sequentially
 //! consistent memory, bounded-but-unknown message delivery), so the *shape*
@@ -67,8 +68,9 @@ mod stats;
 pub mod workload;
 
 pub use config::MachineConfig;
-pub use engine::{Backoff, Ctx, Engine, Until};
+pub use engine::{Ctx, Engine};
 pub use mem::{line_of, Addr, WORDS_PER_LINE};
+pub use mpsync_core::machine::{Backoff, Until};
 pub use stats::{
     lat_bucket, lat_bucket_bound, CoreStats, HostStats, Metric, SimResult, LAT_BUCKETS, N_METRICS,
 };

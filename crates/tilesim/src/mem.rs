@@ -15,11 +15,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::MachineConfig;
 
-/// Words per cache line (64-byte lines of 64-bit words).
-pub const WORDS_PER_LINE: u64 = 8;
-
-/// A word address in simulated memory.
-pub type Addr = u64;
+pub use mpsync_core::machine::{Addr, WORDS_PER_LINE};
 
 /// The cache line an address belongs to.
 #[inline]

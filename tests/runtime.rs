@@ -312,13 +312,6 @@ fn comb_dispatch_panic_poisons_the_shard_instead_of_wedging_it() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
-    fn message(err: Box<dyn std::any::Any + Send>) -> String {
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
-    }
-
     let svc = ShardedCounter::new(small(Backend::Comb, 1, 2));
     let mut a = svc.raw_session().unwrap();
     let mut b = svc.raw_session().unwrap();
@@ -336,6 +329,47 @@ fn comb_dispatch_panic_poisons_the_shard_instead_of_wedging_it() {
     waiter.join().expect("session B's panic was caught");
     let msg = got.expect_err("a poisoned shard must not serve B");
     assert!(msg.contains("FLAT-COMBINING poisoned"), "got: {msg}");
+}
+
+/// The same for the lock: a dispatch panic on a `Backend::Lock` shard, or on
+/// an adaptive shard pinned to Lock, releases and poisons the shard's MCS
+/// lock, so session B panics with the poison report instead of spinning on
+/// a lock the panicked session never released.
+#[test]
+fn lock_dispatch_panic_poisons_the_shard_instead_of_wedging_it() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    for backend in [Backend::Lock, Backend::Adaptive] {
+        let rt = keyed_runtime(small(backend, 1, 2));
+        if backend == Backend::Adaptive {
+            assert!(rt.force_backend(0, Backend::Lock));
+        }
+        let mut a = rt.session().unwrap();
+        let mut b = rt.session().unwrap();
+        let err = catch_unwind(AssertUnwindSafe(|| a.submit(1, 99, 0))).unwrap_err();
+        assert!(message(err).contains("unknown opcode 99"), "{backend:?}");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let r = catch_unwind(AssertUnwindSafe(|| b.submit(1, keyed_counter_ops::ADD, 1)));
+            let _ = tx.send(r.map_err(message));
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(3))
+            .unwrap_or_else(|_| panic!("{backend:?}: session B got no answer within 3 s: wedged"));
+        waiter.join().expect("session B's panic was caught");
+        let msg = got.expect_err("a poisoned shard must not serve B");
+        assert!(msg.contains("LOCK poisoned"), "{backend:?}: {msg}");
+    }
+}
+
+/// A panic payload's message.
+fn message(err: Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
