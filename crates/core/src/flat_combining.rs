@@ -177,7 +177,11 @@ where
         served
     }
 
-    /// Runs one dispatch against the state, outside the record protocol.
+    /// Runs one dispatch against the state, outside the record protocol. A
+    /// dispatch that unwinds poisons the instance, whichever protocol ran
+    /// it: an owner that layers other executors over this one has one flag
+    /// for all of them, and checks [`is_poisoned`](Self::is_poisoned)
+    /// before it runs an op in them.
     ///
     /// # Safety
     ///
@@ -186,8 +190,16 @@ where
     /// layers over this one and keeps apart from every combiner (an adaptive
     /// shard's lock holder or server thread, separated by its mode switch).
     pub unsafe fn exec(&self, op: u64, arg: u64) -> u64 {
+        let guard = PoisonGuard::new(&self.poisoned);
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.state.with_mut(|s| self.dispatch.dispatch(s, op, arg)) }
+        let ret = unsafe { self.state.with_mut(|s| self.dispatch.dispatch(s, op, arg)) };
+        guard.disarm();
+        ret
+    }
+
+    /// Whether a dispatch unwound: the state may be torn.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Relaxed)
     }
 
     /// Consumes the construction and returns the protected state.

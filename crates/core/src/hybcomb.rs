@@ -13,23 +13,29 @@
 //!
 //! ## Shared-memory protocol (Algorithm 1, line numbers in comments)
 //!
-//! Each thread owns a `Node {thread_id, n_ops, combining_done}`. A global
-//! pointer `last_registered_combiner` names the node a client may register
-//! with: registration is a fetch-and-add on that node's `n_ops`; a result
-//! `< MAX_OPS` entitles the client to send one request to the node's owner.
-//! If registration fails, the client CASes `last_registered_combiner` to its
-//! own node, joining a logical queue of would-be combiners (`CSqueue` of the
-//! proof sketch); it then waits for its predecessor's `combining_done`.
+//! Each node has an `n_ops` line and a meta line `{thread_id,
+//! combining_done}`. A global `last_registered_combiner` names the node a
+//! client may register with: registration is a fetch-and-add on that node's
+//! `n_ops`; a result `< MAX_OPS` entitles the client to send one request to
+//! the node's owner. If registration fails, the client CASes
+//! `last_registered_combiner` to its own node, joining a logical queue of
+//! would-be combiners (`CSqueue` of the proof sketch); it then waits for its
+//! predecessor's `combining_done`.
 //!
 //! A combiner executes its own operation, eagerly drains its message queue
-//! (beneficial but not necessary for correctness — the `eager_drain` knob
-//! ablates it), closes registration by `SWAP`ing `MAX_OPS` into its `n_ops`
+//! (beneficial but not necessary for correctness — [`HybOptions`] ablates
+//! it), closes registration by `SWAP`ing `MAX_OPS` into its `n_ops`
 //! (learning the exact number of registered requests), serves the remainder,
 //! and finally exchanges its node with the global `departed_combiner` spare
 //! so the `combining_done` flag it leaves behind can be reset safely by a
-//! later round.
+//! later round. Nodes migrate between threads through that exchange, so
+//! node ids, not ownership, are the identity.
+//!
+//! The protocol is [`HybCombLayout::apply`], written once against
+//! [`Machine`]: [`HybComb`] runs it on the host, tilesim on simulated cores.
 
 // Statistics counters stay on std atomics on purpose (see `crate::sync`).
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, AtomicUsize as StdAtomicUsize};
 use std::sync::Arc;
 
@@ -39,17 +45,22 @@ use mpsync_telemetry::{Algo, Counter, Lane};
 use mpsync_udn::{Endpoint, EndpointId};
 
 use crate::dispatch::Dispatcher;
-use crate::state::{CsState, PoisonGuard};
-use crate::sync::{spin, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crate::wire;
+use crate::machine::{
+    block_on, Addr, Arena, Backoff, ClientSide, Critical, Machine, Native, Probe, Until,
+    WORDS_PER_LINE,
+};
+use crate::mp_server::{request, serve_one};
+use crate::sync::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use crate::ApplyOp;
 
 /// Default bound on requests served per combining round; the paper uses 200
 /// for its main experiments (Figure 3c studies the sweep).
 pub const DEFAULT_MAX_OPS: u64 = 200;
 
-/// Placeholder owner id for the initial spare node (the paper's ⊥).
-const NO_THREAD: u64 = u64::MAX;
+/// Word offsets within a node's meta line: the owner's message address and
+/// the `combining_done` flag.
+const TID: Addr = 0;
+const DONE: Addr = 1;
 
 /// Panic message once the construction is poisoned (a combiner panicked
 /// inside its round, so the protected state may be torn, registered clients
@@ -57,20 +68,230 @@ const NO_THREAD: u64 = u64::MAX;
 const POISONED: &str = "HYBCOMB poisoned: a combiner panicked inside the critical section and the \
      protected state may be inconsistent";
 
-/// Algorithm 1's `Node` (line 2).
-struct Node {
-    thread_id: AtomicU64,
-    n_ops: AtomicU64,
-    combining_done: AtomicBool,
+/// The paper's two discussed design choices, for ablation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HybOptions {
+    /// Run Algorithm 1 lines 25–28 (serve while the queue is non-empty
+    /// before closing registration). Disabling it is `repro abl-nodrain`.
+    pub eager_drain: bool,
+    /// Replace the CAS at line 17 with an unconditional SWAP
+    /// (`repro abl-swap`): every failed registrant becomes a combiner,
+    /// some with only their own request.
+    pub use_swap: bool,
 }
 
-impl Node {
-    fn new(thread_id: u64, n_ops: u64, combining_done: bool) -> Self {
+impl Default for HybOptions {
+    fn default() -> Self {
         Self {
-            thread_id: AtomicU64::new(thread_id),
-            n_ops: AtomicU64::new(n_ops),
-            combining_done: AtomicBool::new(combining_done),
+            eager_drain: true,
+            use_swap: false,
         }
+    }
+}
+
+/// Where a HYBCOMB instance lives in a machine's memory: `nodes` `n_ops`
+/// lines, then `nodes` meta lines, then `last_registered_combiner` and
+/// `departed_combiner` (each a node id), `lines(nodes)` lines from `base`.
+/// The last node is the spare of line 3.
+#[derive(Debug, Clone, Copy)]
+pub struct HybCombLayout {
+    base: Addr,
+    nodes: u64,
+    max_ops: u64,
+    opts: HybOptions,
+}
+
+impl HybCombLayout {
+    /// The layout of `nodes` nodes (one per thread, plus the spare) from
+    /// the line at `base`, closing registration at `max_ops`.
+    pub fn new(base: Addr, nodes: u64, max_ops: u64, opts: HybOptions) -> Self {
+        Self {
+            base,
+            nodes,
+            max_ops,
+            opts,
+        }
+    }
+
+    /// Lines the layout of `nodes` nodes takes.
+    pub fn lines(nodes: u64) -> u64 {
+        2 * nodes + 2
+    }
+
+    /// The `i`-th line from `base`. Written from `base`'s line, so that the
+    /// native machine sees every access to a node fall in one line.
+    fn line(&self, i: u64) -> Addr {
+        (self.base / WORDS_PER_LINE + i) * WORDS_PER_LINE
+    }
+
+    /// Node `node`'s `n_ops` word, the registration gate.
+    fn n_ops(&self, node: u64) -> Addr {
+        self.line(node)
+    }
+
+    fn meta(&self, node: u64) -> Addr {
+        self.line(self.nodes + node)
+    }
+
+    /// The `last_registered_combiner` word.
+    fn last_registered(&self) -> Addr {
+        self.line(2 * self.nodes)
+    }
+
+    fn departed(&self) -> Addr {
+        self.line(2 * self.nodes + 1)
+    }
+
+    /// The words that start non-zero (lines 3–5): every node closed, and
+    /// the spare, done, as both the last registered and the departed
+    /// combiner. A machine starts with them; writing them is not an access.
+    pub fn presets(&self) -> impl Iterator<Item = (Addr, u64)> {
+        let (l, spare) = (*self, self.nodes - 1);
+        let closed = (0..self.nodes).map(move |node| (l.n_ops(node), l.max_ops));
+        closed.chain([
+            (self.meta(spare) + DONE, 1),
+            (self.last_registered(), spare),
+            (self.departed(), spare),
+        ])
+    }
+
+    /// Figure 4a's fixed combiner (`MAX_OPS` = ∞, footnote 4): the words
+    /// that, preset after [`presets`](Self::presets), keep node 0
+    /// registered and open for good. Its owner then only serves.
+    pub fn fixed_combiner(&self) -> [(Addr, u64); 2] {
+        [(self.n_ops(0), 0), (self.last_registered(), 0)]
+    }
+
+    /// Names the caller the owner of `node` (line 5), the one registered
+    /// clients send to.
+    pub async fn register<M: Machine>(&self, m: &mut M, node: u64) {
+        let me = m.id();
+        m.store(self.meta(node) + TID, me, Release).await;
+    }
+
+    /// One operation by the thread that owns node `*my`; a combiner leaves
+    /// owning the node it took from the departed spare.
+    pub async fn apply<M: Machine>(
+        &self,
+        m: &mut M,
+        cs: &M::Cs,
+        my: &mut u64,
+        op: u64,
+        arg: u64,
+        probe: &mut impl Probe<M>,
+    ) -> u64 {
+        loop {
+            // Line 9: read the last registered combiner. Acquire pairs with
+            // the registering combiner's CAS Release: it makes that node's
+            // reinit (`combining_done = 0`, `thread_id`) visible before we
+            // FAA into it.
+            let lr = m.load(self.last_registered(), Acquire).await;
+
+            // Line 11: try to register with it. AcqRel: the Release side
+            // pairs with the combiner's closing SWAP so our registration is
+            // counted before it closes; the Acquire side pairs with the
+            // combiner's `n_ops = 0` opening Release.
+            if m.faa(self.n_ops(lr), 1, AcqRel).await < self.max_ops {
+                // Lines 13–14: send the request, await the response. There
+                // is no poison check between the FAA and the send: the
+                // combiner's blocking receives count on every registered
+                // client's message arriving.
+                let dest = m.load(self.meta(lr) + TID, Acquire).await;
+                probe.published(m, dest);
+                return request(m, dest, op, arg).await;
+            }
+
+            // Line 17: try to register as a combiner. AcqRel: Release
+            // publishes our node's state (most recently its departure
+            // reinit) to clients and to our successor; Acquire pairs with
+            // the previous registrant's Release for the same fields.
+            probe.registering(m);
+            let lrc = self.last_registered();
+            let pred = if self.opts.use_swap {
+                // Ablation: SWAP always succeeds; `lr` may be stale, but the
+                // displaced node is the true predecessor.
+                m.swap(lrc, *my, AcqRel).await
+            } else if m.cas(lrc, lr, *my, AcqRel).await {
+                lr
+            } else {
+                continue; // Line 8: re-read it and retry.
+            };
+            // Line 18: open my node for registrations. (Not atomic with the
+            // CAS — the benign race of §4.2: a client that FAAs in between
+            // simply fails to register and tries to become the next
+            // combiner.)
+            m.store(self.n_ops(*my), 0, Release).await;
+            // Lines 19–20: wait until my predecessor finished combining.
+            // Acquire pairs with the departing combiner's `combining_done`
+            // Release: crossing it hands us the critical section.
+            let done = self.meta(pred) + DONE;
+            m.spin_until(done, Until::Equals(1), &mut Backoff::new(2, 32), Acquire)
+                .await;
+            // Line 21: break — become the active combiner.
+            return self.combine(m, cs, my, op, arg, probe).await;
+        }
+    }
+
+    /// The combiner phase (lines 23–43); returns the combiner's own result.
+    /// Exactly one thread runs it at a time (Proposition 1), so every `cs`
+    /// below is under mutual exclusion.
+    async fn combine<M: Machine>(
+        &self,
+        m: &mut M,
+        cs: &M::Cs,
+        my: &mut u64,
+        op: u64,
+        arg: u64,
+        probe: &mut impl Probe<M>,
+    ) -> u64 {
+        probe.combining(m);
+        let me = m.id();
+        // Line 23: my own operation first.
+        let retval = m.cs(cs, op, arg).await;
+        probe.served(m, me);
+        let mut completed = 0u64;
+
+        // Lines 25–28: serve while requests are waiting. (The drain probe is
+        // only a hint: a missed message is picked up by the loop after the
+        // SWAP.) A combiner's `Probe` never stops a serve, so its
+        // `ControlFlow` is dropped.
+        if self.opts.eager_drain {
+            while m.has_pending_traffic().await {
+                let _ = serve_one(m, cs, probe).await;
+                completed += 1;
+            }
+        }
+
+        // Lines 30–32: close registration; the SWAP's old value is the
+        // number of registrations this round. AcqRel: the Acquire side pairs
+        // with each client's FAA, ordering the count we read after the
+        // registrations it counts; the Release side pairs with the FAA of
+        // clients that fail, so they fail against a fully closed node.
+        let total = m.swap(self.n_ops(*my), self.max_ops, AcqRel).await;
+
+        // Lines 34–37: serve the registered remainder (their messages may
+        // still be in flight; a registered client always sends).
+        while completed < total.min(self.max_ops) {
+            let _ = serve_one(m, cs, probe).await;
+            completed += 1;
+        }
+        probe.round(m, completed + 1);
+
+        // Lines 39–42: exchange my node with the departed-combiner spare,
+        // initialize the acquired node, and release the next combiner.
+        // AcqRel on the swap: Acquire makes the parked node's last round
+        // visible before we reinitialize it; Release publishes our parked
+        // node. The reinit can be Relaxed: its only future reader
+        // synchronizes through our next registration CAS (Release), and no
+        // one still spins on the acquired node — the one thread that ever
+        // did is the combiner that parked it. The final Release publishes
+        // this whole round's state mutations to our successor.
+        let new_my = m.swap(self.departed(), *my, AcqRel).await;
+        m.store(self.meta(new_my) + DONE, 0, Relaxed).await;
+        m.store(self.meta(new_my) + TID, me, Relaxed).await;
+        m.store(self.meta(*my) + DONE, 1, Release).await;
+        *my = new_my;
+        retval
     }
 }
 
@@ -115,39 +336,110 @@ impl HybCombStats {
     }
 }
 
-struct Shared<S, D> {
-    /// Node arena: index `i < max_threads` is thread `i`'s initial node;
-    /// index `max_threads` is the single extra spare (line 3's
-    /// `departed_combiner` initial node). Nodes migrate between threads via
-    /// the `departed_combiner` exchange, so indices — not ownership — are
-    /// the identity.
-    nodes: Box<[CachePadded<Node>]>,
-    /// Algorithm 1 line 4 (global). Holds a node index.
-    last_registered_combiner: CachePadded<AtomicUsize>,
-    /// Algorithm 1 line 3 (global). Holds a node index.
-    departed_combiner: CachePadded<AtomicUsize>,
-    state: CsState<S>,
-    dispatch: D,
-    max_ops: u64,
-    eager_drain: bool,
-    /// Set when a combiner's dispatch panicked mid-round: responses and the
-    /// `combining_done` hand-off will never come, so every polling client
-    /// and spinning would-be combiner panics instead (see [`PoisonGuard`]).
-    poisoned: AtomicBool,
-    next_handle: StdAtomicUsize,
-    // Stats (relaxed counters; negligible cost next to the protocol).
+/// One handle's share of [`HybCombStats`]. Only the handle's thread writes
+/// it, so a count is a relaxed load and store ([`bump`]): no locked RMW on
+/// the path, and no line that every thread writes.
+#[derive(Default)]
+struct Counts {
     ops: StdAtomicU64,
     cas_attempts: StdAtomicU64,
     cas_failures: StdAtomicU64,
     rounds: StdAtomicU64,
     combined_ops: StdAtomicU64,
     orphan_rounds: StdAtomicU64,
+}
+
+/// Adds `n` to a counter that only the caller's thread writes.
+#[inline]
+fn bump(counter: &StdAtomicU64, n: u64) {
+    counter.store(counter.load(Relaxed) + n, Relaxed);
+}
+
+struct Shared<S, D> {
+    /// The nodes and the two globals; poisoned when a combiner's dispatch
+    /// panicked mid-round, so that clients awaiting a response and would-be
+    /// combiners awaiting `combining_done` panic instead of waiting forever.
+    arena: Arena,
+    layout: HybCombLayout,
+    cs: Critical<S, D>,
+    next_handle: StdAtomicUsize,
+    /// Handle `i`'s counters.
+    counts: Box<[CachePadded<Counts>]>,
     /// Debug-build check of Proposition 1 (mutual exclusion of lines
-    /// 23–43): the number of threads currently in `combine`. Under loom the
-    /// proposition is additionally *model-checked*: the `CsState` cell turns
-    /// any two overlapping combiners into a reported data race.
+    /// 23–43): the number of threads combining. Under loom the proposition
+    /// is also model-checked: two overlapping combiners race on the
+    /// `CsState` cell.
     #[cfg(debug_assertions)]
     active_combiners: StdAtomicU64,
+}
+
+/// The native probe: what one `apply` did, for the statistics and
+/// telemetry.
+struct Stats<'a> {
+    counts: &'a Counts,
+    #[cfg(debug_assertions)]
+    active_combiners: &'a StdAtomicU64,
+    /// The caller's endpoint, as a span track.
+    track: u32,
+    /// Starts of the client's wait, of the request being served, and of the
+    /// round (telemetry only).
+    t_wait: u64,
+    t_serve: u64,
+    t_hold: u64,
+    /// CAS (or SWAP) attempts, and whether one made the caller combiner.
+    cas: u64,
+    combined: bool,
+}
+
+impl<C> Probe<Native<'_, C>> for Stats<'_> {
+    fn published(&mut self, _: &mut Native<'_, C>, _: Addr) {
+        self.t_wait = telemetry::now_ns();
+    }
+
+    fn registering(&mut self, _: &mut Native<'_, C>) {
+        self.cas += 1;
+    }
+
+    fn combining(&mut self, _: &mut Native<'_, C>) {
+        self.combined = true;
+        self.t_hold = telemetry::now_ns();
+        #[cfg(debug_assertions)]
+        {
+            let prev = self.active_combiners.fetch_add(1, AcqRel);
+            debug_assert_eq!(prev, 0, "two active combiners — Proposition 1 violated");
+        }
+    }
+
+    fn received(&mut self, m: &mut Native<'_, C>, _: u64) -> ControlFlow<()> {
+        if telemetry::ENABLED {
+            // Queue wait: the client's submit stamp → the combiner taking
+            // the request off its queue.
+            telemetry::record_span(self.track, Algo::HybComb, Lane::QueueWait, m.stamp);
+            self.t_serve = telemetry::now_ns();
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// A received request's serve span (the own operation has none).
+    fn served(&mut self, _: &mut Native<'_, C>, _: Addr) {
+        telemetry::record_span(self.track, Algo::HybComb, Lane::Serve, self.t_serve);
+    }
+
+    fn round(&mut self, _: &mut Native<'_, C>, n: u64) {
+        let c = self.counts;
+        bump(&c.rounds, 1);
+        bump(&c.combined_ops, n);
+        bump(&c.orphan_rounds, (n == 1) as u64);
+        if telemetry::ENABLED {
+            telemetry::count(Counter::HybRounds, 1);
+            telemetry::count(Counter::HybServed, n);
+            // Combiner hold time: own op + eager drain + registered serves.
+            telemetry::record_span(self.track, Algo::HybComb, Lane::Hold, self.t_hold);
+        }
+        // Still before the `combining_done` release.
+        #[cfg(debug_assertions)]
+        self.active_combiners.fetch_sub(1, AcqRel);
+    }
 }
 
 /// The HYBCOMB construction protecting a state `S`.
@@ -186,54 +478,33 @@ where
     /// Creates the construction for at most `max_threads` threads with the
     /// given combining bound (`MAX_OPS`).
     pub fn new(max_threads: usize, max_ops: u64, state: S, dispatch: D) -> Self {
-        Self::with_options(max_threads, max_ops, state, dispatch, true)
+        Self::with_options(max_threads, max_ops, state, dispatch, HybOptions::default())
     }
 
-    /// Like [`HybComb::new`] but allowing the eager-drain loop (Algorithm 1
-    /// lines 25–28) to be disabled, for the `abl-nodrain` ablation.
+    /// Like [`HybComb::new`], with the ablations of [`HybOptions`].
     pub fn with_options(
         max_threads: usize,
         max_ops: u64,
         state: S,
         dispatch: D,
-        eager_drain: bool,
+        opts: HybOptions,
     ) -> Self {
         assert!(max_threads > 0, "need at least one thread");
         assert!(
             max_ops > 0 && max_ops < u64::MAX / 2,
             "max_ops must be positive and far from the counter's range end"
         );
-        let spare = max_threads;
-        let nodes: Box<[CachePadded<Node>]> = (0..max_threads + 1)
-            .map(|i| {
-                if i == spare {
-                    // Line 3: departed_combiner ← {⊥, MAX_OPS, true}
-                    CachePadded::new(Node::new(NO_THREAD, max_ops, true))
-                } else {
-                    // Line 5: my_node ← {id, MAX_OPS, false}; thread_id is
-                    // filled in when the handle registers its endpoint.
-                    CachePadded::new(Node::new(NO_THREAD, max_ops, false))
-                }
-            })
-            .collect();
+        let nodes = max_threads as u64 + 1;
+        let layout = HybCombLayout::new(0, nodes, max_ops, opts);
+        let arena = Arena::new(HybCombLayout::lines(nodes), POISONED);
+        arena.preset(layout.presets());
         Self {
             shared: Arc::new(Shared {
-                nodes,
-                // Line 4: last_registered_combiner ← departed_combiner
-                last_registered_combiner: CachePadded::new(AtomicUsize::new(spare)),
-                departed_combiner: CachePadded::new(AtomicUsize::new(spare)),
-                state: CsState::new(state),
-                dispatch,
-                max_ops,
-                eager_drain,
-                poisoned: AtomicBool::new(false),
+                arena,
+                layout,
+                cs: Critical::new(state, dispatch),
                 next_handle: StdAtomicUsize::new(0),
-                ops: StdAtomicU64::new(0),
-                cas_attempts: StdAtomicU64::new(0),
-                cas_failures: StdAtomicU64::new(0),
-                rounds: StdAtomicU64::new(0),
-                combined_ops: StdAtomicU64::new(0),
-                orphan_rounds: StdAtomicU64::new(0),
+                counts: (0..max_threads).map(|_| CachePadded::default()).collect(),
                 #[cfg(debug_assertions)]
                 active_combiners: StdAtomicU64::new(0),
             }),
@@ -245,31 +516,34 @@ where
     /// # Panics
     ///
     /// Panics if more than `max_threads` handles are created.
-    pub fn handle(&self, endpoint: Endpoint) -> HybCombHandle<S, D> {
-        let i = self.shared.next_handle.fetch_add(1, Ordering::Relaxed);
-        let max = self.shared.nodes.len() - 1;
+    pub fn handle(&self, mut endpoint: Endpoint) -> HybCombHandle<S, D> {
+        let sh = &*self.shared;
+        let i = sh.next_handle.fetch_add(1, Relaxed) as u64;
+        let max = sh.layout.nodes - 1;
         assert!(i < max, "HYBCOMB sized for {max} threads");
-        self.shared.nodes[i]
-            .thread_id
-            .store(endpoint.id().to_word(), Ordering::Release);
+        let mut m = ClientSide::with_endpoint(&sh.arena, &mut endpoint);
+        block_on(sh.layout.register(&mut m, i));
         HybCombHandle {
             shared: Arc::clone(&self.shared),
             endpoint,
+            slot: i as usize,
             my_node: i,
         }
     }
 
-    /// Snapshot of the construction-wide counters.
+    /// Snapshot of the construction-wide counters: the sums of every
+    /// handle's.
     pub fn stats(&self) -> HybCombStats {
-        let sh = &*self.shared;
-        HybCombStats {
-            ops: sh.ops.load(Ordering::Relaxed),
-            cas_attempts: sh.cas_attempts.load(Ordering::Relaxed),
-            cas_failures: sh.cas_failures.load(Ordering::Relaxed),
-            rounds: sh.rounds.load(Ordering::Relaxed),
-            combined_ops: sh.combined_ops.load(Ordering::Relaxed),
-            orphan_rounds: sh.orphan_rounds.load(Ordering::Relaxed),
+        let mut s = HybCombStats::default();
+        for c in self.shared.counts.iter() {
+            s.ops += c.ops.load(Relaxed);
+            s.cas_attempts += c.cas_attempts.load(Relaxed);
+            s.cas_failures += c.cas_failures.load(Relaxed);
+            s.rounds += c.rounds.load(Relaxed);
+            s.combined_ops += c.combined_ops.load(Relaxed);
+            s.orphan_rounds += c.orphan_rounds.load(Relaxed);
         }
+        s
     }
 
     /// Consumes the construction and returns the protected state.
@@ -282,8 +556,8 @@ where
     pub fn into_state(self) -> S {
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => {
-                assert!(!shared.poisoned.load(Ordering::Relaxed), "{POISONED}");
-                shared.state.into_inner()
+                shared.arena.check();
+                shared.cs.state.into_inner()
             }
             Err(_) => panic!("HYBCOMB handles still alive at into_state"),
         }
@@ -291,169 +565,19 @@ where
 }
 
 /// Per-thread handle to a [`HybComb`] instance (owns the thread's message
-/// endpoint and its current node index).
+/// endpoint and its current node).
 pub struct HybCombHandle<S, D> {
     shared: Arc<Shared<S, D>>,
     endpoint: Endpoint,
-    my_node: usize,
+    /// The handle's number: its counters' slot.
+    slot: usize,
+    my_node: u64,
 }
 
-impl<S, D> HybCombHandle<S, D>
-where
-    S: Send + 'static,
-    D: Dispatcher<S>,
-{
+impl<S, D> HybCombHandle<S, D> {
     /// The id of this thread's endpoint (where responses arrive).
     pub fn id(&self) -> EndpointId {
         self.endpoint.id()
-    }
-
-    /// Serves one received request: queue-wait span from the client's submit
-    /// stamp, serve span around dispatch + reply. An associated function
-    /// (not a method) so `combine` can call it while holding the
-    /// `state`/`shared` borrows alongside the endpoint.
-    #[inline]
-    fn serve_one(
-        endpoint: &mut Endpoint,
-        sh: &Shared<S, D>,
-        state: &mut S,
-        buf: [u64; wire::REQ_WORDS],
-    ) {
-        let req = wire::decode(buf);
-        let track = endpoint.id().index() as u32;
-        let t_serve = if telemetry::ENABLED {
-            telemetry::record_span(track, Algo::HybComb, Lane::QueueWait, req.submit_ns);
-            telemetry::now_ns()
-        } else {
-            0
-        };
-        let ret = sh.dispatch.dispatch(state, req.op, req.arg);
-        endpoint
-            .send(EndpointId::from_word(req.sender), &[ret])
-            .expect("HYBCOMB response endpoint vanished");
-        if telemetry::ENABLED {
-            telemetry::record_span(track, Algo::HybComb, Lane::Serve, t_serve);
-        }
-    }
-
-    /// Runs the combiner phase (Algorithm 1 lines 23–43) and returns the
-    /// value of this thread's own operation.
-    #[cold]
-    fn combine(&mut self, op: u64, arg: u64) -> u64 {
-        let sh = &*self.shared;
-        let nodes = &sh.nodes;
-        let my = self.my_node;
-        let endpoint = &mut self.endpoint;
-        let track = endpoint.id().index() as u32;
-        let t_hold = telemetry::now_ns();
-
-        // Executable witness of Proposition 1 in debug builds: at most one
-        // thread may be between this point and the `combining_done` release.
-        // (Under loom the proposition is model-checked independently: the
-        // `CsState` access below reports overlapping combiners as a race.)
-        #[cfg(debug_assertions)]
-        {
-            let prev = sh.active_combiners.fetch_add(1, Ordering::AcqRel);
-            debug_assert_eq!(prev, 0, "two active combiners — Proposition 1 violated");
-        }
-
-        // If a dispatched operation panics, mark the construction poisoned
-        // on the way out: registered clients poll for it while awaiting
-        // their response, and would-be combiners while awaiting our
-        // `combining_done` — neither of which would otherwise ever arrive.
-        let guard = PoisonGuard::new(&sh.poisoned);
-
-        // SAFETY: Proposition 1 of the paper — the CAS on
-        // `last_registered_combiner` plus the `combining_done` hand-off
-        // build a queue (CSqueue) whose head is the unique thread executing
-        // these lines; the Acquire spin on the predecessor's flag (done by
-        // our caller) synchronizes with the previous combiner's Release, so
-        // this thread is the unique accessor for the closure's whole extent.
-        let (retval, ops_completed) = unsafe {
-            sh.state.with_mut(|state| {
-                // Line 23: execute my own operation first.
-                let retval = sh.dispatch.dispatch(state, op, arg);
-                let mut ops_completed: u64 = 0;
-
-                // Lines 25–28: as long as the message queue is non-empty,
-                // serve. (`is_queue_empty` is only a hint — a missed message
-                // here is picked up by the post-SWAP blocking loop below.)
-                let mut buf = [0u64; wire::REQ_WORDS];
-                if sh.eager_drain {
-                    while !endpoint.is_queue_empty() {
-                        endpoint.receive(&mut buf);
-                        Self::serve_one(endpoint, sh, state, buf);
-                        ops_completed += 1;
-                    }
-                }
-
-                // Lines 30–32: close combining for new requests; the SWAP's
-                // old value is the number of successful registrations this
-                // round. AcqRel: the Acquire side pairs with each client's
-                // `n_ops` FAA (Release side), ordering the count we read
-                // after the registrations it counts; the Release side pairs
-                // with the FAA of clients that *fail* to register, so they
-                // fail against a fully-closed node.
-                let mut total_ops = nodes[my].n_ops.swap(sh.max_ops, Ordering::AcqRel);
-                if total_ops > sh.max_ops {
-                    total_ops = sh.max_ops;
-                }
-
-                // Lines 34–37: serve the remaining registered requests
-                // (their messages may still be in flight; a client that
-                // registered always sends — there is deliberately no poison
-                // check between its FAA and its send — so these blocking
-                // receives cannot wait on a request that never comes).
-                while ops_completed < total_ops {
-                    endpoint.receive(&mut buf);
-                    Self::serve_one(endpoint, sh, state, buf);
-                    ops_completed += 1;
-                }
-                (retval, ops_completed)
-            })
-        };
-        guard.disarm();
-
-        // Stats before departing (still in mutual exclusion, cheap).
-        sh.rounds.fetch_add(1, Ordering::Relaxed);
-        sh.combined_ops
-            .fetch_add(ops_completed + 1, Ordering::Relaxed);
-        if ops_completed == 0 {
-            sh.orphan_rounds.fetch_add(1, Ordering::Relaxed);
-        }
-        if telemetry::ENABLED {
-            telemetry::count(Counter::HybRounds, 1);
-            telemetry::count(Counter::HybServed, ops_completed + 1);
-        }
-
-        // Lines 39–42: exchange my node with the departed-combiner spare,
-        // initialize the acquired node, and release the next combiner.
-        // AcqRel on the swap: Acquire makes the parked node's last round
-        // visible before we reinitialize it; Release publishes our parked
-        // node. The acquired node's reinit can be Relaxed: its only future
-        // reader synchronizes through our *next* registration CAS on
-        // `last_registered_combiner` (Release), which is program-ordered
-        // after these stores — and no one can still be spinning on the
-        // acquired node, because the unique thread that ever spun on it is
-        // the combiner that parked it (it stopped before parking).
-        let new_my = sh.departed_combiner.swap(my, Ordering::AcqRel);
-        nodes[new_my].combining_done.store(false, Ordering::Relaxed);
-        nodes[new_my]
-            .thread_id
-            .store(self.endpoint.id().to_word(), Ordering::Relaxed);
-        self.my_node = new_my;
-        #[cfg(debug_assertions)]
-        sh.active_combiners.fetch_sub(1, Ordering::AcqRel);
-        // Line 42: `departed_combiner.combining_done ← true` — the node we
-        // just parked (our old `my`) is the one our successor spins on. The
-        // Release publishes the state mutations of this whole round.
-        nodes[my].combining_done.store(true, Ordering::Release);
-
-        if telemetry::ENABLED {
-            // Combiner hold time: own op + eager drain + registered serves.
-            telemetry::record_span(track, Algo::HybComb, Lane::Hold, t_hold);
-        }
-        retval
     }
 }
 
@@ -464,90 +588,29 @@ where
 {
     fn apply(&mut self, op: u64, arg: u64) -> u64 {
         let sh = &*self.shared;
-        let nodes = &sh.nodes;
-        assert!(!sh.poisoned.load(Ordering::Relaxed), "{POISONED}");
-        sh.ops.fetch_add(1, Ordering::Relaxed);
-
-        loop {
-            // Line 9: read the last registered combiner. Acquire pairs with
-            // the registering combiner's CAS Release: it makes that node's
-            // reinit (`combining_done = false`, `thread_id`) visible before
-            // we FAA into it.
-            let last_reg = sh.last_registered_combiner.load(Ordering::Acquire);
-
-            // Line 11: try to register with it. AcqRel: the Release side
-            // pairs with the combiner's closing SWAP so our registration is
-            // counted before it closes; the Acquire side pairs with the
-            // combiner's `n_ops = 0` opening Release.
-            if nodes[last_reg].n_ops.fetch_add(1, Ordering::AcqRel) < sh.max_ops {
-                // Lines 13–14: send the request, await the response. NOTE:
-                // there must be no poison check between the successful FAA
-                // and the send — the combiner's blocking receives count on
-                // every registered client's message arriving.
-                let dest = EndpointId::from_word(nodes[last_reg].thread_id.load(Ordering::Acquire));
-                let t0 = telemetry::now_ns();
-                self.endpoint
-                    .send(
-                        dest,
-                        &wire::request_at(self.endpoint.id().to_word(), op, arg, t0),
-                    )
-                    .expect("HYBCOMB combiner endpoint vanished");
-                // Poll rather than block: if the combiner panics mid-round
-                // our response never comes, and the poison flag is the only
-                // signal left.
-                let mut buf = [0u64; 1];
-                let mut spins = 0u32;
-                let ret = loop {
-                    if self.endpoint.try_receive(&mut buf) == 1 {
-                        break buf[0];
-                    }
-                    if sh.poisoned.load(Ordering::Relaxed) {
-                        panic!("{POISONED}");
-                    }
-                    spin(&mut spins);
-                };
-                if telemetry::ENABLED {
-                    let track = self.endpoint.id().index() as u32;
-                    telemetry::record_span(track, Algo::HybComb, Lane::ClientWait, t0);
-                }
-                return ret;
-            }
-
-            // Line 17: try to register as a combiner. AcqRel: Release
-            // publishes our node's state (most recently its departure
-            // reinit) to clients and to our successor; Acquire pairs with
-            // the previous registrant's Release for the same fields.
-            sh.cas_attempts.fetch_add(1, Ordering::Relaxed);
-            if sh
-                .last_registered_combiner
-                .compare_exchange(last_reg, self.my_node, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Line 18: open my node for registrations. (Not atomic with
-                // the CAS — the benign race of §4.2: a client that FAAs in
-                // between simply fails to register and tries to become the
-                // next combiner.)
-                nodes[self.my_node].n_ops.store(0, Ordering::Release);
-
-                // Lines 19–20: wait until my predecessor finished combining.
-                // Acquire pairs with the departing combiner's
-                // `combining_done` Release — crossing it hands us the
-                // critical section (every state mutation of every previous
-                // round). The poison check keeps us from spinning forever on
-                // a predecessor that panicked mid-round.
-                let mut spins = 0u32;
-                while !nodes[last_reg].combining_done.load(Ordering::Acquire) {
-                    if sh.poisoned.load(Ordering::Relaxed) {
-                        panic!("{POISONED}");
-                    }
-                    spin(&mut spins);
-                }
-                // Line 21: break — become the active combiner.
-                return self.combine(op, arg);
-            }
-            sh.cas_failures.fetch_add(1, Ordering::Relaxed);
-            // Loop (line 8): re-read last_registered_combiner and retry.
-        }
+        sh.arena.check();
+        let c = &sh.counts[self.slot];
+        bump(&c.ops, 1);
+        let mut stats = Stats {
+            counts: c,
+            #[cfg(debug_assertions)]
+            active_combiners: &sh.active_combiners,
+            track: self.endpoint.id().index() as u32,
+            t_wait: 0,
+            t_serve: 0,
+            t_hold: 0,
+            cas: 0,
+            combined: false,
+        };
+        let mut m = Native::with_endpoint(&sh.arena, &mut self.endpoint);
+        let ret = block_on(
+            sh.layout
+                .apply(&mut m, &sh.cs, &mut self.my_node, op, arg, &mut stats),
+        );
+        bump(&c.cas_attempts, stats.cas);
+        bump(&c.cas_failures, stats.cas - stats.combined as u64);
+        telemetry::record_span(stats.track, Algo::HybComb, Lane::ClientWait, stats.t_wait);
+        ret
     }
 }
 
@@ -629,12 +692,16 @@ mod tests {
         const THREADS: usize = 4;
         const OPS: u64 = if cfg!(miri) { 30 } else { 1_500 };
         let fabric = fabric_for(THREADS);
+        let opts = HybOptions {
+            eager_drain: false,
+            ..HybOptions::default()
+        };
         let hc = Arc::new(HybComb::with_options(
             THREADS,
             50,
             0u64,
             fai as CounterFn,
-            false,
+            opts,
         ));
         let mut joins = Vec::new();
         for _ in 0..THREADS {

@@ -65,7 +65,7 @@ mod flat_combining;
 mod hybcomb;
 pub mod locks;
 pub mod machine;
-mod mp_server;
+pub mod mp_server;
 mod shm_server;
 mod state;
 pub(crate) mod sync;
@@ -77,7 +77,9 @@ mod loom_models;
 pub use cc_synch::{CcSynch, CcSynchHandle, CcSynchLayout};
 pub use dispatch::{Dispatcher, OpTable};
 pub use flat_combining::{FlatCombining, FlatCombiningHandle, SlotLease, SlotPool};
-pub use hybcomb::{HybComb, HybCombHandle, HybCombStats, DEFAULT_MAX_OPS};
+pub use hybcomb::{
+    HybComb, HybCombHandle, HybCombLayout, HybCombStats, HybOptions, DEFAULT_MAX_OPS,
+};
 pub use locks::{CsLock, LockCs, LockCsHandle, McsLock, PoisonLock, TasLock, TicketLock};
 pub use mp_server::{MpClient, MpServer};
 pub use shm_server::{ShmClient, ShmServer, ShmServerLayout};

@@ -39,6 +39,15 @@ pub trait CsLock: Send + Sync + Default + 'static {
     /// Must only be called by the current holder, with the same `ctx` used
     /// to acquire.
     fn unlock(&self, ctx: &mut Self::Ctx);
+
+    /// Runs `f` holding the lock, and releases it when `f` returns or
+    /// unwinds.
+    #[inline]
+    fn run<R>(&self, ctx: &mut Self::Ctx, f: impl FnOnce() -> R) -> R {
+        self.lock(ctx);
+        let _held = Held(self, ctx);
+        f()
+    }
 }
 
 /// Test-and-test-and-set lock with exponential backoff.
@@ -214,17 +223,17 @@ impl<L: CsLock> PoisonLock<L> {
     /// unwinds out of this call.
     #[inline]
     pub fn run<R>(&self, ctx: &mut L::Ctx, f: impl FnOnce() -> R) -> R {
-        self.lock.lock(ctx);
-        let _held = Held(&self.lock, ctx);
-        // Relaxed: a poisoner stores the flag before its release, which
-        // this acquisition crossed.
-        if self.poisoned.load(Ordering::Relaxed) {
-            panic!("{POISONED}");
-        }
-        let guard = PoisonGuard::new(&self.poisoned);
-        let ret = f();
-        guard.disarm();
-        ret
+        self.lock.run(ctx, || {
+            // Relaxed: a poisoner stores the flag before its release, which
+            // this acquisition crossed.
+            if self.poisoned.load(Ordering::Relaxed) {
+                panic!("{POISONED}");
+            }
+            let guard = PoisonGuard::new(&self.poisoned);
+            let ret = f();
+            guard.disarm();
+            ret
+        })
     }
 
     /// Whether a critical section unwound holding the lock.

@@ -9,8 +9,9 @@
 //! happens-before graphs being checked.
 //!
 //! Under `--cfg loom` the whole dependency tree is built with the facade, so
-//! HYBCOMB models also explore the underlying `WordQueue` protocol of
-//! `mpsync-udn` — requests and responses travel through the real ring.
+//! the HYBCOMB and MP-SERVER models also explore the underlying `WordQueue`
+//! protocol of `mpsync-udn` — requests and responses travel through the
+//! real ring.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use mpsync_udn::{Fabric, FabricConfig};
 
 use crate::locks::{McsLock, TasLock};
-use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs, ShmServer};
+use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs, MpServer, ShmServer};
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
 
@@ -390,6 +391,39 @@ fn shm_server_panic_poisons_the_client() {
         let err = catch_unwind(AssertUnwindSafe(|| c.apply(1, 0))).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("formatted panic");
         assert!(msg.contains("SHM-SERVER poisoned"), "got: {msg}");
+        assert!(catch_unwind(AssertUnwindSafe(|| server.shutdown())).is_err());
+    });
+}
+
+/// MP-SERVER, one client, one op: the server (a model thread here) runs it
+/// exactly once, answers over the client's queue, and hands the state back
+/// at shutdown — whose stop request may overtake nothing it has not
+/// served. Request and reply cross the real `WordQueue` ring.
+#[test]
+fn mp_server_one_client_exactly_once() {
+    loom::model(|| {
+        let fabric = Arc::new(Fabric::new(FabricConfig::new(1)));
+        let server = MpServer::spawn(fabric.register_any().unwrap(), 0u64, fai as CounterFn);
+        let mut c = server.client(fabric.register_any().unwrap());
+        assert_eq!(c.apply(0, 0), 0);
+        drop(c);
+        assert_eq!(server.shutdown(), 1);
+    });
+}
+
+/// Loom regression model for the MP-SERVER poison protocol: a server whose
+/// dispatch panics never replies, so its client must panic with the poison
+/// report instead of waiting for the reply forever (loom's step bound flags
+/// that wedge), and shutdown reports the dead server.
+#[test]
+fn mp_server_panic_poisons_the_client() {
+    loom::model(|| {
+        let fabric = Arc::new(Fabric::new(FabricConfig::new(1)));
+        let server = MpServer::spawn(fabric.register_any().unwrap(), 0u64, boom as CounterFn);
+        let mut c = server.client(fabric.register_any().unwrap());
+        let err = catch_unwind(AssertUnwindSafe(|| c.apply(1, 0))).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("MP-SERVER poisoned"), "got: {msg}");
         assert!(catch_unwind(AssertUnwindSafe(|| server.shutdown())).is_err());
     });
 }

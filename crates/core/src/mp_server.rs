@@ -9,21 +9,91 @@
 //! of the paper) — on real hardware; under this crate's software emulation
 //! the functional behaviour is identical but the stall-free property is not
 //! reproduced (see the `tilesim` crate for that).
+//!
+//! The protocol is [`serve`] and [`request`], written once against
+//! [`Machine`]: [`MpServer`] runs it on the host, tilesim on simulated
+//! cores. A HYBCOMB combiner serves with the same step.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
 use mpsync_udn::{Endpoint, EndpointId, Fabric};
 
 use crate::dispatch::Dispatcher;
+use crate::machine::{block_on, Addr, Arena, ClientSide, Critical, Machine, Native, Probe};
+use crate::sync;
 use crate::wire;
 use crate::ApplyOp;
 
 /// Reserved opcode used internally to stop the server loop. Client code must
 /// not submit it through [`ApplyOp::apply`].
 pub(crate) const OP_SHUTDOWN: u64 = u64::MAX;
+
+/// Panic message once the server's dispatch panicked: no reply will come.
+const POISONED: &str =
+    "MP-SERVER poisoned: the server panicked inside the critical section and the \
+     protected state may be inconsistent";
+
+/// The server loop of Figure 2: `r()` — execute CS — `s(t)`, until `probe`
+/// stops it. The server is the only thread that runs critical sections.
+pub async fn serve<M: Machine>(m: &mut M, cs: &M::Cs, probe: &mut impl Probe<M>) {
+    while serve_one(m, cs, probe).await.is_continue() {}
+}
+
+/// One request off the local queue, run and answered: a server's step, and
+/// a HYBCOMB combiner's. `Break` if the probe stopped the server instead.
+pub(crate) async fn serve_one<M: Machine>(
+    m: &mut M,
+    cs: &M::Cs,
+    probe: &mut impl Probe<M>,
+) -> ControlFlow<()> {
+    let [sender, op, arg] = m.receive().await;
+    probe.received(m, op)?;
+    let ret = m.cs(cs, op, arg).await;
+    m.send(sender, &[ret]).await;
+    probe.served(m, sender);
+    ControlFlow::Continue(())
+}
+
+/// A client's operation: sends `(op, arg)` to the queue `server` under the
+/// machine's own id, and waits for the one-word response.
+pub async fn request<M: Machine>(m: &mut M, server: u64, op: u64, arg: u64) -> u64 {
+    let me = m.id();
+    m.send(server, &[me, op, arg]).await;
+    let [ret] = m.receive().await;
+    ret
+}
+
+/// The native server's probe: the stop check and telemetry.
+struct Serving {
+    /// The server's endpoint, as a span track.
+    track: u32,
+    t_serve: u64,
+}
+
+impl<C> Probe<Native<'_, C>> for Serving {
+    fn received(&mut self, m: &mut Native<'_, C>, op: u64) -> ControlFlow<()> {
+        if op == OP_SHUTDOWN {
+            return ControlFlow::Break(());
+        }
+        if telemetry::ENABLED {
+            // Queue wait: client submit stamp → the server picking the
+            // request up (the coherence-free local read of Figure 2).
+            telemetry::record_span(self.track, Algo::MpServer, Lane::QueueWait, m.stamp);
+            self.t_serve = telemetry::now_ns();
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn served(&mut self, _: &mut Native<'_, C>, _: Addr) {
+        if telemetry::ENABLED {
+            telemetry::record_span(self.track, Algo::MpServer, Lane::Serve, self.t_serve);
+            telemetry::count(Counter::MpServed, 1);
+        }
+    }
+}
 
 /// Handle to a running MP-SERVER instance.
 ///
@@ -33,7 +103,10 @@ pub(crate) const OP_SHUTDOWN: u64 = u64::MAX;
 pub struct MpServer<S> {
     fabric: Arc<Fabric>,
     server_id: EndpointId,
-    join: Option<JoinHandle<S>>,
+    /// No words, only the poison flag: a server whose dispatch panicked
+    /// sets it, and its clients' response waits check it.
+    arena: Arc<Arena>,
+    join: Option<sync::JoinHandle<S>>,
 }
 
 impl<S: Send + 'static> MpServer<S> {
@@ -41,55 +114,27 @@ impl<S: Send + 'static> MpServer<S> {
     /// server to core 0; choose the endpoint's core accordingly).
     ///
     /// `dispatch` interprets each request's `(op, arg)` against the state.
-    pub fn spawn<D>(endpoint: Endpoint, state: S, dispatch: D) -> Self
+    pub fn spawn<D>(mut endpoint: Endpoint, state: S, dispatch: D) -> Self
     where
         D: Dispatcher<S>,
     {
         let fabric = Arc::clone(endpoint.fabric());
         let server_id = endpoint.id();
-        let join = std::thread::Builder::new()
-            .name(format!("mp-server-{server_id}"))
-            .spawn(move || Self::serve(endpoint, state, dispatch))
-            .expect("failed to spawn MP-SERVER thread");
+        let arena = Arc::new(Arena::new(0, POISONED));
+        let worker = Arc::clone(&arena);
+        let join = sync::spawn(&format!("mp-server-{server_id}"), move || {
+            let cs = Critical::new(state, dispatch);
+            let mut m = Native::with_endpoint(&worker, &mut endpoint);
+            let track = server_id.index() as u32;
+            block_on(serve(&mut m, &cs, &mut Serving { track, t_serve: 0 }));
+            cs.state.into_inner()
+        });
         Self {
             fabric,
             server_id,
+            arena,
             join: Some(join),
         }
-    }
-
-    /// The server loop of Figure 2: `r()` — execute CS — `s(t)`.
-    fn serve<D>(mut endpoint: Endpoint, mut state: S, dispatch: D) -> S
-    where
-        D: Dispatcher<S>,
-    {
-        let track = endpoint.id().index() as u32;
-        let mut buf = [0u64; wire::REQ_WORDS];
-        loop {
-            endpoint.receive(&mut buf);
-            let req = wire::decode(buf);
-            if req.op == OP_SHUTDOWN {
-                break;
-            }
-            let t_serve = if telemetry::ENABLED {
-                // Queue wait: client submit stamp → the server picking the
-                // request up (the coherence-free local read of Figure 2).
-                telemetry::record_span(track, Algo::MpServer, Lane::QueueWait, req.submit_ns);
-                telemetry::now_ns()
-            } else {
-                0
-            };
-            let ret = dispatch.dispatch(&mut state, req.op, req.arg);
-            let client = EndpointId::from_word(req.sender);
-            endpoint
-                .send(client, &[ret])
-                .expect("MP-SERVER response to unknown endpoint");
-            if telemetry::ENABLED {
-                telemetry::record_span(track, Algo::MpServer, Lane::Serve, t_serve);
-                telemetry::count(Counter::MpServed, 1);
-            }
-        }
-        state
     }
 
     /// The endpoint id clients address their requests to.
@@ -103,6 +148,7 @@ impl<S: Send + 'static> MpServer<S> {
         MpClient {
             server: self.server_id,
             endpoint,
+            arena: Arc::clone(&self.arena),
         }
     }
 
@@ -110,6 +156,10 @@ impl<S: Send + 'static> MpServer<S> {
     ///
     /// The caller must ensure no client still has a request in flight
     /// (dropping or quiescing all clients first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the server's dispatch panicked.
     pub fn shutdown(mut self) -> S {
         self.signal_shutdown();
         self.join
@@ -126,7 +176,7 @@ impl<S> MpServer<S> {
         let _ = self
             .fabric
             .sender()
-            .send(self.server_id, &wire::request_at(0, OP_SHUTDOWN, 0, 0));
+            .send(self.server_id, &wire::request(0, OP_SHUTDOWN, 0));
     }
 }
 
@@ -142,11 +192,12 @@ impl<S> Drop for MpServer<S> {
 /// Per-thread client of an [`MpServer`].
 ///
 /// `apply` sends the request `{id, op, arg}` (Algorithm of §4.1 / Figure 2;
-/// see [`wire`] for the telemetry-mode timestamp extension) and blocks on
+/// see [`wire`] for the telemetry-mode timestamp extension) and waits for
 /// the one-word response.
 pub struct MpClient {
     server: EndpointId,
     endpoint: Endpoint,
+    arena: Arc<Arena>,
 }
 
 impl MpClient {
@@ -157,26 +208,27 @@ impl MpClient {
 }
 
 impl ApplyOp for MpClient {
+    /// # Panics
+    ///
+    /// Panics if the server's dispatch panicked, instead of waiting forever
+    /// for its response.
     #[inline]
     fn apply(&mut self, op: u64, arg: u64) -> u64 {
         debug_assert_ne!(op, OP_SHUTDOWN, "opcode u64::MAX is reserved");
+        self.arena.check();
         let t0 = telemetry::now_ns();
-        self.endpoint
-            .send(
-                self.server,
-                &wire::request_at(self.endpoint.id().to_word(), op, arg, t0),
-            )
-            .expect("MP-SERVER vanished");
-        let ret = self.endpoint.receive1();
-        if telemetry::ENABLED {
-            let track = self.endpoint.id().index() as u32;
-            telemetry::record_span(track, Algo::MpServer, Lane::ClientWait, t0);
-        }
+        let track = self.endpoint.id().index() as u32;
+        let mut m = ClientSide::with_endpoint(&self.arena, &mut self.endpoint);
+        let ret = block_on(request(&mut m, self.server.to_word(), op, arg));
+        telemetry::record_span(track, Algo::MpServer, Lane::ClientWait, t0);
         ret
     }
 }
 
 #[cfg(test)]
+// Under `--cfg loom` the server is a model thread, which only a loom model
+// may spawn; `loom_models` checks MP-SERVER there.
+#[cfg(not(loom))]
 mod tests {
     use super::*;
     use mpsync_udn::FabricConfig;
@@ -272,5 +324,52 @@ mod tests {
         }
         drop(c);
         assert_eq!(server.shutdown(), vec![0, 7, 14, 21, 28]);
+    }
+
+    /// A dispatch panic kills the server: its clients must panic with the
+    /// poison report instead of blocking on a response forever. The clients
+    /// run on their own thread, so a wedge fails the test instead of hanging
+    /// it.
+    #[test]
+    fn dispatch_panic_poisons_clients_instead_of_wedging() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+
+        fn boom(state: &mut u64, op: u64, arg: u64) -> u64 {
+            if op == 1 {
+                panic!("dispatch exploded");
+            }
+            counter_dispatch(state, op, arg)
+        }
+
+        let fabric = Arc::new(Fabric::new(FabricConfig::new(3)));
+        let server = MpServer::spawn(
+            fabric.register_any().unwrap(),
+            0u64,
+            boom as fn(&mut u64, u64, u64) -> u64,
+        );
+        let mut a = server.client(fabric.register_any().unwrap());
+        let mut b = server.client(fabric.register_any().unwrap());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let clients = std::thread::spawn(move || {
+            // Client A submits op 1; client B submits op 0 once A returned.
+            for (c, op) in [(&mut a, 1), (&mut b, 0)] {
+                let r = catch_unwind(AssertUnwindSafe(|| c.apply(op, 0)));
+                let _ = tx.send(r.map_err(|e| e.downcast_ref::<String>().cloned()));
+            }
+        });
+        for who in ["A", "B"] {
+            let got = rx
+                .recv_timeout(Duration::from_secs(3))
+                .unwrap_or_else(|_| panic!("client {who} got no answer within 3 s: wedged"));
+            let msg = got.expect_err("a dead server cannot answer");
+            assert!(
+                msg.as_deref()
+                    .is_some_and(|m| m.contains("MP-SERVER poisoned")),
+                "{who}: {msg:?}"
+            );
+        }
+        clients.join().expect("both panics were caught");
+        assert!(catch_unwind(AssertUnwindSafe(|| server.shutdown())).is_err());
     }
 }

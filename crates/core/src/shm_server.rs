@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 use crate::dispatch::Dispatcher;
 use crate::machine::{
-    block_on, Addr, Arena, Backoff, Critical, Machine, Native, Probe, Until, WORDS_PER_LINE,
+    block_on, Addr, Arena, Backoff, ClientSide, Critical, Machine, Native, Probe, Until,
+    WORDS_PER_LINE,
 };
 use crate::sync::Ordering::{Acquire, Relaxed, Release};
 use crate::sync::{self, spin, AtomicBool};
@@ -128,9 +129,6 @@ impl<M> Probe<M> for Idle<'_> {
         ControlFlow::Continue(())
     }
 }
-
-/// A client's view of the machine: it never runs the critical section.
-type ClientSide<'a> = Native<'a, Critical<(), fn(&mut (), u64, u64) -> u64>>;
 
 /// Handle to a running SHM-SERVER instance.
 pub struct ShmServer<S> {

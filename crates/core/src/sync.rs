@@ -2,21 +2,21 @@
 //! `RUSTFLAGS="--cfg loom"` (see DESIGN.md §9).
 //!
 //! Only *protocol-bearing* shared state goes through this module — the
-//! native machine's words (CC-SYNCH's nodes, SHM-SERVER's channels),
-//! HYBCOMB's combiner-identity words, the lock words, flat combining's
-//! publication records, the `CsState` cell they all guard, and the server
-//! threads that run them. Pure statistics counters (`rounds`, `combined`,
-//! `cas_attempts`, …) stay on `std::sync::atomic` deliberately: they carry
-//! no synchronization and modelling them would blow up loom's state space
-//! without checking anything.
+//! native machine's words (HYBCOMB's nodes and combiner-identity words,
+//! CC-SYNCH's nodes, SHM-SERVER's channels) and poison flags, the lock
+//! words, flat combining's publication records, the `CsState` cell they all
+//! guard, and the server threads that run them. Pure statistics counters
+//! (`rounds`, `combined`, `cas_attempts`, …) stay on `std::sync::atomic`
+//! deliberately: they carry no synchronization and modelling them would
+//! blow up loom's state space without checking anything.
 
 #[cfg(loom)]
 pub(crate) use loom::cell::UnsafeCell;
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 #[cfg(not(loom))]
 pub(crate) use std::thread::JoinHandle;
 

@@ -31,25 +31,16 @@ pub struct Request {
     pub submit_ns: u64,
 }
 
-/// Encodes a request stamped with the current time. Equivalent to
-/// [`request_at`]`(sender, op, arg, telemetry::now_ns())`.
+/// Encodes a request stamped with the current time. The stamp is carried
+/// only when [`REQ_WORDS`] is 4; 3-word builds read no clock.
 #[inline]
 pub fn request(sender: u64, op: u64, arg: u64) -> [u64; REQ_WORDS] {
-    request_at(sender, op, arg, telemetry::now_ns())
-}
-
-/// Encodes a request with an explicit submit timestamp (callers that
-/// already read the clock — e.g. to time the client's own wait — pass it
-/// through instead of reading twice). The timestamp is carried only when
-/// [`REQ_WORDS`] is 4; in 3-word builds it is dropped.
-#[inline]
-pub fn request_at(sender: u64, op: u64, arg: u64, submit_ns: u64) -> [u64; REQ_WORDS] {
     let mut words = [0u64; REQ_WORDS];
     words[0] = sender;
     words[1] = op;
     words[2] = arg;
     if let Some(slot) = words.get_mut(3) {
-        *slot = submit_ns;
+        *slot = telemetry::now_ns();
     }
     words
 }
@@ -71,15 +62,9 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let r = decode(request_at(7, 2, 99, 1234));
+        let r = decode(request(7, 2, 99));
         assert_eq!((r.sender, r.op, r.arg), (7, 2, 99));
-        if telemetry::ENABLED {
-            assert_eq!(REQ_WORDS, 4);
-            assert_eq!(r.submit_ns, 1234);
-        } else {
-            assert_eq!(REQ_WORDS, 3);
-            assert_eq!(r.submit_ns, 0);
-        }
+        assert_eq!(REQ_WORDS, if telemetry::ENABLED { 4 } else { 3 });
     }
 
     #[test]

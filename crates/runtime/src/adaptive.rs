@@ -77,13 +77,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mpsync_core::{CsLock, FlatCombining, McsLock, PoisonLock};
+use mpsync_core::{CsLock, FlatCombining, McsLock};
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Counter, FlightKind};
 
 use crate::config::{Backend, RuntimeConfig};
 use crate::control::Control;
 use crate::runtime::{KeyedDispatch, RtDispatch};
+
+/// Panic message once a dispatch unwound on an adaptive shard.
+const POISONED: &str = "LOCK poisoned: a dispatch panicked on this shard and its state may be torn";
 
 /// One shard's adaptive executor. Shared by the shard's serving thread,
 /// every session, and the controller.
@@ -98,9 +101,11 @@ pub(crate) struct AdaptiveShard<S, F> {
     /// pinned shard alone.
     swap: Mutex<bool>,
     /// The shard state, behind the combiner that serves Comb mode; the
-    /// other two modes execute through [`FlatCombining::exec`].
+    /// other two modes execute through [`FlatCombining::exec`]. Its poison
+    /// flag is the shard's: a dispatch that unwinds in any mode sets it, and
+    /// every mode checks it before it runs an op.
     comb: FlatCombining<S, RtDispatch<S, F>>,
-    mcs: PoisonLock<McsLock>,
+    mcs: McsLock,
     control: Arc<Control>,
     shard: usize,
 }
@@ -122,7 +127,7 @@ where
             epoch: AtomicU64::new(0),
             swap: Mutex::new(false),
             comb: FlatCombining::new(config.max_sessions, config.max_batch, state, dispatch),
-            mcs: PoisonLock::default(),
+            mcs: McsLock::default(),
             control,
             shard,
         }
@@ -138,13 +143,22 @@ where
         self.epoch.load(Ordering::Acquire)
     }
 
+    /// Panics if a dispatch unwound on the shard, in any mode.
+    fn check(&self) {
+        assert!(!self.comb.is_poisoned(), "{POISONED}");
+    }
+
     /// Lock-mode application: MCS critical section on the caller's thread.
     /// Caller must hold an admitted slot (so the mode is stable).
     pub fn lock_apply(&self, node: &mut <McsLock as CsLock>::Ctx, word: u64, arg: u64) -> u64 {
+        // Checked under the lock too: a holder that panicked releases it.
         // SAFETY: `run` holds the MCS lock, and the swap quiesce guarantees
         // no thread is executing in another mode (caller holds a slot
         // admitted under mode == Lock).
-        let ret = self.mcs.run(node, || unsafe { self.comb.exec(word, arg) });
+        let ret = self.mcs.run(node, || {
+            self.check();
+            unsafe { self.comb.exec(word, arg) }
+        });
         // Keep the shard's batch accounting meaningful across modes: a lock
         // op is a batch of one.
         self.control.record_batch(self.shard, 1);
@@ -202,10 +216,7 @@ where
     /// Surrenders the shard state. Caller must guarantee quiescence (the
     /// runtime's shutdown drain) and sole ownership (`Arc::try_unwrap`).
     pub fn into_state(self) -> S {
-        assert!(
-            !self.mcs.is_poisoned(),
-            "LOCK poisoned: the shard's state may be torn"
-        );
+        self.check();
         self.comb.into_state()
     }
 }
@@ -234,7 +245,8 @@ where
 pub(crate) trait AdaptiveAccess: Send {
     /// Applies `(word, arg)` on the caller's thread if the shard is in an
     /// inline mode; `None` means Mp mode — the caller must delegate over
-    /// the wire. Must be called holding an admitted slot.
+    /// the wire. Must be called holding an admitted slot. Panics if a
+    /// dispatch unwound on the shard before, in any mode.
     fn try_apply_local(&mut self, word: u64, arg: u64) -> Option<u64>;
 }
 
@@ -262,6 +274,7 @@ where
     F: KeyedDispatch<S>,
 {
     fn try_apply_local(&mut self, word: u64, arg: u64) -> Option<u64> {
+        self.shared.check();
         // Read the mode *after* admission (the caller holds a slot): it
         // cannot change until the slot is released, so the chosen path
         // matches every other in-flight operation's.

@@ -823,8 +823,11 @@ impl Session {
             return Ok(ret);
         }
         self.control.admit(shard)?;
-        let ret = self.apply_on(shard, word, arg);
-        self.control.complete(shard);
+        // The slot is released on unwind too: a backend switch waits for
+        // every held slot.
+        let slot = Slot(&self.control, shard);
+        let ret = Self::apply_on(&mut self.transport, shard, word, arg);
+        drop(slot);
         if telemetry::ENABLED {
             // Submit = admission wait + transport + service + reply: the
             // client-observed latency of one runtime operation.
@@ -859,6 +862,9 @@ impl Session {
             return Ok(ret);
         }
         self.control.admit_with(shard, &mut idle)?;
+        // The slot is released on unwind too: a backend switch waits for
+        // every held slot.
+        let slot = Slot(&self.control, shard);
         let ret = match &mut self.transport {
             Transport::Mp { endpoint, servers } => {
                 Self::wire_apply_with(endpoint, servers[shard], word, arg, &mut idle)
@@ -874,7 +880,7 @@ impl Session {
                 None => Self::wire_apply_with(endpoint, servers[shard], word, arg, &mut idle),
             },
         };
-        self.control.complete(shard);
+        drop(slot);
         if telemetry::ENABLED {
             telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, t0);
             telemetry::count(Counter::RuntimeSubmits, 1);
@@ -1097,8 +1103,8 @@ impl Session {
         out.into_iter().collect()
     }
 
-    fn apply_on(&mut self, shard: usize, word: u64, arg: u64) -> u64 {
-        match &mut self.transport {
+    fn apply_on(transport: &mut Transport, shard: usize, word: u64, arg: u64) -> u64 {
+        match transport {
             Transport::Mp { endpoint, servers } => {
                 send_request(endpoint, servers[shard], word, arg);
                 endpoint.receive1()
@@ -1176,6 +1182,15 @@ struct Flight {
     count: usize,
     /// When the oldest of them was started (the Submit span's origin).
     t0: u64,
+}
+
+/// An admitted slot of a shard's window, completed when dropped.
+struct Slot<'a>(&'a Control, usize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.complete(self.1);
+    }
 }
 
 /// Sends one request to a shard server, addressed for a one-word reply.

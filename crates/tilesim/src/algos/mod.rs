@@ -3,9 +3,9 @@
 //! critical-section bodies, workload op generators). Every local spin is a
 //! [`Ctx::spin_until`](crate::Ctx::spin_until).
 //!
-//! CC-SYNCH and SHM-SERVER are not models: `Ctx` is a [`Machine`], and
-//! their installers run `mpsync-core`'s protocol code on it. MP-SERVER,
-//! HYBCOMB and the locks are written out here.
+//! MP-SERVER, HYBCOMB, SHM-SERVER and CC-SYNCH are not models: `Ctx` is a
+//! [`Machine`](mpsync_core::machine::Machine), and their installers run
+//! `mpsync-core`'s protocol code on it. The locks are written out here.
 //!
 //! Each construction installs one proc per participating thread into an
 //! [`Engine`]; application procs run the paper's §5.2
@@ -18,19 +18,14 @@
 //! combiners additionally count `Rounds`/`Combined`/`Orphans`, and HYBCOMB
 //! clients count `Cas`.
 
-mod hybcomb;
 mod locks;
-mod mp_server;
 
-pub use hybcomb::{install_hybcomb, install_hybcomb_fixed, HybOptions};
 pub use locks::{install_lock, LockKind};
-pub use mp_server::install_mp_server;
-pub(crate) use mp_server::serve as serve_body;
+pub use mpsync_core::HybOptions;
 
-use std::sync::atomic::Ordering;
-
-use mpsync_core::machine::{Backoff, Machine, Probe, Until};
-use mpsync_core::{CcSynchLayout, ShmServerLayout};
+use mpsync_core::machine::Probe;
+use mpsync_core::mp_server::{request, serve};
+use mpsync_core::{CcSynchLayout, HybCombLayout, ShmServerLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -267,37 +262,14 @@ pub async fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
     }
 }
 
-/// A simulated core is a [`Machine`]: each access is the matching `Ctx`
-/// operation (orderings mean nothing to a sequentially consistent memory),
-/// and the critical section is [`exec_cs`] on a [`CsBody`].
-impl Machine for Ctx {
-    type Cs = CsBody;
-
-    async fn load(&mut self, a: Addr, _: Ordering) -> u64 {
-        self.read(a).await
-    }
-
-    async fn store(&mut self, a: Addr, v: u64, _: Ordering) {
-        self.write(a, v).await;
-    }
-
-    async fn swap(&mut self, a: Addr, v: u64, _: Ordering) -> u64 {
-        Ctx::swap(self, a, v).await
-    }
-
-    async fn spin_until(&mut self, a: Addr, until: Until, b: &mut Backoff, _: Ordering) -> u64 {
-        Ctx::spin_until(self, a, until, b).await
-    }
-
-    async fn cs(&mut self, body: &CsBody, op: u64, arg: u64) -> u64 {
-        exec_cs(self, body, op, arg).await
-    }
-}
-
-/// What combiners and servers count.
-struct Metrics;
+/// What combiners and servers count, and HYBCOMB's CASes.
+pub(crate) struct Metrics;
 
 impl Probe<Ctx> for Metrics {
+    fn registering(&mut self, ctx: &mut Ctx) {
+        ctx.record(Metric::Cas, 1);
+    }
+
     fn served(&mut self, ctx: &mut Ctx, _: Addr) {
         ctx.record(Metric::Served, 1);
     }
@@ -309,6 +281,89 @@ impl Probe<Ctx> for Metrics {
             ctx.record(Metric::Orphans, 1);
         }
     }
+}
+
+/// Installs an MP-SERVER run: the server on the engine's next core, then
+/// `spec.threads` client procs. Returns the server's core id.
+pub fn install_mp_server(engine: &mut Engine, spec: RunSpec) -> usize {
+    let server = engine.add_proc(async move |ctx| serve(ctx, &spec.body, &mut Metrics).await);
+    for _ in 0..spec.threads {
+        engine.add_proc(async move |ctx| {
+            client_loop(ctx, spec, async |ctx, op, arg| {
+                request(ctx, server as u64, op, arg).await;
+            })
+            .await
+        });
+    }
+    server
+}
+
+/// Installs a HYBCOMB run with `spec.threads` application procs; thread `t`
+/// starts owning node `t`, and node `spec.threads` is the spare.
+pub fn install_hybcomb(
+    engine: &mut Engine,
+    spec: RunSpec,
+    alloc: &mut AddrAlloc,
+    opts: HybOptions,
+) {
+    let hc = hybcomb_layout(engine, &spec, alloc, spec.max_ops, opts);
+    for t in 0..spec.threads as u64 {
+        engine.add_proc(async move |ctx| {
+            hc.register(ctx, t).await;
+            hybcomb_client(ctx, spec, hc, t).await
+        });
+    }
+}
+
+/// The fixed-combiner variant used by Figure 4a: one thread acts as the
+/// combiner for the whole run (the paper's footnote 4, "equivalent to
+/// setting MAX_OPS = ∞"). Its node 0 stays registered and open, so the
+/// clients run the unchanged registration path, and the combiner runs
+/// MP-SERVER's serve loop.
+pub fn install_hybcomb_fixed(
+    engine: &mut Engine,
+    spec: RunSpec,
+    alloc: &mut AddrAlloc,
+    _opts: HybOptions,
+) {
+    let hc = hybcomb_layout(engine, &spec, alloc, u64::MAX / 4, HybOptions::default());
+    for (a, v) in hc.fixed_combiner() {
+        engine.preset_memory(a, v);
+    }
+    engine.add_proc(async move |ctx| {
+        hc.register(ctx, 0).await;
+        serve(ctx, &spec.body, &mut Metrics).await
+    });
+    for t in 1..spec.threads as u64 {
+        engine.add_proc(async move |ctx| hybcomb_client(ctx, spec, hc, t).await);
+    }
+}
+
+/// Lays out a HYBCOMB instance for `spec`'s threads and the spare, and
+/// presets its words.
+fn hybcomb_layout(
+    engine: &mut Engine,
+    spec: &RunSpec,
+    alloc: &mut AddrAlloc,
+    max_ops: u64,
+    opts: HybOptions,
+) -> HybCombLayout {
+    let nodes = spec.threads as u64 + 1;
+    let base = alloc.lines(HybCombLayout::lines(nodes));
+    let hc = HybCombLayout::new(base, nodes, max_ops, opts);
+    for (a, v) in hc.presets() {
+        engine.preset_memory(a, v);
+    }
+    hc
+}
+
+/// A HYBCOMB application proc's loop, starting as the owner of node `my`.
+async fn hybcomb_client(ctx: &mut Ctx, spec: RunSpec, hc: HybCombLayout, mut my: u64) {
+    client_loop(ctx, spec, async |ctx, op, arg| {
+        hc.apply(ctx, &spec.body, &mut my, op, arg, &mut Metrics)
+            .await;
+    })
+    .await
 }
 
 /// Installs a CC-SYNCH run with `spec.threads` application procs. Node 0
@@ -646,6 +701,123 @@ mod tests {
         assert!(r.metric_sum(Metric::Ops) > 100);
         // Alone, every round serves exactly one request.
         assert!((r.combining_rate() - 1.0).abs() < 1e-9);
+    }
+
+    fn run_hybcomb(
+        threads: usize,
+        max_ops: u64,
+        horizon: u64,
+        opts: HybOptions,
+    ) -> crate::SimResult {
+        let mut alloc = AddrAlloc::new();
+        let spec = RunSpec::counter(threads, max_ops, &mut alloc);
+        let mut e = Engine::new(MachineConfig::tile_gx8036());
+        install_hybcomb(&mut e, spec, &mut alloc, opts);
+        e.run(horizon)
+    }
+
+    #[test]
+    fn ops_complete_and_balance() {
+        let r = run_hybcomb(8, 64, 200_000, HybOptions::default());
+        let ops = r.metric_sum(Metric::Ops);
+        assert!(ops > 1_000, "too few ops: {ops}");
+        let served = r.metric_sum(Metric::Served);
+        assert!(served >= ops, "served {served} < completed ops {ops}");
+        assert!(served <= ops + 2 * 8);
+    }
+
+    #[test]
+    fn beats_cc_synch_on_throughput() {
+        let hyb = run_hybcomb(10, 200, 200_000, HybOptions::default()).mops();
+        let cc = run_cc_synch(10, 200, 200_000).mops();
+        assert!(
+            hyb > cc,
+            "HYBCOMB should outperform CC-SYNCH under load: {hyb:.1} vs {cc:.1}"
+        );
+    }
+
+    #[test]
+    fn cas_per_op_is_low_under_load() {
+        let r = run_hybcomb(12, 200, 300_000, HybOptions::default());
+        let cas = r.cas_per_op();
+        assert!(
+            cas < 0.7,
+            "paper: at most ~0.7 CAS per op in multithreaded runs, got {cas:.2}"
+        );
+    }
+
+    #[test]
+    fn swap_variant_correct() {
+        let opts = HybOptions {
+            use_swap: true,
+            ..HybOptions::default()
+        };
+        let r = run_hybcomb(6, 50, 100_000, opts);
+        assert!(r.metric_sum(Metric::Ops) > 500);
+    }
+
+    #[test]
+    fn nodrain_variant_correct() {
+        let opts = HybOptions {
+            eager_drain: false,
+            ..HybOptions::default()
+        };
+        let r = run_hybcomb(6, 50, 100_000, opts);
+        assert!(r.metric_sum(Metric::Ops) > 500);
+    }
+
+    #[test]
+    fn single_thread_all_orphan_rounds() {
+        let r = run_hybcomb(1, 200, 50_000, HybOptions::default());
+        assert_eq!(r.metric_sum(Metric::Rounds), r.metric_sum(Metric::Orphans));
+        assert!(r.metric_sum(Metric::Ops) > 50);
+    }
+
+    #[test]
+    fn counter_is_exact_and_server_barely_stalls() {
+        let mut alloc = AddrAlloc::new();
+        let spec = RunSpec::counter(8, 200, &mut alloc);
+        let mut e = Engine::new(MachineConfig::tile_gx8036());
+        let server = install_mp_server(&mut e, spec);
+        let r = e.run(200_000);
+
+        let ops = r.metric_sum(Metric::Ops);
+        let served = r.metric(server, Metric::Served);
+        assert!(ops > 1_000, "too few ops simulated: {ops}");
+        // Every client op was served (clients may have one op in flight at
+        // teardown).
+        assert!(served >= ops && served <= ops + 9);
+        // The headline property: the servicing core's stall share is tiny.
+        let s = &r.per_core[server];
+        let stall_frac = s.stall as f64 / (s.busy + s.stall) as f64;
+        assert!(
+            stall_frac < 0.15,
+            "MP-SERVER server should barely stall, got {stall_frac:.2}"
+        );
+    }
+
+    #[test]
+    fn latency_recorded() {
+        let mut alloc = AddrAlloc::new();
+        let spec = RunSpec::counter(4, 200, &mut alloc);
+        let mut e = Engine::new(MachineConfig::tile_gx8036());
+        install_mp_server(&mut e, spec);
+        let r = e.run(100_000);
+        assert!(r.avg_latency() > 0.0);
+        assert_eq!(r.metric_sum(Metric::LatCount), r.metric_sum(Metric::Ops));
+    }
+
+    #[test]
+    fn deterministic() {
+        fn once() -> (u64, f64) {
+            let mut alloc = AddrAlloc::new();
+            let spec = RunSpec::counter(6, 200, &mut alloc);
+            let mut e = Engine::new(MachineConfig::tile_gx8036());
+            install_mp_server(&mut e, spec);
+            let r = e.run(50_000);
+            (r.metric_sum(Metric::Ops), r.avg_latency())
+        }
+        assert_eq!(once(), once());
     }
 
     #[test]

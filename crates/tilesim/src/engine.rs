@@ -52,10 +52,12 @@ use std::ops::{AsyncFnOnce, Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::task::{Context, Poll, Waker};
 
-use mpsync_core::machine::{Backoff, Until};
+use mpsync_core::machine::{Backoff, Machine, Until};
 
+use crate::algos::{exec_cs, CsBody};
 use crate::config::MachineConfig;
 use crate::mem::{Addr, Memory};
 use crate::stats::{CoreStats, HostStats, Metric, SimResult, N_METRICS};
@@ -262,6 +264,7 @@ impl Ctx {
     }
 
     /// Receives exactly `k` words from the local queue, blocking as needed.
+    /// [`Machine::receive`] is the allocation-free form.
     pub async fn receive(&mut self, k: usize) -> Vec<u64> {
         match self.words(k).await {
             Words::Heap(v) => v,
@@ -269,33 +272,12 @@ impl Ctx {
         }
     }
 
-    /// Receives a single word (allocation-free).
-    pub async fn receive1(&mut self) -> u64 {
-        self.words(1).await[0]
-    }
-
-    /// Receives a three-word request `{sender, op, arg}` (allocation-free).
-    pub async fn receive3(&mut self) -> [u64; 3] {
-        let w = self.words(3).await;
-        [w[0], w[1], w[2]]
-    }
-
-    /// `true` if the local hardware queue currently holds no arrived word.
+    /// `true` if the local hardware queue currently holds no arrived word:
+    /// the faithful hardware probe. A combiner's drain asks
+    /// [`Machine::has_pending_traffic`] instead, which also counts words
+    /// still on the wire.
     pub async fn is_queue_empty(&mut self) -> bool {
         self.value(Request::QueueEmpty).await != 0
-    }
-
-    /// `true` if any word is queued for this core, *including words still
-    /// in flight on the simulated wire*.
-    ///
-    /// Real hardware cannot see in-flight messages, but this simulator
-    /// charges a fixed wire latency that real short-distance UDN messages
-    /// do not pay; a drain loop that polled only arrived words would close
-    /// combining rounds on that artifact. Use this for "should I keep
-    /// serving?" checks and [`Ctx::is_queue_empty`] for faithful hardware
-    /// probes.
-    pub async fn has_pending_traffic(&mut self) -> bool {
-        self.value(Request::PendingTraffic).await != 0
     }
 
     /// Spins until the word at `a` satisfies `until`, and returns that
@@ -351,6 +333,67 @@ impl Ctx {
     /// Adds `v` to this proc's `metric` accumulator (free).
     pub fn record(&mut self, metric: Metric, v: u64) {
         self.port.borrow_mut().metrics[metric as usize] += v;
+    }
+}
+
+/// A simulated core is a [`Machine`]: each access is the matching `Ctx`
+/// operation (orderings mean nothing to a sequentially consistent memory),
+/// a message goes through the hardware queues, and the critical section is
+/// [`exec_cs`] on a [`CsBody`].
+impl Machine for Ctx {
+    type Cs = CsBody;
+
+    // Each access returns the `Ctx` operation's own future: a wrapping
+    // `async fn` would add a layer to every resume of the proc.
+    fn load(&mut self, a: Addr, _: Ordering) -> impl Future<Output = u64> {
+        self.read(a)
+    }
+
+    fn store(&mut self, a: Addr, v: u64, _: Ordering) -> impl Future<Output = ()> {
+        self.write(a, v)
+    }
+
+    fn swap(&mut self, a: Addr, v: u64, _: Ordering) -> impl Future<Output = u64> {
+        Ctx::swap(self, a, v)
+    }
+
+    fn faa(&mut self, a: Addr, delta: u64, _: Ordering) -> impl Future<Output = u64> {
+        Ctx::faa(self, a, delta)
+    }
+
+    fn cas(&mut self, a: Addr, old: u64, new: u64, _: Ordering) -> impl Future<Output = bool> {
+        Ctx::cas(self, a, old, new)
+    }
+
+    fn id(&self) -> u64 {
+        self.core as u64
+    }
+
+    fn send(&mut self, dest: u64, msg: &[u64]) -> impl Future<Output = ()> {
+        Ctx::send(self, dest as usize, msg)
+    }
+
+    async fn receive<const K: usize>(&mut self) -> [u64; K] {
+        let w = self.words(K).await;
+        std::array::from_fn(|i| w[i])
+    }
+
+    async fn has_pending_traffic(&mut self) -> bool {
+        self.value(Request::PendingTraffic).await != 0
+    }
+
+    fn spin_until(
+        &mut self,
+        a: Addr,
+        until: Until,
+        b: &mut Backoff,
+        _: Ordering,
+    ) -> impl Future<Output = u64> {
+        Ctx::spin_until(self, a, until, b)
+    }
+
+    fn cs(&mut self, body: &CsBody, op: u64, arg: u64) -> impl Future<Output = u64> {
+        exec_cs(self, body, op, arg)
     }
 }
 
@@ -906,13 +949,13 @@ mod tests {
         let mut e = Engine::new(small_cfg());
         e.add_proc(async |ctx| {
             // Server on core 0.
-            let m = ctx.receive3().await;
+            let m = ctx.receive(3).await;
             assert_eq!(m, [1, 42, 7]);
             ctx.send(1, &[m[1] + m[2]]).await;
         });
         e.add_proc(async |ctx| {
             ctx.send(0, &[1, 42, 7]).await;
-            assert_eq!(ctx.receive1().await, 49);
+            assert_eq!(ctx.receive(1).await[0], 49);
             ctx.record(Metric::Ops, 1);
         });
         let r = e.run(100_000);
@@ -930,7 +973,7 @@ mod tests {
         });
         // A receiver that never gets a message: must be torn down too.
         e.add_proc(async |ctx| {
-            ctx.receive1().await;
+            ctx.receive(1).await;
             unreachable!("no one sends to core 1");
         });
         let r = e.run(5_000);
@@ -973,7 +1016,7 @@ mod tests {
             // Receiver: wait long, then drain.
             ctx.work(10_000).await;
             for _ in 0..10 {
-                ctx.receive1().await;
+                ctx.receive(1).await;
             }
         });
         e.add_proc(async |ctx| {
@@ -992,7 +1035,7 @@ mod tests {
     fn quiescent_blocked_proc_is_torn_down() {
         let mut e = Engine::new(small_cfg());
         e.add_proc(async |ctx| {
-            ctx.receive1().await; // nobody ever sends
+            ctx.receive(1).await; // nobody ever sends
             unreachable!("must be stopped, not satisfied");
         });
         e.add_proc(async |ctx| {
@@ -1065,7 +1108,7 @@ mod tests {
         e.add_proc(async move |ctx| {
             let _guard = guard;
             ctx.record(Metric::Ops, 1);
-            ctx.receive3().await;
+            ctx.receive(3).await;
             ctx.record(Metric::Ops, 100);
         });
         // Core 1: a sender stuck behind core 0's full queue.
@@ -1110,7 +1153,7 @@ mod tests {
             // Wait until the message must have arrived.
             ctx.work(1_000).await;
             assert!(!ctx.is_queue_empty().await);
-            assert_eq!(ctx.receive1().await, 9);
+            assert_eq!(ctx.receive(1).await[0], 9);
             assert!(ctx.is_queue_empty().await);
         });
         e.add_proc(async |ctx| {
@@ -1123,12 +1166,12 @@ mod tests {
     fn handoffs_count_every_resumption() {
         let mut e = Engine::new(small_cfg());
         e.add_proc(async |ctx| {
-            let m = ctx.receive3().await;
+            let m = ctx.receive(3).await;
             ctx.send(1, &[m[0] + m[1] + m[2]]).await;
         });
         e.add_proc(async |ctx| {
             ctx.send(0, &[1, 2, 3]).await;
-            assert_eq!(ctx.receive1().await, 6);
+            assert_eq!(ctx.receive(1).await[0], 6);
         });
         let r = e.run(100_000);
         // Per proc: one poll per operation plus the one that ends the body.

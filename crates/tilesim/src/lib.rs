@@ -24,9 +24,8 @@
 //! * a deterministic, single-threaded discrete-event **engine**
 //!   ([`Engine`]) that runs simulated threads written as `async` Rust
 //!   closures and polls them in place;
-//! * the four constructions ([`algos`]): models of MP-SERVER and HYBCOMB,
-//!   and CC-SYNCH and SHM-SERVER run from `mpsync-core`'s own code, whose
-//!   `Machine` trait [`Ctx`] implements; models of the nonblocking
+//! * the four constructions ([`algos`]), run from `mpsync-core`'s own code,
+//!   whose [`Machine`] trait [`Ctx`] implements; models of the nonblocking
 //!   LCRQ/Treiber comparators ([`nonblocking`]); and every workload in the
 //!   paper's evaluation ([`workload`]).
 //!
@@ -43,13 +42,13 @@
 //!
 //! let mut e = Engine::new(MachineConfig::tile_gx8036());
 //! e.add_proc(async |ctx| {
-//!     let [sender, op, arg] = ctx.receive3().await;
-//!     assert_eq!((op, arg), (1, 41));
-//!     ctx.send(sender as usize, &[arg + 1]).await;
+//!     let req = ctx.receive(3).await;
+//!     assert_eq!((req[1], req[2]), (1, 41));
+//!     ctx.send(req[0] as usize, &[req[2] + 1]).await;
 //! });
 //! e.add_proc(async |ctx| {
 //!     ctx.send(0, &[ctx.core() as u64, 1, 41]).await;
-//!     assert_eq!(ctx.receive1().await, 42);
+//!     assert_eq!(ctx.receive(1).await, [42]);
 //!     ctx.record(Metric::Ops, 1);
 //! });
 //! let result = e.run(100_000);
@@ -70,7 +69,7 @@ pub mod workload;
 pub use config::MachineConfig;
 pub use engine::{Ctx, Engine};
 pub use mem::{line_of, Addr, WORDS_PER_LINE};
-pub use mpsync_core::machine::{Backoff, Until};
+pub use mpsync_core::machine::{Backoff, Machine, Until};
 pub use stats::{
     lat_bucket, lat_bucket_bound, CoreStats, HostStats, Metric, SimResult, LAT_BUCKETS, N_METRICS,
 };

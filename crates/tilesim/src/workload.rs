@@ -6,10 +6,12 @@
 //! y-values derive. The `repro` binary in `mpsync-bench` sweeps these over
 //! the papers' x-axes.
 
+use mpsync_core::mp_server::{request, serve};
+
 use crate::algos::{
     install_cc_synch, install_cc_synch_fixed, install_hybcomb, install_hybcomb_fixed, install_lock,
     install_mp_server, install_shm_server, AddrAlloc, Approach, CsBody, HybOptions, LockKind,
-    OpGen, RunSpec,
+    Metrics, OpGen, RunSpec,
 };
 use crate::engine::Engine;
 use crate::nonblocking::{install_lcrq, install_treiber};
@@ -220,12 +222,11 @@ pub fn run_queue_mp2(cfg: MachineConfig, threads: usize, horizon: u64, seed: u64
     e.preset_memory(head, 0);
     e.preset_memory(alloc_ctr, 1);
 
-    let enq_server = e.add_proc(async move |ctx| crate::algos::serve_body(ctx, enq_body).await);
-    let deq_server = e.add_proc(async move |ctx| crate::algos::serve_body(ctx, deq_body).await);
+    let enq_server = e.add_proc(async move |ctx| serve(ctx, &enq_body, &mut Metrics).await);
+    let deq_server = e.add_proc(async move |ctx| serve(ctx, &deq_body, &mut Metrics).await);
     for _ in 0..threads {
         e.add_proc(async move |ctx| {
             let mut rng = crate::algos::client_rng(seed, ctx.core());
-            let me = ctx.core() as u64;
             let mut i = 0u64;
             loop {
                 let (server, op, arg) = if i.is_multiple_of(2) {
@@ -234,8 +235,7 @@ pub fn run_queue_mp2(cfg: MachineConfig, threads: usize, horizon: u64, seed: u64
                     (deq_server, 1u64, 0u64)
                 };
                 let t0 = ctx.now();
-                ctx.send(server, &[me, op, arg]).await;
-                ctx.receive1().await;
+                request(ctx, server as u64, op, arg).await;
                 crate::algos::record_op(ctx, t0);
                 crate::algos::local_work(ctx, &mut rng, 50, 1).await;
                 i += 1;

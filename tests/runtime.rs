@@ -364,6 +364,34 @@ fn lock_dispatch_panic_poisons_the_shard_instead_of_wedging_it() {
     }
 }
 
+/// An adaptive shard has one poison flag for its three modes: after a
+/// dispatch panic in Lock mode, a switch to Comb or to Mp mode must not let
+/// the shard serve on its possibly torn state. The whole sequence runs under
+/// a watchdog, so a wedge (a switch waiting for the panicked op's slot, a
+/// session waiting for a reply) fails the test instead of hanging it.
+#[test]
+fn lock_mode_poison_follows_the_adaptive_shard_into_every_mode() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let results = watchdog("poisoned adaptive shard", 10, || {
+        let rt = keyed_runtime(small(Backend::Adaptive, 1, 2));
+        assert!(rt.force_backend(0, Backend::Lock));
+        let mut a = rt.session().unwrap();
+        let mut b = rt.session().unwrap();
+        let err = catch_unwind(AssertUnwindSafe(|| a.submit(1, 99, 0))).unwrap_err();
+        assert!(message(err).contains("unknown opcode 99"));
+        [Backend::Comb, Backend::MpServer].map(|mode| {
+            assert!(rt.force_backend(0, mode));
+            let r = catch_unwind(AssertUnwindSafe(|| b.submit(1, keyed_counter_ops::ADD, 1)));
+            (mode, r.map_err(message))
+        })
+    });
+    for (mode, got) in results {
+        let msg = got.expect_err("a poisoned shard must not serve, in any mode");
+        assert!(msg.contains("poisoned"), "{mode:?}: {msg}");
+    }
+}
+
 /// A panic payload's message.
 fn message(err: Box<dyn std::any::Any + Send>) -> String {
     err.downcast_ref::<String>()
