@@ -1,6 +1,6 @@
-//! Shared helpers for the `repro` harness and the Criterion benches:
-//! sweep definitions, table formatting, parallel sweep execution,
-//! self-timing reports, and native-benchmark drivers.
+//! Shared helpers for the `repro` harness: sweep definitions, table
+//! formatting, parallel sweep execution, self-timing reports, and the
+//! native telemetry phase ([`metrics`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -8,11 +8,7 @@
 pub mod metrics;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use mpsync_core::{ApplyOp, CcSynch, HybComb, MpServer, ShmServer};
-use mpsync_objects::seq::counter_dispatch;
-use mpsync_udn::{Fabric, FabricConfig};
 use tilesim::HostStats;
 
 /// The application-thread counts swept on the x-axis of the
@@ -186,47 +182,6 @@ pub fn f(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Counter dispatch function type used across the native drivers.
-pub type CounterFn = fn(&mut u64, u64, u64) -> u64;
-
-/// The counter dispatch used by native benches.
-pub const COUNTER: CounterFn = counter_dispatch;
-
-/// Runs `ops` fetch-and-increments per thread on `threads` native threads,
-/// each owning a handle produced by `mk`, and returns total ops performed
-/// (for Criterion throughput bookkeeping).
-pub fn hammer_native<H, F>(threads: usize, ops: u64, mk: F) -> u64
-where
-    H: ApplyOp + Send + 'static,
-    F: Fn(usize) -> H,
-{
-    let mut joins = Vec::new();
-    for t in 0..threads {
-        let mut h = mk(t);
-        joins.push(std::thread::spawn(move || {
-            for _ in 0..ops {
-                h.apply(0, 0);
-            }
-        }));
-    }
-    for (t, j) in joins.into_iter().enumerate() {
-        if let Err(payload) = j.join() {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            panic!("hammer_native worker thread {t}/{threads} panicked: {msg}");
-        }
-    }
-    threads as u64 * ops
-}
-
-/// Builds a TILE-Gx-shaped UDN fabric sized for `n` endpoints.
-pub fn fabric_for(n: usize) -> Arc<Fabric> {
-    Arc::new(Fabric::new(FabricConfig::new(n.div_ceil(4).max(1))))
-}
-
 #[cfg(test)]
 mod timing_tests {
     use super::*;
@@ -287,31 +242,5 @@ mod timing_tests {
         let mut new_fig = report();
         new_fig.figures.push(("fig9z".into(), 1));
         assert!(check_against_baseline(&new_fig, &json, 2.0).is_ok());
-    }
-}
-
-/// Convenience constructors for the four native executors over a counter,
-/// used by benches and examples.
-pub mod native_counter {
-    use super::*;
-
-    /// MP-SERVER counter: returns the server handle (shut down on drop).
-    pub fn mp_server(fabric: &Arc<Fabric>) -> MpServer<u64> {
-        MpServer::spawn(fabric.register_any().unwrap(), 0u64, COUNTER)
-    }
-
-    /// SHM-SERVER counter for up to `clients` clients.
-    pub fn shm_server(clients: usize) -> ShmServer<u64> {
-        ShmServer::spawn(clients, 0u64, COUNTER)
-    }
-
-    /// HYBCOMB counter for up to `threads` threads.
-    pub fn hybcomb(threads: usize, max_ops: u64) -> HybComb<u64, CounterFn> {
-        HybComb::new(threads, max_ops, 0u64, COUNTER)
-    }
-
-    /// CC-SYNCH counter for up to `threads` threads.
-    pub fn cc_synch(threads: usize, max_ops: u64) -> CcSynch<u64, CounterFn> {
-        CcSynch::new(threads, max_ops, 0u64, COUNTER)
     }
 }

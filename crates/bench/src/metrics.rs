@@ -1,17 +1,24 @@
 //! The native telemetry phase behind `repro --metrics` / `--metrics-json` /
-//! `--trace` and the `runtime_native` latency tables: short instrumented
-//! counter workloads driven through the real (emulated-UDN) executors, one
-//! phase per construction, with the process-wide telemetry state reset
-//! between phases so each report describes exactly one construction.
+//! `--trace`: short instrumented counter workloads driven through the real
+//! (emulated-UDN) executors, one phase per construction, with the
+//! process-wide telemetry state reset between phases so each report
+//! describes exactly one construction.
 //!
 //! With the `telemetry` feature off every phase comes back empty
 //! ([`TelemetryReport::is_empty`]) and the callers degrade to a notice —
 //! the recording paths compile to no-ops, which is the point.
 
+use std::sync::Arc;
+
+use mpsync_core::{ApplyOp, CcSynch, HybComb, MpServer};
+use mpsync_objects::seq::counter_dispatch;
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{trace, SpanEvent, TelemetryReport};
+use mpsync_udn::{Fabric, FabricConfig};
 
-use crate::{fabric_for, hammer_native, native_counter};
+type CounterFn = fn(&mut u64, u64, u64) -> u64;
+
+const COUNTER: CounterFn = counter_dispatch;
 
 /// One executor phase: the construction driven, its captured histograms and
 /// counters, and the raw op-lifecycle spans drained from every thread.
@@ -44,8 +51,12 @@ pub fn run_native_metrics(threads: usize, ops: u64) -> Vec<MetricsPhase> {
     telemetry::reset();
     {
         let fabric = fabric_for(threads + 1);
-        let server = native_counter::mp_server(&fabric);
-        hammer_native(threads, ops, |_| {
+        let server = MpServer::spawn(
+            fabric.register_any().expect("fabric sized for the server"),
+            0u64,
+            COUNTER,
+        );
+        hammer_native(threads, ops, || {
             server.client(fabric.register_any().expect("fabric sized for clients"))
         });
         server.shutdown();
@@ -55,8 +66,8 @@ pub fn run_native_metrics(threads: usize, ops: u64) -> Vec<MetricsPhase> {
     telemetry::reset();
     {
         let fabric = fabric_for(threads);
-        let hc = native_counter::hybcomb(threads, 200);
-        hammer_native(threads, ops, |_| {
+        let hc = HybComb::new(threads, 200, 0u64, COUNTER);
+        hammer_native(threads, ops, || {
             hc.handle(fabric.register_any().expect("fabric sized for clients"))
         });
         phases.push(capture("hybcomb"));
@@ -64,13 +75,42 @@ pub fn run_native_metrics(threads: usize, ops: u64) -> Vec<MetricsPhase> {
 
     telemetry::reset();
     {
-        let cs = native_counter::cc_synch(threads, 200);
-        hammer_native(threads, ops, |_| cs.handle());
+        let cs = CcSynch::new(threads, 200, 0u64, COUNTER);
+        hammer_native(threads, ops, || cs.handle());
         phases.push(capture("cc-synch"));
     }
 
     telemetry::reset();
     phases
+}
+
+/// Runs `ops` fetch-and-increments on each of `threads` native threads, each
+/// owning a handle produced by `mk`.
+fn hammer_native<H, F>(threads: usize, ops: u64, mk: F)
+where
+    H: ApplyOp + Send + 'static,
+    F: Fn() -> H,
+{
+    let joins: Vec<_> = (0..threads)
+        .map(|_| {
+            let mut h = mk();
+            std::thread::spawn(move || {
+                for _ in 0..ops {
+                    h.apply(0, 0);
+                }
+            })
+        })
+        .collect();
+    for j in joins {
+        if let Err(payload) = j.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// A TILE-Gx-shaped UDN fabric sized for `n` endpoints.
+fn fabric_for(n: usize) -> Arc<Fabric> {
+    Arc::new(Fabric::new(FabricConfig::new(n.div_ceil(4).max(1))))
 }
 
 /// Renders the phases as one JSON object:

@@ -31,7 +31,8 @@
 //!   primary copy for every slot that still has a live backup.
 //!
 //! Any violation panics, which turns each seed into a test case — the
-//! adversarial suite in `tests/sim.rs` sweeps hundreds of them.
+//! adversarial suite in the root package's `tests/cluster_sim.rs` sweeps
+//! hundreds of them.
 
 use std::collections::{BTreeMap, BinaryHeap};
 

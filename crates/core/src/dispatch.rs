@@ -32,7 +32,8 @@ where
 /// indirect call the compiler cannot inline. The paper reports that
 /// replacing it with a unique opcode (a direct, inlinable dispatch) gives "a
 /// visible performance increase in most cases" while the results stay
-/// qualitatively the same; `repro abl-fptr` measures exactly that gap.
+/// qualitatively the same; `cargo bench -p mpsync-bench --bench
+/// dispatch_ablation` measures that gap on the host.
 pub struct OpTable<S> {
     table: Vec<fn(&mut S, u64) -> u64>,
 }

@@ -7,6 +7,7 @@
 //! MP-SERVER, the combiner and plain locks.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crossbeam_utils::CachePadded;
 use mpsync_telemetry::AtomicLog2Hist;
@@ -135,6 +136,12 @@ pub(crate) struct Control {
     queue_depth: usize,
     submit: SubmitPolicy,
     pub shards: Box<[ShardMetrics]>,
+    /// Per shard, the message of the dispatch panic that ended its serving,
+    /// set once by the serving thread that caught it
+    /// ([`ShardCore::serve`](crate::shard::ShardCore::serve)). Read before
+    /// every send to the shard's server and by every reply wait whose poll
+    /// comes up empty, so it has lines of its own that nothing writes.
+    poison: Box<[CachePadded<OnceLock<String>>]>,
     /// Per-shard versioned read caches, allocated only when the runtime's
     /// `read_fast` mask is non-empty.
     read: Option<Box<[CachePadded<ReadCache>]>>,
@@ -148,6 +155,7 @@ impl Control {
             queue_depth,
             submit,
             shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
+            poison: (0..shards).map(|_| CachePadded::default()).collect(),
             read: None,
         }
     }
@@ -273,6 +281,30 @@ impl Control {
             .client
             .inflight
             .fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Records that a dispatch on `shard`'s serving thread panicked with
+    /// `msg`: the shard's server reads its queue no more.
+    pub fn poison(&self, shard: usize, msg: String) {
+        let _ = self.poison[shard].set(msg);
+    }
+
+    /// `Some(msg)` once `shard` is poisoned (see [`Control::poison`]).
+    #[inline]
+    pub fn poisoned(&self, shard: usize) -> Option<&str> {
+        self.poison[shard].get().map(String::as_str)
+    }
+
+    /// Panics if `shard` is poisoned: before a send its server would never
+    /// read, and instead of a reply it would never send.
+    #[inline]
+    pub fn check_poison(&self, shard: usize) {
+        if let Some(msg) = self.poisoned(shard) {
+            panic!(
+                "shard {shard} poisoned: a dispatch panicked on its serving thread, \
+                 and its state may be torn: {msg}"
+            );
+        }
     }
 
     /// Records one service batch of `n` operations on `shard`.

@@ -826,7 +826,7 @@ impl Session {
         // The slot is released on unwind too: a backend switch waits for
         // every held slot.
         let slot = Slot(&self.control, shard);
-        let ret = Self::apply_on(&mut self.transport, shard, word, arg);
+        let ret = Self::apply_on(&self.control, &mut self.transport, shard, word, arg);
         drop(slot);
         if telemetry::ENABLED {
             // Submit = admission wait + transport + service + reply: the
@@ -865,9 +865,11 @@ impl Session {
         // The slot is released on unwind too: a backend switch waits for
         // every held slot.
         let slot = Slot(&self.control, shard);
+        let control = &*self.control;
         let ret = match &mut self.transport {
             Transport::Mp { endpoint, servers } => {
-                Self::wire_apply_with(endpoint, servers[shard], word, arg, &mut idle)
+                control.check_poison(shard);
+                Self::wire_apply_with(control, shard, endpoint, servers, word, arg, &mut idle)
             }
             Transport::Inline { handles } => handles[shard].apply(word, arg),
             Transport::Adaptive {
@@ -877,7 +879,9 @@ impl Session {
                 ..
             } => match handles[shard].try_apply_local(word, arg) {
                 Some(ret) => ret,
-                None => Self::wire_apply_with(endpoint, servers[shard], word, arg, &mut idle),
+                None => {
+                    Self::wire_apply_with(control, shard, endpoint, servers, word, arg, &mut idle)
+                }
             },
         };
         drop(slot);
@@ -983,6 +987,15 @@ impl Session {
                     continue;
                 }
             }
+            if !matches!(self.transport, Transport::Inline { .. })
+                && self.control.poisoned(shard).is_some()
+            {
+                // The shard's server reads no more requests: settle what is
+                // in flight (the collect panics if a reply is missing), then
+                // refuse before admitting, so no slot is left held.
+                self.collect(shard, ops, out, &mut flight, idle);
+                self.control.check_poison(shard);
+            }
             let admitted = match self.control.try_admit(shard) {
                 Ok(()) => Ok(()),
                 Err(NoSlot::Closed) => Err(RuntimeError::Closed),
@@ -995,16 +1008,20 @@ impl Session {
                 out[i] = Err(e);
                 continue;
             }
-            match self.start_on(shard, word, arg) {
+            // The slot is released on unwind too, as a submit's is.
+            let slot = Slot(&self.control, shard);
+            match Self::start_on(&mut self.transport, shard, word, arg) {
                 Some(ret) => {
                     out[i] = Ok(ret);
-                    self.control.complete(shard);
+                    drop(slot);
                     if telemetry::ENABLED {
                         telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, t0);
                         telemetry::count(Counter::RuntimeSubmits, 1);
                     }
                 }
                 None => {
+                    // Completed by the collect that takes its reply.
+                    std::mem::forget(slot);
                     if flight.count == 0 {
                         flight.head = i;
                         flight.t0 = t0;
@@ -1023,8 +1040,8 @@ impl Session {
     /// Starts `(word, arg)` on `shard` under an admitted slot: `Some` is the
     /// result of an inline execution, `None` means the request went to the
     /// shard's server and its reply is outstanding.
-    fn start_on(&mut self, shard: usize, word: u64, arg: u64) -> Option<u64> {
-        match &mut self.transport {
+    fn start_on(transport: &mut Transport, shard: usize, word: u64, arg: u64) -> Option<u64> {
+        match transport {
             Transport::Mp { endpoint, servers } => {
                 send_request(endpoint, servers[shard], word, arg);
                 None
@@ -1073,6 +1090,13 @@ impl Session {
             let want = flight.count.min(buf.len());
             let n = endpoint.try_receive(&mut buf[..want]);
             if n == 0 {
+                if orphaned(&self.control, shard, endpoint) {
+                    // No reply is coming for the rest: hand their slots
+                    // back, as a submit does on unwind.
+                    (0..flight.count).for_each(|_| self.control.complete(shard));
+                    flight.count = 0;
+                    self.control.check_poison(shard);
+                }
                 idle();
                 crate::control::spin_then_yield(&mut spins, crate::control::HANDOFF_SPINS);
                 continue;
@@ -1103,37 +1127,53 @@ impl Session {
         out.into_iter().collect()
     }
 
-    fn apply_on(transport: &mut Transport, shard: usize, word: u64, arg: u64) -> u64 {
-        match transport {
+    fn apply_on(
+        control: &Control,
+        transport: &mut Transport,
+        shard: usize,
+        word: u64,
+        arg: u64,
+    ) -> u64 {
+        let (endpoint, servers) = match transport {
             Transport::Mp { endpoint, servers } => {
-                send_request(endpoint, servers[shard], word, arg);
-                endpoint.receive1()
+                control.check_poison(shard);
+                (endpoint, servers)
             }
-            Transport::Inline { handles } => handles[shard].apply(word, arg),
+            Transport::Inline { handles } => return handles[shard].apply(word, arg),
             Transport::Adaptive {
                 endpoint,
                 servers,
                 handles,
                 ..
             } => match handles[shard].try_apply_local(word, arg) {
-                Some(ret) => ret,
-                None => {
-                    send_request(endpoint, servers[shard], word, arg);
-                    endpoint.receive1()
-                }
+                Some(ret) => return ret,
+                None => (endpoint, servers),
             },
+        };
+        send_request(endpoint, servers[shard], word, arg);
+        // The spin-then-yield of udn's blocking receive, which then finds
+        // the reply at once.
+        let mut spins = 0u32;
+        while endpoint.is_queue_empty() {
+            if orphaned(control, shard, endpoint) {
+                control.check_poison(shard);
+            }
+            crate::control::spin_then_yield(&mut spins, 64);
         }
+        endpoint.receive1()
     }
 
     /// Wire round-trip with an idle hook on the receive wait.
     fn wire_apply_with(
+        control: &Control,
+        shard: usize,
         endpoint: &mut Endpoint,
-        server: EndpointId,
+        servers: &[EndpointId],
         word: u64,
         arg: u64,
         idle: &mut impl FnMut(),
     ) -> u64 {
-        send_request(endpoint, server, word, arg);
+        send_request(endpoint, servers[shard], word, arg);
         // Responses are a single word, so a successful try_receive is
         // always complete.
         let mut buf = [0u64; 1];
@@ -1141,6 +1181,9 @@ impl Session {
         loop {
             if endpoint.try_receive(&mut buf) == 1 {
                 break buf[0];
+            }
+            if orphaned(control, shard, endpoint) {
+                control.check_poison(shard);
             }
             idle();
             crate::control::spin(&mut spins);
@@ -1191,6 +1234,15 @@ impl Drop for Slot<'_> {
     fn drop(&mut self) {
         self.0.complete(self.1);
     }
+}
+
+/// Whether a reply wait on `shard` whose poll found `endpoint`'s queue empty
+/// waits for nothing: the shard is poisoned, and no reply its server sent
+/// before is still queued (a reply is published before the poison, so a
+/// queue empty after the poison is seen stays empty).
+#[inline]
+fn orphaned(control: &Control, shard: usize, endpoint: &Endpoint) -> bool {
+    control.poisoned(shard).is_some() && endpoint.is_queue_empty()
 }
 
 /// Sends one request to a shard server, addressed for a one-word reply.

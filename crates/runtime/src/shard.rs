@@ -40,7 +40,11 @@
 //! nothing, and the control plane sets the flag only after every admitted
 //! operation has been answered — exactly-once shutdown needs no sentinel
 //! message racing with it.
+//!
+//! A dispatch that panics on a serving thread poisons its shard
+//! ([`ShardCore::serve`]) and leaves the thread serving its other shards.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,6 +108,9 @@ pub(crate) struct ShardCore<S, D> {
     /// Cached next timer deadline ([`timer::mono_ns`] ns). Maintained by
     /// every ticker run; `None` = no timer armed.
     next_timer: Option<u64>,
+    /// Set once a [`serve`](Self::serve) unwound: the core is not ticked
+    /// again, and its state is not handed out.
+    poisoned: bool,
 }
 
 impl<S, D: Dispatcher<S>> ShardCore<S, D> {
@@ -131,6 +138,7 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
             passed: Vec::new(),
             ticker: None,
             next_timer: None,
+            poisoned: false,
         }
     }
 
@@ -164,6 +172,24 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
         // cached deadline (and expire anything that came due mid-batch).
         self.refresh_timers();
         served
+    }
+
+    /// [`tick`](Self::tick) for a serving thread, which must outlive a
+    /// panicking dispatch: the unwind poisons the shard, so its sessions
+    /// panic with the dispatch's message instead of waiting for a reply that
+    /// will never come, and the core is never ticked again.
+    fn serve(&mut self) -> u64 {
+        if self.poisoned {
+            return 0;
+        }
+        panic::catch_unwind(AssertUnwindSafe(|| self.tick())).unwrap_or_else(|payload| {
+            self.poisoned = true;
+            let msg = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            self.control.poison(self.shard, msg);
+            0
+        })
     }
 
     /// Runs the timer pass if its cached deadline has come due.
@@ -360,8 +386,9 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
     }
 
     /// Surrenders the shard state. The caller must first guarantee
-    /// quiescence (no request in flight).
+    /// quiescence (no request in flight). Panics if the shard is poisoned.
     pub fn into_state(self) -> S {
+        self.control.check_poison(self.shard);
         self.state
     }
 }
@@ -449,7 +476,7 @@ where
                         let mut spins = 0u32;
                         let mut nap = GATED_IDLE_MIN;
                         loop {
-                            let served: u64 = group.iter_mut().map(ShardCore::tick).sum();
+                            let served: u64 = group.iter_mut().map(ShardCore::serve).sum();
                             if served != 0 {
                                 spins = 0;
                                 continue;
@@ -461,7 +488,10 @@ where
                             if stop.load(Ordering::Acquire) {
                                 break;
                             }
-                            if group.iter().any(|core| active(&core.state)) {
+                            if group
+                                .iter()
+                                .any(|core| !core.poisoned && active(&core.state))
+                            {
                                 nap = GATED_IDLE_MIN;
                                 control::spin_then_yield(&mut spins, control::HANDOFF_SPINS);
                             } else {

@@ -76,8 +76,8 @@ impl RuntimeStats {
     /// repo carries no serde): histograms render as
     /// `{ "count": …, "p50": …, "p95": …, "p99": …, "max": …, "mean": … }`.
     ///
-    /// The schema is stable — `netbench` and `runtime_native` embed it in
-    /// their machine-readable reports, and a golden test pins it:
+    /// The schema is stable — `netbench` embeds it in its machine-readable
+    /// reports, and a golden test pins it:
     ///
     /// ```json
     /// {
@@ -240,7 +240,7 @@ mod tests {
     }
 
     /// Golden test: the JSON schema is a stable machine interface consumed
-    /// by `netbench` and `runtime_native`. If this fails, you changed the
+    /// by `netbench`. If this fails, you changed the
     /// schema — update every consumer (and this string) deliberately.
     #[test]
     fn json_schema_is_stable() {

@@ -392,6 +392,59 @@ fn lock_mode_poison_follows_the_adaptive_shard_into_every_mode() {
     }
 }
 
+/// A dispatch panic on a serving thread poisons its MP-SERVER shard instead
+/// of killing the thread: the session whose op panicked gets the dispatch's
+/// message instead of waiting forever for a reply, a later submit or batch
+/// to the shard panics before it sends, a session on the other shard is still
+/// served (by the same thread on a host with few CPUs, by its own on a
+/// bigger one), and shutdown refuses the poisoned state. Under a watchdog,
+/// so a wedge fails the test instead of hanging it.
+#[test]
+fn mp_dispatch_panic_poisons_the_shard_instead_of_wedging_it() {
+    use mpsync::runtime::Session;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    for (backend, shards) in [
+        (Backend::MpServer, 1),
+        (Backend::MpServer, 2),
+        (Backend::Adaptive, 2),
+    ] {
+        let what = format!("{backend:?} with {shards} shards");
+        let (a, b, other, shutdown) = watchdog("poisoned MP-SERVER shard", 10, move || {
+            let rt = keyed_runtime(small(backend, shards, 2));
+            if backend == Backend::Adaptive {
+                (0..shards).for_each(|s| assert!(rt.force_backend(s, Backend::MpServer)));
+            }
+            let submit = |s: &mut Session, key, op| {
+                catch_unwind(AssertUnwindSafe(|| s.submit(key, op, 1))).map_err(message)
+            };
+            let (mut a, mut b) = (rt.session().unwrap(), rt.session().unwrap());
+            let a_got = submit(&mut a, 0, 99);
+            let b_got = submit(&mut b, 0, keyed_counter_ops::ADD);
+            let batch = [(0, keyed_counter_ops::ADD, 1)];
+            let b_batch = catch_unwind(AssertUnwindSafe(|| b.apply_fanout(&batch)));
+            let other = (0..64)
+                .find(|&key| rt.shard_of(key) != rt.shard_of(0))
+                .map(|key| submit(&mut a, key, keyed_counter_ops::ADD));
+            drop((a, b));
+            let shutdown = catch_unwind(AssertUnwindSafe(|| drop(rt.shutdown())));
+            let b = [b_got.map(|_| ()), b_batch.map(|_| ()).map_err(message)];
+            (a_got, b, other, shutdown.map_err(message))
+        });
+        let msg = a.expect_err("the op that panicked has no result");
+        assert!(msg.contains("unknown opcode 99"), "{what}: {msg}");
+        for got in b {
+            let msg = got.expect_err("a poisoned shard must not serve B");
+            assert!(msg.contains("poisoned"), "{what}: {msg}");
+        }
+        if shards > 1 {
+            assert_eq!(other, Some(Ok(Ok(1))), "{what}: the other shard is served");
+        }
+        let msg = shutdown.expect_err("shutdown must refuse a poisoned shard");
+        assert!(msg.contains("poisoned"), "{what}: {msg}");
+    }
+}
+
 /// A panic payload's message.
 fn message(err: Box<dyn std::any::Any + Send>) -> String {
     err.downcast_ref::<String>()
