@@ -44,10 +44,10 @@
 //! `HostStats::handoffs` counts only real resumptions of proc bodies, so a
 //! spin adds one to it however many times it reads.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::future::{poll_fn, Future};
+use std::future::Future;
 use std::ops::{AsyncFnOnce, Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
@@ -123,9 +123,8 @@ impl DerefMut for Words {
 /// stores before every resume; `record` adds into the proc's metric row.
 /// Neither shortcut can reorder the simulation — a round trip for them
 /// would schedule a zero-latency event for the issuing proc, and such an
-/// event is always the very next one popped (the heap holds nothing
-/// smaller at that point), so no other proc could ever observe the
-/// difference.
+/// event is always the very next one taken (no pending event is smaller
+/// at that point), so no other proc could ever observe the difference.
 #[derive(Debug)]
 enum Request {
     Read(Addr),
@@ -154,6 +153,22 @@ enum Response {
     Spun(u64, Backoff),
 }
 
+impl Response {
+    fn value(self) -> u64 {
+        match self {
+            Response::Value(v) => v,
+            other => unreachable!("expected a value, got {other:?}"),
+        }
+    }
+
+    fn words(self) -> Words {
+        match self {
+            Response::Words(w) => w,
+            other => unreachable!("expected message words, got {other:?}"),
+        }
+    }
+}
+
 /// A proc inside [`Ctx::spin_until`]. The engine runs the spin itself and
 /// resumes the proc's body only with the value that ends it.
 #[derive(Debug, Clone, Copy)]
@@ -164,64 +179,68 @@ struct Spin {
 }
 
 /// The slot a proc shares with the engine. Only one of the two runs at any
-/// moment — the engine polls the proc on its own thread — so a `RefCell`
-/// is all the synchronization there is.
+/// moment — the engine polls the proc on its own thread — and every field
+/// is a `Cell` moved or copied whole, so nothing is ever borrowed.
+#[derive(Default)]
 struct Port {
     /// Posted by the proc's pending operation as it suspends; taken by the
     /// engine as soon as `poll` returns.
-    request: Option<Request>,
+    request: Cell<Option<Request>>,
     /// Stored by the engine when it schedules the proc's resume; taken by
     /// the pending operation on that resume.
-    response: Option<Response>,
+    response: Cell<Option<Response>>,
     /// Simulated time of the proc's latest resume.
-    clock: u64,
-    metrics: [u64; N_METRICS],
+    clock: Cell<u64>,
+    metrics: [Cell<u64>; N_METRICS],
 }
 
 /// Per-proc handle through which simulated code talks to the machine.
 ///
-/// All `async` methods advance simulated time; see [`MachineConfig`] for
-/// costs. Await nothing else inside a proc body: a proc that suspends
-/// without having posted an operation has nothing to be resumed for, and
-/// [`Engine::run`] panics.
+/// Every method that returns a future advances simulated time; see
+/// [`MachineConfig`] for costs. Await nothing else inside a proc body: a
+/// proc that suspends without having posted an operation has nothing to be
+/// resumed for, and [`Engine::run`] panics.
 pub struct Ctx {
     core: usize,
-    port: Rc<RefCell<Port>>,
+    port: Rc<Port>,
+}
+
+/// The future of one `Ctx` operation, written out so that an operation is
+/// one state machine: each `async fn` layer would add a state to dispatch on
+/// every poll. Its first poll posts the request and suspends; the second,
+/// when the engine resumes the proc, takes the response and maps it with
+/// `out`.
+struct Op<'a, F> {
+    port: &'a Port,
+    req: Option<Request>,
+    out: F,
+}
+
+impl<T, F: Fn(Response) -> T + Unpin> Future for Op<'_, F> {
+    type Output = T;
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<T> {
+        match self.req.take() {
+            Some(req) => {
+                self.port.request.set(Some(req));
+                Poll::Pending
+            }
+            None => {
+                let resp = self.port.response.take();
+                Poll::Ready((self.out)(resp.expect("proc resumed without a response")))
+            }
+        }
+    }
 }
 
 impl Ctx {
-    /// Posts `req`, suspends, and returns the engine's response once the
-    /// engine resumes this proc.
-    async fn transact(&mut self, req: Request) -> Response {
-        let mut req = Some(req);
-        poll_fn(|_| {
-            let mut port = self.port.borrow_mut();
-            match req.take() {
-                Some(req) => {
-                    port.request = Some(req);
-                    Poll::Pending
-                }
-                None => Poll::Ready(
-                    port.response
-                        .take()
-                        .expect("proc resumed without a response"),
-                ),
-            }
-        })
-        .await
-    }
-
-    async fn value(&mut self, req: Request) -> u64 {
-        match self.transact(req).await {
-            Response::Value(v) => v,
-            other => unreachable!("expected a value, got {other:?}"),
-        }
-    }
-
-    async fn words(&mut self, k: usize) -> Words {
-        match self.transact(Request::Recv(k)).await {
-            Response::Words(w) => w,
-            other => unreachable!("expected message words, got {other:?}"),
+    /// Posts `req`, suspends, and maps the engine's response with `out`
+    /// once the engine resumes this proc.
+    fn op<T, F: Fn(Response) -> T + Unpin>(&mut self, req: Request, out: F) -> Op<'_, F> {
+        Op {
+            port: &self.port,
+            req: Some(req),
+            out,
         }
     }
 
@@ -231,42 +250,41 @@ impl Ctx {
     }
 
     /// Reads a shared-memory word.
-    pub async fn read(&mut self, a: Addr) -> u64 {
-        self.value(Request::Read(a)).await
+    pub fn read(&mut self, a: Addr) -> impl Future<Output = u64> + '_ {
+        self.op(Request::Read(a), Response::value)
     }
 
     /// Writes a shared-memory word.
-    pub async fn write(&mut self, a: Addr, v: u64) {
-        self.transact(Request::Write(a, v)).await;
+    pub fn write(&mut self, a: Addr, v: u64) -> impl Future<Output = ()> + '_ {
+        self.op(Request::Write(a, v), drop)
     }
 
     /// Fetch-and-add; returns the previous value.
-    pub async fn faa(&mut self, a: Addr, delta: u64) -> u64 {
-        self.value(Request::Faa(a, delta)).await
+    pub fn faa(&mut self, a: Addr, delta: u64) -> impl Future<Output = u64> + '_ {
+        self.op(Request::Faa(a, delta), Response::value)
     }
 
     /// Compare-and-set; returns whether the swap happened (the boolean
     /// variant, as in the paper's model).
-    pub async fn cas(&mut self, a: Addr, old: u64, new: u64) -> bool {
-        self.value(Request::Cas(a, old, new)).await != 0
+    pub fn cas(&mut self, a: Addr, old: u64, new: u64) -> impl Future<Output = bool> + '_ {
+        self.op(Request::Cas(a, old, new), |r| r.value() != 0)
     }
 
     /// Atomic exchange; returns the previous value.
-    pub async fn swap(&mut self, a: Addr, v: u64) -> u64 {
-        self.value(Request::Swap(a, v)).await
+    pub fn swap(&mut self, a: Addr, v: u64) -> impl Future<Output = u64> + '_ {
+        self.op(Request::Swap(a, v), Response::value)
     }
 
     /// Sends `words` as one message to `dest`'s hardware queue
     /// (asynchronous; blocks only on back-pressure).
-    pub async fn send(&mut self, dest: usize, words: &[u64]) {
-        self.transact(Request::Send(dest, Words::copy_of(words)))
-            .await;
+    pub fn send(&mut self, dest: usize, words: &[u64]) -> impl Future<Output = ()> + '_ {
+        self.op(Request::Send(dest, Words::copy_of(words)), drop)
     }
 
     /// Receives exactly `k` words from the local queue, blocking as needed.
     /// [`Machine::receive`] is the allocation-free form.
     pub async fn receive(&mut self, k: usize) -> Vec<u64> {
-        match self.words(k).await {
+        match self.op(Request::Recv(k), Response::words).await {
             Words::Heap(v) => v,
             inline => inline.to_vec(),
         }
@@ -276,8 +294,8 @@ impl Ctx {
     /// the faithful hardware probe. A combiner's drain asks
     /// [`Machine::has_pending_traffic`] instead, which also counts words
     /// still on the wire.
-    pub async fn is_queue_empty(&mut self) -> bool {
-        self.value(Request::QueueEmpty).await != 0
+    pub fn is_queue_empty(&mut self) -> impl Future<Output = bool> + '_ {
+        self.op(Request::QueueEmpty, |r| r.value() != 0)
     }
 
     /// Spins until the word at `a` satisfies `until`, and returns that
@@ -307,7 +325,7 @@ impl Ctx {
             until,
             backoff: *backoff,
         };
-        match self.transact(Request::Spin(spin)).await {
+        match self.op(Request::Spin(spin), |r| r).await {
             Response::Spun(v, b) => {
                 *backoff = b;
                 v
@@ -319,7 +337,7 @@ impl Ctx {
     /// Burns `cycles` of local computation.
     pub async fn work(&mut self, cycles: u64) {
         if cycles > 0 {
-            self.transact(Request::Work(cycles)).await;
+            self.op(Request::Work(cycles), drop).await;
         }
     }
 
@@ -327,12 +345,13 @@ impl Ctx {
     pub fn now(&mut self) -> u64 {
         // This proc's virtual time cannot advance between a resume and its
         // next request.
-        self.port.borrow().clock
+        self.port.clock.get()
     }
 
     /// Adds `v` to this proc's `metric` accumulator (free).
     pub fn record(&mut self, metric: Metric, v: u64) {
-        self.port.borrow_mut().metrics[metric as usize] += v;
+        let m = &self.port.metrics[metric as usize];
+        m.set(m.get() + v);
     }
 }
 
@@ -373,13 +392,15 @@ impl Machine for Ctx {
         Ctx::send(self, dest as usize, msg)
     }
 
-    async fn receive<const K: usize>(&mut self) -> [u64; K] {
-        let w = self.words(K).await;
-        std::array::from_fn(|i| w[i])
+    fn receive<const K: usize>(&mut self) -> impl Future<Output = [u64; K]> {
+        self.op(Request::Recv(K), |r| {
+            let w = r.words();
+            std::array::from_fn(|i| w[i])
+        })
     }
 
-    async fn has_pending_traffic(&mut self) -> bool {
-        self.value(Request::PendingTraffic).await != 0
+    fn has_pending_traffic(&mut self) -> impl Future<Output = bool> {
+        self.op(Request::PendingTraffic, |r| r.value() != 0)
     }
 
     fn spin_until(
@@ -400,7 +421,7 @@ impl Machine for Ctx {
 #[derive(Debug)]
 #[allow(dead_code)] // `dest` is carried for Debug diagnostics only
 enum ProcState {
-    /// Scheduled in the event heap; its response waits in the port.
+    /// Scheduled as an event; its response waits in the port.
     Runnable,
     /// Blocked on `receive(k)` since the given cycle.
     WaitRecv {
@@ -413,7 +434,7 @@ enum ProcState {
         words: Words,
         since: u64,
     },
-    /// In a spin whose next read is the proc's event in the heap.
+    /// In a spin whose next read is the proc's event.
     SpinRead(Spin),
     /// In a spin, asleep on its line until a write invalidates it; its
     /// last read completed at `phase`, where its next backoff phase starts.
@@ -426,7 +447,7 @@ enum ProcState {
 
 struct ProcSlot {
     state: ProcState,
-    port: Rc<RefCell<Port>>,
+    port: Rc<Port>,
     stats: CoreStats,
 }
 
@@ -437,6 +458,20 @@ struct SimQueue {
     blocked_senders: VecDeque<usize>,
 }
 
+/// An event's key: `proc`'s resume at cycle `at`. Keys order as
+/// `(at, proc)`, so ties go to the lower core, and a `u128` holds every
+/// cycle the engine schedules.
+#[inline]
+fn key(at: u64, proc: usize) -> u128 {
+    (u128::from(at) << 64) | proc as u128
+}
+
+/// The `(at, proc)` of a [`key`].
+#[inline]
+fn split(key: u128) -> (u64, usize) {
+    ((key >> 64) as u64, key as u64 as usize)
+}
+
 /// The simulator: owns the machine state and the procs.
 pub struct Engine {
     cfg: MachineConfig,
@@ -445,7 +480,13 @@ pub struct Engine {
     /// The procs' bodies, indexed like `procs`.
     bodies: Vec<Pin<Box<dyn Future<Output = ()>>>>,
     queues: Vec<SimQueue>,
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Every pending event but `held`, by [`key`].
+    heap: BinaryHeap<Reverse<u128>>,
+    /// The proc being serviced: its next event goes to `held`.
+    serving: usize,
+    /// The serving proc's next event, not yet in the heap. The next turn of
+    /// [`Engine::run`] takes it, or swaps it into the heap's top.
+    held: Option<u128>,
     clock: u64,
     /// The horizon of the current [`Engine::run`].
     horizon: u64,
@@ -457,10 +498,12 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine for the given machine.
     pub fn new(cfg: MachineConfig) -> Self {
+        // Both queues start at their full size: a core whose queue first
+        // fills late in a run (a new HYBCOMB combiner) would allocate then.
         let queues = (0..cfg.cores())
             .map(|_| SimQueue {
-                words: VecDeque::new(),
-                blocked_senders: VecDeque::new(),
+                words: VecDeque::with_capacity(cfg.queue_capacity),
+                blocked_senders: VecDeque::with_capacity(cfg.cores()),
             })
             .collect();
         Self {
@@ -470,6 +513,8 @@ impl Engine {
             bodies: Vec::new(),
             queues,
             heap: BinaryHeap::new(),
+            serving: usize::MAX,
+            held: None,
             clock: 0,
             horizon: 0,
             asleep: 0,
@@ -508,12 +553,7 @@ impl Engine {
             "machine has {} cores",
             self.cfg.cores()
         );
-        let port = Rc::new(RefCell::new(Port {
-            request: None,
-            response: None,
-            clock: 0,
-            metrics: [0; N_METRICS],
-        }));
+        let port = Rc::new(Port::default());
         let mut ctx = Ctx {
             core,
             port: Rc::clone(&port),
@@ -524,14 +564,36 @@ impl Engine {
             stats: CoreStats::default(),
         });
         self.bodies.push(Box::pin(async move { f(&mut ctx).await }));
-        self.heap.push(Reverse((0, core)));
+        self.heap.push(Reverse(key(0, core)));
         core
     }
 
+    /// Makes `proc`'s next event due at `at`.
+    fn push(&mut self, at: u64, proc: usize) {
+        if proc == self.serving {
+            debug_assert!(self.held.is_none(), "proc {proc} has two events");
+            self.held = Some(key(at, proc));
+        } else {
+            self.heap.push(Reverse(key(at, proc)));
+        }
+    }
+
+    /// The earliest pending event, `held` included.
+    fn next_event(&mut self) -> Option<u128> {
+        let Some(held) = self.held.take() else {
+            return self.heap.pop().map(|Reverse(k)| k);
+        };
+        match self.heap.peek_mut() {
+            // One sift-down instead of a push and a pop.
+            Some(mut top) if top.0 < held => Some(std::mem::replace(&mut top.0, held)),
+            _ => Some(held),
+        }
+    }
+
     fn schedule(&mut self, proc: usize, at: u64, resp: Response) {
-        self.procs[proc].port.borrow_mut().response = Some(resp);
+        self.procs[proc].port.response.set(Some(resp));
         self.procs[proc].state = ProcState::Runnable;
-        self.heap.push(Reverse((at, proc)));
+        self.push(at, proc);
     }
 
     /// Charges a memory access to a core: `l1_hit` is useful work, the rest
@@ -792,7 +854,7 @@ impl Engine {
         slot.stats.busy += busy;
         slot.stats.mem_ops += reads;
         slot.state = ProcState::SpinRead(Spin { backoff, ..spin });
-        self.heap.push(Reverse((due, proc)));
+        self.push(due, proc);
     }
 
     /// Runs every sleeper on to the horizon: nothing can wake it before.
@@ -810,7 +872,7 @@ impl Engine {
     /// port and the body runs on to its next operation (or its end).
     fn resume(&mut self, proc: usize, cx: &mut Context<'_>) -> Poll<()> {
         self.host.handoffs += 1;
-        self.procs[proc].port.borrow_mut().clock = self.clock;
+        self.procs[proc].port.clock.set(self.clock);
         let body = &mut self.bodies[proc];
         match panic::catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(cx))) {
             Ok(poll) => poll,
@@ -847,8 +909,8 @@ impl Engine {
         let mut live = self.procs.len();
         self.horizon = horizon;
         while live > 0 {
-            let Some(Reverse((t, proc))) = self.heap.pop() else {
-                // An empty heap is quiescence: every remaining proc is
+            let Some(event) = self.next_event() else {
+                // No pending event is quiescence: every remaining proc is
                 // blocked and no event is left that could ever wake one —
                 // unless some are asleep in a spin, which then spin on to
                 // the horizon.
@@ -858,15 +920,17 @@ impl Engine {
                 self.wake_all_at_horizon();
                 continue;
             };
+            let (t, proc) = split(event);
             self.clock = self.clock.max(t);
             if self.clock >= horizon {
                 // The run ends at the latest resume already scheduled,
                 // counting each sleeper's first phase at the horizon.
                 self.wake_all_at_horizon();
-                let scheduled = self.heap.iter().map(|&Reverse((t, _))| t);
-                self.clock = scheduled.fold(self.clock, u64::max);
+                let scheduled = self.heap.iter().map(|e| e.0).chain(self.held);
+                self.clock = scheduled.fold(self.clock, |c, k| c.max(split(k).0));
                 break;
             }
+            self.serving = proc;
             if let ProcState::SpinRead(spin) = self.procs[proc].state {
                 self.spin_read(proc, spin);
                 continue;
@@ -877,7 +941,7 @@ impl Engine {
                     live -= 1;
                 }
                 Poll::Pending => {
-                    let Some(req) = self.procs[proc].port.borrow_mut().request.take() else {
+                    let Some(req) = self.procs[proc].port.request.take() else {
                         panic!("proc {proc} awaited something that is not a Ctx operation");
                     };
                     self.service(proc, req);
@@ -900,7 +964,11 @@ impl Engine {
                 s
             })
             .collect();
-        let metrics = self.procs.iter().map(|p| p.port.borrow().metrics).collect();
+        let metrics = self
+            .procs
+            .iter()
+            .map(|p| p.port.metrics.each_ref().map(Cell::get))
+            .collect();
         SimResult {
             cfg: self.cfg,
             cycles: self.clock.min(horizon).max(1),

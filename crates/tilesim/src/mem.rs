@@ -9,9 +9,12 @@
 //! references (RMRs) hop-proportional latencies; atomic read-modify-write
 //! operations bypass the caches and execute serialized at one of the memory
 //! controllers, as on the TILE-Gx.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//!
+//! Memory is a flat table of lines indexed by line number, each holding its
+//! words beside its directory entry, so an access costs one index. The table
+//! grows on first touch up to [`MAX_LINES`]. A line's sharers and sleepers
+//! are one bit per core in a `u64`, so a machine has at most 64 cores
+//! (ROADMAP item 2 is the wider mesh).
 
 use crate::config::MachineConfig;
 
@@ -23,36 +26,10 @@ pub fn line_of(addr: Addr) -> u64 {
     addr / WORDS_PER_LINE
 }
 
-/// Multiply-mix hasher for the `u64` keys of the two hot maps below. Both
-/// map lookups sit on the per-access critical path of every simulated memory
-/// operation; the default SipHash dominates their cost while word addresses
-/// need no DoS resistance.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        // Fibonacci multiply then fold the high bits down: HashMap derives
-        // both the bucket index (low bits) and control byte (high bits) from
-        // this, so both halves must be mixed.
-        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
+/// Lines the memory can hold. [`AddrAlloc`](crate::algos::AddrAlloc) hands
+/// out dense lines from 0, so a line past this bound is a wild address: an
+/// access, `peek` or `poke` there panics instead of growing the table.
+pub const MAX_LINES: u64 = 1 << 20;
 
 /// Coherence state of one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,11 +42,13 @@ enum LineState {
     Modified,
 }
 
+/// One cache line: its words and its directory entry.
 #[derive(Debug, Clone)]
 struct Line {
+    values: [u64; WORDS_PER_LINE as usize],
     state: LineState,
     owner: usize,
-    /// Bitmask of sharer cores (the simulator supports up to 64 cores).
+    /// Bitmask of sharer cores.
     sharers: u64,
     /// Bitmask of the cores asleep in a spin on this line (see
     /// [`Memory::sleep`]); always a subset of `sharers`.
@@ -77,14 +56,29 @@ struct Line {
 }
 
 impl Line {
-    fn new() -> Self {
-        Self {
-            state: LineState::Invalid,
-            owner: 0,
-            sharers: 0,
-            sleepers: 0,
-        }
-    }
+    const EMPTY: Line = Line {
+        values: [0; WORDS_PER_LINE as usize],
+        state: LineState::Invalid,
+        owner: 0,
+        sharers: 0,
+        sleepers: 0,
+    };
+}
+
+/// The index of `addr`'s word within its line.
+#[inline]
+fn word_of(addr: Addr) -> usize {
+    (addr % WORDS_PER_LINE) as usize
+}
+
+/// Panics unless line `l` is below [`MAX_LINES`].
+fn check_line(l: u64) -> usize {
+    assert!(
+        l < MAX_LINES,
+        "line {l} is past the simulated memory's {MAX_LINES} lines: \
+         allocate addresses with AddrAlloc, which hands out dense lines from 0"
+    );
+    l as usize
 }
 
 /// Outcome of a memory access: its latency, whether it was an RMR, and
@@ -103,8 +97,8 @@ pub struct Access {
 /// The memory system shared by all simulated cores.
 pub struct Memory {
     cfg: MachineConfig,
-    values: WordMap<u64>,
-    lines: WordMap<Line>,
+    /// Every line touched so far and every line below it, by line number.
+    lines: Vec<Line>,
     /// Each controller is busy until the given cycle (serialization point
     /// for atomics).
     ctrl_busy_until: Vec<u64>,
@@ -122,13 +116,18 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Creates zeroed memory for the given machine.
+    /// Creates zeroed memory for the given machine, which has at most 64
+    /// cores (the module doc says why); panics otherwise.
     pub fn new(cfg: MachineConfig) -> Self {
         let cores = cfg.cores();
+        assert!(
+            cores <= 64,
+            "a {cores}-core machine: the coherence bitmasks `sharers` and `sleepers` \
+             are u64, so tilesim has at most 64 cores (ROADMAP item 2)"
+        );
         Self {
             cfg,
-            values: WordMap::default(),
-            lines: WordMap::default(),
+            lines: Vec::new(),
             ctrl_busy_until: vec![0; cfg.controllers],
             ctrl_last_line: vec![None; cfg.controllers],
             home_busy_until: vec![0; cores],
@@ -147,8 +146,18 @@ impl Memory {
         (l % self.cfg.controllers as u64) as usize
     }
 
+    /// Line `l`, growing the table to it on first touch.
+    #[inline]
     fn line_mut(&mut self, l: u64) -> &mut Line {
-        self.lines.entry(l).or_insert_with(Line::new)
+        if l >= self.lines.len() as u64 {
+            self.grow(l);
+        }
+        &mut self.lines[l as usize]
+    }
+
+    #[cold]
+    fn grow(&mut self, l: u64) {
+        self.lines.resize(check_line(l) + 1, Line::EMPTY);
     }
 
     /// Reserves the home directory of line `l` for one transaction starting
@@ -168,10 +177,10 @@ impl Memory {
         let cfg = self.cfg;
         let l = line_of(addr);
         let home = self.home(l);
-        let value = *self.values.entry(addr).or_insert(0);
         let bit = 1u64 << core;
 
         let line = self.line_mut(l);
+        let value = line.values[word_of(addr)];
         let hit = match line.state {
             LineState::Modified => line.owner == core,
             LineState::Shared => line.sharers & bit != 0,
@@ -190,7 +199,6 @@ impl Memory {
 
         let travel = cfg.hop * cfg.hops(core, home);
         let mut service = cfg.dir_occupancy;
-        let line = self.lines.get_mut(&l).expect("line exists");
         match line.state {
             LineState::Modified => {
                 // Fetch from the current owner and downgrade to Shared.
@@ -226,10 +234,10 @@ impl Memory {
         let cfg = self.cfg;
         let l = line_of(addr);
         let home = self.home(l);
-        self.values.insert(addr, v);
         let bit = 1u64 << core;
 
         let line = self.line_mut(l);
+        line.values[word_of(addr)] = v;
         if line.state == LineState::Modified && line.owner == core {
             // No other core holds a copy, so none can be asleep on it.
             return Access {
@@ -285,12 +293,15 @@ impl Memory {
         // Invalidate every cached copy: after the operation, memory holds
         // the only current version.
         let home = self.home(l);
-        let (had_copies, woken) = {
+        let (old, had_copies, woken) = {
             let line = self.line_mut(l);
+            let word = &mut line.values[word_of(addr)];
+            let old = *word;
+            *word = f(old);
             let had = line.state != LineState::Invalid;
             line.state = LineState::Invalid;
             line.sharers = 0;
-            (had, std::mem::take(&mut line.sleepers))
+            (old, had, std::mem::take(&mut line.sleepers))
         };
         if had_copies {
             // The invalidation is a directory transaction at the home tile.
@@ -310,9 +321,6 @@ impl Memory {
         let finish = start + occupancy;
         self.ctrl_busy_until[ctrl] = finish;
         self.ctrl_last_line[ctrl] = Some(l);
-
-        let old = *self.values.entry(addr).or_insert(0);
-        self.values.insert(addr, f(old));
 
         let mut latency = finish.max(arrival + cfg.ctrl_op) + dist - now;
         if had_copies {
@@ -346,13 +354,15 @@ impl Memory {
     /// Reads a value without touching coherence state or charging cycles
     /// (for assertions and end-of-run inspection).
     pub fn peek(&self, addr: Addr) -> u64 {
-        self.values.get(&addr).copied().unwrap_or(0)
+        self.lines
+            .get(check_line(line_of(addr)))
+            .map_or(0, |line| line.values[word_of(addr)])
     }
 
     /// Writes a value without coherence effects or cycle charges — for
     /// initializing protocol state before the simulation starts.
     pub fn poke(&mut self, addr: Addr, v: u64) {
-        self.values.insert(addr, v);
+        self.line_mut(line_of(addr)).values[word_of(addr)] = v;
     }
 
     /// Total RMRs charged to a core so far.
@@ -366,9 +376,9 @@ impl Memory {
     }
 
     /// Verifies the single-writer/multiple-readers invariant for every
-    /// tracked line (used by tests).
+    /// tracked line, in line order (used by tests).
     pub fn check_swmr(&self) -> Result<(), String> {
-        for (l, line) in &self.lines {
+        for (l, line) in self.lines.iter().enumerate() {
             match line.state {
                 LineState::Modified => {
                     if line.sharers.count_ones() > 1 {

@@ -1,0 +1,73 @@
+//! The simulator's engine allocates nothing per event: once a run is set up
+//! and warm, simulating twice as long makes no more allocations. Its own
+//! test binary, because the counting allocator below is global.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tilesim::algos::Approach;
+use tilesim::workload::{max_threads, run_counter};
+use tilesim::MachineConfig;
+
+/// The system allocator, counting the allocations each thread makes.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made on this thread by one `run_counter` of `a` at the
+/// benchmark's shape (maximum threads, combining bound 200, seed 1).
+fn allocs(a: Approach, horizon: u64) -> u64 {
+    let cfg = MachineConfig::tile_gx8036();
+    let threads = max_threads(&cfg, a);
+    let before = ALLOCS.with(Cell::get);
+    let r = run_counter(cfg, a, threads, 200, horizon, 1);
+    let after = ALLOCS.with(Cell::get);
+    drop(r);
+    after - before
+}
+
+#[test]
+fn a_longer_run_allocates_no_more() {
+    for a in Approach::ALL {
+        let short = allocs(a, 20_000);
+        let long = allocs(a, 40_000);
+        assert_eq!(
+            short,
+            long,
+            "{}: {short} allocations, then {long}",
+            a.label()
+        );
+    }
+}
