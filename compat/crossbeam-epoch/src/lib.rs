@@ -11,8 +11,8 @@
 //! an unlinked node stays allocated as long as any guard that could have
 //! observed it is alive — with a Mutex-protected registry instead of
 //! lock-free epochs. Throughput is far below upstream's, which is acceptable
-//! for the test/bench workloads in this repository; the *algorithms under
-//! test* (Treiber, LCRQ) still execute their own lock-free protocols
+//! for the test workloads in this repository; the algorithm under test
+//! (LCRQ, its only user) still executes its own lock-free protocol
 //! unchanged.
 
 #![warn(missing_docs)]

@@ -67,6 +67,7 @@ pub mod locks;
 pub mod machine;
 pub mod mp_server;
 mod shm_server;
+pub mod stack;
 mod state;
 pub(crate) mod sync;
 pub mod wire;

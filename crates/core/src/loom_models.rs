@@ -19,6 +19,7 @@ use std::sync::Arc;
 use mpsync_udn::{Fabric, FabricConfig};
 
 use crate::locks::{McsLock, TasLock};
+use crate::stack::TreiberStack;
 use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs, MpServer, ShmServer};
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
@@ -455,5 +456,77 @@ fn mcs_lock_cs_panic_poisons_waiters() {
         let cs = Arc::try_unwrap(cs).unwrap_or_else(|_| panic!("handles alive"));
         let err = catch_unwind(AssertUnwindSafe(|| cs.into_state())).unwrap_err();
         assert_expected_panic(err.as_ref(), "LOCK poisoned");
+    });
+}
+
+/// The Treiber stack, two threads each pushing one value and then popping
+/// one: neither pop can find the stack empty (its own push came first and
+/// at most one other value was taken), and every pushed value is popped
+/// exactly once. The second thread's handle retires its cached node to the
+/// free list as it ends, racing the first thread's operations.
+#[test]
+fn treiber_push_pop_pairs_pop_each_value_once() {
+    loom::model(|| {
+        let s = Arc::new(TreiberStack::new(4));
+        let mut a = s.handle();
+        let t = {
+            let mut b = s.handle();
+            loom::thread::spawn(move || {
+                b.push(2);
+                b.pop()
+            })
+        };
+        a.push(1);
+        let ra = a
+            .pop()
+            .expect("a pop after its own push found the stack empty");
+        let rb = t
+            .join()
+            .unwrap()
+            .expect("a pop after its own push found the stack empty");
+        let mut seen = [ra, rb];
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 2]);
+        assert_eq!(a.pop(), None);
+    });
+}
+
+/// The Treiber stack's ABA shape: with nodes `i` over `j` on the stack, one
+/// thread pops while the other pops `i` and `j` and pushes a value in `i`
+/// again (its cached node; `j` went to the free list). The first thread
+/// may hold the stale `next` = `j` across all three; only the tag makes its
+/// CAS fail. Every value is popped exactly once, and a pop finds the stack
+/// empty only between the second thread's last pop and its push.
+///
+/// Negative control: without the tag bump in `stack::retop`, the stale CAS
+/// installs the freed `j` and the drain pops 1 twice.
+#[test]
+fn treiber_aba_needs_the_tag() {
+    loom::model(|| {
+        let s = Arc::new(TreiberStack::new(4));
+        let mut b = s.handle();
+        b.push(1);
+        b.push(2);
+        let t = {
+            let mut a = s.handle();
+            loom::thread::spawn(move || a.pop())
+        };
+        let first = b.pop();
+        let second = b.pop();
+        b.push(3);
+        let ra = t.join().unwrap();
+        if ra.is_none() {
+            assert_eq!(
+                (first, second),
+                (Some(2), Some(1)),
+                "an empty pop of a non-empty stack"
+            );
+        }
+        let mut seen: Vec<u64> = [ra, first, second].into_iter().flatten().collect();
+        while let Some(v) = b.pop() {
+            seen.push(v);
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 2, 3]);
     });
 }

@@ -1,13 +1,13 @@
 //! One construction, two machines (DESIGN.md §2): MP-SERVER, HYBCOMB,
-//! SHM-SERVER and CC-SYNCH are written once against [`Machine`]. The crate's
-//! native types run that code on the host, and `tilesim::Ctx` implements the
-//! trait, so the simulator's figures come from the code the loom, miri and
-//! tsan lanes check. A machine is a word-addressed memory, [`WORDS_PER_LINE`]
-//! words to a cache line, a local message queue, and the critical-section
-//! call; orderings are for the host (the simulator's memory is sequentially
-//! consistent). Poison lives inside the native machine; statistics,
-//! telemetry and a server's stop check are a [`Probe`]'s, which never
-//! touches the memory.
+//! SHM-SERVER, CC-SYNCH and Figure 5b's two stacks are written once against
+//! [`Machine`]. The crate's native types run that code on the host, and
+//! `tilesim::Ctx` implements the trait, so the simulator's figures come
+//! from the code the loom, miri and tsan lanes check. A machine is a
+//! word-addressed memory, [`WORDS_PER_LINE`] words to a cache line, a local
+//! message queue, and the critical-section call; orderings are for the host
+//! (the simulator's memory is sequentially consistent). Poison lives inside
+//! the native machine; statistics, telemetry and a server's stop check are
+//! a [`Probe`]'s, which never touches the memory.
 
 use std::future::{ready, Future};
 use std::marker::PhantomData;
@@ -184,7 +184,14 @@ pub trait Probe<M> {
     fn scanned(&mut self, _m: &mut M, _served: bool) -> ControlFlow<()> {
         ControlFlow::Continue(())
     }
+
+    /// A nonblocking object's CAS on a top word ran; `won` says whether it
+    /// replaced the word.
+    fn cas_attempt(&mut self, _m: &mut M, _won: bool) {}
 }
+
+/// The probe that reports nothing.
+impl<M> Probe<M> for () {}
 
 type Line = CachePadded<[AtomicU64; WORDS_PER_LINE as usize]>;
 

@@ -8,8 +8,12 @@
 //!   HYBCOMB, SHM-SERVER, CC-SYNCH, or a lock). These are the paper's
 //!   "coarse-lock" queue/stack and single-/two-lock MS queues.
 //! * **Nonblocking comparators** — LCRQ (Morrison & Afek, with the paper's
-//!   TILE-Gx adaptations) and the Treiber stack, both with epoch-based
-//!   reclamation.
+//!   TILE-Gx adaptations, epoch-based reclamation) and the Treiber stack
+//!   (a bounded node pool with tagged tops).
+//!
+//! Both stacks are `mpsync-core`'s (`mpsync_core::stack`), written once
+//! against its `Machine` trait, so tilesim's Figure 5b runs the code that
+//! the tests here check.
 //!
 //! All containers store `u64` values except [`EMPTY`] (`u64::MAX`), which is
 //! reserved as the "empty" sentinel in the one-word response format, and

@@ -64,33 +64,6 @@ pub fn queue_dispatch(state: &mut SeqQueue, op: u64, arg: u64) -> u64 {
     }
 }
 
-/// Opcodes understood by [`stack_dispatch`].
-pub mod stack_ops {
-    /// Push `arg`; returns 0.
-    pub const PUSH: u64 = 0;
-    /// Pop; returns the value or `EMPTY`.
-    pub const POP: u64 = 1;
-    /// Current depth.
-    pub const LEN: u64 = 2;
-}
-
-/// A sequential LIFO stack state (the paper's coarse-lock stack, §5.4).
-pub type SeqStack = Vec<u64>;
-
-/// Critical-section body for a sequential stack.
-pub fn stack_dispatch(state: &mut SeqStack, op: u64, arg: u64) -> u64 {
-    match op {
-        stack_ops::PUSH => {
-            debug_assert_ne!(arg, EMPTY, "EMPTY sentinel is not storable");
-            state.push(arg);
-            0
-        }
-        stack_ops::POP => state.pop().unwrap_or(EMPTY),
-        stack_ops::LEN => state.len() as u64,
-        _ => panic!("stack: unknown opcode {op}"),
-    }
-}
-
 /// Opcodes understood by [`keyed_counter_dispatch`] (same numbering as
 /// [`counter_ops`], applied per key).
 pub mod keyed_counter_ops {
@@ -218,17 +191,6 @@ mod tests {
         assert_eq!(queue_dispatch(&mut q, queue_ops::DEQ, 0), 5);
         assert_eq!(queue_dispatch(&mut q, queue_ops::DEQ, 0), 6);
         assert_eq!(queue_dispatch(&mut q, queue_ops::DEQ, 0), EMPTY);
-    }
-
-    #[test]
-    fn stack_ops_lifo() {
-        let mut s = SeqStack::new();
-        stack_dispatch(&mut s, stack_ops::PUSH, 5);
-        stack_dispatch(&mut s, stack_ops::PUSH, 6);
-        assert_eq!(stack_dispatch(&mut s, stack_ops::LEN, 0), 2);
-        assert_eq!(stack_dispatch(&mut s, stack_ops::POP, 0), 6);
-        assert_eq!(stack_dispatch(&mut s, stack_ops::POP, 0), 5);
-        assert_eq!(stack_dispatch(&mut s, stack_ops::POP, 0), EMPTY);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The coarse-lock stack: a sequential stack whose push and pop both run
 //! under one executor.
 
+use mpsync_core::stack::{ops, FULL};
 use mpsync_core::ApplyOp;
 
-use crate::seq::stack_ops;
 use crate::{ConcurrentStack, EMPTY};
 
 /// Per-thread stack handle over any executor handle `A` whose protected
-/// state is a [`SeqStack`](crate::seq::SeqStack) dispatched by
-/// [`stack_dispatch`](crate::seq::stack_dispatch).
+/// state is a [`CoarseStack`](super::CoarseStack) dispatched by
+/// [`CoarseStack::dispatch`](super::CoarseStack::dispatch).
 pub struct CsStack<A> {
     inner: A,
 }
@@ -21,7 +21,7 @@ impl<A: ApplyOp> CsStack<A> {
 
     /// Stack depth at the linearization point of this call.
     pub fn len(&mut self) -> usize {
-        self.inner.apply(stack_ops::LEN, 0) as usize
+        self.inner.apply(ops::LEN, 0) as usize
     }
 
     /// `true` if the stack was empty at the linearization point.
@@ -36,15 +36,21 @@ impl<A: ApplyOp> CsStack<A> {
 }
 
 impl<A: ApplyOp> ConcurrentStack for CsStack<A> {
+    /// # Panics
+    ///
+    /// Panics, naming the capacity, on a full stack.
     #[inline]
     fn push(&mut self, v: u64) {
         debug_assert_ne!(v, EMPTY, "EMPTY sentinel is not storable");
-        self.inner.apply(stack_ops::PUSH, v);
+        if self.inner.apply(ops::PUSH, v) == FULL {
+            let capacity = self.inner.apply(ops::CAPACITY, 0);
+            panic!("coarse stack full: its capacity is {capacity} values");
+        }
     }
 
     #[inline]
     fn pop(&mut self) -> Option<u64> {
-        match self.inner.apply(stack_ops::POP, 0) {
+        match self.inner.apply(ops::POP, 0) {
             EMPTY => None,
             v => Some(v),
         }
@@ -54,16 +60,16 @@ impl<A: ApplyOp> ConcurrentStack for CsStack<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::{stack_dispatch, SeqStack};
+    use crate::stack::CoarseStack;
     use mpsync_core::{CcSynch, LockCs, TasLock};
     use std::sync::Arc;
 
-    type StackFn = fn(&mut SeqStack, u64, u64) -> u64;
-    const DISPATCH: StackFn = stack_dispatch;
+    type StackFn = fn(&mut CoarseStack, u64, u64) -> u64;
+    const DISPATCH: StackFn = CoarseStack::dispatch;
 
     #[test]
     fn lifo_semantics() {
-        let cs = LockCs::<SeqStack, TasLock, StackFn>::new(SeqStack::new(), DISPATCH);
+        let cs = LockCs::<CoarseStack, TasLock, StackFn>::new(CoarseStack::new(2), DISPATCH);
         let mut s = CsStack::new(cs.handle());
         assert!(s.is_empty());
         s.push(1);
@@ -78,7 +84,13 @@ mod tests {
     fn concurrent_push_pop_conserves_values() {
         const THREADS: usize = 4;
         const OPS: u64 = 3_000;
-        let cs = Arc::new(CcSynch::new(THREADS, 50, SeqStack::new(), DISPATCH));
+        // Each thread holds at most one value between its push and pop.
+        let cs = Arc::new(CcSynch::new(
+            THREADS,
+            50,
+            CoarseStack::new(THREADS as u64),
+            DISPATCH,
+        ));
         let mut joins = Vec::new();
         for t in 0..THREADS as u64 {
             let mut s = CsStack::new(cs.handle());

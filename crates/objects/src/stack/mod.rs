@@ -1,17 +1,27 @@
-//! Concurrent stacks from the paper's evaluation (§5.4, Figure 5b):
+//! Figure 5b's stacks (§5.4), both written once in `mpsync-core`
+//! (`mpsync_core::stack`), where tilesim runs the same code:
 //!
-//! * [`CsStack`] — a sequential stack under any executor (the paper's
-//!   coarse-lock stack, the best performer with MP-SERVER/HYBCOMB);
-//! * [`TreiberStack`] — the classical nonblocking stack, whose CAS-on-top
-//!   contention the paper shows collapsing under load;
-//! * [`EliminationStack`] — the paper sets elimination aside as orthogonal
-//!   but notes its stacks "can be used to back up an elimination-based
-//!   stack"; this type provides exactly that composition, as an extension.
+//! * [`CsStack`] — the coarse-lock stack: `mpsync_core`'s [`CoarseStack`]
+//!   body under any executor (the best performer with MP-SERVER/HYBCOMB);
+//! * [`TreiberStack`] — the classical nonblocking stack over a bounded node
+//!   pool, whose CAS-on-top contention the paper shows collapsing under
+//!   load.
 
 mod coarse;
-mod elimination;
-mod treiber;
 
 pub use coarse::CsStack;
-pub use elimination::{EliminationHandle, EliminationStack};
-pub use treiber::{TreiberHandle, TreiberStack};
+pub use mpsync_core::stack::{CoarseStack, TreiberHandle, TreiberStack};
+
+use crate::ConcurrentStack;
+
+impl ConcurrentStack for TreiberHandle {
+    #[inline]
+    fn push(&mut self, v: u64) {
+        TreiberHandle::push(self, v);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u64> {
+        TreiberHandle::pop(self)
+    }
+}

@@ -5,7 +5,8 @@
 //!
 //! MP-SERVER, HYBCOMB, SHM-SERVER and CC-SYNCH are not models: `Ctx` is a
 //! [`Machine`](mpsync_core::machine::Machine), and their installers run
-//! `mpsync-core`'s protocol code on it. The locks are written out here.
+//! `mpsync-core`'s protocol code on it, as [`CsBody::Stack`] runs its coarse
+//! stack. The locks are written out here.
 //!
 //! Each construction installs one proc per participating thread into an
 //! [`Engine`]; application procs run the paper's §5.2
@@ -15,8 +16,8 @@
 //!
 //! Metrics recorded (see [`Metric`]): every application proc
 //! counts `Ops`/`LatSum`/`LatCount`; every servicing proc counts `Served`;
-//! combiners additionally count `Rounds`/`Combined`/`Orphans`, and HYBCOMB
-//! clients count `Cas`.
+//! combiners additionally count `Rounds`/`Combined`/`Orphans`, HYBCOMB
+//! clients count `Cas`, and the Treiber stack counts `Cas`/`CasFail`.
 
 mod locks;
 
@@ -25,6 +26,7 @@ pub use mpsync_core::HybOptions;
 
 use mpsync_core::machine::Probe;
 use mpsync_core::mp_server::{request, serve};
+use mpsync_core::stack::CoarseStackLayout;
 use mpsync_core::{CcSynchLayout, HybCombLayout, ShmServerLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,15 +129,8 @@ pub enum CsBody {
         /// Node ring capacity.
         len: u64,
     },
-    /// Sequential LIFO stack: op 0 = push(arg), op 1 = pop.
-    SeqStack {
-        /// Line holding the top-of-stack index.
-        top: Addr,
-        /// First of `len` node lines.
-        nodes: Addr,
-        /// Node ring capacity.
-        len: u64,
-    },
+    /// Figure 5b's coarse stack: `mpsync-core`'s body.
+    Stack(CoarseStackLayout),
     /// The enqueue critical section of the two-lock MS queue.
     TwoLockEnq {
         /// Line holding the tail node id.
@@ -159,10 +154,10 @@ pub enum CsBody {
 }
 
 /// Sentinel for "empty" results from queue/stack bodies.
-pub const CS_EMPTY: u64 = u64::MAX;
+pub const CS_EMPTY: u64 = mpsync_core::stack::EMPTY;
 
-/// Sentinel for "full" results from the bounded queue body.
-pub const CS_FULL: u64 = u64::MAX - 1;
+/// Sentinel for "full" results from the bounded queue and stack bodies.
+pub const CS_FULL: u64 = mpsync_core::stack::FULL;
 
 fn node_line(nodes: Addr, id: u64, len: u64) -> Addr {
     nodes + (id % len) * WORDS_PER_LINE
@@ -216,22 +211,7 @@ pub async fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
                 v
             }
         }
-        CsBody::SeqStack { top, nodes, len } => {
-            if op == 0 {
-                let t = ctx.read(top).await;
-                ctx.write(node_line(nodes, t, len), arg).await;
-                ctx.write(top, t + 1).await;
-                0
-            } else {
-                let t = ctx.read(top).await;
-                if t == 0 {
-                    return CS_EMPTY;
-                }
-                let v = ctx.read(node_line(nodes, t - 1, len)).await;
-                ctx.write(top, t - 1).await;
-                v
-            }
-        }
+        CsBody::Stack(stack) => stack.apply(ctx, op, arg).await,
         CsBody::TwoLockEnq {
             tail,
             alloc,
@@ -262,7 +242,8 @@ pub async fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
     }
 }
 
-/// What combiners and servers count, and HYBCOMB's CASes.
+/// What combiners and servers count, HYBCOMB's CASes, and the Treiber
+/// stack's CASes and failed CASes.
 pub(crate) struct Metrics;
 
 impl Probe<Ctx> for Metrics {
@@ -279,6 +260,13 @@ impl Probe<Ctx> for Metrics {
         ctx.record(Metric::Combined, n);
         if n <= 1 {
             ctx.record(Metric::Orphans, 1);
+        }
+    }
+
+    fn cas_attempt(&mut self, ctx: &mut Ctx, won: bool) {
+        ctx.record(Metric::Cas, 1);
+        if !won {
+            ctx.record(Metric::CasFail, 1);
         }
     }
 }
@@ -589,25 +577,6 @@ mod tests {
             assert_eq!(exec_cs(ctx, &body, 1, 0).await, 11);
             assert_eq!(exec_cs(ctx, &body, 1, 0).await, 22);
             assert_eq!(exec_cs(ctx, &body, 1, 0).await, CS_EMPTY);
-        });
-        e.run(100_000);
-    }
-
-    #[test]
-    fn seq_stack_body_lifo() {
-        let mut alloc = AddrAlloc::new();
-        let body = CsBody::SeqStack {
-            top: alloc.line(),
-            nodes: alloc.lines(8),
-            len: 8,
-        };
-        let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(async move |ctx| {
-            assert_eq!(exec_cs(ctx, &body, 1, 0).await, CS_EMPTY);
-            exec_cs(ctx, &body, 0, 11).await;
-            exec_cs(ctx, &body, 0, 22).await;
-            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 22);
-            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 11);
         });
         e.run(100_000);
     }

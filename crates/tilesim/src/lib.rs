@@ -24,10 +24,11 @@
 //! * a deterministic, single-threaded discrete-event **engine**
 //!   ([`Engine`]) that runs simulated threads written as `async` Rust
 //!   closures and polls them in place;
-//! * the four constructions ([`algos`]), run from `mpsync-core`'s own code,
-//!   whose [`Machine`] trait [`Ctx`] implements; models of the nonblocking
-//!   LCRQ/Treiber comparators ([`nonblocking`]); and every workload in the
-//!   paper's evaluation ([`workload`]).
+//! * the four constructions ([`algos`]) and Figure 5b's two stacks, run
+//!   from `mpsync-core`'s own code, whose [`Machine`] trait [`Ctx`]
+//!   implements; a model of the nonblocking LCRQ comparator
+//!   ([`nonblocking`]); and every workload in the paper's evaluation
+//!   ([`workload`]).
 //!
 //! The simulator implements the paper's formal model (sequentially
 //! consistent memory, bounded-but-unknown message delivery), so the *shape*

@@ -1,12 +1,14 @@
-//! Simulator performance models of the paper's nonblocking comparators:
-//! LCRQ (Figure 5a) and the Treiber stack (Figure 5b).
+//! The simulator performance model of LCRQ, Figure 5a's nonblocking
+//! comparator.
 //!
-//! These are *performance* models: they issue the same mix of memory and
-//! atomic operations as the real algorithms (fetch-and-add on head/tail,
-//! CAS on ring cells or the stack top, retries on contention) so that the
-//! TILE-Gx effects the paper describes — atomics serialized at two memory
-//! controllers, CAS retry storms — shape the curves. The functionally
-//! complete implementations live in the native `mpsync-objects` crate.
+//! It is a *performance* model: it issues the same mix of memory and
+//! atomic operations as the real algorithm (fetch-and-add on head and
+//! tail, CAS on ring cells, retries on contention) so that the TILE-Gx
+//! effects the paper describes — atomics serialized at two memory
+//! controllers, CAS retry storms — shape the curve. The functionally
+//! complete LCRQ lives in the native `mpsync-objects` crate. Figure 5b's
+//! Treiber stack is no model: tilesim runs `mpsync-core`'s own
+//! (`mpsync_core::stack::TreiberLayout`).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -119,74 +121,6 @@ async fn balanced_queue_step(ctx: &mut Ctx, model: &LcrqModel, rng: &mut StdRng,
     ctx.work(rng.gen_range(0..=max_work)).await;
 }
 
-/// Shared state of the Treiber stack model: the stack is abstracted to its
-/// depth, CAS-updated at the top line — the exact contention pattern of the
-/// real stack.
-#[derive(Clone, Copy)]
-pub struct TreiberModel {
-    top: Addr,
-}
-
-impl TreiberModel {
-    /// Allocates the top-of-stack line.
-    pub fn new(alloc: &mut AddrAlloc) -> Self {
-        Self { top: alloc.line() }
-    }
-
-    /// One push: read-top + CAS loop.
-    pub async fn push(&self, ctx: &mut Ctx) {
-        loop {
-            let t = ctx.read(self.top).await;
-            ctx.record(Metric::Cas, 1);
-            if ctx.cas(self.top, t, t + 1).await {
-                return;
-            }
-            ctx.record(Metric::CasFail, 1);
-        }
-    }
-
-    /// One pop: read-top + CAS loop; `false` when empty.
-    pub async fn pop(&self, ctx: &mut Ctx) -> bool {
-        loop {
-            let t = ctx.read(self.top).await;
-            if t == 0 {
-                return false;
-            }
-            ctx.record(Metric::Cas, 1);
-            if ctx.cas(self.top, t, t - 1).await {
-                return true;
-            }
-            ctx.record(Metric::CasFail, 1);
-        }
-    }
-}
-
-/// Installs Treiber-stack client procs running the balanced workload.
-pub fn install_treiber(
-    engine: &mut Engine,
-    threads: usize,
-    seed: u64,
-    max_local_work: u64,
-    alloc: &mut AddrAlloc,
-) {
-    let model = TreiberModel::new(alloc);
-    for _ in 0..threads {
-        engine.add_proc(async move |ctx| {
-            let mut rng = client_rng(seed, ctx.core());
-            loop {
-                let t0 = ctx.now();
-                model.push(ctx).await;
-                record_op(ctx, t0);
-                ctx.work(rng.gen_range(0..=max_local_work)).await;
-                let t0 = ctx.now();
-                model.pop(ctx).await;
-                record_op(ctx, t0);
-                ctx.work(rng.gen_range(0..=max_local_work)).await;
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,36 +149,6 @@ mod tests {
             assert!(model.dequeue(ctx).await);
             assert!(model.dequeue(ctx).await);
             assert!(!model.dequeue(ctx).await);
-        });
-        e.run(1_000_000);
-    }
-
-    #[test]
-    fn treiber_model_contention_causes_cas_failures() {
-        let mut alloc = AddrAlloc::new();
-        let mut e = Engine::new(MachineConfig::tile_gx8036());
-        // No local work: maximum contention on the top.
-        install_treiber(&mut e, 8, 1, 0, &mut alloc);
-        let r = e.run(150_000);
-        assert!(r.metric_sum(Metric::Ops) > 500);
-        assert!(
-            r.metric_sum(Metric::CasFail) > 0,
-            "contended Treiber stack must retry CASes"
-        );
-    }
-
-    #[test]
-    fn treiber_sequential_semantics() {
-        let mut alloc = AddrAlloc::new();
-        let model = TreiberModel::new(&mut alloc);
-        let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(async move |ctx| {
-            assert!(!model.pop(ctx).await);
-            model.push(ctx).await;
-            model.push(ctx).await;
-            assert!(model.pop(ctx).await);
-            assert!(model.pop(ctx).await);
-            assert!(!model.pop(ctx).await);
         });
         e.run(1_000_000);
     }

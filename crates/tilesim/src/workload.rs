@@ -7,6 +7,7 @@
 //! the papers' x-axes.
 
 use mpsync_core::mp_server::{request, serve};
+use mpsync_core::stack::{ops, CoarseStackLayout, TreiberLayout};
 
 use crate::algos::{
     install_cc_synch, install_cc_synch_fixed, install_hybcomb, install_hybcomb_fixed, install_lock,
@@ -14,7 +15,7 @@ use crate::algos::{
     Metrics, OpGen, RunSpec,
 };
 use crate::engine::Engine;
-use crate::nonblocking::{install_lcrq, install_treiber};
+use crate::nonblocking::install_lcrq;
 use crate::stats::{Metric, SimResult};
 use crate::MachineConfig;
 
@@ -23,8 +24,9 @@ use crate::MachineConfig;
 /// averaging over repeated runs is needed.
 pub const DEFAULT_HORIZON: u64 = 300_000;
 
-/// Ring capacity used by sequential queue/stack bodies (bounds in-flight
-/// occupancy under the balanced workload).
+/// Capacity of the queue and stack bodies and of the Treiber stack's node
+/// pool (bounds in-flight occupancy under the balanced workload, which
+/// keeps Figure 5b's stacks below 36 values).
 const NODE_RING: u64 = 1024;
 
 fn install(engine: &mut Engine, approach: Approach, spec: RunSpec, alloc: &mut AddrAlloc) {
@@ -307,17 +309,17 @@ pub fn run_stack(
     seed: u64,
 ) -> SimResult {
     let mut alloc = AddrAlloc::new();
-    let body = CsBody::SeqStack {
+    let body = CsBody::Stack(CoarseStackLayout {
         top: alloc.line(),
-        nodes: alloc.lines(NODE_RING),
+        slots: alloc.lines(NODE_RING),
         len: NODE_RING,
-    };
+    });
     let spec = RunSpec {
         threads,
         max_ops,
         body,
         opgen: OpGen::Alternate {
-            ops: [(0, 7), (1, 0)],
+            ops: [(ops::PUSH, 7), (ops::POP, 0)],
         },
         seed,
         max_local_work: 50,
@@ -327,11 +329,31 @@ pub fn run_stack(
     e.run(horizon)
 }
 
-/// Figure 5b's Treiber-stack line.
+/// Figure 5b's Treiber-stack line: `mpsync-core`'s Treiber stack, each
+/// thread alternating push and pop with its node cache in the proc.
 pub fn run_stack_treiber(cfg: MachineConfig, threads: usize, horizon: u64, seed: u64) -> SimResult {
     let mut alloc = AddrAlloc::new();
+    let stack = TreiberLayout {
+        base: alloc.lines(TreiberLayout::lines(NODE_RING)),
+        capacity: NODE_RING,
+    };
     let mut e = Engine::new(cfg);
-    install_treiber(&mut e, threads, seed, 50, &mut alloc);
+    for _ in 0..threads {
+        e.add_proc(async move |ctx| {
+            let mut rng = crate::algos::client_rng(seed, ctx.core());
+            let mut cache = None;
+            loop {
+                let t0 = ctx.now();
+                stack.push(ctx, &mut cache, 7, &mut Metrics).await;
+                crate::algos::record_op(ctx, t0);
+                crate::algos::local_work(ctx, &mut rng, 50, 1).await;
+                let t0 = ctx.now();
+                stack.pop(ctx, &mut cache, &mut Metrics).await;
+                crate::algos::record_op(ctx, t0);
+                crate::algos::local_work(ctx, &mut rng, 50, 1).await;
+            }
+        });
+    }
     e.run(horizon)
 }
 

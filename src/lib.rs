@@ -6,7 +6,8 @@
 //!
 //! * [`udn`] — software emulation of TILE-Gx-style hardware message queues;
 //! * [`sync`] — the paper's constructions: MP-SERVER and HYBCOMB, plus the
-//!   shared-memory baselines SHM-SERVER, CC-SYNCH, and classical locks;
+//!   shared-memory baselines SHM-SERVER, CC-SYNCH, and classical locks, and
+//!   Figure 5b's two stacks;
 //! * [`objects`] — linearizable concurrent objects (counters, queues,
 //!   stacks) built on those constructions, plus the nonblocking comparators
 //!   (LCRQ, Treiber stack) from the paper's evaluation;

@@ -12,10 +12,10 @@ use mpsync::lincheck::specs::{CounterSpec, QueueOp, QueueSpec, StackOp, StackSpe
 use mpsync::lincheck::{check, Recorder};
 use mpsync::objects::queue::{CsQueue, Lcrq};
 use mpsync::objects::seq::{
-    counter_dispatch, keyed_counter_dispatch, keyed_counter_ops, queue_dispatch, stack_dispatch,
-    KeyedCounters, SeqQueue, SeqStack,
+    counter_dispatch, keyed_counter_dispatch, keyed_counter_ops, queue_dispatch, KeyedCounters,
+    SeqQueue,
 };
-use mpsync::objects::stack::{CsStack, TreiberStack};
+use mpsync::objects::stack::{CoarseStack, CsStack, TreiberStack};
 use mpsync::objects::{ConcurrentQueue, ConcurrentStack};
 use mpsync::runtime::{Backend, Runtime, RuntimeConfig};
 use mpsync::sync::{ApplyOp, CcSynch, HybComb, MpServer, ShmServer};
@@ -27,7 +27,10 @@ const OPS_PER_THREAD: usize = 4;
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
 type QueueFn = fn(&mut SeqQueue, u64, u64) -> u64;
-type StackFn = fn(&mut SeqStack, u64, u64) -> u64;
+type StackFn = fn(&mut CoarseStack, u64, u64) -> u64;
+
+/// A stack's capacity in these histories: room for every op to be a push.
+const STACK_CAPACITY: u64 = (THREADS * OPS_PER_THREAD) as u64;
 
 /// Runs `ROUNDS` small concurrent counter histories against a factory of
 /// fetch-and-increment closures and checks each for linearizability.
@@ -229,8 +232,8 @@ fn cc_synch_stack_linearizable() {
         let cs = Arc::new(CcSynch::new(
             THREADS,
             8,
-            SeqStack::new(),
-            stack_dispatch as StackFn,
+            CoarseStack::new(STACK_CAPACITY),
+            CoarseStack::dispatch as StackFn,
         ));
         Box::new(move |_t| CsStack::new(cs.handle()))
     });
@@ -239,16 +242,7 @@ fn cc_synch_stack_linearizable() {
 #[test]
 fn treiber_stack_linearizable() {
     check_stack_impl(|| {
-        let s = Arc::new(TreiberStack::new());
-        Box::new(move |_t| s.handle())
-    });
-}
-
-#[test]
-fn elimination_stack_linearizable() {
-    use mpsync::objects::stack::EliminationStack;
-    check_stack_impl(|| {
-        let s = Arc::new(EliminationStack::new(2));
+        let s = Arc::new(TreiberStack::new(STACK_CAPACITY));
         Box::new(move |_t| s.handle())
     });
 }

@@ -1,20 +1,24 @@
 //! Property-based tests of the concurrent objects against their sequential
 //! models, plus executor-vs-model equivalence for arbitrary operation
-//! sequences.
+//! sequences, and the coarse stack's capacity on both machines.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mpsync::objects::queue::{CsQueue, Lcrq};
-use mpsync::objects::seq::{queue_dispatch, stack_dispatch, SeqQueue, SeqStack};
-use mpsync::objects::stack::{CsStack, TreiberStack};
+use mpsync::objects::seq::{queue_dispatch, SeqQueue};
+use mpsync::objects::stack::{CoarseStack, CsStack, TreiberStack};
 use mpsync::objects::{ConcurrentQueue, ConcurrentStack};
 use mpsync::sync::{ApplyOp, CcSynch, HybComb, LockCs, McsLock, TicketLock};
 use mpsync::udn::{Fabric, FabricConfig};
 use proptest::prelude::*;
 
 type QueueFn = fn(&mut SeqQueue, u64, u64) -> u64;
-type StackFn = fn(&mut SeqStack, u64, u64) -> u64;
+type StackFn = fn(&mut CoarseStack, u64, u64) -> u64;
+
+/// A stack's capacity: room for `ops_strategy`'s longest sequence, all
+/// pushes.
+const STACK_CAPACITY: u64 = 200;
 
 /// An op in a generated sequence: `Some(v)` = insert v, `None` = remove.
 fn ops_strategy() -> impl Strategy<Value = Vec<Option<u64>>> {
@@ -91,23 +95,23 @@ proptest! {
 
     #[test]
     fn cc_synch_stack_matches_model(ops in ops_strategy()) {
-        let cs = CcSynch::new(1, 8, SeqStack::new(), stack_dispatch as StackFn);
+        let cs = CcSynch::new(1, 8, CoarseStack::new(STACK_CAPACITY), CoarseStack::dispatch as StackFn);
         let mut s = CsStack::new(cs.handle());
         check_stack(&mut s, &ops)?;
     }
 
     #[test]
     fn treiber_matches_model(ops in ops_strategy()) {
-        let st = Arc::new(TreiberStack::new());
+        let st = Arc::new(TreiberStack::new(STACK_CAPACITY));
         let mut s = st.handle();
         check_stack(&mut s, &ops)?;
     }
 
     #[test]
     fn mcs_lock_stack_matches_model(ops in ops_strategy()) {
-        let cs = LockCs::<SeqStack, McsLock, StackFn>::new(
-            SeqStack::new(),
-            stack_dispatch as StackFn,
+        let cs = LockCs::<CoarseStack, McsLock, StackFn>::new(
+            CoarseStack::new(STACK_CAPACITY),
+            CoarseStack::dispatch as StackFn,
         );
         let mut s = CsStack::new(cs.handle());
         check_stack(&mut s, &ops)?;
@@ -136,4 +140,61 @@ proptest! {
             prop_assert_eq!(got, model);
         }
     }
+}
+
+/// A push onto a full coarse stack panics, naming the capacity, and leaves
+/// the values below it intact.
+#[test]
+fn a_push_past_a_full_coarse_stack_panics() {
+    let cs = LockCs::<CoarseStack, TicketLock, StackFn>::new(
+        CoarseStack::new(3),
+        CoarseStack::dispatch as StackFn,
+    );
+    let mut s = CsStack::new(cs.handle());
+    for v in 1..=3 {
+        s.push(v);
+    }
+    let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.push(4)));
+    let msg = full.expect_err("a fourth push fit a stack of three");
+    let msg = msg.downcast_ref::<String>().expect("a formatted panic");
+    assert!(msg.contains("capacity is 3 values"), "{msg}");
+    assert_eq!(
+        (s.pop(), s.pop(), s.pop(), s.pop()),
+        (Some(3), Some(2), Some(1), None)
+    );
+}
+
+/// tilesim runs the same body: the push past capacity returns `CS_FULL`
+/// and overwrites nothing, so every value pops back in LIFO order.
+#[test]
+fn the_simulated_coarse_stack_refuses_a_push_past_capacity() {
+    use mpsync::sync::stack::{ops, CoarseStackLayout};
+    use mpsync::tilesim::algos::{exec_cs, AddrAlloc, CsBody, CS_EMPTY, CS_FULL};
+    use mpsync::tilesim::{Engine, MachineConfig};
+
+    const LEN: u64 = 4;
+    let mut alloc = AddrAlloc::new();
+    let body = CsBody::Stack(CoarseStackLayout {
+        top: alloc.line(),
+        slots: alloc.lines(LEN),
+        len: LEN,
+    });
+    let mut e = Engine::new(MachineConfig::tile_gx8036());
+    e.add_proc(async move |ctx| {
+        for v in 1..=LEN {
+            assert_eq!(exec_cs(ctx, &body, ops::PUSH, v).await, 0);
+        }
+        assert_eq!(exec_cs(ctx, &body, ops::PUSH, LEN + 1).await, CS_FULL);
+        for v in (1..=LEN).rev() {
+            assert_eq!(exec_cs(ctx, &body, ops::POP, 0).await, v);
+        }
+        assert_eq!(exec_cs(ctx, &body, ops::POP, 0).await, CS_EMPTY);
+        ctx.record(mpsync::tilesim::Metric::Ops, 1);
+    });
+    let r = e.run(1_000_000);
+    assert_eq!(
+        r.metric_sum(mpsync::tilesim::Metric::Ops),
+        1,
+        "the proc did not finish"
+    );
 }

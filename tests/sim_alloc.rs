@@ -6,7 +6,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tilesim::algos::Approach;
-use tilesim::workload::{max_threads, run_counter};
+use tilesim::workload::{max_threads, run_counter, run_stack_treiber};
 use tilesim::MachineConfig;
 
 /// The system allocator, counting the allocations each thread makes.
@@ -46,23 +46,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made on this thread by one `run_counter` of `a` at the
-/// benchmark's shape (maximum threads, combining bound 200, seed 1).
-fn allocs(a: Approach, horizon: u64) -> u64 {
-    let cfg = MachineConfig::tile_gx8036();
-    let threads = max_threads(&cfg, a);
+/// Allocations made on this thread by `run`.
+fn allocs<R>(run: impl FnOnce() -> R) -> u64 {
     let before = ALLOCS.with(Cell::get);
-    let r = run_counter(cfg, a, threads, 200, horizon, 1);
+    let r = run();
     let after = ALLOCS.with(Cell::get);
     drop(r);
     after - before
 }
 
+/// Allocations made by one `run_counter` of `a` at the benchmark's shape
+/// (maximum threads, combining bound 200, seed 1).
+fn counter_allocs(a: Approach, horizon: u64) -> u64 {
+    let cfg = MachineConfig::tile_gx8036();
+    allocs(|| run_counter(cfg, a, max_threads(&cfg, a), 200, horizon, 1))
+}
+
 #[test]
 fn a_longer_run_allocates_no_more() {
     for a in Approach::ALL {
-        let short = allocs(a, 20_000);
-        let long = allocs(a, 40_000);
+        let short = counter_allocs(a, 20_000);
+        let long = counter_allocs(a, 40_000);
         assert_eq!(
             short,
             long,
@@ -70,4 +74,14 @@ fn a_longer_run_allocates_no_more() {
             a.label()
         );
     }
+}
+
+/// The Treiber stack keeps each thread's node cache in its proc: a push or
+/// a pop allocates nothing on the host.
+#[test]
+fn a_longer_treiber_run_allocates_no_more() {
+    let cfg = MachineConfig::tile_gx8036();
+    let run = |horizon| allocs(|| run_stack_treiber(cfg, cfg.cores(), horizon, 1));
+    let (short, long) = (run(20_000), run(40_000));
+    assert_eq!(short, long, "Treiber: {short} allocations, then {long}");
 }
