@@ -24,7 +24,7 @@ compile_error!(
     "clusterbench drives the socket transport (`mpsync_cluster::tcp`), which is Linux-only"
 );
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
@@ -35,7 +35,7 @@ use mpsync_cluster::{slot_for, NodeConfig, NodeId, RuntimeStore};
 use mpsync_net::{AdminClient, STAT_SNAPSHOT_VERSION};
 use mpsync_objects::seq::{kv_dispatch, kv_ops, KvMap};
 use mpsync_runtime::{RuntimeConfig, ShardedKvStore};
-use mpsync_telemetry::{Algo, Lane};
+use mpsync_telemetry::{trace_track, Algo, Lane};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -248,6 +248,12 @@ fn json_u64(json: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// The owner a snapshot's slot table names for `slot`.
+fn slot_owner(snapshot: &str, slot: u16) -> Option<NodeId> {
+    let at = snapshot.find(&format!("\"slot\":{slot},"))?;
+    json_u64(&snapshot[at..], "owner").map(|owner| owner as NodeId)
+}
+
 /// Extracts the balanced `{…}` object following `"key":` (the payloads
 /// pulled this way — flight dumps — contain no braces inside strings).
 fn json_object(json: &str, key: &str) -> Option<String> {
@@ -301,10 +307,7 @@ fn drive(addrs: &[(NodeId, String)], opts: &Opts) -> String {
         eprintln!("FAIL: mid-run admin snapshot malformed: {mid:?}");
         std::process::exit(1);
     }
-    let owner = mid
-        .find(&format!("\"slot\":{slot},"))
-        .and_then(|i| json_u64(&mid[i..], "owner"))
-        .unwrap_or(handoff_addrs[0].0 as u64) as NodeId;
+    let owner = slot_owner(&mid, slot).unwrap_or(handoff_addrs[0].0);
     let to = handoff_addrs
         .iter()
         .map(|&(n, _)| n)
@@ -341,26 +344,32 @@ fn drive(addrs: &[(NodeId, String)], opts: &Opts) -> String {
 
     // Traced tail: a burst of ops under fresh trace ids, spread across
     // slots so some are forwarded — the hop spans land in the nodes'
-    // rings for the span scrape below to pull.
+    // rings for the span scrape below to pull. Every op enters at the first
+    // member; the routes seen before and after the tail tell which it
+    // forwarded.
+    let entry = addrs[0].0;
+    let pre_tail = scrape(&addrs[0].1).unwrap_or_default();
     let mut tclient = ClusterClient::connect(
         addrs.to_vec(),
         Duration::from_millis(500),
         (opts.clients as u64 + 1) << 32,
     );
-    let mut traced_ops = 0u64;
+    let mut traced: Vec<(u64, u32)> = Vec::new();
     for i in 0..64u64 {
-        if let Ok((_, trace_id)) = tclient.call_traced(1 + i * 37, kv_ops::PUT as u8, i + 1) {
+        let key = 1 + i * 37;
+        if let Ok((_, trace_id)) = tclient.call_traced(key, kv_ops::PUT as u8, i + 1) {
             if trace_id != 0 {
-                traced_ops += 1;
+                traced.push((key, trace_id));
             }
         }
     }
+    let traced_ops = traced.len();
 
     // Post-run scrapes: both nodes must converge on one routing digest
     // (anti-entropy gossip), and each embeds its flight-recorder dump in
     // the verdict.
     let digest_deadline = Instant::now() + Duration::from_secs(10);
-    let (route_digest, flights) = loop {
+    let (route_digest, flights, post_tail) = loop {
         let snaps: Vec<String> = addrs
             .iter()
             .map(|(_, a)| scrape(a).unwrap_or_default())
@@ -371,7 +380,7 @@ fn drive(addrs: &[(NodeId, String)], opts: &Opts) -> String {
                 .iter()
                 .map(|s| json_object(s, "flight").unwrap_or_else(|| "null".to_string()))
                 .collect();
-            break (digests[0].expect("all some"), flights);
+            break (digests[0].expect("all some"), flights, snaps[0].clone());
         }
         if Instant::now() > digest_deadline {
             eprintln!("FAIL: route digests did not converge: {digests:?}");
@@ -389,26 +398,54 @@ fn drive(addrs: &[(NodeId, String)], opts: &Opts) -> String {
 
     // Span scrape: with telemetry compiled in, the traced tail must have
     // left owner-side Cluster/Serve hop spans on the nodes and ClientWait
-    // root spans in this process.
+    // root spans in this process, and every op the entry member forwarded
+    // must have left its forwarder's Cluster/Send span, whichever node
+    // answered it.
     let mut node_serve_spans = 0usize;
+    let mut send_tracks = BTreeSet::new();
     for (_, a) in addrs {
         let spans = AdminClient::connect_tcp(a)
             .ok()
             .and_then(|mut c| c.fetch_spans().ok())
             .unwrap_or_default();
-        node_serve_spans += spans
-            .iter()
-            .filter(|s| s.algo == Algo::Cluster && s.lane == Lane::Serve)
-            .count();
+        for s in spans.iter().filter(|s| s.algo == Algo::Cluster) {
+            match s.lane {
+                Lane::Serve => node_serve_spans += 1,
+                Lane::Send => {
+                    send_tracks.insert(s.track);
+                }
+                _ => {}
+            }
+        }
     }
     let client_spans = mpsync_telemetry::drain_spans()
         .iter()
         .filter(|s| s.algo == Algo::Cluster && s.lane == Lane::ClientWait)
         .count();
-    if mpsync_telemetry::ENABLED && (node_serve_spans == 0 || client_spans == 0) {
+    let forwarded: Vec<u32> = traced
+        .iter()
+        .filter(|&&(key, _)| {
+            let slot = slot_for(key, opts.slots);
+            [&pre_tail, &post_tail]
+                .iter()
+                .all(|snap| slot_owner(snap, slot).is_some_and(|owner| owner != entry))
+        })
+        .map(|&(_, trace_id)| trace_id)
+        .collect();
+    let fwd_send_spans = forwarded
+        .iter()
+        .filter(|&&trace_id| send_tracks.contains(&trace_track(trace_id)))
+        .count();
+    if mpsync_telemetry::ENABLED
+        && (node_serve_spans == 0
+            || client_spans == 0
+            || forwarded.is_empty()
+            || fwd_send_spans < forwarded.len())
+    {
         eprintln!(
-            "FAIL: traced ops left no hop spans \
-             (serve {node_serve_spans}, client {client_spans})"
+            "FAIL: traced ops left hop spans missing (serve {node_serve_spans}, \
+             client {client_spans}, forwarder send {fwd_send_spans} of {} forwarded)",
+            forwarded.len()
         );
         std::process::exit(1);
     }
@@ -419,6 +456,7 @@ fn drive(addrs: &[(NodeId, String)], opts: &Opts) -> String {
          \"dedup_checks\":{dedup_checks},\"handoff\":{handoff_ok},\
          \"route_digest\":{route_digest},\"traced_ops\":{traced_ops},\
          \"node_serve_spans\":{node_serve_spans},\"client_spans\":{client_spans},\
+         \"fwd_send_spans\":{fwd_send_spans},\
          \"flights\":[{}],\"elapsed_ms\":{}}}",
         flights.join(","),
         started.elapsed().as_millis()

@@ -22,14 +22,23 @@
 //! **Routing.** Keys hash to slots; the epoch-versioned [`RouteTable`] maps
 //! slots to a primary (and optional backup). A node receiving an op it
 //! doesn't own forwards it ([`NodeMsg::Fwd`]) carrying the client's request
-//! id as the cluster-wide dedup uid, and relays the reply.
+//! id as the cluster-wide dedup uid, and answers the client once the op is
+//! replicated (see Replication for who computes the answer).
 //!
 //! **Replication.** The primary applies an op, appends it to the slot's
 //! replication log, and sends [`NodeMsg::Repl`] (sequenced per
-//! `(slot, epoch)`) to the backup. The client is acked only after the
-//! backup's cumulative [`NodeMsg::ReplAck`] covers the record — so an
-//! acked write survives the primary's death by construction. Backups apply
-//! strictly in sequence order (gaps held back) and dedup-record results.
+//! `(slot, epoch)`) to the backup. Backups apply strictly in sequence order
+//! (gaps held back) and dedup-record results. An op is answered only once
+//! the backup has applied it — so an acked write survives the primary's
+//! death by construction — and the backup's copy decides who answers. An op
+//! the backup forwarded is answered by the backup itself, with its own
+//! result, as the `Repl` applies. Any other op is answered by the primary
+//! when the backup's cumulative [`NodeMsg::ReplAck`] covers it, with a
+//! `FwdReply` when a third node forwarded it. The backup acks progress at
+//! once unless every record it applied answered one of its own forwards:
+//! nobody waits on that ack, so the backup keeps it, one per slot, and puts
+//! it in front of the next frame it sends that primary, or sends it at the
+//! next tick.
 //!
 //! **Exactly-once.** Every op carries a uid chosen by the origin client —
 //! `origin << 32 | seq`, with `seq` strictly increasing per origin.
@@ -96,7 +105,9 @@ pub type ClientToken = u64;
 pub enum Origin {
     /// A directly-connected client: `(connection token, request id)`.
     Client(ClientToken, u64),
-    /// A peer that forwarded the op; answered with a `FwdReply`.
+    /// A peer that forwarded the op; answered with a `FwdReply`, unless
+    /// the peer is the slot's backup, which answers its own forward when the
+    /// op's `Repl` reaches it.
     Node(NodeId),
 }
 
@@ -397,8 +408,14 @@ pub struct NodeCore<S: SlotStore> {
     store: S,
     route: RouteTable,
     slots: Vec<SlotState>,
-    /// uid → in-flight forward awaiting a `FwdReply`.
+    /// uid → in-flight forward awaiting its answer: a `FwdReply`, or the
+    /// op's `Repl` when this node is the slot's backup.
     pending_fwd: BTreeMap<u64, PendingFwd>,
+    /// Slot → `(primary, epoch, seq)`: the cumulative `ReplAck` this node
+    /// owes as backup but has not sent, because every record it covers
+    /// answered one of this node's own forwards. It rides in front of the
+    /// next frame an input sends that primary, or goes out at the next tick.
+    kept_acks: BTreeMap<Slot, (NodeId, u64, u64)>,
     /// Peer → tick we last heard anything from it.
     last_heard: BTreeMap<NodeId, u64>,
     /// Tick of our last heartbeat broadcast.
@@ -430,6 +447,21 @@ struct PendingFwd {
     /// Telemetry timestamp the forward decision was made at, closing the
     /// forwarder's `Cluster/Send` hop span when the reply lands.
     t0_ns: u64,
+}
+
+/// Answers the client a forward was made for, closing the forwarder's
+/// `Cluster/Send` hop span: the whole forward, from the decision to the
+/// answer.
+fn settle_fwd(uid: u64, pf: PendingFwd, status: Status, value: u64, out: &mut Outbox) {
+    if trace_word::id(pf.trace) != 0 {
+        record_span(
+            trace_track(trace_word::id(pf.trace)),
+            Algo::Cluster,
+            Lane::Send,
+            pf.t0_ns,
+        );
+    }
+    out.reply(pf.origin, uid, status, value);
 }
 
 /// Point-in-time observability view of one slot, as served by the admin
@@ -496,6 +528,7 @@ impl<S: SlotStore> NodeCore<S> {
             route,
             slots,
             pending_fwd: BTreeMap::new(),
+            kept_acks: BTreeMap::new(),
             last_heard: BTreeMap::new(),
             last_hello: 0,
             failover_holdoff: 0,
@@ -530,7 +563,7 @@ impl<S: SlotStore> NodeCore<S> {
         self.store
     }
 
-    /// In-flight forwards awaiting a `FwdReply` (admin observability).
+    /// In-flight forwards awaiting their answer (admin observability).
     pub fn pending_fwds(&self) -> usize {
         self.pending_fwd.len()
     }
@@ -609,7 +642,24 @@ impl<S: SlotStore> NodeCore<S> {
         trace: u64,
         out: &mut Outbox,
     ) {
+        let mark = out.sends.len();
         self.ingress(Origin::Client(token, id), id, key, op, arg, trace, out);
+        self.ride_kept_acks(mark, out);
+    }
+
+    /// Puts each kept ack in front of the first frame since `mark` that
+    /// goes to its primary; the others wait for another frame or the tick.
+    fn ride_kept_acks(&mut self, mark: usize, out: &mut Outbox) {
+        let sends = &mut out.sends;
+        self.kept_acks.retain(|&slot, &mut (to, epoch, seq)| {
+            match sends[mark..].iter().position(|&(n, _)| n == to) {
+                Some(i) => {
+                    sends.insert(mark + i, (to, NodeMsg::ReplAck { slot, epoch, seq }));
+                    false
+                }
+                None => true,
+            }
+        });
     }
 
     /// Shared ingress for client ops and peer-forwarded ops.
@@ -702,6 +752,11 @@ impl<S: SlotStore> NodeCore<S> {
             }
             Some(Dedup::InFlight) => {
                 count(Counter::ClusterDedupHits, 1);
+                // The backup answers its own forward when the `Repl` reaches
+                // it; it never waits here.
+                if r.backup.is_some_and(|b| origin == Origin::Node(b)) {
+                    return;
+                }
                 if let Some(entry) = st.repl_log.iter_mut().find(|e| e.uid == uid) {
                     if !entry.waiters.contains(&origin) {
                         entry.waiters.push(origin);
@@ -769,7 +824,13 @@ impl<S: SlotStore> NodeCore<S> {
                     op,
                     arg,
                     result,
-                    waiters: vec![origin],
+                    // The backup answers its own forward when this record
+                    // reaches it: no `FwdReply` from here.
+                    waiters: if origin == Origin::Node(b) {
+                        Vec::new()
+                    } else {
+                        vec![origin]
+                    },
                 });
                 count(Counter::ClusterReplSent, 1);
                 out.send(
@@ -801,6 +862,12 @@ impl<S: SlotStore> NodeCore<S> {
     /// answered but otherwise ignored; everything else dispatches to the
     /// protocol handlers.
     pub fn on_node_msg(&mut self, from: NodeId, msg: NodeMsg, out: &mut Outbox) {
+        let mark = out.sends.len();
+        self.node_msg(from, msg, out);
+        self.ride_kept_acks(mark, out);
+    }
+
+    fn node_msg(&mut self, from: NodeId, msg: NodeMsg, out: &mut Outbox) {
         self.last_heard.insert(from, self.now);
         match msg {
             NodeMsg::Hello {
@@ -883,7 +950,7 @@ impl<S: SlotStore> NodeCore<S> {
                 self.on_sync_req(from, slot, epoch, out);
             }
             NodeMsg::Handoff { slot, to } => {
-                self.start_handoff(slot, to, out);
+                self.handoff(slot, to, out);
             }
         }
     }
@@ -948,17 +1015,7 @@ impl<S: SlotStore> NodeCore<S> {
             }
             _ => {
                 let pf = self.pending_fwd.remove(&uid).expect("checked above");
-                if trace_word::id(pf.trace) != 0 {
-                    // Forwarder hop span: the whole forward round-trip,
-                    // from the forward decision to the relayed reply.
-                    record_span(
-                        trace_track(trace_word::id(pf.trace)),
-                        Algo::Cluster,
-                        Lane::Send,
-                        pf.t0_ns,
-                    );
-                }
-                out.reply(pf.origin, uid, status, value);
+                settle_fwd(uid, pf, status, value, out);
             }
         }
     }
@@ -1000,6 +1057,7 @@ impl<S: SlotStore> NodeCore<S> {
         let st = &mut self.slots[slot as usize];
         if seq < st.backup_next {
             // Already applied; the ack must have been lost. Re-ack.
+            self.kept_acks.remove(&slot);
             out.send(
                 from,
                 NodeMsg::ReplAck {
@@ -1013,6 +1071,8 @@ impl<S: SlotStore> NodeCore<S> {
         st.holdback.insert(seq, (uid, key, op, arg, trace));
         // Drain the contiguous prefix (apply strictly in sequence order).
         let mut progressed = false;
+        // Every record applied answered one of this node's own forwards.
+        let mut own_only = true;
         loop {
             let next = {
                 let st = &mut self.slots[slot as usize];
@@ -1051,17 +1111,23 @@ impl<S: SlotStore> NodeCore<S> {
                 epoch,
             });
             self.slots[slot as usize].dedup_done(uid, result, self.cfg.dedup_cap);
+            // This node forwarded the op, and it is now on both copies: the
+            // answer is ours to give, and it is the primary's result.
+            match self.pending_fwd.remove(&uid) {
+                Some(pf) => settle_fwd(uid, pf, Status::Ok, result, out),
+                None => own_only = false,
+            }
         }
-        let st = &mut self.slots[slot as usize];
-        if progressed {
-            out.send(
-                from,
-                NodeMsg::ReplAck {
-                    slot,
-                    epoch,
-                    seq: st.backup_next,
-                },
-            );
+        if !progressed {
+            return;
+        }
+        let seq = self.slots[slot as usize].backup_next;
+        if own_only {
+            // Nobody waits on this ack: keep it for a frame that goes anyway.
+            self.kept_acks.insert(slot, (from, epoch, seq));
+        } else {
+            self.kept_acks.remove(&slot);
+            out.send(from, NodeMsg::ReplAck { slot, epoch, seq });
         }
     }
 
@@ -1075,6 +1141,10 @@ impl<S: SlotStore> NodeCore<S> {
             return;
         }
         st.repl_acked = seq;
+        // The retransmit timer covers the unacked head: progress restarts
+        // it, or a log that never drains would be resent whole every
+        // `resend_after` ticks.
+        st.repl_sent_at = self.now;
         let cap = self.cfg.dedup_cap;
         while st.repl_log.front().is_some_and(|e| e.seq < seq) {
             let e = st.repl_log.pop_front().expect("checked non-empty");
@@ -1372,6 +1442,12 @@ impl<S: SlotStore> NodeCore<S> {
     /// to the owner. Already busy → ignored (idempotent for retried admin
     /// commands).
     pub fn start_handoff(&mut self, slot: Slot, to: NodeId, out: &mut Outbox) {
+        let mark = out.sends.len();
+        self.handoff(slot, to, out);
+        self.ride_kept_acks(mark, out);
+    }
+
+    fn handoff(&mut self, slot: Slot, to: NodeId, out: &mut Outbox) {
         if slot >= self.cfg.slots || to == self.cfg.id || !self.cfg.nodes.contains(&to) {
             return;
         }
@@ -1519,6 +1595,11 @@ impl<S: SlotStore> NodeCore<S> {
         debug_assert!(now >= self.now, "time went backwards");
         self.now = now;
 
+        // Kept acks no frame has carried.
+        for (slot, (to, epoch, seq)) in std::mem::take(&mut self.kept_acks) {
+            out.send(to, NodeMsg::ReplAck { slot, epoch, seq });
+        }
+
         // Heartbeats.
         if now.saturating_sub(self.last_hello) >= self.cfg.heartbeat_every {
             self.last_hello = now;
@@ -1593,6 +1674,7 @@ impl<S: SlotStore> NodeCore<S> {
                                 trace: 0,
                             })
                             .collect();
+                        count(Counter::ClusterReplResent, resends.len() as u64);
                         for m in resends {
                             out.send(b, m);
                         }
@@ -1841,6 +1923,113 @@ mod tests {
         assert_eq!(out.replies[0].1.status, Status::Ok);
         // The apply happened on node 1 (primary), replicated back on 0.
         assert!(out.applied.iter().any(|r| r.uid == 8 && r.primary));
+    }
+
+    #[test]
+    fn the_backup_answers_its_own_forward_and_its_ack_rides_the_next_frame() {
+        let (mut a, mut b) = pair();
+        // Node 0 forwards to node 1, and is the backup of every slot node 1
+        // owns.
+        let mut keys = (0..).filter(|&k| a.route().get(a.slot_of(k)).owner == 1);
+        let (k1, k2) = (keys.next().unwrap(), keys.next().unwrap());
+        assert_eq!(a.route().get(a.slot_of(k1)).backup, Some(0));
+        let mut out = Outbox::default();
+        a.on_client_op(3, 8, k1, kv_ops::ADD as u8, 5, &mut out);
+        let (to, fwd) = out.sends.pop().unwrap();
+        assert_eq!(to, 1);
+
+        // The owner applies and replicates to the forwarder; nobody waits on
+        // it for a `FwdReply`.
+        let mut at_b = Outbox::default();
+        b.on_node_msg(0, fwd, &mut at_b);
+        assert!(at_b.replies.is_empty());
+        let [(0, repl @ NodeMsg::Repl { .. })] = &at_b.sends[..] else {
+            panic!("the owner must send exactly the Repl: {:?}", at_b.sends);
+        };
+
+        // The backup applies the record and answers its client with its own
+        // result; the ack nobody waits on is kept.
+        let mut at_a = Outbox::default();
+        a.on_node_msg(1, repl.clone(), &mut at_a);
+        assert_eq!(at_a.replies.len(), 1);
+        assert_eq!(at_a.replies[0].0, 3);
+        assert_eq!(at_a.replies[0].1.status, Status::Ok);
+        assert_eq!(at_a.replies[0].1.value, 5);
+        assert!(at_a.sends.is_empty(), "ack kept: {:?}", at_a.sends);
+        assert_eq!(a.pending_fwds(), 0);
+        let lag =
+            |n: &NodeCore<ModelStore>, k: u64| n.slot_snapshots()[n.slot_of(k) as usize].repl_lag;
+        assert_eq!(lag(&b, k1), 1);
+
+        // The next frame to the primary carries the ack in front of it.
+        let mut out = Outbox::default();
+        a.on_client_op(3, 9, k2, kv_ops::ADD as u8, 1, &mut out);
+        assert!(
+            matches!(
+                &out.sends[..],
+                [
+                    (1, NodeMsg::ReplAck { .. }),
+                    (1, NodeMsg::Fwd { uid: 9, .. })
+                ]
+            ),
+            "{:?}",
+            out.sends
+        );
+        let (_, ack) = out.sends.remove(0);
+        b.on_node_msg(0, ack, &mut Outbox::default());
+        assert_eq!(lag(&b, k1), 0);
+
+        // With no frame to ride, a kept ack goes out at the next tick.
+        let mut out = Outbox::default();
+        a.on_client_op(3, 10, k1, kv_ops::ADD as u8, 1, &mut out);
+        pump(&mut a, &mut b, &mut out);
+        assert_eq!(out.replies.len(), 1);
+        assert_eq!(out.replies[0].1.value, 6);
+        assert_eq!(lag(&b, k1), 1);
+        let mut out = Outbox::default();
+        a.on_tick(1, &mut out);
+        assert!(matches!(out.sends[0], (1, NodeMsg::ReplAck { .. })));
+        pump(&mut a, &mut b, &mut out);
+        assert_eq!(lag(&b, k1), 0);
+    }
+
+    #[test]
+    fn steady_load_on_one_slot_with_a_healthy_backup_resends_nothing() {
+        let (mut a, mut b) = pair();
+        let key = (0..)
+            .find(|&k| a.route().get(a.slot_of(k)).owner == 0)
+            .unwrap();
+        let resend = NodeConfig::new(0, vec![0, 1]).resend_after;
+        // Every frame takes one tick, and an op arrives every tick: the
+        // replication log never drains, but the backup acks every record.
+        let mut wire: Vec<(NodeId, NodeMsg)> = Vec::new();
+        let (mut resent, mut answered) = (0, 0);
+        for t in 1..=4 * resend {
+            let mut next = Vec::new();
+            for (to, msg) in std::mem::take(&mut wire) {
+                let (from, node) = if to == 0 { (1, &mut a) } else { (0, &mut b) };
+                let mut out = Outbox::default();
+                node.on_node_msg(from, msg, &mut out);
+                answered += out.replies.len();
+                next.extend(out.sends);
+            }
+            let mut out = Outbox::default();
+            a.on_tick(t, &mut out);
+            b.on_tick(t, &mut out);
+            resent += out
+                .sends
+                .iter()
+                .filter(|(_, m)| matches!(m, NodeMsg::Repl { .. }))
+                .count();
+            next.extend(out.sends);
+            let mut out = Outbox::default();
+            a.on_client_op(7, t, key, kv_ops::ADD as u8, 1, &mut out);
+            assert!(a.slot_snapshots()[a.slot_of(key) as usize].repl_lag > 0);
+            next.extend(out.sends);
+            wire = next;
+        }
+        assert!(answered as u64 >= 4 * resend - 2, "answered {answered}");
+        assert_eq!(resent, 0, "a healthy backup's records were resent");
     }
 
     #[test]

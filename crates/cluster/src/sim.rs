@@ -28,7 +28,14 @@
 //!   result and the final store contents, which are compared against the
 //!   oracle key-by-key after quiesce;
 //! * **replica convergence**: after quiesce, backup copies must equal the
-//!   primary copy for every slot that still has a live backup.
+//!   primary copy for every slot that still has a live backup;
+//! * **who answers**: a forwarded op is answered by its slot's backup, with
+//!   the backup's own apply, when the backup is the node it entered at, and
+//!   by a `FwdReply` otherwise. Either answer must be the primary's result:
+//!   every `Ok` produced while a node handles a `Repl` must equal the primary
+//!   [`ApplyRecord`] of its uid at the epoch the backup applied it in, and
+//!   every `Ok` produced while it handles a `FwdReply` must equal a primary
+//!   apply of its uid.
 //!
 //! Any violation panics, which turns each seed into a test case — the
 //! adversarial suite in the root package's `tests/cluster_sim.rs` sweeps
@@ -41,7 +48,7 @@ use mpsync_objects::seq::{kv_dispatch, kv_ops, KvMap};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::node::{NodeConfig, NodeCore, Outbox};
+use crate::node::{ApplyRecord, NodeConfig, NodeCore, Outbox};
 use crate::store::ModelStore;
 use crate::{NodeId, Slot};
 
@@ -147,6 +154,10 @@ pub struct SimReport {
     pub resends: u64,
     /// Messages the adversarial network dropped.
     pub dropped: u64,
+    /// Forwarded ops the slot's backup answered as their `Repl` applied.
+    pub fwd_by_backup: u64,
+    /// Forwarded ops answered on a `FwdReply`.
+    pub fwd_by_reply: u64,
     /// The most often any one transfer chunk (slot, epoch, index) was handed
     /// to the network: 1 + the re-sends of the most re-sent stream, 0 when
     /// no slot moved.
@@ -162,6 +173,18 @@ fn fnv(mut acc: u64, bytes: &[u8]) -> u64 {
         acc = acc.wrapping_mul(0x100_0000_01b3);
     }
     acc
+}
+
+/// The input a node's replies came out of, which tells who answered a
+/// forwarded op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// The slot's backup applying a `Repl`.
+    Repl,
+    /// The forwarder receiving a `FwdReply`.
+    FwdReply,
+    /// Any other input.
+    Other,
 }
 
 #[derive(Debug)]
@@ -235,6 +258,8 @@ struct Sim {
     partitioned: Vec<bool>,
     clients: Vec<SimClient>,
     completed: BTreeMap<u64, u64>,
+    /// `(uid, epoch)` → result of the op's apply as primary in that epoch.
+    primary_results: BTreeMap<(u64, u64), u64>,
     events: BinaryHeap<Ev>,
     now: u64,
     seq: u64,
@@ -245,6 +270,8 @@ struct Sim {
     stale_replies: u64,
     resends: u64,
     dropped: u64,
+    fwd_by_backup: u64,
+    fwd_by_reply: u64,
     chunk_sends: BTreeMap<(Slot, u64, u32), u32>,
     fault_node: NodeId,
 }
@@ -307,6 +334,7 @@ pub fn run(cfg: &SimConfig) -> SimReport {
         partitioned: vec![false; cfg.nodes as usize],
         clients,
         completed: BTreeMap::new(),
+        primary_results: BTreeMap::new(),
         events: BinaryHeap::new(),
         now: 0,
         seq: 0,
@@ -317,6 +345,8 @@ pub fn run(cfg: &SimConfig) -> SimReport {
         stale_replies: 0,
         resends: 0,
         dropped: 0,
+        fwd_by_backup: 0,
+        fwd_by_reply: 0,
         chunk_sends: BTreeMap::new(),
         fault_node: 0,
     };
@@ -392,12 +422,17 @@ impl Sim {
                     self.trace = fnv(self.trace, &self.now.to_le_bytes());
                     self.trace = fnv(self.trace, &[to as u8, from as u8]);
                     self.trace = fnv(self.trace, dbg.as_bytes());
-                    self.drive(to, |n, out| n.on_node_msg(from, msg, out));
+                    let via = match msg {
+                        NodeMsg::Repl { .. } => Via::Repl,
+                        NodeMsg::FwdReply { .. } => Via::FwdReply,
+                        _ => Via::Other,
+                    };
+                    self.drive(to, via, |n, out| n.on_node_msg(from, msg, out));
                 }
                 EvKind::Tick { node } => {
                     if self.alive(node) {
                         let now = self.now;
-                        self.drive(node, |n, out| n.on_tick(now, out));
+                        self.drive(node, Via::Other, |n, out| n.on_tick(now, out));
                         self.schedule(self.now + 1, EvKind::Tick { node });
                     }
                 }
@@ -421,7 +456,7 @@ impl Sim {
                     if to == owner {
                         continue;
                     }
-                    self.drive(via, |n, out| n.start_handoff(slot, to, out));
+                    self.drive(via, Via::Other, |n, out| n.start_handoff(slot, to, out));
                 }
                 EvKind::Crash => {
                     let victim = self.fault_node;
@@ -464,8 +499,9 @@ impl Sim {
     }
 
     /// Feeds one input to a node and absorbs the resulting outbox into the
-    /// event queue / client handlers.
-    fn drive<F>(&mut self, node: NodeId, f: F)
+    /// event queue / client handlers. `via` names the input, for the check
+    /// on who answers forwarded ops.
+    fn drive<F>(&mut self, node: NodeId, via: Via, f: F)
     where
         F: FnOnce(&mut NodeCore<ModelStore>, &mut Outbox),
     {
@@ -475,12 +511,69 @@ impl Sim {
         } else {
             return;
         }
-        for (to, msg) in out.sends {
+        let Outbox {
+            sends,
+            replies,
+            applied,
+        } = out;
+        for a in applied.iter().filter(|a| a.primary) {
+            self.primary_results.insert((a.uid, a.epoch), a.result);
+        }
+        for (to, msg) in sends {
             self.send_net(node, to, msg);
         }
-        for (token, resp) in out.replies {
+        for (token, resp) in replies {
+            if via != Via::Other && resp.status == Status::Ok {
+                self.check_forward_answer(node, via, &resp, &applied);
+            }
             self.client_reply(token as usize, resp);
         }
+    }
+
+    /// An `Ok` answer to a forwarded op must carry the primary's result,
+    /// whether the backup computed it (`applied` holds its apply) or the
+    /// primary sent it.
+    fn check_forward_answer(
+        &mut self,
+        node: NodeId,
+        via: Via,
+        resp: &Response,
+        applied: &[ApplyRecord],
+    ) {
+        let uid = resp.id;
+        let primary: Vec<u64> = match via {
+            Via::Repl => {
+                let replica = applied
+                    .iter()
+                    .find(|a| a.uid == uid && !a.primary)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "node {node} answered uid {uid} on a Repl it did not apply (seed {})",
+                            self.cfg.seed
+                        )
+                    });
+                self.fwd_by_backup += 1;
+                self.primary_results
+                    .get(&(uid, replica.epoch))
+                    .copied()
+                    .into_iter()
+                    .collect()
+            }
+            _ => {
+                self.fwd_by_reply += 1;
+                self.primary_results
+                    .range((uid, 0)..=(uid, u64::MAX))
+                    .map(|(_, &v)| v)
+                    .collect()
+            }
+        };
+        assert!(
+            primary.contains(&resp.value),
+            "node {node} answered forwarded uid {uid} on a {via:?} with {}, \
+             the primary's apply gave {primary:?} (seed {})",
+            resp.value,
+            self.cfg.seed
+        );
     }
 
     fn send_net(&mut self, from: NodeId, to: NodeId, msg: NodeMsg) {
@@ -558,7 +651,7 @@ impl Sim {
         };
         p.target = target;
         let (uid, key, op, arg) = (p.uid, p.key, p.op, p.arg);
-        self.drive(target, |n, out| {
+        self.drive(target, Via::Other, |n, out| {
             n.on_client_op(c as u64, uid, key, op, arg, out)
         });
     }
@@ -725,6 +818,8 @@ impl Sim {
             stale_replies: self.stale_replies,
             resends: self.resends,
             dropped: self.dropped,
+            fwd_by_backup: self.fwd_by_backup,
+            fwd_by_reply: self.fwd_by_reply,
             max_chunk_sends: self.chunk_sends.values().copied().max().unwrap_or(0),
             final_entries,
         }

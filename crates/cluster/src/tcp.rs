@@ -20,20 +20,22 @@
 //! `read` into its `FrameReader`, then for each complete frame — classify,
 //! feed the `NodeCore`, tick if a tick is due, write the [`Outbox`] — before
 //! the next frame is decoded, the order the simulator feeds the same state
-//! machine in. There is no inbound queue: what the core has not read is in
+//! machine in. The outbox goes out as one write per socket: every frame for
+//! one peer, and every reply for one client, encoded in order into one
+//! buffer. There is no inbound queue: what the core has not read is in
 //! the kernel's socket buffers, and a core that falls behind stops reading,
 //! so TCP pushes back on the sender. A connection that loses framing, sends
 //! peer frames before a `Hello` or mixes client and peer frames is dropped.
 //!
 //! **Writes never block.** The only reader must not wait in a write: two
 //! nodes streaming a slot to each other would each wait for the other to
-//! read. Every socket is non-blocking. A frame is encoded into one reused
-//! buffer and written straight through when nothing is pending for its
-//! socket; the tail the kernel would not take is appended to that socket's
-//! pending bytes and `EPOLLOUT` is armed until they drain. One slow-consumer
-//! policy covers both ways a receiver can fall behind: a socket whose
-//! pending bytes make no progress for `WRITE_BOUND` (100 ms), or would pass
-//! `PENDING_CAP` (64 MiB), is dropped. The cap is also the largest slot a
+//! read. Every socket is non-blocking. An input's frames for one socket are
+//! encoded into one reused buffer and written straight through when nothing
+//! is pending for that socket; the tail the kernel would not take is
+//! appended to that socket's pending bytes and `EPOLLOUT` is armed until
+//! they drain. One slow-consumer policy covers both ways a receiver can fall
+//! behind: a socket whose pending bytes make no progress for `WRITE_BOUND`
+//! (100 ms), or would pass `PENDING_CAP` (64 MiB), is dropped. The cap is also the largest slot a
 //! handoff can move: a transfer's chunks are queued at once (the sender holds
 //! the list for re-sends anyway), so a stream longer than the cap drops the
 //! link every time it is sent; a windowed transfer is future work.
@@ -178,6 +180,7 @@ impl ClusterNode {
             },
             node: NodeCore::new(cfg.node, store),
             out: Outbox::default(),
+            fwd_replies: 0,
             chunk: vec![0; 16 * 1024],
             start: Instant::now(),
             tick_ms: cfg.tick_ms.max(1),
@@ -225,6 +228,9 @@ struct Core {
     socks: Sockets,
     node: NodeCore<RuntimeStore>,
     out: Outbox,
+    /// `FwdReply` frames written, for the admin snapshot: a forward its
+    /// entry node backs up is answered by that node, not with one of these.
+    fwd_replies: u64,
     /// Read buffer shared by every connection: one `read` at a time.
     chunk: Vec<u8>,
     start: Instant,
@@ -358,16 +364,16 @@ impl Core {
                 }
                 let payload = match kind {
                     stat_kind::SPANS => encode_spans(&telemetry::drain_spans()),
-                    _ => cluster_snapshot_json(&self.node).into_bytes(),
+                    _ => cluster_snapshot_json(&self.node, self.fwd_replies).into_bytes(),
                 };
-                self.socks
-                    .send_client(token, &StatReply { id, kind, payload });
+                encoded(&mut self.socks.buf, &StatReply { id, kind, payload });
+                self.socks.send_client(token);
             }
         }
     }
 
     /// What follows every input, and every wait that brought none: the tick
-    /// if one is due, then the outbox onto the sockets.
+    /// if one is due, then the outbox onto the sockets, one write per socket.
     fn after_input(&mut self) {
         let now = self.start.elapsed().as_millis() as u64 / self.tick_ms;
         if now > self.last_tick {
@@ -375,12 +381,19 @@ impl Core {
             self.node.on_tick(now, &mut self.out);
             self.socks.shed_stalled();
         }
-        for (to, msg) in self.out.sends.drain(..) {
-            self.socks.send_node(to, &msg);
+        let sends = &self.out.sends;
+        self.fwd_replies += sends
+            .iter()
+            .filter(|(_, msg)| matches!(msg, NodeMsg::FwdReply { .. }))
+            .count() as u64;
+        while let Some(to) = next_write(&mut self.out.sends, &mut self.socks.buf) {
+            self.socks.send_node(to);
         }
-        for (token, resp) in self.out.replies.drain(..) {
-            self.socks.send_client(token, &resp);
+        while let Some(token) = next_write(&mut self.out.replies, &mut self.socks.buf) {
+            self.socks.send_client(token);
         }
+        // One input can be a whole slot's export: do not keep its buffer.
+        self.socks.buf.shrink_to(64 << 10);
         self.out.applied.clear(); // the verifier's feed; nobody reads it here
     }
 }
@@ -524,7 +537,8 @@ struct Link {
     next_dial: Instant,
 }
 
-/// Every socket but the listener, and the one buffer frames are encoded in.
+/// Every socket but the listener, and the one buffer a socket's frames are
+/// encoded in.
 struct Sockets {
     id: NodeId,
     epoll: Epoll,
@@ -535,26 +549,27 @@ struct Sockets {
     /// The next accepted or dialled socket's cookie; never reused, so an
     /// event cannot be taken for a later socket's.
     next_token: u64,
-    /// Encode buffer reused by every outgoing frame.
+    /// Encoded frames for one socket, reused for every write.
     buf: Vec<u8>,
 }
 
 impl Sockets {
-    fn send_client(&mut self, token: u64, frame: &impl Wire) {
+    /// Writes `buf` to client connection `token`.
+    fn send_client(&mut self, token: u64) {
         if let Some(conn) = self.conns.get_mut(&token) {
-            conn.out.send(&self.epoll, encoded(&mut self.buf, frame));
+            conn.out.send(&self.epoll, &self.buf);
         }
     }
 
-    /// Frames for [`ADMIN_NODE`] go to every open admin connection (an
-    /// admin skips what it is not waiting for); anything else goes down the
-    /// peer's link, dialling it first if it is down and due.
-    fn send_node(&mut self, to: NodeId, msg: &NodeMsg) {
+    /// Writes `buf` to node `to`. Frames for [`ADMIN_NODE`] go to every open
+    /// admin connection (an admin skips what it is not waiting for);
+    /// anything else goes down the peer's link, dialling it first if it is
+    /// down and due.
+    fn send_node(&mut self, to: NodeId) {
         if to == ADMIN_NODE {
-            let frame = encoded(&mut self.buf, msg);
             for conn in self.conns.values_mut() {
                 if conn.role == Role::Peer(ADMIN_NODE) {
-                    conn.out.send(&self.epoll, frame);
+                    conn.out.send(&self.epoll, &self.buf);
                 }
             }
             return;
@@ -573,7 +588,7 @@ impl Sockets {
             }
         }
         if let Some(out) = &mut link.out {
-            if !out.send(&self.epoll, encoded(&mut self.buf, msg)) {
+            if !out.send(&self.epoll, &self.buf) {
                 link.out = None;
             }
         }
@@ -610,6 +625,25 @@ impl Sockets {
             }
         }
     }
+}
+
+/// One socket's write: every frame in `frames` addressed where the first
+/// one is, removed and encoded in order over whatever `buf` held. Returns
+/// that address, or `None` once `frames` is empty.
+fn next_write<A: Copy + PartialEq, F: Wire>(
+    frames: &mut Vec<(A, F)>,
+    buf: &mut Vec<u8>,
+) -> Option<A> {
+    let &(to, _) = frames.first()?;
+    buf.clear();
+    frames.retain(|(dest, frame)| {
+        if *dest != to {
+            return true;
+        }
+        frame.encode_frame(buf);
+        false
+    });
+    Some(to)
 }
 
 /// `frame` on the wire, encoded over whatever `buf` held.
@@ -686,20 +720,22 @@ fn read_until<T: Wire>(
 /// Builds the versioned admin snapshot (`stat_kind::SNAPSHOT`) for a
 /// cluster member: node identity, routing digest, per-slot protocol state
 /// (role, epoch, phase, replication lag, queue/dedup occupancy), the
+/// `FwdReply` frames the node has written,
 /// runtime's per-shard stats, the telemetry report (empty with the
 /// feature off), and the flight-recorder dump (always on).
 ///
 /// Shares [`STAT_SNAPSHOT_VERSION`] with the single-node server: the
 /// `source` field ("cluster" vs "net") tells a scraper which shape it got.
-fn cluster_snapshot_json(node: &NodeCore<RuntimeStore>) -> String {
+fn cluster_snapshot_json(node: &NodeCore<RuntimeStore>, fwd_replies: u64) -> String {
     let slots: Vec<String> = node.slot_snapshots().iter().map(|s| s.to_json()).collect();
     format!(
         "{{\n\"version\": {STAT_SNAPSHOT_VERSION},\n\"source\": \"cluster\",\n\"node\": {},\n\
-         \"route_digest\": {},\n\"pending_fwds\": {},\n\"slots\": [{}],\n\"runtime\": {},\n\
-         \"telemetry\": {},\n\"flight\": {}\n}}",
+         \"route_digest\": {},\n\"pending_fwds\": {},\n\"fwd_replies\": {},\n\"slots\": [{}],\n\
+         \"runtime\": {},\n\"telemetry\": {},\n\"flight\": {}\n}}",
         node.id(),
         node.route().digest(),
         node.pending_fwds(),
+        fwd_replies,
         slots.join(","),
         node.store().runtime_stats_json(),
         telemetry::TelemetryReport::capture().to_json(),

@@ -129,8 +129,10 @@ pub mod trace_word {
 }
 
 /// Version word carried in [`NodeMsg::Hello`]; a node drops peer
-/// connections that greet with any other version.
-pub const NODE_PROTO_VERSION: u16 = 1;
+/// connections that greet with any other version. Version 2: a slot's backup
+/// answers the ops it forwarded itself, so a primary sends it no `FwdReply`
+/// for them; a version-1 backup would wait a resend interval for each.
+pub const NODE_PROTO_VERSION: u16 = 2;
 
 /// Sentinel node id meaning "no node" (e.g. a slot with no backup).
 pub const NO_NODE: u16 = u16::MAX;
@@ -593,7 +595,9 @@ pub enum NodeMsg {
         /// Trace word ([`trace_word`]), or 0; optional body suffix.
         trace: u64,
     },
-    /// Answer to a [`NodeMsg::Fwd`] with the same `uid`.
+    /// Answer to a [`NodeMsg::Fwd`] with the same `uid`. A slot's backup
+    /// gets none for the ops it forwarded once they are applied: it answers
+    /// them itself when their [`NodeMsg::Repl`] applies.
     FwdReply {
         /// Echo of the forwarded op's uid.
         uid: u64,
@@ -623,13 +627,14 @@ pub enum NodeMsg {
         trace: u64,
     },
     /// Cumulative replication ack: the backup has applied every record of
-    /// `(slot, epoch)` with sequence ≤ `seq`.
+    /// `(slot, epoch)` with sequence < `seq`.
     ReplAck {
         /// Slot being acknowledged.
         slot: u16,
         /// Epoch the acknowledged sequence is scoped to.
         epoch: u64,
-        /// Highest contiguously-applied sequence number.
+        /// Records applied contiguously from sequence 0: one past the
+        /// highest applied sequence number.
         seq: u64,
     },
     /// Routing gossip: `slot` is owned by `owner` (backed by `backup`,

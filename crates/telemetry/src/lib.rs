@@ -286,10 +286,13 @@ pub enum Counter {
     AppTxnCommits = 34,
     /// Two-phase transfers aborted at the reserve phase.
     AppTxnAborts = 35,
+    /// Replication records a primary re-sent because the backup's ack was
+    /// overdue (`resend_after` ticks without progress).
+    ClusterReplResent = 36,
 }
 
 impl Counter {
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 37] = [
         Counter::UdnSends,
         Counter::UdnReceives,
         Counter::UdnBlockedSends,
@@ -326,6 +329,7 @@ impl Counter {
         Counter::AppSessionLazyExpired,
         Counter::AppTxnCommits,
         Counter::AppTxnAborts,
+        Counter::ClusterReplResent,
     ];
 
     /// Stable dotted name used in JSON output.
@@ -367,6 +371,7 @@ impl Counter {
             Counter::AppSessionLazyExpired => "app.session_lazy_expired",
             Counter::AppTxnCommits => "app.txn_commits",
             Counter::AppTxnAborts => "app.txn_aborts",
+            Counter::ClusterReplResent => "cluster.repl_resent",
         }
     }
 }
@@ -688,6 +693,7 @@ mod tests {
                 "app.session_lazy_expired",
                 "app.txn_commits",
                 "app.txn_aborts",
+                "cluster.repl_resent",
             ]
         );
         // Discriminants must match ALL order: the hist/counter arrays and

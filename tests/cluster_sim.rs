@@ -41,8 +41,13 @@ fn sweep(seeds: Range<u64>) -> Range<u64> {
 }
 
 /// Fair weather, 100 seeds: drops, duplicates, reorder via random delays.
+/// Three nodes, so a forwarded op is answered both ways: by the slot's
+/// backup when it entered there, and by a `FwdReply` when it entered at the
+/// third node. `run` checks every such answer against the primary's apply;
+/// the sweep must exercise both.
 #[test]
 fn hundred_seeds_of_lossy_weather() {
+    let (mut by_backup, mut by_reply) = (0, 0);
     for seed in sweep(0..100u64) {
         let mut cfg = SimConfig::new(seed);
         // Escalate the weather with the seed so the sweep spans mild to
@@ -55,6 +60,37 @@ fn hundred_seeds_of_lossy_weather() {
             r.ok_replies,
             (cfg.clients as u64) * (cfg.ops_per_client as u64),
             "seed {seed}: missing acks"
+        );
+        by_backup += r.fwd_by_backup;
+        by_reply += r.fwd_by_reply;
+    }
+    assert!(
+        by_backup > 0 && by_reply > 0,
+        "forwards answered by the backup {by_backup}, by a FwdReply {by_reply}"
+    );
+}
+
+/// Two nodes, 20 seeds: each is the backup of every slot the other owns, so
+/// every forward that is applied is answered by the node it entered at, and
+/// every ack for such a forward is kept for a later frame or the tick. Lost
+/// and duplicated `Repl`s, `Fwd`s and kept acks must still settle every op.
+#[test]
+fn twenty_seeds_of_two_nodes() {
+    for seed in sweep(7000..7020u64) {
+        let mut cfg = SimConfig::new(seed);
+        cfg.nodes = 2;
+        cfg.drop_p = 0.02 + (seed % 5) as f64 * 0.03;
+        cfg.dup_p = 0.05;
+        cfg.delay_max = 1 + seed % 4;
+        let r = run(&cfg);
+        assert_eq!(
+            r.ok_replies,
+            (cfg.clients as u64) * (cfg.ops_per_client as u64),
+            "seed {seed}: missing acks"
+        );
+        assert!(
+            r.fwd_by_backup > 0,
+            "seed {seed}: no forward answered by the backup"
         );
     }
 }
