@@ -66,6 +66,7 @@ mod hybcomb;
 pub mod locks;
 pub mod machine;
 pub mod mp_server;
+pub mod queue;
 mod shm_server;
 pub mod stack;
 mod state;

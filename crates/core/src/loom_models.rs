@@ -19,7 +19,9 @@ use std::sync::Arc;
 use mpsync_udn::{Fabric, FabricConfig};
 
 use crate::locks::{McsLock, TasLock};
+use crate::queue::{ops, Lcrq, TwoLockQueue, EMPTY, FULL};
 use crate::stack::TreiberStack;
+use crate::sync::UnsafeCell;
 use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs, MpServer, ShmServer};
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
@@ -528,5 +530,103 @@ fn treiber_aba_needs_the_tag() {
         }
         seen.sort_unstable();
         assert_eq!(seen, [1, 2, 3]);
+    });
+}
+
+/// LCRQ over a pool of two rings of two cells. The main thread's third
+/// enqueue closes ring 0 and appends ring 1; then, racing the other
+/// thread's one dequeue, its dequeues drain ring 0 and retire it, and its
+/// sixth enqueue closes ring 1 and reuses ring 0. The other thread may
+/// hold ring 0 through all of that (its hazard makes the reuse wait for
+/// it), or have read the head before the retirement and publish its
+/// hazard after the reuse. Every value is
+/// dequeued exactly once, the main thread's in order, and the other
+/// thread's value is older than every value still queued after it
+/// returned.
+///
+/// Negative control: without `protect`'s re-read, the late thread takes 6
+/// from ring 0's new incarnation while 4 and 5 wait in ring 1.
+#[test]
+fn lcrq_reuses_a_retired_ring_only_after_its_holders() {
+    loom::model(|| {
+        let q = Arc::new(Lcrq::new(1, 2, 2));
+        let mut a = q.handle();
+        for v in 1..=3 {
+            a.enqueue(v);
+        }
+        let t = {
+            let mut b = q.handle();
+            loom::thread::spawn(move || b.dequeue())
+        };
+        let mut mine = Vec::new();
+        mine.extend((0..3).filter_map(|_| a.dequeue()));
+        for v in 4..=6 {
+            a.enqueue(v);
+        }
+        let theirs = t.join().unwrap();
+        let left: Vec<u64> = std::iter::from_fn(|| a.dequeue()).collect();
+        if let Some(v) = theirs {
+            assert!(
+                left.iter().all(|&w| w > v),
+                "{v} dequeued while older {left:?} stayed queued"
+            );
+        }
+        mine.extend(&left);
+        assert!(
+            mine.is_sorted(),
+            "one thread dequeued out of order: {mine:?}"
+        );
+        mine.extend(theirs);
+        mine.sort_unstable();
+        assert_eq!(mine, [1, 2, 3, 4, 5, 6]);
+    });
+}
+
+/// The two-lock queue of capacity 1, each half under its own TAS lock: one
+/// thread enqueues 1 and then 2, retrying while full, so the second
+/// enqueue reuses the node the first dequeue freed; the other dequeues
+/// twice, retrying while empty. Each enqueue first writes its value's
+/// payload cell and each dequeue reads it after: only the enqueue side's
+/// Release on `next` and the dequeue side's Acquire order the two, so a
+/// weaker edge is a race on the cell.
+///
+/// Negative control: `next`'s publish in `TwoLockLayout::enqueue` weakened
+/// to Relaxed races on the payload.
+#[test]
+fn two_lock_queue_publishes_through_next_and_reuses_nodes() {
+    type Half = fn(&mut Arc<TwoLockQueue>, u64, u64) -> u64;
+    loom::model(|| {
+        let q = TwoLockQueue::new(1);
+        let enq = LockCs::<_, TasLock, _>::new(Arc::clone(&q), TwoLockQueue::dispatch as Half);
+        let deq = Arc::new(LockCs::<_, TasLock, _>::new(
+            q,
+            TwoLockQueue::dispatch as Half,
+        ));
+        let payload: Arc<[UnsafeCell<u64>; 2]> = Arc::new([UnsafeCell::new(0), UnsafeCell::new(0)]);
+        let t = {
+            let (deq, payload) = (Arc::clone(&deq), Arc::clone(&payload));
+            loom::thread::spawn(move || {
+                let mut d = deq.handle();
+                let mut got = Vec::new();
+                while got.len() < 2 {
+                    match d.apply(ops::DEQ, 0) {
+                        EMPTY => loom::thread::yield_now(),
+                        // SAFETY: the enqueuer wrote the cell before
+                        // publishing `v`; loom checks that ordering.
+                        v => got.push((v, payload[v as usize - 1].with(|p| unsafe { *p }))),
+                    }
+                }
+                got
+            })
+        };
+        let mut e = enq.handle();
+        for v in 1..=2u64 {
+            // SAFETY: the dequeuer reads the cell only after `v` is queued.
+            payload[v as usize - 1].with_mut(|p| unsafe { *p = 10 * v });
+            while e.apply(ops::ENQ, v) == FULL {
+                loom::thread::yield_now();
+            }
+        }
+        assert_eq!(t.join().unwrap(), [(1, 10), (2, 20)]);
     });
 }

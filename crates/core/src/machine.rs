@@ -1,6 +1,6 @@
 //! One construction, two machines (DESIGN.md §2): MP-SERVER, HYBCOMB,
-//! SHM-SERVER, CC-SYNCH and Figure 5b's two stacks are written once against
-//! [`Machine`]. The crate's native types run that code on the host, and
+//! SHM-SERVER, CC-SYNCH and Figure 5's queues and stacks are written once
+//! against [`Machine`]. The crate's native types run that code on the host, and
 //! `tilesim::Ctx` implements the trait, so the simulator's figures come
 //! from the code the loom, miri and tsan lanes check. A machine is a
 //! word-addressed memory, [`WORDS_PER_LINE`] words to a cache line, a local
@@ -185,8 +185,8 @@ pub trait Probe<M> {
         ControlFlow::Continue(())
     }
 
-    /// A nonblocking object's CAS on a top word ran; `won` says whether it
-    /// replaced the word.
+    /// A nonblocking object's CAS on a top word or a ring cell ran; `won`
+    /// says whether it replaced the word.
     fn cas_attempt(&mut self, _m: &mut M, _won: bool) {}
 }
 

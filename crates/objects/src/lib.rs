@@ -1,25 +1,26 @@
 //! Linearizable concurrent objects from the paper's evaluation (§5):
 //! counters, FIFO queues, and stacks.
 //!
-//! Two families live here:
+//! Every queue and stack of Figure 5 is `mpsync-core`'s
+//! (`mpsync_core::{queue, stack}`), written once against its `Machine`
+//! trait over a bounded word arena, so tilesim's Figure 5 runs the code that
+//! the tests here check. This crate adds the per-thread handles:
 //!
-//! * **Executor-backed objects** — a *sequential* data structure protected
-//!   by any critical-section executor from `mpsync-core` (MP-SERVER,
-//!   HYBCOMB, SHM-SERVER, CC-SYNCH, or a lock). These are the paper's
-//!   "coarse-lock" queue/stack and single-/two-lock MS queues.
+//! * **Executor-backed objects** — a *sequential* body protected by any
+//!   critical-section executor from `mpsync-core` (MP-SERVER, HYBCOMB,
+//!   SHM-SERVER, CC-SYNCH, or a lock): the paper's one-lock queue and
+//!   coarse-lock stack, and the two-lock MS queue's two halves.
 //! * **Nonblocking comparators** — LCRQ (Morrison & Afek, with the paper's
-//!   TILE-Gx adaptations, epoch-based reclamation) and the Treiber stack
-//!   (a bounded node pool with tagged tops).
-//!
-//! Both stacks are `mpsync-core`'s (`mpsync_core::stack`), written once
-//! against its `Machine` trait, so tilesim's Figure 5b runs the code that
-//! the tests here check.
+//!   TILE-Gx port: 32-bit values in 64-bit CAS cells, rings from a fixed
+//!   pool reused behind per-handle hazard words) and the Treiber stack (a
+//!   bounded node pool with tagged tops).
 //!
 //! All containers store `u64` values except [`EMPTY`] (`u64::MAX`), which is
 //! reserved as the "empty" sentinel in the one-word response format, and
-//! LCRQ, which stores `u32` values exactly as the paper's port did (footnote
-//! 5: without a 128-bit CAS, values shrink to 32 bits so a cell fits a
-//! 64-bit CAS).
+//! LCRQ, which stores values below `u32::MAX` exactly as the paper's port
+//! did (footnote 5: without a 128-bit CAS, values shrink to 32 bits so a
+//! cell fits a 64-bit CAS). Every container has a capacity, set when it is
+//! built; an insert past it panics, naming it.
 //!
 //! Per-thread access goes through handles implementing [`ConcurrentQueue`] /
 //! [`ConcurrentStack`] / [`Counter`], so benchmarks and tests are generic

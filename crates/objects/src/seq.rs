@@ -5,7 +5,7 @@
 //! small integers (the paper's §5.2 opcode optimization), and results are
 //! single 64-bit words ([`EMPTY`] encodes "nothing").
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::EMPTY;
 
@@ -33,34 +33,6 @@ pub fn counter_dispatch(state: &mut u64, op: u64, arg: u64) -> u64 {
         }
         counter_ops::GET => *state,
         _ => panic!("counter: unknown opcode {op}"),
-    }
-}
-
-/// Opcodes understood by [`queue_dispatch`].
-pub mod queue_ops {
-    /// Enqueue `arg`; returns 0.
-    pub const ENQ: u64 = 0;
-    /// Dequeue; returns the value or `EMPTY`.
-    pub const DEQ: u64 = 1;
-    /// Current length.
-    pub const LEN: u64 = 2;
-}
-
-/// A sequential FIFO queue state for the paper's single-lock MS-queue
-/// configuration (both CSes under one executor).
-pub type SeqQueue = VecDeque<u64>;
-
-/// Critical-section body for a sequential FIFO queue.
-pub fn queue_dispatch(state: &mut SeqQueue, op: u64, arg: u64) -> u64 {
-    match op {
-        queue_ops::ENQ => {
-            debug_assert_ne!(arg, EMPTY, "EMPTY sentinel is not storable");
-            state.push_back(arg);
-            0
-        }
-        queue_ops::DEQ => state.pop_front().unwrap_or(EMPTY),
-        queue_ops::LEN => state.len() as u64,
-        _ => panic!("queue: unknown opcode {op}"),
     }
 }
 
@@ -180,17 +152,6 @@ mod tests {
         assert_eq!(counter_dispatch(&mut s, counter_ops::INC, 0), 1);
         assert_eq!(counter_dispatch(&mut s, counter_ops::ADD, 8), 10);
         assert_eq!(counter_dispatch(&mut s, counter_ops::GET, 0), 10);
-    }
-
-    #[test]
-    fn queue_ops_fifo() {
-        let mut q = SeqQueue::new();
-        queue_dispatch(&mut q, queue_ops::ENQ, 5);
-        queue_dispatch(&mut q, queue_ops::ENQ, 6);
-        assert_eq!(queue_dispatch(&mut q, queue_ops::LEN, 0), 2);
-        assert_eq!(queue_dispatch(&mut q, queue_ops::DEQ, 0), 5);
-        assert_eq!(queue_dispatch(&mut q, queue_ops::DEQ, 0), 6);
-        assert_eq!(queue_dispatch(&mut q, queue_ops::DEQ, 0), EMPTY);
     }
 
     #[test]

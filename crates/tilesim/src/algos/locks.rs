@@ -98,9 +98,13 @@ async fn tas_loop(ctx: &mut Ctx, spec: RunSpec, lock: Addr) {
         }
     };
     let release = async |ctx: &mut Ctx| ctx.write(lock, 0).await;
-    client_loop(ctx, spec, async |ctx, op, arg| {
-        locked(ctx, &spec, op, arg, acquire, release).await
-    })
+    client_loop(
+        ctx,
+        spec.opgen,
+        spec.seed,
+        spec.max_local_work,
+        async |ctx, op, arg| locked(ctx, &spec, op, arg, acquire, release).await,
+    )
     .await
 }
 
@@ -114,9 +118,13 @@ async fn ticket_loop(ctx: &mut Ctx, spec: RunSpec, next: Addr, serving: Addr) {
         let s = ctx.read(serving).await;
         ctx.write(serving, s + 1).await;
     };
-    client_loop(ctx, spec, async |ctx, op, arg| {
-        locked(ctx, &spec, op, arg, acquire, release).await
-    })
+    client_loop(
+        ctx,
+        spec.opgen,
+        spec.seed,
+        spec.max_local_work,
+        async |ctx, op, arg| locked(ctx, &spec, op, arg, acquire, release).await,
+    )
     .await
 }
 
@@ -150,9 +158,13 @@ async fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64
         }
         ctx.write(node(next - 1) + LOCKED, 0).await;
     };
-    client_loop(ctx, spec, async |ctx, op, arg| {
-        locked(ctx, &spec, op, arg, acquire, release).await
-    })
+    client_loop(
+        ctx,
+        spec.opgen,
+        spec.seed,
+        spec.max_local_work,
+        async |ctx, op, arg| locked(ctx, &spec, op, arg, acquire, release).await,
+    )
     .await
 }
 

@@ -5,8 +5,9 @@
 //!
 //! MP-SERVER, HYBCOMB, SHM-SERVER and CC-SYNCH are not models: `Ctx` is a
 //! [`Machine`](mpsync_core::machine::Machine), and their installers run
-//! `mpsync-core`'s protocol code on it, as [`CsBody::Stack`] runs its coarse
-//! stack. The locks are written out here.
+//! `mpsync-core`'s protocol code on it, as [`CsBody::Queue`],
+//! [`CsBody::Stack`] and [`CsBody::TwoLock`] run its queue and stack
+//! bodies. The locks are written out here.
 //!
 //! Each construction installs one proc per participating thread into an
 //! [`Engine`]; application procs run the paper's §5.2
@@ -17,7 +18,8 @@
 //! Metrics recorded (see [`Metric`]): every application proc
 //! counts `Ops`/`LatSum`/`LatCount`; every servicing proc counts `Served`;
 //! combiners additionally count `Rounds`/`Combined`/`Orphans`, HYBCOMB
-//! clients count `Cas`, and the Treiber stack counts `Cas`/`CasFail`.
+//! clients count `Cas`, and the Treiber stack and LCRQ count
+//! `Cas`/`CasFail`.
 
 mod locks;
 
@@ -26,6 +28,7 @@ pub use mpsync_core::HybOptions;
 
 use mpsync_core::machine::Probe;
 use mpsync_core::mp_server::{request, serve};
+use mpsync_core::queue::{CoarseQueueLayout, TwoLockLayout};
 use mpsync_core::stack::CoarseStackLayout;
 use mpsync_core::{CcSynchLayout, HybCombLayout, ShmServerLayout};
 use rand::rngs::StdRng;
@@ -117,40 +120,13 @@ pub enum CsBody {
         /// Number of elements.
         len: u64,
     },
-    /// Sequential FIFO queue (the one-lock MS-queue configuration):
-    /// op 0 = enqueue(arg), op 1 = dequeue.
-    SeqQueue {
-        /// Line holding the head index.
-        head: Addr,
-        /// Line holding the tail index.
-        tail: Addr,
-        /// First of `len` node lines, used as a ring.
-        nodes: Addr,
-        /// Node ring capacity.
-        len: u64,
-    },
+    /// Figure 5a's one-lock queue: `mpsync-core`'s body.
+    Queue(CoarseQueueLayout),
     /// Figure 5b's coarse stack: `mpsync-core`'s body.
     Stack(CoarseStackLayout),
-    /// The enqueue critical section of the two-lock MS queue.
-    TwoLockEnq {
-        /// Line holding the tail node id.
-        tail: Addr,
-        /// Line holding the node allocation cursor.
-        alloc: Addr,
-        /// First node line (word 0 = value, word 1 = next+1).
-        nodes: Addr,
-        /// Node ring capacity.
-        len: u64,
-    },
-    /// The dequeue critical section of the two-lock MS queue.
-    TwoLockDeq {
-        /// Line holding the head (dummy) node id.
-        head: Addr,
-        /// First node line (shared with the enqueue side).
-        nodes: Addr,
-        /// Node ring capacity.
-        len: u64,
-    },
+    /// Figure 5a's two-lock queue: `mpsync-core`'s halves, one per critical
+    /// section (the opcode picks the half).
+    TwoLock(TwoLockLayout),
 }
 
 /// Sentinel for "empty" results from queue/stack bodies.
@@ -158,10 +134,6 @@ pub const CS_EMPTY: u64 = mpsync_core::stack::EMPTY;
 
 /// Sentinel for "full" results from the bounded queue and stack bodies.
 pub const CS_FULL: u64 = mpsync_core::stack::FULL;
-
-fn node_line(nodes: Addr, id: u64, len: u64) -> Addr {
-    nodes + (id % len) * WORDS_PER_LINE
-}
 
 /// Executes the body under the caller's mutual exclusion, issuing simulated
 /// memory accesses, and returns the operation's result word.
@@ -180,70 +152,14 @@ pub async fn exec_cs(ctx: &mut Ctx, body: &CsBody, op: u64, arg: u64) -> u64 {
             }
             arg
         }
-        CsBody::SeqQueue {
-            head,
-            tail,
-            nodes,
-            len,
-        } => {
-            if op == 0 {
-                // enqueue(arg); the node ring bounds capacity (the paper's
-                // queues are unbounded, but its balanced load never grows
-                // them — the bound only matters for the imbalance
-                // extension, where a full queue rejects the enqueue).
-                let t = ctx.read(tail).await;
-                let h = ctx.read(head).await;
-                if t - h >= len {
-                    return CS_FULL;
-                }
-                ctx.write(node_line(nodes, t, len), arg).await;
-                ctx.write(tail, t + 1).await;
-                0
-            } else {
-                // dequeue
-                let h = ctx.read(head).await;
-                let t = ctx.read(tail).await;
-                if h == t {
-                    return CS_EMPTY;
-                }
-                let v = ctx.read(node_line(nodes, h, len)).await;
-                ctx.write(head, h + 1).await;
-                v
-            }
-        }
+        CsBody::Queue(queue) => queue.apply(ctx, op, arg).await,
         CsBody::Stack(stack) => stack.apply(ctx, op, arg).await,
-        CsBody::TwoLockEnq {
-            tail,
-            alloc,
-            nodes,
-            len,
-        } => {
-            // Allocate a node from the ring, initialize it, link, advance.
-            let n = ctx.read(alloc).await;
-            ctx.write(alloc, n + 1).await;
-            let new = node_line(nodes, n, len);
-            ctx.write(new, arg).await; // value
-            ctx.write(new + 1, 0).await; // next = nil
-            let t = ctx.read(tail).await;
-            ctx.write(node_line(nodes, t, len) + 1, n % len + 1).await; // link (Release in the native code)
-            ctx.write(tail, n % len).await;
-            0
-        }
-        CsBody::TwoLockDeq { head, nodes, len } => {
-            let h = ctx.read(head).await;
-            let next = ctx.read(node_line(nodes, h, len) + 1).await; // Acquire in the native code
-            if next == 0 {
-                return CS_EMPTY;
-            }
-            let v = ctx.read(node_line(nodes, next - 1, len)).await;
-            ctx.write(head, next - 1).await;
-            v
-        }
+        CsBody::TwoLock(queue) => queue.apply(ctx, op, arg).await,
     }
 }
 
-/// What combiners and servers count, HYBCOMB's CASes, and the Treiber
-/// stack's CASes and failed CASes.
+/// What combiners and servers count, HYBCOMB's CASes, and the CASes and
+/// failed CASes of the Treiber stack and LCRQ.
 pub(crate) struct Metrics;
 
 impl Probe<Ctx> for Metrics {
@@ -277,9 +193,15 @@ pub fn install_mp_server(engine: &mut Engine, spec: RunSpec) -> usize {
     let server = engine.add_proc(async move |ctx| serve(ctx, &spec.body, &mut Metrics).await);
     for _ in 0..spec.threads {
         engine.add_proc(async move |ctx| {
-            client_loop(ctx, spec, async |ctx, op, arg| {
-                request(ctx, server as u64, op, arg).await;
-            })
+            client_loop(
+                ctx,
+                spec.opgen,
+                spec.seed,
+                spec.max_local_work,
+                async |ctx, op, arg| {
+                    request(ctx, server as u64, op, arg).await;
+                },
+            )
             .await
         });
     }
@@ -347,10 +269,16 @@ fn hybcomb_layout(
 
 /// A HYBCOMB application proc's loop, starting as the owner of node `my`.
 async fn hybcomb_client(ctx: &mut Ctx, spec: RunSpec, hc: HybCombLayout, mut my: u64) {
-    client_loop(ctx, spec, async |ctx, op, arg| {
-        hc.apply(ctx, &spec.body, &mut my, op, arg, &mut Metrics)
-            .await;
-    })
+    client_loop(
+        ctx,
+        spec.opgen,
+        spec.seed,
+        spec.max_local_work,
+        async |ctx, op, arg| {
+            hc.apply(ctx, &spec.body, &mut my, op, arg, &mut Metrics)
+                .await;
+        },
+    )
     .await
 }
 
@@ -365,10 +293,16 @@ pub fn install_cc_synch(engine: &mut Engine, spec: RunSpec, alloc: &mut AddrAllo
     for t in 0..spec.threads {
         let mut node = t as u64 + 1;
         engine.add_proc(async move |ctx| {
-            client_loop(ctx, spec, async |ctx, op, arg| {
-                cc.apply(ctx, &spec.body, &mut node, op, arg, &mut Metrics)
-                    .await;
-            })
+            client_loop(
+                ctx,
+                spec.opgen,
+                spec.seed,
+                spec.max_local_work,
+                async |ctx, op, arg| {
+                    cc.apply(ctx, &spec.body, &mut node, op, arg, &mut Metrics)
+                        .await;
+                },
+            )
             .await
         });
     }
@@ -393,9 +327,15 @@ pub fn install_shm_server(engine: &mut Engine, spec: RunSpec, alloc: &mut AddrAl
     for i in 0..shm.clients {
         let ch = shm.channel(i);
         engine.add_proc(async move |ctx| {
-            client_loop(ctx, spec, async |ctx, op, arg| {
-                ShmServerLayout::request(ctx, ch, op, arg).await;
-            })
+            client_loop(
+                ctx,
+                spec.opgen,
+                spec.seed,
+                spec.max_local_work,
+                async |ctx, op, arg| {
+                    ShmServerLayout::request(ctx, ch, op, arg).await;
+                },
+            )
             .await
         });
     }
@@ -482,21 +422,24 @@ pub(crate) async fn local_work(ctx: &mut Ctx, rng: &mut StdRng, max_iters: u64, 
     }
 }
 
-/// An application proc's loop: one operation through `apply`, then local
-/// work, until the horizon tears the proc down.
+/// An application proc's loop: the `opgen` operations through `apply`,
+/// each followed by local work of at most `max_local_work` iterations
+/// drawn from `seed`, until the horizon tears the proc down.
 pub(crate) async fn client_loop(
     ctx: &mut Ctx,
-    spec: RunSpec,
+    opgen: OpGen,
+    seed: u64,
+    max_local_work: u64,
     mut apply: impl AsyncFnMut(&mut Ctx, u64, u64),
 ) {
-    let mut rng = client_rng(spec.seed, ctx.core());
+    let mut rng = client_rng(seed, ctx.core());
     let mut i = 0u64;
     loop {
-        let (op, arg) = spec.opgen.op(i);
+        let (op, arg) = opgen.op(i);
         let t0 = ctx.now();
         apply(ctx, op, arg).await;
         record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1).await;
+        local_work(ctx, &mut rng, max_local_work, 1).await;
         i += 1;
     }
 }
@@ -561,57 +504,23 @@ mod tests {
     }
 
     #[test]
-    fn seq_queue_body_fifo() {
+    fn queue_body_fifo() {
+        use mpsync_core::queue::ops::{DEQ, ENQ};
         let mut alloc = AddrAlloc::new();
-        let body = CsBody::SeqQueue {
+        let body = CsBody::Queue(CoarseQueueLayout {
             head: alloc.line(),
             tail: alloc.line(),
-            nodes: alloc.lines(8),
+            slots: alloc.lines(8),
             len: 8,
-        };
-        let mut e = Engine::new(MachineConfig::tile_gx8036());
-        e.add_proc(async move |ctx| {
-            assert_eq!(exec_cs(ctx, &body, 1, 0).await, CS_EMPTY);
-            exec_cs(ctx, &body, 0, 11).await;
-            exec_cs(ctx, &body, 0, 22).await;
-            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 11);
-            assert_eq!(exec_cs(ctx, &body, 1, 0).await, 22);
-            assert_eq!(exec_cs(ctx, &body, 1, 0).await, CS_EMPTY);
         });
-        e.run(100_000);
-    }
-
-    #[test]
-    fn two_lock_bodies_fifo() {
-        let mut alloc = AddrAlloc::new();
-        let head_node = 0u64; // dummy starts at ring slot 0
-        let nodes = alloc.lines(16);
-        let tail = alloc.line();
-        let alloc_ctr = alloc.line();
-        let head = alloc.line();
-        let enq = CsBody::TwoLockEnq {
-            tail,
-            alloc: alloc_ctr,
-            nodes,
-            len: 16,
-        };
-        let deq = CsBody::TwoLockDeq {
-            head,
-            nodes,
-            len: 16,
-        };
         let mut e = Engine::new(MachineConfig::tile_gx8036());
         e.add_proc(async move |ctx| {
-            // Initialize: dummy node 0, alloc cursor starts at 1.
-            ctx.write(tail, head_node).await;
-            ctx.write(head, head_node).await;
-            ctx.write(alloc_ctr, 1).await;
-            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, CS_EMPTY);
-            exec_cs(ctx, &enq, 0, 7).await;
-            exec_cs(ctx, &enq, 0, 8).await;
-            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, 7);
-            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, 8);
-            assert_eq!(exec_cs(ctx, &deq, 1, 0).await, CS_EMPTY);
+            assert_eq!(exec_cs(ctx, &body, DEQ, 0).await, CS_EMPTY);
+            exec_cs(ctx, &body, ENQ, 11).await;
+            exec_cs(ctx, &body, ENQ, 22).await;
+            assert_eq!(exec_cs(ctx, &body, DEQ, 0).await, 11);
+            assert_eq!(exec_cs(ctx, &body, DEQ, 0).await, 22);
+            assert_eq!(exec_cs(ctx, &body, DEQ, 0).await, CS_EMPTY);
         });
         e.run(100_000);
     }

@@ -24,10 +24,10 @@
 //! * a deterministic, single-threaded discrete-event **engine**
 //!   ([`Engine`]) that runs simulated threads written as `async` Rust
 //!   closures and polls them in place;
-//! * the four constructions ([`algos`]) and Figure 5b's two stacks, run
-//!   from `mpsync-core`'s own code, whose [`Machine`] trait [`Ctx`]
-//!   implements; a model of the nonblocking LCRQ comparator
-//!   ([`nonblocking`]); and every workload in the paper's evaluation
+//! * the four constructions ([`algos`]) and Figure 5's queues and stacks,
+//!   LCRQ and the Treiber stack among them, run from `mpsync-core`'s own
+//!   code, whose [`Machine`] trait [`Ctx`] implements (only the spin locks
+//!   are written out here); and every workload in the paper's evaluation
 //!   ([`workload`]).
 //!
 //! The simulator implements the paper's formal model (sequentially
@@ -63,7 +63,6 @@ pub mod algos;
 mod config;
 mod engine;
 pub mod mem;
-pub mod nonblocking;
 mod stats;
 pub mod workload;
 

@@ -7,27 +7,43 @@
 //! the papers' x-axes.
 
 use mpsync_core::mp_server::{request, serve};
+use mpsync_core::queue::{ops as queue_ops, CoarseQueueLayout, LcrqLayout, TwoLockLayout};
 use mpsync_core::stack::{ops, CoarseStackLayout, TreiberLayout};
 
 use crate::algos::{
-    install_cc_synch, install_cc_synch_fixed, install_hybcomb, install_hybcomb_fixed, install_lock,
-    install_mp_server, install_shm_server, AddrAlloc, Approach, CsBody, HybOptions, LockKind,
-    Metrics, OpGen, RunSpec,
+    client_loop, install_cc_synch, install_cc_synch_fixed, install_hybcomb, install_hybcomb_fixed,
+    install_lock, install_mp_server, install_shm_server, AddrAlloc, Approach, CsBody, HybOptions,
+    LockKind, Metrics, OpGen, RunSpec,
 };
 use crate::engine::Engine;
-use crate::nonblocking::install_lcrq;
 use crate::stats::{Metric, SimResult};
-use crate::MachineConfig;
+use crate::{MachineConfig, WORDS_PER_LINE};
 
 /// Default simulation horizon per data point, in cycles. Long enough for
 /// tens of thousands of operations — the simulator is deterministic, so no
 /// averaging over repeated runs is needed.
 pub const DEFAULT_HORIZON: u64 = 300_000;
 
-/// Capacity of the queue and stack bodies and of the Treiber stack's node
-/// pool (bounds in-flight occupancy under the balanced workload, which
-/// keeps Figure 5b's stacks below 36 values).
+/// Capacity of the queues and stacks, and LCRQ's cells per ring (bounds
+/// in-flight occupancy under the balanced workload, which keeps Figure 5's
+/// objects below 36 values).
 const NODE_RING: u64 = 1024;
+
+/// log2 of [`NODE_RING`]: an LCRQ ring's order.
+const RING_ORDER: u32 = NODE_RING.trailing_zeros();
+
+/// LCRQ's pool of rings. The balanced load never fills a ring, but an
+/// enqueuer that starves closes its ring and appends one from the pool;
+/// the closed ring returns to the pool once drained.
+const LCRQ_RINGS: u64 = 4;
+
+/// The balanced load of §5.4: each thread alternates an insert of 7 and a
+/// removal.
+fn balanced(insert: u64, remove: u64) -> OpGen {
+    OpGen::Alternate {
+        ops: [(insert, 7), (remove, 0)],
+    }
+}
 
 fn install(engine: &mut Engine, approach: Approach, spec: RunSpec, alloc: &mut AddrAlloc) {
     match approach {
@@ -177,19 +193,11 @@ pub fn run_queue_onelock(
     seed: u64,
 ) -> SimResult {
     let mut alloc = AddrAlloc::new();
-    let body = CsBody::SeqQueue {
-        head: alloc.line(),
-        tail: alloc.line(),
-        nodes: alloc.lines(NODE_RING),
-        len: NODE_RING,
-    };
     let spec = RunSpec {
         threads,
         max_ops,
-        body,
-        opgen: OpGen::Alternate {
-            ops: [(0, 7), (1, 0)],
-        },
+        body: CsBody::Queue(coarse_queue(&mut alloc)),
+        opgen: balanced(queue_ops::ENQ, queue_ops::DEQ),
         seed,
         max_local_work: 50,
     };
@@ -199,49 +207,25 @@ pub fn run_queue_onelock(
 }
 
 /// Figure 5a's `mp-server-2`: the two-lock MS queue with one MP-SERVER per
-/// lock (enqueue server on core 0, dequeue server on core 1).
+/// half (enqueue server on core 0, dequeue server on core 1).
 pub fn run_queue_mp2(cfg: MachineConfig, threads: usize, horizon: u64, seed: u64) -> SimResult {
-    let mut alloc = AddrAlloc::new();
-    let nodes = alloc.lines(NODE_RING);
-    let tail = alloc.line();
-    let alloc_ctr = alloc.line();
-    let head = alloc.line();
-    let enq_body = CsBody::TwoLockEnq {
-        tail,
-        alloc: alloc_ctr,
-        nodes,
-        len: NODE_RING,
-    };
-    let deq_body = CsBody::TwoLockDeq {
-        head,
-        nodes,
-        len: NODE_RING,
-    };
-
+    let lines = TwoLockLayout::lines(NODE_RING);
+    let body = CsBody::TwoLock(TwoLockLayout {
+        base: AddrAlloc::new().lines(lines),
+        capacity: NODE_RING,
+    });
     let mut e = Engine::new(cfg);
-    // Dummy node is ring slot 0; allocation cursor starts after it.
-    e.preset_memory(tail, 0);
-    e.preset_memory(head, 0);
-    e.preset_memory(alloc_ctr, 1);
-
-    let enq_server = e.add_proc(async move |ctx| serve(ctx, &enq_body, &mut Metrics).await);
-    let deq_server = e.add_proc(async move |ctx| serve(ctx, &deq_body, &mut Metrics).await);
+    size_memory(&mut e, lines);
+    let enq = e.add_proc(async move |ctx| serve(ctx, &body, &mut Metrics).await) as u64;
+    let deq = e.add_proc(async move |ctx| serve(ctx, &body, &mut Metrics).await) as u64;
+    let opgen = balanced(queue_ops::ENQ, queue_ops::DEQ);
     for _ in 0..threads {
         e.add_proc(async move |ctx| {
-            let mut rng = crate::algos::client_rng(seed, ctx.core());
-            let mut i = 0u64;
-            loop {
-                let (server, op, arg) = if i.is_multiple_of(2) {
-                    (enq_server, 0u64, 7u64)
-                } else {
-                    (deq_server, 1u64, 0u64)
-                };
-                let t0 = ctx.now();
-                request(ctx, server as u64, op, arg).await;
-                crate::algos::record_op(ctx, t0);
-                crate::algos::local_work(ctx, &mut rng, 50, 1).await;
-                i += 1;
-            }
+            client_loop(ctx, opgen, seed, 50, async |ctx, op, arg| {
+                let server = if op == queue_ops::ENQ { enq } else { deq };
+                request(ctx, server, op, arg).await;
+            })
+            .await
         });
     }
     e.run(horizon)
@@ -267,15 +251,10 @@ pub fn run_queue_mixed(
         "mix must be 1..=3 enqueues per 4 ops"
     );
     let mut alloc = AddrAlloc::new();
-    let body = CsBody::SeqQueue {
-        head: alloc.line(),
-        tail: alloc.line(),
-        nodes: alloc.lines(NODE_RING),
-        len: NODE_RING,
-    };
-    let mut ops = [(1u64, 0u64); 4]; // default: dequeue
+    let body = CsBody::Queue(coarse_queue(&mut alloc));
+    let mut ops = [(queue_ops::DEQ, 0); 4];
     for slot in ops.iter_mut().take(enq_per_4) {
-        *slot = (0, 7); // enqueue
+        *slot = (queue_ops::ENQ, 7);
     }
     let spec = RunSpec {
         threads,
@@ -290,11 +269,58 @@ pub fn run_queue_mixed(
     e.run(horizon)
 }
 
-/// Figure 5a's LCRQ line.
+/// Writes 0, as the memory starts, to the last of a layout's `lines` from
+/// line 0: the memory is then as large as it gets, and a run that first
+/// touches a line late (a queue cycling through its pool) allocates
+/// nothing then. Not an access.
+fn size_memory(e: &mut Engine, lines: u64) {
+    e.preset_memory((lines - 1) * WORDS_PER_LINE, 0);
+}
+
+/// The one-lock queue's layout, allocated as the head's line, the tail's,
+/// then the slots.
+fn coarse_queue(alloc: &mut AddrAlloc) -> CoarseQueueLayout {
+    CoarseQueueLayout {
+        head: alloc.line(),
+        tail: alloc.line(),
+        slots: alloc.lines(NODE_RING),
+        len: NODE_RING,
+    }
+}
+
+/// Figure 5a's LCRQ line: `mpsync-core`'s LCRQ, each thread alternating
+/// enqueue and dequeue from its own hazard slot.
 pub fn run_queue_lcrq(cfg: MachineConfig, threads: usize, horizon: u64, seed: u64) -> SimResult {
     let mut alloc = AddrAlloc::new();
+    let lines = LcrqLayout::lines(RING_ORDER, LCRQ_RINGS, threads as u64);
+    let lcrq = LcrqLayout {
+        base: alloc.lines(lines),
+        order: RING_ORDER,
+        rings: LCRQ_RINGS,
+        handles: threads as u64,
+    };
     let mut e = Engine::new(cfg);
-    install_lcrq(&mut e, threads, NODE_RING, seed, 50, &mut alloc);
+    size_memory(&mut e, lines);
+    for (a, v) in lcrq.presets() {
+        e.preset_memory(a, v);
+    }
+    let opgen = balanced(queue_ops::ENQ, queue_ops::DEQ);
+    for slot in 0..threads as u64 {
+        e.add_proc(async move |ctx| {
+            client_loop(ctx, opgen, seed, 50, async |ctx, op, arg| {
+                if op == queue_ops::ENQ {
+                    let queued = lcrq.enqueue(ctx, slot, arg, &mut Metrics).await;
+                    assert!(
+                        queued,
+                        "LCRQ out of rings: {LCRQ_RINGS} rings of 2^{RING_ORDER} cells"
+                    );
+                } else {
+                    lcrq.dequeue(ctx, slot, &mut Metrics).await;
+                }
+            })
+            .await
+        });
+    }
     e.run(horizon)
 }
 
@@ -318,9 +344,7 @@ pub fn run_stack(
         threads,
         max_ops,
         body,
-        opgen: OpGen::Alternate {
-            ops: [(ops::PUSH, 7), (ops::POP, 0)],
-        },
+        opgen: balanced(ops::PUSH, ops::POP),
         seed,
         max_local_work: 50,
     };
@@ -338,20 +362,18 @@ pub fn run_stack_treiber(cfg: MachineConfig, threads: usize, horizon: u64, seed:
         capacity: NODE_RING,
     };
     let mut e = Engine::new(cfg);
+    let opgen = balanced(ops::PUSH, ops::POP);
     for _ in 0..threads {
         e.add_proc(async move |ctx| {
-            let mut rng = crate::algos::client_rng(seed, ctx.core());
             let mut cache = None;
-            loop {
-                let t0 = ctx.now();
-                stack.push(ctx, &mut cache, 7, &mut Metrics).await;
-                crate::algos::record_op(ctx, t0);
-                crate::algos::local_work(ctx, &mut rng, 50, 1).await;
-                let t0 = ctx.now();
-                stack.pop(ctx, &mut cache, &mut Metrics).await;
-                crate::algos::record_op(ctx, t0);
-                crate::algos::local_work(ctx, &mut rng, 50, 1).await;
-            }
+            client_loop(ctx, opgen, seed, 50, async |ctx, op, arg| {
+                if op == ops::PUSH {
+                    stack.push(ctx, &mut cache, arg, &mut Metrics).await;
+                } else {
+                    stack.pop(ctx, &mut cache, &mut Metrics).await;
+                }
+            })
+            .await
         });
     }
     e.run(horizon)

@@ -12,8 +12,7 @@
 
 use std::sync::Arc;
 
-use mpsync::objects::queue::CsQueue;
-use mpsync::objects::seq::{queue_dispatch, SeqQueue};
+use mpsync::objects::queue::{CoarseQueue, CsQueue};
 use mpsync::objects::ConcurrentQueue;
 use mpsync::sync::{ApplyOp, HybComb};
 use mpsync::udn::{Fabric, FabricConfig};
@@ -21,7 +20,7 @@ use mpsync::udn::{Fabric, FabricConfig};
 const WORKERS: usize = 4;
 const TASKS: u64 = 50_000;
 
-type QueueFn = fn(&mut SeqQueue, u64, u64) -> u64;
+type QueueFn = fn(&mut CoarseQueue, u64, u64) -> u64;
 
 fn reduction_cs(state: &mut u64, _op: u64, arg: u64) -> u64 {
     *state = state.wrapping_add(arg);
@@ -40,8 +39,10 @@ fn main() {
     let queue = Arc::new(HybComb::new(
         threads,
         200,
-        SeqQueue::new(),
-        queue_dispatch as QueueFn,
+        // Room for every task and the pills: the coordinator may finish
+        // before any worker starts.
+        CoarseQueue::new(TASKS + WORKERS as u64),
+        CoarseQueue::dispatch as QueueFn,
     ));
     let sum = Arc::new(HybComb::new(
         threads,

@@ -7,7 +7,7 @@
 //! * [`udn`] — software emulation of TILE-Gx-style hardware message queues;
 //! * [`sync`] — the paper's constructions: MP-SERVER and HYBCOMB, plus the
 //!   shared-memory baselines SHM-SERVER, CC-SYNCH, and classical locks, and
-//!   Figure 5b's two stacks;
+//!   Figure 5's queues and stacks, which tilesim runs for that figure;
 //! * [`objects`] — linearizable concurrent objects (counters, queues,
 //!   stacks) built on those constructions, plus the nonblocking comparators
 //!   (LCRQ, Treiber stack) from the paper's evaluation;

@@ -10,10 +10,9 @@ use std::sync::Arc;
 
 use mpsync::lincheck::specs::{CounterSpec, QueueOp, QueueSpec, StackOp, StackSpec};
 use mpsync::lincheck::{check, Recorder};
-use mpsync::objects::queue::{CsQueue, Lcrq};
+use mpsync::objects::queue::{CoarseQueue, CsQueue, Lcrq, TwoLockQueue, TwoLockQueueHandle};
 use mpsync::objects::seq::{
-    counter_dispatch, keyed_counter_dispatch, keyed_counter_ops, queue_dispatch, KeyedCounters,
-    SeqQueue,
+    counter_dispatch, keyed_counter_dispatch, keyed_counter_ops, KeyedCounters,
 };
 use mpsync::objects::stack::{CoarseStack, CsStack, TreiberStack};
 use mpsync::objects::{ConcurrentQueue, ConcurrentStack};
@@ -26,11 +25,14 @@ const THREADS: usize = 3;
 const OPS_PER_THREAD: usize = 4;
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
-type QueueFn = fn(&mut SeqQueue, u64, u64) -> u64;
+type QueueFn = fn(&mut CoarseQueue, u64, u64) -> u64;
+type HalfFn = fn(&mut Arc<TwoLockQueue>, u64, u64) -> u64;
 type StackFn = fn(&mut CoarseStack, u64, u64) -> u64;
 
-/// A stack's capacity in these histories: room for every op to be a push.
+/// A stack's or queue's capacity in these histories: room for every op to
+/// be an insert.
 const STACK_CAPACITY: u64 = (THREADS * OPS_PER_THREAD) as u64;
+const QUEUE_CAPACITY: u64 = STACK_CAPACITY;
 
 /// Runs `ROUNDS` small concurrent counter histories against a factory of
 /// fetch-and-increment closures and checks each for linearizability.
@@ -164,8 +166,8 @@ fn hybcomb_queue_linearizable() {
         let hc = Arc::new(HybComb::new(
             THREADS,
             8,
-            SeqQueue::new(),
-            queue_dispatch as QueueFn,
+            CoarseQueue::new(QUEUE_CAPACITY),
+            CoarseQueue::dispatch as QueueFn,
         ));
         Box::new(move |_t| CsQueue::new(hc.handle(fabric.register_any().unwrap())))
     });
@@ -177,17 +179,46 @@ fn mp_server_queue_linearizable() {
         let fabric = Arc::new(Fabric::new(FabricConfig::new(2)));
         let server = Arc::new(MpServer::spawn(
             fabric.register_any().unwrap(),
-            SeqQueue::new(),
-            queue_dispatch as QueueFn,
+            CoarseQueue::new(QUEUE_CAPACITY),
+            CoarseQueue::dispatch as QueueFn,
         ));
         Box::new(move |_t| CsQueue::new(server.client(fabric.register_any().unwrap())))
+    });
+}
+
+/// The two-lock queue with one executor per half: an MP-SERVER for the
+/// enqueues and a HYBCOMB for the dequeues.
+#[test]
+fn two_lock_queue_linearizable() {
+    check_queue_impl(|| {
+        let fabric = Arc::new(Fabric::new(FabricConfig::new(2)));
+        let q = TwoLockQueue::new(QUEUE_CAPACITY);
+        let enq = Arc::new(MpServer::spawn(
+            fabric.register_any().unwrap(),
+            Arc::clone(&q),
+            TwoLockQueue::dispatch as HalfFn,
+        ));
+        let deq = Arc::new(HybComb::new(
+            THREADS,
+            8,
+            q,
+            TwoLockQueue::dispatch as HalfFn,
+        ));
+        Box::new(move |_t| {
+            TwoLockQueueHandle::new(
+                enq.client(fabric.register_any().unwrap()),
+                deq.handle(fabric.register_any().unwrap()),
+            )
+        })
     });
 }
 
 #[test]
 fn lcrq_linearizable() {
     check_queue_impl(|| {
-        let q = Arc::new(Lcrq::with_ring_order(3));
+        // Rings of 8 cells, and room for every op to be an enqueue into
+        // rings closed early.
+        let q = Arc::new(Lcrq::new(3, 8, THREADS as u64));
         Box::new(move |_t| q.handle())
     });
 }

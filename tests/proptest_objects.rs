@@ -5,20 +5,20 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use mpsync::objects::queue::{CsQueue, Lcrq};
-use mpsync::objects::seq::{queue_dispatch, SeqQueue};
+use mpsync::objects::queue::{CoarseQueue, CsQueue, Lcrq};
 use mpsync::objects::stack::{CoarseStack, CsStack, TreiberStack};
 use mpsync::objects::{ConcurrentQueue, ConcurrentStack};
 use mpsync::sync::{ApplyOp, CcSynch, HybComb, LockCs, McsLock, TicketLock};
 use mpsync::udn::{Fabric, FabricConfig};
 use proptest::prelude::*;
 
-type QueueFn = fn(&mut SeqQueue, u64, u64) -> u64;
+type QueueFn = fn(&mut CoarseQueue, u64, u64) -> u64;
 type StackFn = fn(&mut CoarseStack, u64, u64) -> u64;
 
-/// A stack's capacity: room for `ops_strategy`'s longest sequence, all
-/// pushes.
+/// A stack's or queue's capacity: room for `ops_strategy`'s longest
+/// sequence, all inserts.
 const STACK_CAPACITY: u64 = 200;
+const QUEUE_CAPACITY: u64 = STACK_CAPACITY;
 
 /// An op in a generated sequence: `Some(v)` = insert v, `None` = remove.
 fn ops_strategy() -> impl Strategy<Value = Vec<Option<u64>>> {
@@ -70,9 +70,9 @@ proptest! {
 
     #[test]
     fn lock_queue_matches_model(ops in ops_strategy()) {
-        let cs = LockCs::<SeqQueue, TicketLock, QueueFn>::new(
-            SeqQueue::new(),
-            queue_dispatch as QueueFn,
+        let cs = LockCs::<CoarseQueue, TicketLock, QueueFn>::new(
+            CoarseQueue::new(QUEUE_CAPACITY),
+            CoarseQueue::dispatch as QueueFn,
         );
         let mut q = CsQueue::new(cs.handle());
         check_queue(&mut q, &ops)?;
@@ -81,14 +81,15 @@ proptest! {
     #[test]
     fn hybcomb_queue_matches_model(ops in ops_strategy()) {
         let fabric = Arc::new(Fabric::new(FabricConfig::new(1)));
-        let hc = HybComb::new(1, 8, SeqQueue::new(), queue_dispatch as QueueFn);
+        let hc = HybComb::new(1, 8, CoarseQueue::new(QUEUE_CAPACITY), CoarseQueue::dispatch as QueueFn);
         let mut q = CsQueue::new(hc.handle(fabric.register_any().unwrap()));
         check_queue(&mut q, &ops)?;
     }
 
     #[test]
     fn lcrq_matches_model(ops in ops_strategy()) {
-        let q = Arc::new(Lcrq::with_ring_order(4));
+        // Rings of 16 cells, enough of them for the longest sequence.
+        let q = Arc::new(Lcrq::new(4, QUEUE_CAPACITY / 16 + 2, 1));
         let mut h = q.handle();
         check_queue(&mut h, &ops)?;
     }
@@ -197,4 +198,55 @@ fn the_simulated_coarse_stack_refuses_a_push_past_capacity() {
         1,
         "the proc did not finish"
     );
+}
+
+/// A two-lock queue of capacity 4, natively, one executor per half: it
+/// holds four values, refuses a fifth with `FULL` rather than take the
+/// dummy node, and dequeues 1..=4 in order.
+#[test]
+fn a_two_lock_queue_refuses_an_enqueue_past_capacity() {
+    use mpsync::sync::queue::{ops, TwoLockQueue, EMPTY, FULL};
+    type HalfFn = fn(&mut Arc<TwoLockQueue>, u64, u64) -> u64;
+
+    let q = TwoLockQueue::new(4);
+    let enq = LockCs::<_, TicketLock, _>::new(Arc::clone(&q), TwoLockQueue::dispatch as HalfFn);
+    let deq = LockCs::<_, McsLock, _>::new(q, TwoLockQueue::dispatch as HalfFn);
+    let (mut e, mut d) = (enq.handle(), deq.handle());
+    for v in 1..=4 {
+        assert_eq!(e.apply(ops::ENQ, v), 0);
+    }
+    assert_eq!(e.apply(ops::ENQ, 5), FULL);
+    for v in 1..=4 {
+        assert_eq!(d.apply(ops::DEQ, 0), v);
+    }
+    assert_eq!(d.apply(ops::DEQ, 0), EMPTY);
+}
+
+/// The same on tilesim, which runs the same halves as its two-lock body.
+#[test]
+fn the_simulated_two_lock_queue_refuses_an_enqueue_past_capacity() {
+    use mpsync::sync::queue::{ops, TwoLockLayout};
+    use mpsync::tilesim::algos::{exec_cs, AddrAlloc, CsBody, CS_EMPTY, CS_FULL};
+    use mpsync::tilesim::{Engine, MachineConfig, Metric};
+
+    const CAPACITY: u64 = 4;
+    let mut alloc = AddrAlloc::new();
+    let body = CsBody::TwoLock(TwoLockLayout {
+        base: alloc.lines(TwoLockLayout::lines(CAPACITY)),
+        capacity: CAPACITY,
+    });
+    let mut e = Engine::new(MachineConfig::tile_gx8036());
+    e.add_proc(async move |ctx| {
+        for v in 1..=CAPACITY {
+            assert_eq!(exec_cs(ctx, &body, ops::ENQ, v).await, 0);
+        }
+        assert_eq!(exec_cs(ctx, &body, ops::ENQ, CAPACITY + 1).await, CS_FULL);
+        for v in 1..=CAPACITY {
+            assert_eq!(exec_cs(ctx, &body, ops::DEQ, 0).await, v);
+        }
+        assert_eq!(exec_cs(ctx, &body, ops::DEQ, 0).await, CS_EMPTY);
+        ctx.record(Metric::Ops, 1);
+    });
+    let r = e.run(1_000_000);
+    assert_eq!(r.metric_sum(Metric::Ops), 1, "the proc did not finish");
 }

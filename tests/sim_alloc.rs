@@ -6,7 +6,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tilesim::algos::Approach;
-use tilesim::workload::{max_threads, run_counter, run_stack_treiber};
+use tilesim::workload::{
+    max_threads, run_counter, run_queue_lcrq, run_queue_mp2, run_stack_treiber,
+};
 use tilesim::MachineConfig;
 
 /// The system allocator, counting the allocations each thread makes.
@@ -84,4 +86,19 @@ fn a_longer_treiber_run_allocates_no_more() {
     let run = |horizon| allocs(|| run_stack_treiber(cfg, cfg.cores(), horizon, 1));
     let (short, long) = (run(20_000), run(40_000));
     assert_eq!(short, long, "Treiber: {short} allocations, then {long}");
+}
+
+/// LCRQ's rings and the two-lock queue's nodes come from pools in the
+/// simulated memory, sized before the run: an operation allocates nothing
+/// on the host, although the longer run touches more of each pool.
+#[test]
+fn a_longer_queue_run_allocates_no_more() {
+    let cfg = MachineConfig::tile_gx8036();
+    let lcrq = |horizon| allocs(|| run_queue_lcrq(cfg, cfg.cores(), horizon, 1));
+    let (short, long) = (lcrq(20_000), lcrq(40_000));
+    assert_eq!(short, long, "LCRQ: {short} allocations, then {long}");
+    let threads = cfg.cores() - 2;
+    let mp2 = |horizon| allocs(|| run_queue_mp2(cfg, threads, horizon, 1));
+    let (short, long) = (mp2(20_000), mp2(40_000));
+    assert_eq!(short, long, "mp-server-2: {short} allocations, then {long}");
 }

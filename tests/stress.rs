@@ -7,14 +7,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mpsync::objects::counter::CsCounter;
-use mpsync::objects::queue::{CsQueue, Lcrq};
-use mpsync::objects::seq::{counter_dispatch, queue_dispatch, SeqQueue};
+use mpsync::objects::queue::{CoarseQueue, CsQueue, Lcrq};
+use mpsync::objects::seq::counter_dispatch;
 use mpsync::objects::{ConcurrentQueue, Counter, EMPTY};
 use mpsync::sync::{ApplyOp, CcSynch, HybComb, MpServer, ShmServer};
 use mpsync::udn::{Fabric, FabricConfig, SendError};
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
-type QueueFn = fn(&mut SeqQueue, u64, u64) -> u64;
+type QueueFn = fn(&mut CoarseQueue, u64, u64) -> u64;
 
 fn assert_permutation(mut all: Vec<u64>, n: u64) {
     all.sort_unstable();
@@ -147,12 +147,13 @@ fn mixed_queue_pipeline() {
     const ITEMS: u64 = 30_000;
     const WORKERS: usize = 3;
     let fabric = Arc::new(Fabric::new(FabricConfig::new(2)));
-    let input = Arc::new(Lcrq::with_ring_order(6));
+    // Both queues have room for every item: the feeder may run alone.
+    let input = Arc::new(Lcrq::new(6, 2 * ITEMS / 64, WORKERS as u64 + 1));
     let output = Arc::new(HybComb::new(
         WORKERS + 1,
         64,
-        SeqQueue::new(),
-        queue_dispatch as QueueFn,
+        CoarseQueue::new(ITEMS),
+        CoarseQueue::dispatch as QueueFn,
     ));
 
     let done = Arc::new(AtomicU64::new(0));
@@ -195,7 +196,7 @@ fn mixed_queue_pipeline() {
 #[test]
 fn empty_sentinel_guard() {
     let fabric = Arc::new(Fabric::new(FabricConfig::new(1)));
-    let hc = HybComb::new(1, 8, SeqQueue::new(), queue_dispatch as QueueFn);
+    let hc = HybComb::new(1, 8, CoarseQueue::new(1), CoarseQueue::dispatch as QueueFn);
     let mut q = CsQueue::new(hc.handle(fabric.register_any().unwrap()));
     q.enqueue(EMPTY - 1); // largest storable value is fine
     assert_eq!(q.dequeue(), Some(EMPTY - 1));
