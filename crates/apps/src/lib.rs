@@ -5,9 +5,7 @@
 //! combining shape of the PPoPP'14 executors:
 //!
 //! * [`ratelimit`] — sharded token buckets: a read-mostly admission check
-//!   (`RL_PEEK` rides the read fast path) plus a mergeable refill
-//!   (`RL_FILL` is fetch-add-shaped, so the MP-SERVER batch sweep folds
-//!   concurrent refills into one application);
+//!   (`RL_PEEK` rides the read fast path) plus a refill;
 //! * [`leaderboard`] — an ordered score index per shard; top-K and
 //!   rank-count reads walk every shard over the wire and merge client-side;
 //! * [`pq`] — a matchmaking priority queue: pop-min under combining, with
@@ -50,8 +48,7 @@ pub mod ops {
     pub const RL_ACQUIRE: u64 = 0;
     /// Read `key`'s current token count, clamped to capacity (pure read).
     pub const RL_PEEK: u64 = 1;
-    /// Add `arg` tokens to `key`'s bucket; returns the *old* raw count
-    /// (fetch-add-shaped: eligible for op merging).
+    /// Add `arg` tokens to `key`'s bucket; returns the *old* raw count.
     pub const RL_FILL: u64 = 2;
     /// Cursor scan: smallest bucket key `>= arg` on the probed shard.
     pub const RL_SCAN: u64 = 3;

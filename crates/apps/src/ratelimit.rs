@@ -2,9 +2,9 @@
 //!
 //! Buckets start *full* (at capacity) when first touched, so a fresh key is
 //! admitted immediately. The stored count is raw (unclamped): `RL_FILL` is
-//! a plain wrapping fetch-add — the shape the runtime's op merging folds —
-//! and `RL_ACQUIRE`/`RL_PEEK` clamp to capacity at use, so overfilled
-//! buckets still admit at most `capacity` tokens in a burst.
+//! a plain wrapping fetch-add, and `RL_ACQUIRE`/`RL_PEEK` clamp to
+//! capacity at use, so overfilled buckets still admit at most `capacity`
+//! tokens in a burst.
 
 use std::collections::BTreeMap;
 

@@ -3,10 +3,9 @@
 //!
 //! The suite owns the opcode-mask policy: pure reads (`RL_PEEK`, `LB_GET`,
 //! `PQ_PEEK`, `PQ_LEN`, `LG_BALANCE`, `LG_HELD`) ride the read fast path,
-//! and `RL_FILL` (fetch-add-shaped) is merge-eligible, so the runtime's
-//! PR-9 optimizations apply to exactly the ops whose contracts allow them.
-//! `SS_GET` is deliberately *not* fast-pathed — it may retire an expired
-//! entry, which is a mutation.
+//! so it applies to exactly the ops whose contract allows it. `SS_GET` is
+//! deliberately *not* fast-pathed — it may retire an expired entry, which
+//! is a mutation.
 
 use mpsync_objects::EMPTY;
 use mpsync_runtime::{
@@ -32,11 +31,6 @@ fn read_ops() -> OpMask {
     ])
 }
 
-/// Ops with the fetch-add shape (wrapping add, returns the old value).
-fn merge_ops() -> OpMask {
-    OpMask::of(&[ops::RL_FILL as u8])
-}
-
 /// The served-application suite: rate limiter, leaderboard, priority
 /// queue, TTL session store, and ledger over one sharded runtime.
 pub struct AppSuite {
@@ -52,12 +46,10 @@ impl AppSuite {
 
     /// Builds the suite with explicit application tuning.
     ///
-    /// The runtime's read-fast and merge masks are set by the suite (they
-    /// encode per-opcode contracts); any masks on `config` are replaced.
+    /// The runtime's read-fast mask is set by the suite (it encodes
+    /// per-opcode contracts); any mask on `config` is replaced.
     pub fn with_app_config(config: RuntimeConfig, app: AppConfig) -> Self {
-        let config = config
-            .with_read_fast(read_ops())
-            .with_merge_ops(merge_ops());
+        let config = config.with_read_fast(read_ops());
         let runtime = Runtime::new_expiring(
             config,
             move |shard| AppState::new(shard, app),

@@ -49,7 +49,7 @@ use crate::machine::{
     block_on, Addr, Arena, Backoff, ClientSide, Critical, Machine, Native, Probe, Until,
     WORDS_PER_LINE,
 };
-use crate::mp_server::{request, serve_one};
+use crate::mp_server::{request, serve_one, serve_pending};
 use crate::sync::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use crate::ApplyOp;
 
@@ -251,15 +251,11 @@ impl HybCombLayout {
         probe.served(m, me);
         let mut completed = 0u64;
 
-        // Lines 25–28: serve while requests are waiting. (The drain probe is
-        // only a hint: a missed message is picked up by the loop after the
-        // SWAP.) A combiner's `Probe` never stops a serve, so its
-        // `ControlFlow` is dropped.
+        // Lines 25–28: serve while requests are waiting, MP-SERVER's batched
+        // step with no bound. (The drain probe is only a hint: a missed
+        // message is picked up by the loop after the SWAP.)
         if self.opts.eager_drain {
-            while m.has_pending_traffic().await {
-                let _ = serve_one(m, cs, probe).await;
-                completed += 1;
-            }
+            completed += serve_pending(m, cs, probe, u64::MAX).await;
         }
 
         // Lines 30–32: close registration; the SWAP's old value is the
@@ -271,6 +267,8 @@ impl HybCombLayout {
 
         // Lines 34–37: serve the registered remainder (their messages may
         // still be in flight; a registered client always sends).
+        // A combiner's `Probe` never stops a serve, so its `ControlFlow` is
+        // dropped.
         while completed < total.min(self.max_ops) {
             let _ = serve_one(m, cs, probe).await;
             completed += 1;

@@ -19,9 +19,12 @@ use std::sync::Arc;
 use mpsync_udn::{Fabric, FabricConfig};
 
 use crate::locks::{McsLock, TasLock};
+use crate::machine::{block_on, Arena, ClientSide};
+use crate::mp_server::{request, ServerCore};
 use crate::queue::{ops, Lcrq, TwoLockQueue, EMPTY, FULL};
 use crate::stack::TreiberStack;
 use crate::sync::UnsafeCell;
+use crate::wire;
 use crate::{ApplyOp, CcSynch, FlatCombining, HybComb, LockCs, MpServer, ShmServer};
 
 type CounterFn = fn(&mut u64, u64, u64) -> u64;
@@ -411,6 +414,58 @@ fn mp_server_one_client_exactly_once() {
         assert_eq!(c.apply(0, 0), 0);
         drop(c);
         assert_eq!(server.shutdown(), 1);
+    });
+}
+
+/// MP-SERVER's batched step, as the runtime's shards serve with it: the
+/// main thread steps a `ServerCore` with a budget of 2 until it has served
+/// four requests, two from a client thread's `request`s and two that a
+/// second client sent back to back before the first step, as a runtime
+/// session's batch does, and collects after. No step serves more than its
+/// budget, though three requests can be queued at once, and every request
+/// is answered exactly once with its own result, in its sender's order:
+/// the fetch-and-increment results are a permutation of 0..4. (Two
+/// `request`ing client threads beside the server explore 88 059 executions
+/// at bound 2, far past the 10 000-execution cap.)
+///
+/// Negative control: a step that sends each reply to its batch's first
+/// sender fails the model.
+#[test]
+fn mp_server_batched_step_answers_each_request_once() {
+    loom::model(|| {
+        let fabric = Arc::new(Fabric::new(FabricConfig::new(1)));
+        let mut core = ServerCore::new(fabric.register_any().unwrap(), 0u64, fai as CounterFn);
+        let server = core.id();
+        let mut a = fabric.register_any().unwrap();
+        let mut b = fabric.register_any().unwrap();
+        let t = loom::thread::spawn(move || {
+            let arena = Arena::new(0, "unused");
+            let mut m = ClientSide::with_endpoint(&arena, &mut a);
+            [0; 2].map(|_| block_on(request(&mut m, server.to_word(), 0, 0)))
+        });
+        // Unpreempted, the client's first request goes in ahead of the
+        // pair: the first execution already steps a mixed batch with a
+        // request left over.
+        loom::thread::yield_now();
+        for _ in 0..2 {
+            let req = wire::request(b.id().to_word(), 0, 0);
+            b.send(server, &req).unwrap();
+        }
+        let mut served = 0;
+        while served < 4 {
+            let n = core.serve_pending(&mut (), 2);
+            assert!(n <= 2, "a step served {n}");
+            if n == 0 {
+                loom::thread::yield_now();
+            }
+            served += n;
+        }
+        let mut got = vec![b.receive1(), b.receive1()];
+        assert!(got[0] < got[1], "replies out of request order: {got:?}");
+        got.extend(t.join().unwrap());
+        got.sort_unstable();
+        assert_eq!(got, [0, 1, 2, 3]);
+        assert_eq!(core.into_state(), 4);
     });
 }
 

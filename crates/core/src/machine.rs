@@ -235,8 +235,10 @@ fn word(lines: &[Line], a: Addr) -> &AtomicU64 {
     &lines[(a / WORDS_PER_LINE) as usize][(a % WORDS_PER_LINE) as usize]
 }
 
-/// A native instance's critical section.
-pub(crate) struct Critical<S, D> {
+/// A native instance's critical section: the state and its dispatcher, run
+/// by [`Machine::cs`] on a [`Native`] machine. Only this crate makes one, and
+/// each construction runs it under its own mutual exclusion.
+pub struct Critical<S, D> {
     pub(crate) state: CsState<S>,
     pub(crate) dispatch: D,
 }
@@ -248,11 +250,12 @@ impl<S, D> Critical<S, D> {
     }
 }
 
-/// The host machine, as one thread sees an [`Arena`] and, if it sends, its
-/// own [`Endpoint`]. Each access happens when it is called and returns a
-/// [`Ready`](std::future::Ready) future, which [`block_on`] drives; the
-/// async state machines then fold away.
-pub(crate) struct Native<'a, C> {
+/// The host machine, as one thread sees an arena and, if it sends, its own
+/// [`Endpoint`]. Each access happens when it is called and returns a
+/// [`Ready`](std::future::Ready) future, which `block_on` drives; the async
+/// state machines then fold away. Only this crate makes one; a [`Probe`]
+/// sees it.
+pub struct Native<'a, C> {
     /// The arena's lines, held apart from it: through `&Arena`, whose
     /// poison flag is interior-mutable, every access would reload them.
     lines: &'a [Line],
@@ -264,6 +267,15 @@ pub(crate) struct Native<'a, C> {
     /// fourth word, see [`wire`]; 0 when telemetry is off).
     pub(crate) stamp: u64,
     cs: PhantomData<fn(&C)>,
+}
+
+impl<C> Native<'_, C> {
+    /// The submit stamp the last request received carried: a server's
+    /// queue-wait span starts there.
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
 }
 
 /// A client's view of the host machine: it never runs the critical section.
@@ -355,7 +367,9 @@ impl<S, D: Dispatcher<S>> Machine for Native<'_, Critical<S, D>> {
     }
 
     /// A three-word request is received whole (its stamp goes to
-    /// [`Native::stamp`]). A one-word reply is polled, with the poison
+    /// [`Native::stamp`]): the words already queued are taken at once, and
+    /// only the rest waits in udn's blocking receive, which records udn's
+    /// receive telemetry. A one-word reply is polled, with the poison
     /// check: the server or combiner that owes it may have died in its
     /// critical section.
     #[inline]
@@ -369,7 +383,10 @@ impl<S, D: Dispatcher<S>> Machine for Native<'_, Critical<S, D>> {
             }
         } else {
             let mut buf = [0u64; wire::REQ_WORDS];
-            self.endpoint().receive(&mut buf);
+            let n = self.endpoint().try_receive(&mut buf);
+            if n < buf.len() {
+                self.endpoint().receive(&mut buf[n..]);
+            }
             let req = wire::decode(buf);
             self.stamp = req.submit_ns;
             msg.copy_from_slice(&[req.sender, req.op, req.arg][..K]);
@@ -382,7 +399,7 @@ impl<S, D: Dispatcher<S>> Machine for Native<'_, Critical<S, D>> {
         ready(!self.endpoint().is_queue_empty())
     }
 
-    /// [`spin`]'s backoff, and the poison check that keeps a waiter from
+    /// `sync::spin`'s backoff, and the poison check that keeps a waiter from
     /// spinning forever on a release a panicked thread never makes.
     #[inline]
     fn spin_until(
@@ -407,9 +424,10 @@ impl<S, D: Dispatcher<S>> Machine for Native<'_, Critical<S, D>> {
     #[inline]
     fn cs(&mut self, cs: &Critical<S, D>, op: u64, arg: u64) -> impl Future<Output = u64> {
         let guard = PoisonGuard::new(&self.arena.poisoned);
-        // SAFETY: `Native` is crate-private, and each construction calls
-        // `cs` only under its own mutual exclusion (the unique combiner, the
-        // server thread), citing its argument there.
+        // SAFETY: only this crate makes a `Critical`, and each construction
+        // calls `cs` only under its own mutual exclusion (the unique
+        // combiner, the server thread, the owner of a `ServerCore`), citing
+        // its argument there.
         let ret = unsafe { cs.state.with_mut(|s| cs.dispatch.dispatch(s, op, arg)) };
         guard.disarm();
         ready(ret)

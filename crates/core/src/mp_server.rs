@@ -12,7 +12,9 @@
 //!
 //! The protocol is [`serve`] and [`request`], written once against
 //! [`Machine`]: [`MpServer`] runs it on the host, tilesim on simulated
-//! cores. A HYBCOMB combiner serves with the same step.
+//! cores. [`serve_pending`] is its batched step, which never waits on an
+//! empty queue: a HYBCOMB combiner drains with it, and the runtime's shards
+//! serve with it through a [`ServerCore`], a server whose owner ticks it.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -57,6 +59,26 @@ pub(crate) async fn serve_one<M: Machine>(
     ControlFlow::Continue(())
 }
 
+/// The batched step: serves the requests already queued, up to `budget` of
+/// them, and returns how many it served. It never waits on an empty queue
+/// and reports no round: its caller, a HYBCOMB combiner or a runtime shard,
+/// reports its own. It stops early if the probe stops the server.
+pub async fn serve_pending<M: Machine>(
+    m: &mut M,
+    cs: &M::Cs,
+    probe: &mut impl Probe<M>,
+    budget: u64,
+) -> u64 {
+    let mut n = 0;
+    while n < budget && m.has_pending_traffic().await {
+        if serve_one(m, cs, probe).await.is_break() {
+            break;
+        }
+        n += 1;
+    }
+    n
+}
+
 /// A client's operation: sends `(op, arg)` to the queue `server` under the
 /// machine's own id, and waits for the one-word response.
 pub async fn request<M: Machine>(m: &mut M, server: u64, op: u64, arg: u64) -> u64 {
@@ -92,6 +114,61 @@ impl<C> Probe<Native<'_, C>> for Serving {
             telemetry::record_span(self.track, Algo::MpServer, Lane::Serve, self.t_serve);
             telemetry::count(Counter::MpServed, 1);
         }
+    }
+}
+
+/// An MP-SERVER without a thread of its own: its endpoint and critical
+/// section, served by [`ServerCore::serve_pending`] whenever its owner (the
+/// runtime's shard loop, an event loop) ticks it. `&mut self` is the mutual
+/// exclusion the critical section needs.
+pub struct ServerCore<S, D> {
+    endpoint: Endpoint,
+    cs: Critical<S, D>,
+    /// No words: only the poison flag a dispatch that unwinds sets, which
+    /// the owner learns of from the unwind itself.
+    arena: Arena,
+}
+
+impl<S, D: Dispatcher<S>> ServerCore<S, D> {
+    /// A server on `endpoint` whose `dispatch` runs each request against
+    /// `state`.
+    pub fn new(endpoint: Endpoint, state: S, dispatch: D) -> Self {
+        Self {
+            endpoint,
+            cs: Critical::new(state, dispatch),
+            arena: Arena::new(0, POISONED),
+        }
+    }
+
+    /// The endpoint id clients address their requests to.
+    pub fn id(&self) -> EndpointId {
+        self.endpoint.id()
+    }
+
+    /// [`serve_pending`] on the host: runs and answers the requests queued
+    /// at the endpoint, up to `budget`, without waiting for more. A dispatch
+    /// that panics unwinds out of this call and may leave the state torn:
+    /// its owner steps the server no more.
+    #[inline]
+    pub fn serve_pending(
+        &mut self,
+        probe: &mut impl for<'a> Probe<Native<'a, Critical<S, D>>>,
+        budget: u64,
+    ) -> u64 {
+        let mut m = Native::with_endpoint(&self.arena, &mut self.endpoint);
+        block_on(serve_pending(&mut m, &self.cs, probe, budget))
+    }
+
+    /// Runs `f` on the state, between steps.
+    pub fn with_state<R>(&mut self, f: impl FnOnce(&mut S) -> R) -> R {
+        // SAFETY: `&mut self` excludes every step, and with it every other
+        // access to the state.
+        unsafe { self.cs.state.with_mut(f) }
+    }
+
+    /// The final state.
+    pub fn into_state(self) -> S {
+        self.cs.state.into_inner()
     }
 }
 

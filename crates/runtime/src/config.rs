@@ -58,11 +58,11 @@ impl Backend {
 }
 
 /// A set of opcodes (0..=255), used to mark which operations are safe for
-/// the runtime's read-side fast path and which may be merged inside a batch.
+/// the runtime's read-side fast path.
 ///
-/// The default mask is empty: both optimisations are strictly opt-in because
-/// they rely on semantic contracts the runtime cannot check (see
-/// [`RuntimeConfig::read_fast`] and [`RuntimeConfig::merge_ops`]).
+/// The default mask is empty: the fast path is strictly opt-in because it
+/// relies on a semantic contract the runtime cannot check (see
+/// [`RuntimeConfig::read_fast`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpMask([u64; 4]);
 
@@ -148,14 +148,6 @@ pub struct RuntimeConfig {
     /// repeat reads from it while no mutation has *started* since; any
     /// conflict falls back to normal delegation.
     pub read_fast: OpMask,
-    /// Opcodes the shard loop may merge within one batch.
-    ///
-    /// **Contract:** a masked opcode must be fetch-add-shaped — for word
-    /// `w`: `dispatch(w, a)` performs `v' = v ⊞ a` (wrapping add) and
-    /// returns the *old* value `v`. The shard merges same-word runs into a
-    /// single dispatch of the wrapped sum and reconstructs each caller's
-    /// return value as `old ⊞ (sum of earlier args in the run)`.
-    pub merge_ops: OpMask,
 }
 
 impl Default for RuntimeConfig {
@@ -168,7 +160,6 @@ impl Default for RuntimeConfig {
             max_sessions: 8,
             submit: SubmitPolicy::Block,
             read_fast: OpMask::EMPTY,
-            merge_ops: OpMask::EMPTY,
         }
     }
 }
@@ -216,13 +207,6 @@ impl RuntimeConfig {
     /// [`RuntimeConfig::read_fast`] for the required contract).
     pub fn with_read_fast(mut self, mask: OpMask) -> Self {
         self.read_fast = mask;
-        self
-    }
-
-    /// Marks opcodes for in-batch merging (see [`RuntimeConfig::merge_ops`]
-    /// for the required contract).
-    pub fn with_merge_ops(mut self, mask: OpMask) -> Self {
-        self.merge_ops = mask;
         self
     }
 

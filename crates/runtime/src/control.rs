@@ -53,7 +53,7 @@ pub(crate) struct ShardMetrics {
 /// The half submitting threads write (admission: a CAS and two RMWs per op).
 #[derive(Debug, Default)]
 pub(crate) struct ClientMetrics {
-    /// Operations admitted through [`Control::admit`].
+    /// Operations admitted through [`Control::try_admit`].
     pub submitted: AtomicU64,
     /// Submissions refused with [`RuntimeError::Busy`].
     pub rejected: AtomicU64,
@@ -100,7 +100,8 @@ pub(crate) fn spin(spins: &mut u32) {
 
 /// Wait iterations spent spinning before every further one yields, for the
 /// two waits on every delegated operation's path: a session collecting its
-/// replies, and a serving thread that found all its queues empty. A
+/// replies (but for a lone `submit`'s, see `runtime::SUBMIT_SPINS`), and a
+/// serving thread that found all its queues empty. A
 /// `yield_now` that finds nothing else to run returns in about this many
 /// spins' time, so a longer spin cannot save more than that when the waiter
 /// has a CPU to itself; and when the thread it waits for shares its CPU,
@@ -126,7 +127,7 @@ pub(crate) fn spin_then_yield(spins: &mut u32, limit: u32) {
 /// the per-shard windows. Backend-independent and non-generic, so sessions
 /// can hold it without dragging the state type along.
 pub(crate) struct Control {
-    /// Once `true`, no submission passes [`Control::admit`]. SeqCst on both
+    /// Once `true`, no submission passes [`Control::try_admit`]. SeqCst on both
     /// sides (see `try_admit`) so shutdown's in-flight drain cannot miss an
     /// admitted operation.
     closed: AtomicBool,
@@ -233,13 +234,8 @@ impl Control {
 
     /// Claims an in-flight slot on `shard`, enforcing the bounded window:
     /// [`Control::try_admit`] until it succeeds, the runtime closes, or —
-    /// under the Fail policy — the window is full.
-    pub fn admit(&self, shard: usize) -> Result<(), RuntimeError> {
-        self.admit_with(shard, || {})
-    }
-
-    /// [`Control::admit`] with an `idle` hook invoked on every wait
-    /// iteration.
+    /// under the Fail policy — the window is full. `idle` is invoked on
+    /// every wait iteration.
     ///
     /// External drivers need this: when a reactor thread both submits
     /// operations and *is* the executor for its own shard, a plain spin
@@ -274,7 +270,7 @@ impl Control {
         }
     }
 
-    /// Releases the in-flight slot claimed by [`Control::admit`]. Called
+    /// Releases the in-flight slot claimed by [`Control::try_admit`]. Called
     /// after the operation's response has been received.
     pub fn complete(&self, shard: usize) {
         self.shards[shard]
@@ -481,11 +477,11 @@ mod tests {
     #[test]
     fn admit_respects_window() {
         let c = Control::new(1, 2, SubmitPolicy::Fail);
-        assert!(c.admit(0).is_ok());
-        assert!(c.admit(0).is_ok());
-        assert_eq!(c.admit(0), Err(RuntimeError::Busy));
+        assert!(c.admit_with(0, || {}).is_ok());
+        assert!(c.admit_with(0, || {}).is_ok());
+        assert_eq!(c.admit_with(0, || {}), Err(RuntimeError::Busy));
         c.complete(0);
-        assert!(c.admit(0).is_ok());
+        assert!(c.admit_with(0, || {}).is_ok());
         let m = &c.shards[0].client;
         assert_eq!(m.submitted.load(Ordering::Relaxed), 3);
         assert_eq!(m.rejected.load(Ordering::Relaxed), 1);
@@ -515,10 +511,10 @@ mod tests {
     #[test]
     fn closed_rejects_everything() {
         let c = Control::new(2, 8, SubmitPolicy::Block);
-        assert!(c.admit(1).is_ok());
+        assert!(c.admit_with(1, || {}).is_ok());
         c.close();
-        assert_eq!(c.admit(0), Err(RuntimeError::Closed));
-        assert_eq!(c.admit(1), Err(RuntimeError::Closed));
+        assert_eq!(c.admit_with(0, || {}), Err(RuntimeError::Closed));
+        assert_eq!(c.admit_with(1, || {}), Err(RuntimeError::Closed));
         // The pre-close admission still holds its slot until completed.
         assert_eq!(c.shards[1].client.inflight.load(Ordering::SeqCst), 1);
         c.complete(1);
@@ -549,7 +545,7 @@ mod tests {
         let c = Arc::new(Control::new(1, 4, SubmitPolicy::Fail));
         c.pause(0);
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.admit(0));
+        let t = std::thread::spawn(move || c2.admit_with(0, || {}));
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert!(!t.is_finished(), "admit must wait out a pause, not fail");
         c.unpause(0);
@@ -562,13 +558,13 @@ mod tests {
     #[test]
     fn quiesce_waits_for_inflight() {
         let c = Control::new(1, 4, SubmitPolicy::Block);
-        assert!(c.admit(0).is_ok());
+        assert!(c.admit_with(0, || {}).is_ok());
         c.pause(0);
         // Quiesce must not return while the pre-pause admission is live.
         c.complete(0);
         c.wait_quiesced(0);
         c.unpause(0);
-        assert!(c.admit(0).is_ok());
+        assert!(c.admit_with(0, || {}).is_ok());
         c.complete(0);
     }
 
@@ -594,9 +590,9 @@ mod tests {
     fn block_policy_waits_for_slot() {
         use std::sync::Arc;
         let c = Arc::new(Control::new(1, 1, SubmitPolicy::Block));
-        assert!(c.admit(0).is_ok());
+        assert!(c.admit_with(0, || {}).is_ok());
         let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.admit(0));
+        let t = std::thread::spawn(move || c2.admit_with(0, || {}));
         std::thread::sleep(std::time::Duration::from_millis(10));
         c.complete(0);
         assert_eq!(t.join().unwrap(), Ok(()));

@@ -14,7 +14,7 @@ use crate::adaptive::{
     spawn_controller, AdaptiveAccess, AdaptiveHandle, AdaptiveShard, Controller, MpModeDispatch,
 };
 use crate::config::{Backend, OpMask, RuntimeConfig};
-use crate::control::{Control, NoSlot};
+use crate::control::{spin_then_yield, Control, NoSlot, HANDOFF_SPINS};
 use crate::drive::{CoreDrive, DriveShard, ShardDriver};
 use crate::router::{pack, shard_for};
 use crate::shard::{serving_threads, ShardCore, ShardServers, Ticker};
@@ -253,7 +253,6 @@ where
                             Arc::clone(&control),
                             i,
                             config.max_batch,
-                            config.merge_ops,
                         );
                         if let Some(t) = ticker(i) {
                             core.set_ticker(t);
@@ -308,7 +307,6 @@ where
                         Arc::clone(&control),
                         i,
                         config.max_batch,
-                        config.merge_ops,
                     ));
                     shards.push(sh);
                 }
@@ -816,25 +814,7 @@ impl Session {
     /// Panics if `key` exceeds 56 bits or `op` exceeds 8 bits (see
     /// [`pack`]).
     pub fn submit(&mut self, key: u64, op: u64, arg: u64) -> Result<u64, RuntimeError> {
-        let word = pack(key, op); // validate before claiming a slot
-        let shard = shard_for(key, self.shards);
-        let t0 = telemetry::now_ns();
-        if let Some(ret) = self.try_fast_read(shard, word, op, t0) {
-            return Ok(ret);
-        }
-        self.control.admit(shard)?;
-        // The slot is released on unwind too: a backend switch waits for
-        // every held slot.
-        let slot = Slot(&self.control, shard);
-        let ret = Self::apply_on(&self.control, &mut self.transport, shard, word, arg);
-        drop(slot);
-        if telemetry::ENABLED {
-            // Submit = admission wait + transport + service + reply: the
-            // client-observed latency of one runtime operation.
-            telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, t0);
-            telemetry::count(Counter::RuntimeSubmits, 1);
-        }
-        Ok(ret)
+        self.submit_one((key, op, arg), &mut || {}, SUBMIT_SPINS)
     }
 
     /// [`Session::submit`] with an `idle` hook invoked on every wait
@@ -855,41 +835,21 @@ impl Session {
         arg: u64,
         mut idle: impl FnMut(),
     ) -> Result<u64, RuntimeError> {
-        let word = pack(key, op);
-        let shard = shard_for(key, self.shards);
-        let t0 = telemetry::now_ns();
-        if let Some(ret) = self.try_fast_read(shard, word, op, t0) {
-            return Ok(ret);
-        }
-        self.control.admit_with(shard, &mut idle)?;
-        // The slot is released on unwind too: a backend switch waits for
-        // every held slot.
-        let slot = Slot(&self.control, shard);
-        let control = &*self.control;
-        let ret = match &mut self.transport {
-            Transport::Mp { endpoint, servers } => {
-                control.check_poison(shard);
-                Self::wire_apply_with(control, shard, endpoint, servers, word, arg, &mut idle)
-            }
-            Transport::Inline { handles } => handles[shard].apply(word, arg),
-            Transport::Adaptive {
-                endpoint,
-                servers,
-                handles,
-                ..
-            } => match handles[shard].try_apply_local(word, arg) {
-                Some(ret) => ret,
-                None => {
-                    Self::wire_apply_with(control, shard, endpoint, servers, word, arg, &mut idle)
-                }
-            },
-        };
-        drop(slot);
-        if telemetry::ENABLED {
-            telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, t0);
-            telemetry::count(Counter::RuntimeSubmits, 1);
-        }
-        Ok(ret)
+        self.submit_one((key, op, arg), &mut idle, HANDOFF_SPINS)
+    }
+
+    /// A one-op pass: its only wait for the reply is the pass's collect,
+    /// which spins `spins` pauses before it yields.
+    fn submit_one(
+        &mut self,
+        op: (u64, u64, u64),
+        idle: &mut impl FnMut(),
+        spins: u32,
+    ) -> Result<u64, RuntimeError> {
+        let mut out = [Err(RuntimeError::Closed)];
+        let shard = shard_for(op.0, self.shards);
+        self.batch_on(shard, &[op], &mut out, idle, spins);
+        out[0]
     }
 
     /// Executes `ops` — each a `(key, op, arg)` — and fills `out` with one
@@ -935,13 +895,13 @@ impl Session {
         out.resize(ops.len(), Err(RuntimeError::Closed));
         let mut next = ops.iter().map(|o| shard_for(o.0, self.shards)).min();
         while let Some(shard) = next {
-            next = self.batch_on(shard, ops, out, &mut idle);
+            next = self.batch_on(shard, ops, out, &mut idle, HANDOFF_SPINS);
         }
     }
 
     /// One shard's pass of a batch: runs every op of `ops` that `shard`
     /// owns, in input order, and returns the next higher shard any op
-    /// routes to.
+    /// routes to. Its reply waits spin `spins` pauses before they yield.
     ///
     /// **A session never waits while it holds uncollected replies.** Its
     /// sent requests occupy slots of the shard's window that only its own
@@ -957,19 +917,35 @@ impl Session {
         ops: &[(u64, u64, u64)],
         out: &mut [Result<u64, RuntimeError>],
         idle: &mut impl FnMut(),
+        spins: u32,
     ) -> Option<usize> {
+        let Session {
+            control,
+            shards,
+            read_fast,
+            transport,
+        } = self;
+        let control: &Control = control;
         // A shard server must never block on this session's reply queue:
         // at most as many requests in flight as it holds one-word replies.
-        let room = match &self.transport {
+        let room = match transport {
             Transport::Mp { endpoint, .. } | Transport::Adaptive { endpoint, .. } => {
                 endpoint.fabric().config().queue_capacity
             }
             Transport::Inline { .. } => usize::MAX,
         };
         let mut next_shard: Option<usize> = None;
-        let mut flight = Flight::default();
+        let mut flight = Flight {
+            control,
+            shard,
+            shards: *shards,
+            spins,
+            head: 0,
+            count: 0,
+            t0: 0,
+        };
         for (i, &(key, op, arg)) in ops.iter().enumerate() {
-            let s = shard_for(key, self.shards);
+            let s = shard_for(key, *shards);
             if s != shard {
                 if s > shard && next_shard.is_none_or(|n| s < n) {
                     next_shard = Some(s);
@@ -982,35 +958,34 @@ impl Session {
             // earlier writes on the shard *answered*: only with nothing in
             // flight may a masked read be tried from it.
             if flight.count == 0 {
-                if let Some(ret) = self.try_fast_read(shard, word, op, t0) {
+                if let Some(ret) = fast_read(control, *read_fast, shard, word, op, t0) {
                     out[i] = Ok(ret);
                     continue;
                 }
             }
-            if !matches!(self.transport, Transport::Inline { .. })
-                && self.control.poisoned(shard).is_some()
-            {
+            if !matches!(transport, Transport::Inline { .. }) && control.poisoned(shard).is_some() {
                 // The shard's server reads no more requests: settle what is
                 // in flight (the collect panics if a reply is missing), then
                 // refuse before admitting, so no slot is left held.
-                self.collect(shard, ops, out, &mut flight, idle);
-                self.control.check_poison(shard);
+                flight.collect(transport, ops, out, idle);
+                control.check_poison(shard);
             }
-            let admitted = match self.control.try_admit(shard) {
+            let admitted = match control.try_admit(shard) {
                 Ok(()) => Ok(()),
                 Err(NoSlot::Closed) => Err(RuntimeError::Closed),
                 Err(NoSlot::Paused | NoSlot::Full) => {
-                    self.collect(shard, ops, out, &mut flight, idle);
-                    self.control.admit_with(shard, &mut *idle)
+                    flight.collect(transport, ops, out, idle);
+                    control.admit_with(shard, &mut *idle)
                 }
             };
             if let Err(e) = admitted {
                 out[i] = Err(e);
                 continue;
             }
-            // The slot is released on unwind too, as a submit's is.
-            let slot = Slot(&self.control, shard);
-            match Self::start_on(&mut self.transport, shard, word, arg) {
+            // The slot is released on unwind too: a backend switch waits for
+            // every held slot.
+            let slot = Slot(control, shard);
+            match Self::start_on(transport, shard, word, arg) {
                 Some(ret) => {
                     out[i] = Ok(ret);
                     drop(slot);
@@ -1020,7 +995,8 @@ impl Session {
                     }
                 }
                 None => {
-                    // Completed by the collect that takes its reply.
+                    // The flight holds it now: completed by the collect that
+                    // takes its reply, or by the flight's unwind.
                     std::mem::forget(slot);
                     if flight.count == 0 {
                         flight.head = i;
@@ -1028,12 +1004,12 @@ impl Session {
                     }
                     flight.count += 1;
                     if flight.count == room {
-                        self.collect(shard, ops, out, &mut flight, idle);
+                        flight.collect(transport, ops, out, idle);
                     }
                 }
             }
         }
-        self.collect(shard, ops, out, &mut flight, idle);
+        flight.collect(transport, ops, out, idle);
         next_shard
     }
 
@@ -1062,58 +1038,6 @@ impl Session {
         }
     }
 
-    /// Receives the replies `flight` has outstanding on `shard` and
-    /// completes their ops. The server answers one sender in FIFO order and
-    /// nothing else of this session is in flight, so the replies belong, in
-    /// order, to `shard`'s ops from `flight.head` on.
-    fn collect(
-        &mut self,
-        shard: usize,
-        ops: &[(u64, u64, u64)],
-        out: &mut [Result<u64, RuntimeError>],
-        flight: &mut Flight,
-        idle: &mut impl FnMut(),
-    ) {
-        if flight.count == 0 {
-            return;
-        }
-        let (Transport::Mp { endpoint, .. } | Transport::Adaptive { endpoint, .. }) =
-            &mut self.transport
-        else {
-            unreachable!("inline transports leave nothing in flight");
-        };
-        let mut owners =
-            (flight.head..ops.len()).filter(|&i| shard_for(ops[i].0, self.shards) == shard);
-        let mut buf = [0u64; 16];
-        let mut spins = 0u32;
-        while flight.count > 0 {
-            let want = flight.count.min(buf.len());
-            let n = endpoint.try_receive(&mut buf[..want]);
-            if n == 0 {
-                if orphaned(&self.control, shard, endpoint) {
-                    // No reply is coming for the rest: hand their slots
-                    // back, as a submit does on unwind.
-                    (0..flight.count).for_each(|_| self.control.complete(shard));
-                    flight.count = 0;
-                    self.control.check_poison(shard);
-                }
-                idle();
-                crate::control::spin_then_yield(&mut spins, crate::control::HANDOFF_SPINS);
-                continue;
-            }
-            for &ret in &buf[..n] {
-                let i = owners.next().expect("a reply for every request sent");
-                out[i] = Ok(ret);
-                self.control.complete(shard);
-                if telemetry::ENABLED {
-                    telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, flight.t0);
-                    telemetry::count(Counter::RuntimeSubmits, 1);
-                }
-            }
-            flight.count -= n;
-        }
-    }
-
     /// Executes a multi-key fan-out: [`Session::submit_batch`] with the
     /// results unwrapped, in input order.
     ///
@@ -1126,105 +1050,128 @@ impl Session {
         self.submit_batch(ops, &mut out);
         out.into_iter().collect()
     }
+}
 
-    fn apply_on(
-        control: &Control,
-        transport: &mut Transport,
-        shard: usize,
-        word: u64,
-        arg: u64,
-    ) -> u64 {
-        let (endpoint, servers) = match transport {
-            Transport::Mp { endpoint, servers } => {
-                control.check_poison(shard);
-                (endpoint, servers)
-            }
-            Transport::Inline { handles } => return handles[shard].apply(word, arg),
-            Transport::Adaptive {
-                endpoint,
-                servers,
-                handles,
-                ..
-            } => match handles[shard].try_apply_local(word, arg) {
-                Some(ret) => return ret,
-                None => (endpoint, servers),
-            },
-        };
-        send_request(endpoint, servers[shard], word, arg);
-        // The spin-then-yield of udn's blocking receive, which then finds
-        // the reply at once.
-        let mut spins = 0u32;
-        while endpoint.is_queue_empty() {
-            if orphaned(control, shard, endpoint) {
-                control.check_poison(shard);
-            }
-            crate::control::spin_then_yield(&mut spins, 64);
-        }
-        endpoint.receive1()
+/// The read-side fast path: answers a masked read from the shard's
+/// versioned snapshot without claiming a slot or entering the executor.
+/// `None` = take the normal path (and count the fallback when the op was
+/// eligible).
+#[inline]
+fn fast_read(
+    control: &Control,
+    read_fast: OpMask,
+    shard: usize,
+    word: u64,
+    op: u64,
+    t0: u64,
+) -> Option<u64> {
+    if !read_fast.contains(op) || control.is_closed() {
+        return None;
     }
-
-    /// Wire round-trip with an idle hook on the receive wait.
-    fn wire_apply_with(
-        control: &Control,
-        shard: usize,
-        endpoint: &mut Endpoint,
-        servers: &[EndpointId],
-        word: u64,
-        arg: u64,
-        idle: &mut impl FnMut(),
-    ) -> u64 {
-        send_request(endpoint, servers[shard], word, arg);
-        // Responses are a single word, so a successful try_receive is
-        // always complete.
-        let mut buf = [0u64; 1];
-        let mut spins = 0u32;
-        loop {
-            if endpoint.try_receive(&mut buf) == 1 {
-                break buf[0];
+    let cache = control.read_cache(shard)?;
+    match cache.try_read(word) {
+        Some(ret) => {
+            if telemetry::ENABLED {
+                telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, t0);
+                telemetry::count(Counter::RuntimeSubmits, 1);
+                telemetry::count(Counter::RuntimeFastReads, 1);
             }
-            if orphaned(control, shard, endpoint) {
-                control.check_poison(shard);
-            }
-            idle();
-            crate::control::spin(&mut spins);
+            Some(ret)
         }
-    }
-
-    /// The read-side fast path: answers a masked read from the shard's
-    /// versioned snapshot without claiming a slot or entering the executor.
-    /// `None` = take the normal path (and count the fallback when the op
-    /// was eligible).
-    #[inline]
-    fn try_fast_read(&self, shard: usize, word: u64, op: u64, t0: u64) -> Option<u64> {
-        if !self.read_fast.contains(op) || self.control.is_closed() {
-            return None;
-        }
-        let cache = self.control.read_cache(shard)?;
-        match cache.try_read(word) {
-            Some(ret) => {
-                if telemetry::ENABLED {
-                    telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, t0);
-                    telemetry::count(Counter::RuntimeSubmits, 1);
-                    telemetry::count(Counter::RuntimeFastReads, 1);
-                }
-                Some(ret)
-            }
-            None => {
-                telemetry::count(Counter::RuntimeFastFallbacks, 1);
-                None
-            }
+        None => {
+            telemetry::count(Counter::RuntimeFastFallbacks, 1);
+            None
         }
     }
 }
 
-/// A batch's sent-but-uncollected requests on the shard being walked: the
-/// next `count` of that shard's ops from input index `head` on.
-#[derive(Default)]
-struct Flight {
+/// Pauses [`Session::submit`]'s reply wait spins before it yields. No one
+/// budget served every caller (EXPERIMENTS.md, "The session's reply
+/// wait"): a lone submit whose server has a CPU of its own gets its reply
+/// within about 64 pauses, and yielding sooner put the benchmark's
+/// `apps-mixed` p50 at 2.6 times the parent's; a batch pass whose server
+/// shares the caller's CPU delays that server with every pause, and 64
+/// put `wire-closed`'s p50 at 1.6 times the parent's.
+const SUBMIT_SPINS: u32 = 64;
+
+/// A pass's sent-but-uncollected requests on the shard being walked: the
+/// next `count` of that shard's ops from input index `head` on. Each holds
+/// an admitted slot, which its reply completes, or, if the pass unwinds
+/// first, the flight's drop.
+struct Flight<'a> {
+    control: &'a Control,
+    shard: usize,
+    /// The runtime's shard count, to tell the shard's ops from the rest.
+    shards: usize,
+    /// Pauses a reply wait spins before it yields.
+    spins: u32,
     head: usize,
     count: usize,
     /// When the oldest of them was started (the Submit span's origin).
     t0: u64,
+}
+
+impl Flight<'_> {
+    /// Receives the replies outstanding on the shard and completes their
+    /// ops: the session's one wait for a reply. The server answers one
+    /// sender in FIFO order and nothing else of this session is in flight,
+    /// so the replies belong, in order, to the shard's ops from `head` on.
+    fn collect(
+        &mut self,
+        transport: &mut Transport,
+        ops: &[(u64, u64, u64)],
+        out: &mut [Result<u64, RuntimeError>],
+        idle: &mut impl FnMut(),
+    ) {
+        if self.count == 0 {
+            return;
+        }
+        let (Transport::Mp { endpoint, .. } | Transport::Adaptive { endpoint, .. }) = transport
+        else {
+            unreachable!("inline transports leave nothing in flight");
+        };
+        let (control, shard) = (self.control, self.shard);
+        let mut owners =
+            (self.head..ops.len()).filter(|&i| shard_for(ops[i].0, self.shards) == shard);
+        let mut buf = [0u64; 16];
+        let mut spins = 0u32;
+        while self.count > 0 {
+            let want = self.count.min(buf.len());
+            let n = endpoint.try_receive(&mut buf[..want]);
+            if n == 0 {
+                if orphaned(control, shard, endpoint) {
+                    // No reply is coming for the rest: the unwind hands
+                    // their slots back.
+                    control.check_poison(shard);
+                }
+                idle();
+                spin_then_yield(&mut spins, self.spins);
+                continue;
+            }
+            for &ret in &buf[..n] {
+                let i = owners.next().expect("a reply for every request sent");
+                out[i] = Ok(ret);
+                control.complete(shard);
+                if telemetry::ENABLED {
+                    telemetry::record_span(shard as u32, Algo::Runtime, Lane::Submit, self.t0);
+                    telemetry::count(Counter::RuntimeSubmits, 1);
+                }
+            }
+            self.count -= n;
+        }
+    }
+}
+
+impl Drop for Flight<'_> {
+    /// Only a pass that unwinds leaves requests in flight — a dispatch
+    /// panic poisoned the shard, or the idle hook panicked. Their slots go
+    /// back as a [`Slot`]'s does, so neither a backend swap's quiesce nor
+    /// shutdown's drain waits for replies nobody will collect.
+    fn drop(&mut self) {
+        for _ in 0..self.count {
+            self.control.complete(self.shard);
+        }
+    }
 }
 
 /// An admitted slot of a shard's window, completed when dropped.
@@ -1305,5 +1252,86 @@ mod tests {
         drop(handles);
         let comb = Arc::try_unwrap(comb).ok().expect("handles dropped");
         assert_eq!(comb.into_state(), 8);
+    }
+
+    /// A session's handle on an adaptive shard that, on its `nth` call,
+    /// first runs `before`.
+    struct Gated<B> {
+        inner: Box<dyn AdaptiveAccess>,
+        calls: u32,
+        nth: u32,
+        before: B,
+    }
+
+    impl<B: FnMut() + Send> AdaptiveAccess for Gated<B> {
+        fn try_apply_local(&mut self, word: u64, arg: u64) -> Option<u64> {
+            self.calls += 1;
+            if self.calls == self.nth {
+                (self.before)();
+            }
+            self.inner.try_apply_local(word, arg)
+        }
+    }
+
+    /// A batch pass that has sent a request to an adaptive shard's server
+    /// and then unwinds hands that request's slot back. The window: the
+    /// server's dispatch panics after the pass checked the shard for poison
+    /// and before the pass starts its next op, whose handle then panics on
+    /// the shard's poison flag. A gated handle opens it deterministically:
+    /// the dispatch waits for `go`, and the handle's second call raises
+    /// `go` and waits for the serving thread to record the poison.
+    #[test]
+    fn a_pass_unwinding_with_requests_in_flight_returns_their_slots() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        const BOOM: u64 = 1;
+        let go = Arc::new(AtomicBool::new(false));
+        let body = {
+            let go = Arc::clone(&go);
+            move |s: &mut u64, _key: u64, op: u64, arg: u64| {
+                if op == BOOM {
+                    while !go.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    panic!("dispatch exploded");
+                }
+                fetch_add(s, op, arg)
+            }
+        };
+        let rt = Runtime::new(
+            RuntimeConfig::new(1).with_backend(Backend::Adaptive),
+            |_| 0u64,
+            body,
+        );
+        assert!(rt.force_backend(0, Backend::MpServer));
+        let mut session = rt.session().unwrap();
+        let Transport::Adaptive { handles, .. } = &mut session.transport else {
+            unreachable!("an adaptive runtime's session");
+        };
+        let control = Arc::clone(&rt.control);
+        let gated = Gated {
+            inner: handles.remove(0),
+            calls: 0,
+            nth: 2,
+            before: move || {
+                go.store(true, Ordering::Release);
+                while control.poisoned(0).is_none() {
+                    std::thread::yield_now();
+                }
+            },
+        };
+        handles.insert(0, Box::new(gated));
+        let mut out = Vec::new();
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            session.submit_batch(&[(0, BOOM, 0), (0, 0, 1)], &mut out)
+        }))
+        .expect_err("the second op finds the shard poisoned");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("LOCK poisoned"), "{msg}");
+        assert_eq!(
+            rt.control.shards[0].client.inflight.load(Ordering::SeqCst),
+            0,
+            "the unanswered request's slot stays held"
+        );
     }
 }

@@ -1,17 +1,17 @@
-//! The runtime's batched MP-SERVER executors, and the threads that serve them.
+//! The runtime's MP-SERVER shards, and the threads that serve them.
 //!
-//! `mpsync-core`'s [`MpServer`](mpsync_core::MpServer) serves strictly one
-//! request per receive. The runtime's shard executor keeps the same wire
-//! protocol ([`wire`] requests `{sender, op, arg}` plus the telemetry-mode
-//! submit timestamp, one-word responses) but adds **adaptive batching**: a
-//! [`ShardCore::tick`] serves whatever has queued up, up to `max_batch`
-//! requests, without ever blocking on an empty queue, and records the
-//! achieved batch size (the paper's combining degree, observed rather than
+//! A shard serves with `mpsync-core`'s protocol, not a copy of it: a
+//! [`ShardCore`] is a [`ServerCore`] (the shard's endpoint, and a critical
+//! section over its state and dispatcher) plus its timers, and
+//! [`ShardCore::tick`] is the timer pass plus core's batched step
+//! ([`serve_pending`](mpsync_core::mp_server::serve_pending)) with
+//! `max_batch` as the budget. The step serves whatever has queued up,
+//! without ever waiting on an empty queue, and the tick records the achieved
+//! batch size (the paper's combining degree, observed rather than
 //! configured).
 //!
 //! **Shards are units of state and ordering; threads are units of CPU.** A
-//! [`ShardCore`] is one shard's executor — endpoint, state, dispatcher,
-//! timers — and is served by exactly one thread at any time, which is all
+//! [`ShardCore`] is served by exactly one thread at any time, which is all
 //! that per-key order and exactly-once shutdown need. *Which* thread is a
 //! separate matter:
 //!
@@ -44,20 +44,21 @@
 //! A dispatch that panics on a serving thread poisons its shard
 //! ([`ShardCore::serve`]) and leaves the thread serving its other shards.
 
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mpsync_core::{wire, Dispatcher};
+use mpsync_core::machine::{Addr, Native, Probe};
+use mpsync_core::mp_server::ServerCore;
+use mpsync_core::Dispatcher;
 use mpsync_telemetry as telemetry;
 use mpsync_telemetry::{Algo, Counter, Lane};
-use mpsync_udn::{Endpoint, EndpointId};
+use mpsync_udn::Endpoint;
 
-use crate::config::OpMask;
 use crate::control::{self, Control};
-use crate::router::unpack;
 use crate::timer;
 
 /// The per-shard timer pass installed by
@@ -77,31 +78,16 @@ pub(crate) type Ticker<S> = Box<dyn FnMut(&mut S) -> Option<u64> + Send>;
 const GATED_IDLE_MIN: Duration = Duration::from_micros(200);
 const GATED_IDLE_MAX: Duration = Duration::from_millis(20);
 
-/// One shard's executor: endpoint, state, dispatcher, and batching policy.
+/// One shard's executor: its server, batching bound and timers.
 ///
 /// Whoever owns the core decides the cadence: [`ShardCore::tick`] serves
 /// whatever has queued up without blocking (and fires due timers), so one
 /// thread can interleave any number of cores.
 pub(crate) struct ShardCore<S, D> {
-    endpoint: Endpoint,
-    state: S,
-    dispatch: D,
+    server: ServerCore<S, D>,
     control: Arc<Control>,
     shard: usize,
     max_batch: u64,
-    /// Opcodes that may be merged within a batch (see
-    /// [`RuntimeConfig::merge_ops`](crate::RuntimeConfig::merge_ops) for
-    /// the fetch-add contract). Empty = the plain streaming serve path.
-    merge: OpMask,
-    /// Collected raw requests for the merging path (reused allocation).
-    pending: Vec<[u64; wire::REQ_WORDS]>,
-    /// Per-batch "already served" scratch for the merging path.
-    done: Vec<bool>,
-    /// Per-group scratch for the merging path: the group's members
-    /// (indices into `pending`), and the senders with an un-served request
-    /// between the group's head and the scan position.
-    members: Vec<usize>,
-    passed: Vec<u64>,
     /// Timer pass for expiring states (see [`Ticker`]); `None` for
     /// untimed runtimes.
     ticker: Option<Ticker<S>>,
@@ -113,8 +99,38 @@ pub(crate) struct ShardCore<S, D> {
     poisoned: bool,
 }
 
+/// A shard's probe: the spans of each request and of the batch, on the
+/// shard's local-namespace track (endpoint indices must never land on the
+/// same trace row as client-chosen trace ids).
+struct Spans {
+    track: u32,
+    /// When the step took its first request (0 until then).
+    t_batch: u64,
+    t_serve: u64,
+}
+
+impl<C> Probe<Native<'_, C>> for Spans {
+    fn received(&mut self, m: &mut Native<'_, C>, _: u64) -> ControlFlow<()> {
+        if telemetry::ENABLED {
+            // Queue wait: the client's submit stamp → this shard picking
+            // the request off its hardware queue.
+            telemetry::record_span(self.track, Algo::Runtime, Lane::QueueWait, m.stamp());
+            self.t_serve = telemetry::now_ns();
+            if self.t_batch == 0 {
+                self.t_batch = self.t_serve;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn served(&mut self, _: &mut Native<'_, C>, _: Addr) {
+        if telemetry::ENABLED {
+            telemetry::record_span(self.track, Algo::Runtime, Lane::Serve, self.t_serve);
+        }
+    }
+}
+
 impl<S, D: Dispatcher<S>> ShardCore<S, D> {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         endpoint: Endpoint,
         state: S,
@@ -122,20 +138,12 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
         control: Arc<Control>,
         shard: usize,
         max_batch: u64,
-        merge: OpMask,
     ) -> Self {
         Self {
-            endpoint,
-            state,
-            dispatch,
+            server: ServerCore::new(endpoint, state, dispatch),
             control,
             shard,
             max_batch,
-            merge,
-            pending: Vec::new(),
-            done: Vec::new(),
-            members: Vec::new(),
-            passed: Vec::new(),
             ticker: None,
             next_timer: None,
             poisoned: false,
@@ -146,28 +154,32 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
     /// constructor may already have armed timers) to seed the cached
     /// deadline.
     pub fn set_ticker(&mut self, mut ticker: Ticker<S>) {
-        self.next_timer = ticker(&mut self.state);
+        self.next_timer = self.server.with_state(&mut ticker);
         self.ticker = Some(ticker);
     }
 
     /// Serves every already-queued request, up to `max_batch`, without
     /// blocking. Returns the number served (0 = queue was empty).
     pub fn tick(&mut self) -> u64 {
-        let mut buf = [0u64; wire::REQ_WORDS];
-        let n = self.endpoint.try_receive(&mut buf);
-        if n == 0 {
+        let track = telemetry::local_track(self.server.id().index() as u32);
+        let mut spans = Spans {
+            track,
+            t_batch: 0,
+            t_serve: 0,
+        };
+        let served = self.server.serve_pending(&mut spans, self.max_batch);
+        if served == 0 {
             // Idle: fire the timer pass only when a deadline is due.
-            self.run_due_timers();
+            if self.next_timer.is_some_and(|ns| ns <= timer::mono_ns()) {
+                self.refresh_timers();
+            }
             return 0;
         }
-        let t_batch = telemetry::now_ns();
-        if n < buf.len() {
-            // A sender is mid-message; its remaining words are guaranteed
-            // to arrive (messages are delivered contiguously), so a
-            // blocking receive is safe.
-            self.endpoint.receive(&mut buf[n..]);
+        self.control.record_batch(self.shard, served);
+        if telemetry::ENABLED {
+            telemetry::record_span(track, Algo::Runtime, Lane::Batch, spans.t_batch);
+            telemetry::count(Counter::RuntimeBatches, 1);
         }
-        let served = self.serve_from(buf, t_batch);
         // Served operations may have armed or disarmed timers: refresh the
         // cached deadline (and expire anything that came due mid-batch).
         self.refresh_timers();
@@ -192,196 +204,11 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
         })
     }
 
-    /// Runs the timer pass if its cached deadline has come due.
-    fn run_due_timers(&mut self) {
-        if self.next_timer.is_some_and(|ns| ns <= timer::mono_ns()) {
-            self.refresh_timers();
-        }
-    }
-
-    /// Runs the timer pass unconditionally (when one is installed) and
-    /// re-caches the next deadline.
+    /// Runs the timer pass (when one is installed) and re-caches the next
+    /// deadline.
     fn refresh_timers(&mut self) {
         if let Some(ticker) = &mut self.ticker {
-            self.next_timer = ticker(&mut self.state);
-        }
-    }
-
-    /// Serves the batch headed by `head`: streaming when merging is off,
-    /// collect-then-merge otherwise.
-    fn serve_from(&mut self, head: [u64; wire::REQ_WORDS], t_batch: u64) -> u64 {
-        if self.merge.is_empty() {
-            self.answer(head);
-            let batch = 1 + self.drain(self.max_batch - 1);
-            self.finish_batch(batch, t_batch);
-            return batch;
-        }
-        self.pending.clear();
-        self.pending.push(head);
-        self.collect(self.max_batch);
-        let batch = self.serve_merged();
-        self.finish_batch(batch, t_batch);
-        batch
-    }
-
-    /// Greedy non-blocking drain of up to `budget` more requests.
-    fn drain(&mut self, budget: u64) -> u64 {
-        let mut buf = [0u64; wire::REQ_WORDS];
-        let mut served = 0u64;
-        while served < budget {
-            let n = self.endpoint.try_receive(&mut buf);
-            if n == 0 {
-                break;
-            }
-            if n < buf.len() {
-                self.endpoint.receive(&mut buf[n..]);
-            }
-            self.answer(buf);
-            served += 1;
-        }
-        served
-    }
-
-    /// Non-blocking collection of raw requests into `pending`, up to
-    /// `budget` total.
-    fn collect(&mut self, budget: u64) {
-        let mut buf = [0u64; wire::REQ_WORDS];
-        while (self.pending.len() as u64) < budget {
-            let n = self.endpoint.try_receive(&mut buf);
-            if n == 0 {
-                break;
-            }
-            if n < buf.len() {
-                self.endpoint.receive(&mut buf[n..]);
-            }
-            self.pending.push(buf);
-        }
-    }
-
-    /// Serves the collected batch, merging same-word runs of mergeable
-    /// opcodes into one dispatch each.
-    ///
-    /// The contract (see `RuntimeConfig::merge_ops`): a mergeable op is
-    /// fetch-add-shaped — it wrapping-adds its argument and returns the old
-    /// value. Dispatching the group's wrapped sum once yields the first
-    /// member's return value; member `k`'s is reconstructed as
-    /// `old ⊞ (args of members before k)`.
-    ///
-    /// A group's replies all go out at its head's position, so joining a
-    /// group moves a request *ahead* of everything between the head and
-    /// itself. A session may have several requests in one batch
-    /// ([`Session::submit_batch`](crate::Session::submit_batch)) and matches
-    /// replies to them by order alone, so a request only joins a group if
-    /// its sender has nothing unserved in between: each sender's requests
-    /// are executed and answered in the order it sent them.
-    fn serve_merged(&mut self) -> u64 {
-        let pending = std::mem::take(&mut self.pending);
-        let n = pending.len();
-        self.done.clear();
-        self.done.resize(n, false);
-        for i in 0..n {
-            if self.done[i] {
-                continue;
-            }
-            let req = wire::decode(pending[i]);
-            let (_key, op) = unpack(req.op);
-            if !self.merge.contains(op) {
-                self.answer(pending[i]);
-                continue;
-            }
-            // Gather the group: every later un-served request for the same
-            // packed word (same key *and* opcode) whose sender has nothing
-            // un-served before it.
-            let mut total = req.arg;
-            self.members.clear();
-            self.members.push(i);
-            self.passed.clear();
-            for (j, raw) in pending.iter().enumerate().skip(i + 1) {
-                if self.done[j] {
-                    continue;
-                }
-                let later = wire::decode(*raw);
-                if self.passed.contains(&later.sender) {
-                    continue;
-                }
-                if later.op == req.op {
-                    total = total.wrapping_add(later.arg);
-                    self.done[j] = true;
-                    self.members.push(j);
-                } else {
-                    self.passed.push(later.sender);
-                }
-            }
-            let group = self.members.len() as u64;
-            if group == 1 {
-                self.answer(pending[i]);
-                continue;
-            }
-            let track = telemetry::local_track(self.endpoint.id().index() as u32);
-            let t_serve = if telemetry::ENABLED {
-                telemetry::record_span(track, Algo::Runtime, Lane::QueueWait, req.submit_ns);
-                telemetry::now_ns()
-            } else {
-                0
-            };
-            let old = self.dispatch.dispatch(&mut self.state, req.op, total);
-            // One dispatch executed `group` logical operations: keep the
-            // ops counter (and the merged-ops telemetry) truthful.
-            self.control.shards[self.shard]
-                .server
-                .ops
-                .fetch_add(group - 1, Ordering::Relaxed);
-            telemetry::count(Counter::RuntimeMergedOps, group - 1);
-            let mut prefix = 0u64;
-            for &j in &self.members {
-                let member = wire::decode(pending[j]);
-                if j != i && telemetry::ENABLED {
-                    telemetry::record_span(track, Algo::Runtime, Lane::QueueWait, member.submit_ns);
-                }
-                self.endpoint
-                    .send(
-                        EndpointId::from_word(member.sender),
-                        &[old.wrapping_add(prefix)],
-                    )
-                    .expect("shard client endpoint vanished");
-                prefix = prefix.wrapping_add(member.arg);
-            }
-            if telemetry::ENABLED {
-                telemetry::record_span(track, Algo::Runtime, Lane::Serve, t_serve);
-            }
-        }
-        self.pending = pending;
-        n as u64
-    }
-
-    fn finish_batch(&mut self, batch: u64, t_batch: u64) {
-        self.control.record_batch(self.shard, batch);
-        if telemetry::ENABLED {
-            // Local-namespace track: endpoint indices must never land on
-            // the same trace row as client-chosen trace ids.
-            let track = telemetry::local_track(self.endpoint.id().index() as u32);
-            telemetry::record_span(track, Algo::Runtime, Lane::Batch, t_batch);
-            telemetry::count(Counter::RuntimeBatches, 1);
-        }
-    }
-
-    fn answer(&mut self, buf: [u64; wire::REQ_WORDS]) {
-        let track = telemetry::local_track(self.endpoint.id().index() as u32);
-        let req = wire::decode(buf);
-        let t_serve = if telemetry::ENABLED {
-            // Queue wait: the client's submit stamp → this shard picking
-            // the request off its hardware queue.
-            telemetry::record_span(track, Algo::Runtime, Lane::QueueWait, req.submit_ns);
-            telemetry::now_ns()
-        } else {
-            0
-        };
-        let ret = self.dispatch.dispatch(&mut self.state, req.op, req.arg);
-        self.endpoint
-            .send(EndpointId::from_word(req.sender), &[ret])
-            .expect("shard client endpoint vanished");
-        if telemetry::ENABLED {
-            telemetry::record_span(track, Algo::Runtime, Lane::Serve, t_serve);
+            self.next_timer = self.server.with_state(ticker);
         }
     }
 
@@ -389,7 +216,7 @@ impl<S, D: Dispatcher<S>> ShardCore<S, D> {
     /// quiescence (no request in flight). Panics if the shard is poisoned.
     pub fn into_state(self) -> S {
         self.control.check_poison(self.shard);
-        self.state
+        self.server.into_state()
     }
 }
 
@@ -489,8 +316,8 @@ where
                                 break;
                             }
                             if group
-                                .iter()
-                                .any(|core| !core.poisoned && active(&core.state))
+                                .iter_mut()
+                                .any(|core| !core.poisoned && core.server.with_state(|s| active(s)))
                             {
                                 nap = GATED_IDLE_MIN;
                                 control::spin_then_yield(&mut spins, control::HANDOFF_SPINS);
@@ -564,7 +391,8 @@ impl<S, D> Drop for ShardServers<S, D> {
 mod tests {
     use super::*;
     use crate::config::SubmitPolicy;
-    use mpsync_udn::{Fabric, FabricConfig};
+    use mpsync_core::wire;
+    use mpsync_udn::{EndpointId, Fabric, FabricConfig};
     use std::sync::atomic::AtomicU64;
 
     type Body<S> = fn(&mut S, u64, u64) -> u64;
@@ -574,7 +402,7 @@ mod tests {
         *state
     }
 
-    /// Add, return the OLD value (the merge contract's shape).
+    /// Add, return the OLD value.
     fn fetch_add(state: &mut u64, _op: u64, arg: u64) -> u64 {
         let old = *state;
         *state = state.wrapping_add(arg);
@@ -600,18 +428,10 @@ mod tests {
         let cores: Vec<_> = (0..n)
             .map(|i| {
                 let ep = fabric.register_any().unwrap();
-                ShardCore::new(
-                    ep,
-                    init(i),
-                    body,
-                    Arc::clone(&control),
-                    i,
-                    max_batch,
-                    OpMask::EMPTY,
-                )
+                ShardCore::new(ep, init(i), body, Arc::clone(&control), i, max_batch)
             })
             .collect();
-        let ids = cores.iter().map(|c| c.endpoint.id()).collect();
+        let ids = cores.iter().map(|c| c.server.id()).collect();
         (fabric, control, cores, ids)
     }
 
@@ -932,56 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_batch_returns_per_caller_old_values() {
-        use crate::router::pack;
-        let fabric = Arc::new(Fabric::new(FabricConfig::new(1)));
-        let control = Arc::new(Control::new(1, 64, SubmitPolicy::Block));
-        let server_ep = fabric.register_any().unwrap();
-        let sid = server_ep.id();
-        let mut core = ShardCore::new(
-            server_ep,
-            0u64,
-            fetch_add as fn(&mut u64, u64, u64) -> u64,
-            Arc::clone(&control),
-            0,
-            64,
-            OpMask::of(&[0]), // opcode 0 merges; opcode 1 does not
-        );
-        // Two clients, one batch, arrival order:
-        //   a: add 10 | a: other 7 | b: add 20 | a: add 30 | b: add 40
-        let mut a = fabric.register_any().unwrap();
-        let mut b = fabric.register_any().unwrap();
-        let (wa, wb) = (a.id().to_word(), b.id().to_word());
-        let w_add = pack(5, 0);
-        let w_other = pack(5, 1);
-        a.send(sid, &wire::request(wa, w_add, 10)).unwrap();
-        a.send(sid, &wire::request(wa, w_other, 7)).unwrap();
-        b.send(sid, &wire::request(wb, w_add, 20)).unwrap();
-        a.send(sid, &wire::request(wa, w_add, 30)).unwrap();
-        b.send(sid, &wire::request(wb, w_add, 40)).unwrap();
-        assert_eq!(core.tick(), 5, "one batch serves all five requests");
-        // The head's group takes b's two adds (b has nothing else queued)
-        // but not a's `add 30`: a's non-merged op sits between, and a
-        // matches replies to requests by order alone. So: one dispatch of
-        // 10+20+40 answered 0 / 10 / 30, then `other` (sees 70, adds 7),
-        // then `add 30` (sees 77) — each client's replies in its own
-        // request order, its ops applied in that order.
-        let to_a: Vec<u64> = (0..3).map(|_| a.receive1()).collect();
-        let to_b: Vec<u64> = (0..2).map(|_| b.receive1()).collect();
-        assert_eq!(to_a, vec![0, 70, 77]);
-        assert_eq!(to_b, vec![10, 30]);
-        // The merged-away ops land on the shard's ops counter (the per-
-        // dispatch increment is RtDispatch's job, not exercised by this
-        // bare fn-pointer dispatcher): 3 adds − 1 dispatch = 2 extras.
-        assert_eq!(control.shards[0].server.ops.load(Ordering::Relaxed), 2);
-        let hist = control.shards[0].server.batch_hist.snapshot();
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.max(), 5);
-        drop((a, b));
-        assert_eq!(core.into_state(), 107);
-    }
-
-    #[test]
     fn core_ticks_nonblocking() {
         let fabric = Arc::new(Fabric::new(FabricConfig::new(1)));
         let control = Arc::new(Control::new(1, 8, SubmitPolicy::Block));
@@ -994,7 +764,6 @@ mod tests {
             Arc::clone(&control),
             0,
             4,
-            OpMask::EMPTY,
         );
         assert_eq!(core.tick(), 0, "empty queue ticks to zero");
         let mut client = fabric.register_any().unwrap();

@@ -264,35 +264,32 @@ pub enum Counter {
     /// Fast-path read attempts that missed (cold entry or version
     /// conflict) and fell back to delegation.
     RuntimeFastFallbacks = 25,
-    /// Commutative ops collapsed into a merged apply inside one service
-    /// batch (counts the ops elided, not the merged applies).
-    RuntimeMergedOps = 26,
     /// Live backend switches performed by adaptive shards.
-    RuntimeSwitches = 27,
+    RuntimeSwitches = 26,
     /// Retries of an already-applied-and-evicted op rejected by the
     /// cluster dedup eviction watermark instead of re-applied.
-    ClusterStaleRetries = 28,
+    ClusterStaleRetries = 27,
     /// Rate-limiter acquire attempts (mpsync-apps).
-    AppRateChecks = 29,
+    AppRateChecks = 28,
     /// Rate-limiter acquires denied for lack of tokens.
-    AppRateDenied = 30,
+    AppRateDenied = 29,
     /// Priority-queue pops that returned a task.
-    AppPqPops = 31,
+    AppPqPops = 30,
     /// Sessions removed by the timer-wheel expiry sweep.
-    AppSessionExpired = 32,
+    AppSessionExpired = 31,
     /// Sessions found expired at access time (lazy TTL check).
-    AppSessionLazyExpired = 33,
+    AppSessionLazyExpired = 32,
     /// Two-phase transfers that committed.
-    AppTxnCommits = 34,
+    AppTxnCommits = 33,
     /// Two-phase transfers aborted at the reserve phase.
-    AppTxnAborts = 35,
+    AppTxnAborts = 34,
     /// Replication records a primary re-sent because the backup's ack was
     /// overdue (`resend_after` ticks without progress).
-    ClusterReplResent = 36,
+    ClusterReplResent = 35,
 }
 
 impl Counter {
-    pub const ALL: [Counter; 37] = [
+    pub const ALL: [Counter; 36] = [
         Counter::UdnSends,
         Counter::UdnReceives,
         Counter::UdnBlockedSends,
@@ -319,7 +316,6 @@ impl Counter {
         Counter::ClusterRedirects,
         Counter::RuntimeFastReads,
         Counter::RuntimeFastFallbacks,
-        Counter::RuntimeMergedOps,
         Counter::RuntimeSwitches,
         Counter::ClusterStaleRetries,
         Counter::AppRateChecks,
@@ -361,7 +357,6 @@ impl Counter {
             Counter::ClusterRedirects => "cluster.redirects",
             Counter::RuntimeFastReads => "runtime.fast_reads",
             Counter::RuntimeFastFallbacks => "runtime.fast_fallbacks",
-            Counter::RuntimeMergedOps => "runtime.merged_ops",
             Counter::RuntimeSwitches => "runtime.switches",
             Counter::ClusterStaleRetries => "cluster.stale_retries",
             Counter::AppRateChecks => "app.rate_checks",
@@ -683,7 +678,6 @@ mod tests {
                 "cluster.redirects",
                 "runtime.fast_reads",
                 "runtime.fast_fallbacks",
-                "runtime.merged_ops",
                 "runtime.switches",
                 "cluster.stale_retries",
                 "app.rate_checks",

@@ -360,13 +360,15 @@ fn fast_reads_are_monotone_under_concurrent_increments() {
 }
 
 // ---------------------------------------------------------------------------
-// Op-merging end-to-end: under the merge mask, contended fetch-adds still
-// return per-caller old values that form a permutation of 0..N — the full
-// linearizability certificate for a fetch-add-shaped op.
+// Contended fetch-adds through the batched MP-SERVER step (the fixed
+// backend's, and an adaptive shard's Mp mode): per-caller old values form a
+// permutation of 0..N — the full linearizability certificate for a
+// fetch-add-shaped op. (The names are from when these ran under op merging,
+// since removed.)
 // ---------------------------------------------------------------------------
 
-/// Keyed fetch-add body matching the merge contract: op 0 wrapping-adds its
-/// argument and returns the OLD value; op 2 reads.
+/// Keyed fetch-add body: op 0 wrapping-adds its argument and returns the OLD
+/// value; op 2 reads.
 fn keyed_fadd(state: &mut u64, _key: u64, op: u64, arg: u64) -> u64 {
     match op {
         0 => {
@@ -409,7 +411,7 @@ fn run_merged_fetch_add(config: RuntimeConfig, force_mp_first: bool) {
     );
     let rt = Arc::try_unwrap(rt).ok().expect("sessions dropped");
     let report = rt.shutdown();
-    assert_eq!(report.states[0], total, "merged adds all applied");
+    assert_eq!(report.states[0], total, "every add applied");
     assert_eq!(
         report.stats.total_ops(),
         total,
@@ -424,20 +426,14 @@ fn merged_fetch_adds_linearize_on_mp_server() {
             .with_backend(Backend::MpServer)
             .with_max_sessions(3)
             .with_queue_depth(4)
-            .with_max_batch(8)
-            .with_merge_ops(OpMask::of(&[0])),
+            .with_max_batch(8),
         false,
     );
 }
 
 #[test]
 fn merged_fetch_adds_linearize_on_adaptive_mp_mode() {
-    run_merged_fetch_add(
-        adaptive(1, 3)
-            .with_submit(SubmitPolicy::Block)
-            .with_merge_ops(OpMask::of(&[0])),
-        true,
-    );
+    run_merged_fetch_add(adaptive(1, 3).with_submit(SubmitPolicy::Block), true);
 }
 
 // ---------------------------------------------------------------------------

@@ -96,6 +96,60 @@ fn counter36_round_matches_the_threaded_engine() {
     }
 }
 
+/// The runtime's serving step on the simulator: one server proc steps
+/// `mpsync-core`'s `serve_pending` with a budget of 2 until it has served
+/// every request, and eight client procs each `request` three
+/// fetch-and-increments. The results are a permutation of 0..24, no step
+/// serves more than its budget, and some step serves a full batch.
+#[test]
+fn batched_mp_server_step_serves_each_request_once() {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
+    use mpsync_core::mp_server::{request, serve_pending};
+    use tilesim::algos::{AddrAlloc, CsBody};
+    use tilesim::Engine;
+
+    const CLIENTS: usize = 8;
+    const EACH: u64 = 3;
+    const BUDGET: u64 = 2;
+    let total = CLIENTS as u64 * EACH;
+    let mut engine = Engine::new(MachineConfig::tile_gx8036());
+    let body = CsBody::Counter {
+        addr: AddrAlloc::new().line(),
+    };
+    let largest = Rc::new(Cell::new(0));
+    let results = Rc::new(RefCell::new(Vec::new()));
+    let server = {
+        let largest = Rc::clone(&largest);
+        engine.add_proc(async move |ctx| {
+            let mut served = 0;
+            while served < total {
+                let n = serve_pending(ctx, &body, &mut (), BUDGET).await;
+                largest.set(largest.get().max(n));
+                served += n;
+                if n == 0 {
+                    ctx.work(10).await;
+                }
+            }
+        })
+    };
+    for _ in 0..CLIENTS {
+        let results = Rc::clone(&results);
+        engine.add_proc(async move |ctx| {
+            for _ in 0..EACH {
+                let ret = request(ctx, server as u64, 0, 0).await;
+                results.borrow_mut().push(ret);
+            }
+        });
+    }
+    engine.run(1_000_000);
+    let mut got = results.take();
+    got.sort_unstable();
+    assert_eq!(got, (0..total).collect::<Vec<u64>>());
+    assert_eq!(largest.get(), BUDGET, "the largest step");
+}
+
 /// Doubling every memory cost must not increase counter throughput.
 #[test]
 fn costlier_machine_is_not_faster() {
