@@ -5,6 +5,15 @@
 //! decoder, explicit `send`/`recv` so callers control the pipeline depth.
 //! [`NetClient::call`] is the convenience path (depth 1, retries `Busy`
 //! transparently); `netbench` and the tests drive `send`/`recv` directly.
+//!
+//! A `NetClient` writes its queued requests at the latest when it is about
+//! to wait on the socket, and [`NetClient::flush`] does not write while a
+//! complete response is already buffered. A pipelining caller that takes one
+//! response and refills one request therefore writes once per wait, not once
+//! per op: on loopback a `send` runs the receiver's TCP stack in the sender's
+//! context, so each write saved is CPU saved on both sides. Every path that
+//! can wait on the socket or give it up (`recv`, `finish_sending`, `split`,
+//! drop) writes the held requests first.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -297,24 +306,43 @@ impl NetClient {
         id
     }
 
-    /// Writes every queued request to the socket in one syscall.
+    /// Writes every queued request to the socket in one syscall, unless a
+    /// complete response is already buffered. Then the requests stay
+    /// queued: the caller's next [`NetClient::recv`] returns that response
+    /// without waiting, and the first `recv` that has to wait on the socket
+    /// writes them, together with whatever was queued after them. A caller
+    /// that refills one request per response so makes one write per wait,
+    /// not one per op. A caller with nothing buffered, such as every
+    /// [`NetClient::call`] and [`NetClient::ping`], still writes at once.
     pub fn flush(&mut self) -> io::Result<()> {
+        if self.reader.has_frame() {
+            return Ok(());
+        }
+        self.write_pending()
+    }
+
+    /// Writes every queued request in one `write_all`.
+    fn write_pending(&mut self) -> io::Result<()> {
         if self.wbuf.is_empty() {
             return Ok(());
         }
         self.sock.write_all(&self.wbuf)?;
-        self.sock.flush()?;
         self.wbuf.clear();
         Ok(())
     }
 
     /// Blocks for the next response frame. `Ok(None)` means the server
     /// closed the stream cleanly (FIN with no partial frame).
+    ///
+    /// A buffered response is returned without touching the socket. Before
+    /// each socket read, the requests [`NetClient::flush`] held are written,
+    /// so the client never waits for an answer to a request it has not sent.
     pub fn recv(&mut self) -> Result<Option<Response>, ClientError> {
         loop {
             if let Some(resp) = self.reader.next_frame::<Response>()? {
                 return Ok(Some(resp));
             }
+            self.write_pending()?;
             match self.sock.read(&mut self.rbuf) {
                 Ok(0) => {
                     if self.reader.buffered() > 0 {
@@ -407,29 +435,44 @@ impl NetClient {
         }
     }
 
-    /// Half-closes the write side (tells the server "no more requests")
-    /// while keeping the read side open for remaining responses.
-    pub fn finish_sending(&self) {
+    /// Writes the requests [`NetClient::flush`] held, then half-closes the
+    /// write side (tells the server "no more requests") while keeping the
+    /// read side open for remaining responses.
+    pub fn finish_sending(&mut self) -> io::Result<()> {
+        self.write_pending()?;
         self.sock.shutdown_write();
+        Ok(())
     }
 
     /// Splits into independently-owned send/receive halves (open-loop mode:
     /// a generator thread fires requests on its own clock while a reaper
-    /// thread timestamps responses).
-    pub fn split(self) -> io::Result<(ClientSender, ClientReceiver)> {
-        let write_sock = self.sock.try_clone()?;
+    /// thread timestamps responses). The sender inherits the requests
+    /// [`NetClient::flush`] held, and its next [`ClientSender::flush`]
+    /// writes them; the receiver inherits the buffered responses.
+    pub fn split(mut self) -> io::Result<(ClientSender, ClientReceiver)> {
+        let (write_sock, read_sock) = (self.sock.try_clone()?, self.sock.try_clone()?);
+        // `self` is dropped below: take what the halves inherit, so its
+        // `Drop` finds nothing to write.
         Ok((
             ClientSender {
                 sock: write_sock,
-                wbuf: self.wbuf,
+                wbuf: std::mem::take(&mut self.wbuf),
                 next_id: self.next_id,
             },
             ClientReceiver {
-                sock: self.sock,
-                reader: self.reader,
-                rbuf: self.rbuf,
+                sock: read_sock,
+                reader: std::mem::replace(&mut self.reader, FrameReader::new(0)),
+                rbuf: std::mem::take(&mut self.rbuf),
             },
         ))
+    }
+}
+
+impl Drop for NetClient {
+    /// Writes the requests [`NetClient::flush`] held, best effort: a client
+    /// dropped without waiting for their answers still delivers them.
+    fn drop(&mut self) {
+        let _ = self.write_pending();
     }
 }
 
@@ -456,13 +499,15 @@ impl ClientSender {
         id
     }
 
-    /// Flushes queued requests.
+    /// Writes every queued request at once, in one syscall. Unlike
+    /// [`NetClient::flush`] it never holds them: a split sender cannot see
+    /// its receiver's buffer, and an open-loop generator sends on its own
+    /// clock, so there is no wait of its own to coalesce behind.
     pub fn flush(&mut self) -> io::Result<()> {
         if self.wbuf.is_empty() {
             return Ok(());
         }
         self.sock.write_all(&self.wbuf)?;
-        self.sock.flush()?;
         self.wbuf.clear();
         Ok(())
     }
@@ -628,6 +673,166 @@ mod tests {
                 d >= cur / 2 && d <= cur,
                 "attempt {attempt}: {d:?} vs {cur:?}"
             );
+        }
+    }
+
+    /// The hold-until-wait rule, against a peer the test plays as the
+    /// server over a socket pair.
+    #[cfg(unix)]
+    mod writes {
+        use super::*;
+        use crate::frame::Request;
+
+        /// A client on one end of a socket pair and the peer on the other.
+        /// Both ends give up a read after 2 s, so a request the client
+        /// never writes fails the test on a timeout instead of hanging it.
+        fn client_and_peer() -> (NetClient, UnixStream) {
+            let (a, b) = UnixStream::pair().expect("socket pair");
+            for s in [&a, &b] {
+                s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            }
+            (NetClient::from_sock(ClientSock::Unix(a)), b)
+        }
+
+        fn op_ids(bytes: &[u8]) -> Vec<u64> {
+            let mut r = FrameReader::new(DEFAULT_MAX_FRAME);
+            r.extend(bytes);
+            let mut ids = Vec::new();
+            while let Some(req) = r.next_frame::<Request>().expect("well-formed requests") {
+                match req {
+                    Request::Op { id, .. } => ids.push(id),
+                    other => panic!("unexpected request {other:?}"),
+                }
+            }
+            assert_eq!(r.buffered(), 0, "a read ended inside a request");
+            ids
+        }
+
+        /// The request ids of one blocking peer read.
+        fn peer_read(peer: &mut UnixStream) -> Vec<u64> {
+            let mut buf = [0u8; 4096];
+            let n = peer.read(&mut buf).expect("peer read");
+            assert!(n > 0, "the client hung up before writing");
+            op_ids(&buf[..n])
+        }
+
+        /// The request ids the peer can read without waiting; `None` when
+        /// its read would block.
+        fn peer_read_now(peer: &mut UnixStream) -> Option<Vec<u64>> {
+            peer.set_nonblocking(true).unwrap();
+            let mut buf = [0u8; 4096];
+            let got = peer.read(&mut buf);
+            peer.set_nonblocking(false).unwrap();
+            match got {
+                Ok(n) => Some(op_ids(&buf[..n])),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => None,
+                Err(e) => panic!("peer read: {e}"),
+            }
+        }
+
+        fn assert_peer_at_eof(peer: &mut UnixStream) {
+            assert_eq!(peer.read(&mut [0u8; 64]).expect("peer read"), 0);
+        }
+
+        /// Answers `ids` with one write.
+        fn answer(peer: &mut UnixStream, ids: &[u64]) {
+            let mut out = Vec::new();
+            for &id in ids {
+                Response {
+                    id,
+                    status: Status::Ok,
+                    value: id + 100,
+                }
+                .encode_frame(&mut out);
+            }
+            peer.write_all(&out).expect("peer write");
+        }
+
+        fn recv_id(client: &mut NetClient) -> u64 {
+            client.recv().expect("recv").expect("a response").id
+        }
+
+        /// A client holding one request behind one complete buffered
+        /// response: returns the buffered response's id and the held one's.
+        fn holding() -> (NetClient, UnixStream, u64, u64) {
+            let (mut client, mut peer) = client_and_peer();
+            let (a, b) = (client.send(1, 0, 1), client.send(2, 0, 2));
+            client.flush().unwrap();
+            assert_eq!(peer_read(&mut peer), [a, b]);
+            answer(&mut peer, &[a, b]);
+            assert_eq!(recv_id(&mut client), a, "one read took both responses");
+            let held = client.send(3, 0, 3);
+            client.flush().unwrap();
+            assert_eq!(
+                peer_read_now(&mut peer),
+                None,
+                "flush wrote with a response buffered"
+            );
+            (client, peer, b, held)
+        }
+
+        #[test]
+        fn flush_holds_while_a_response_is_buffered_and_recv_writes_before_it_waits() {
+            let (mut client, mut peer, buffered, held) = holding();
+            let also_held = client.send(4, 0, 4);
+            client.flush().unwrap();
+            assert_eq!(peer_read_now(&mut peer), None);
+            // The buffered response comes back without a socket read, so
+            // without a write either.
+            assert_eq!(recv_id(&mut client), buffered);
+            assert_eq!(peer_read_now(&mut peer), None);
+            // This recv has to wait: it writes both held requests first,
+            // in one write that one peer read sees whole.
+            let server = std::thread::spawn(move || {
+                let got = peer_read(&mut peer);
+                answer(&mut peer, &got);
+                (got, peer)
+            });
+            assert_eq!(recv_id(&mut client), held);
+            assert_eq!(recv_id(&mut client), also_held);
+            let (got, _peer) = server.join().expect("peer thread");
+            assert_eq!(got, [held, also_held]);
+        }
+
+        #[test]
+        fn flush_writes_at_once_with_nothing_buffered() {
+            let (mut client, mut peer) = client_and_peer();
+            let first = client.send(1, 0, 1);
+            client.flush().unwrap();
+            assert_eq!(peer_read_now(&mut peer), Some(vec![first]));
+            answer(&mut peer, &[first]);
+            assert_eq!(recv_id(&mut client), first);
+            // Drained again: the next flush writes at once too.
+            let second = client.send(2, 0, 2);
+            client.flush().unwrap();
+            assert_eq!(peer_read_now(&mut peer), Some(vec![second]));
+        }
+
+        #[test]
+        fn finish_sending_writes_held_requests_before_the_half_close() {
+            let (mut client, mut peer, buffered, held) = holding();
+            client.finish_sending().unwrap();
+            assert_eq!(peer_read(&mut peer), [held]);
+            assert_peer_at_eof(&mut peer);
+            assert_eq!(recv_id(&mut client), buffered);
+        }
+
+        #[test]
+        fn split_hands_held_requests_to_the_sender() {
+            let (client, mut peer, buffered, held) = holding();
+            let (mut tx, mut rx) = client.split().unwrap();
+            assert_eq!(peer_read_now(&mut peer), None, "split wrote");
+            tx.flush().unwrap();
+            assert_eq!(peer_read_now(&mut peer), Some(vec![held]));
+            assert_eq!(rx.recv().expect("recv").expect("a response").id, buffered);
+        }
+
+        #[test]
+        fn drop_writes_held_requests() {
+            let (client, mut peer, _, held) = holding();
+            drop(client);
+            assert_eq!(peer_read(&mut peer), [held]);
+            assert_peer_at_eof(&mut peer);
         }
     }
 }

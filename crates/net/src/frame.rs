@@ -998,6 +998,13 @@ impl FrameReader {
         self.buf.len() - self.pos
     }
 
+    /// Whether [`FrameReader::next_frame`] would make progress right now:
+    /// a complete frame is buffered, or the prefix is already malformed
+    /// (so decoding surfaces the error rather than waiting forever).
+    pub fn has_frame(&self) -> bool {
+        frame_ready(&self.buf[self.pos..], self.max_frame)
+    }
+
     /// Decodes the next complete frame, `Ok(None)` if more bytes are
     /// needed, or a typed error if the stream is malformed.
     pub fn next_frame<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
@@ -1024,6 +1031,21 @@ impl FrameReader {
         self.pos += 4 + len;
         Ok(Some(frame))
     }
+}
+
+/// Whether `avail` starts with a complete frame, or with a length prefix
+/// that is already malformed (so decoding surfaces the error rather than
+/// waiting forever): the readiness test of [`FrameReader::has_frame`] and
+/// [`FrameBuf::has_frame`].
+fn frame_ready(avail: &[u8], max_frame: u32) -> bool {
+    if avail.len() < 4 {
+        return false;
+    }
+    let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes checked"));
+    if len == 0 || len > max_frame {
+        return true; // malformed: next_frame reports the typed error
+    }
+    avail.len() >= 4 + len as usize
 }
 
 /// A fixed-capacity sliding-window frame decoder for non-blocking I/O.
@@ -1094,19 +1116,7 @@ impl FrameBuf {
     /// a complete frame is buffered, or the prefix is already malformed
     /// (so decoding surfaces the error rather than waiting forever).
     pub fn has_frame(&self) -> bool {
-        let avail = self.buffered();
-        if avail < 4 {
-            return false;
-        }
-        let len = u32::from_le_bytes(
-            self.buf[self.start..self.start + 4]
-                .try_into()
-                .expect("4 bytes checked"),
-        );
-        if len == 0 || len > self.max_frame {
-            return true; // malformed: next_frame reports the typed error
-        }
-        avail >= 4 + len as usize
+        frame_ready(&self.buf[self.start..self.end], self.max_frame)
     }
 
     /// Decodes the next complete frame in place, `Ok(None)` if more bytes
@@ -1369,6 +1379,30 @@ mod tests {
             fb.next_frame::<Request>(),
             Err(FrameError::Oversized { len: 65, max: 64 })
         );
+    }
+
+    #[test]
+    fn reader_reports_readiness_like_framebuf() {
+        let mut r = FrameReader::new(DEFAULT_MAX_FRAME);
+        assert!(!r.has_frame());
+        for req in sample_requests() {
+            let mut bytes = Vec::new();
+            req.encode_frame(&mut bytes);
+            r.extend(&bytes[..3]);
+            assert!(!r.has_frame(), "a torn length prefix is not a frame");
+            r.extend(&bytes[3..bytes.len() - 1]);
+            assert!(!r.has_frame(), "a torn body is not a frame");
+            r.extend(&bytes[bytes.len() - 1..]);
+            assert!(r.has_frame());
+            assert_eq!(r.next_frame::<Request>().unwrap(), Some(req));
+            assert!(!r.has_frame());
+        }
+        let mut bad = FrameReader::new(64);
+        bad.extend(&65u32.to_le_bytes());
+        assert!(bad.has_frame(), "oversized prefix must surface, not stall");
+        let mut empty = FrameReader::new(64);
+        empty.extend(&0u32.to_le_bytes());
+        assert!(empty.has_frame(), "empty frame must surface, not stall");
     }
 
     fn sample_node_msgs() -> Vec<NodeMsg> {

@@ -14,6 +14,11 @@
 //!    `write_all`, so pipelined clients pay one syscall per batch instead
 //!    of one per op.
 //!
+//! A pipelining [`NetClient`](crate::NetClient) keeps the same rule on its
+//! side: it writes its queued requests once per wait on the socket, not once
+//! per op ([`NetClient::flush`](crate::NetClient::flush)), so one read here
+//! tends to carry several requests and one turn answers them all.
+//!
 //! A connection's turn therefore costs one cross-thread handoff per shard
 //! it touches, however many requests the peer had pipelined. Replies are in
 //! request order; effects are in request order per key. Requests a peer

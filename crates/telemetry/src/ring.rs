@@ -231,12 +231,13 @@ mod tests {
     #[test]
     fn drain_consumes_each_span_once() {
         let r = Ring::new();
-        for i in 0..5u64 {
+        // A full ring and no lap, whatever the capacity (4 under loom).
+        for i in 0..RING_CAPACITY as u64 {
             r.push(i, i, 1);
         }
         let mut out = Vec::new();
         r.drain(&mut out);
-        assert_eq!(out.len(), 5);
+        assert_eq!(out.len(), RING_CAPACITY);
         // A second drain with nothing new pushed returns nothing: spans
         // are consumed, not replayed.
         out.clear();
@@ -284,14 +285,19 @@ mod tests {
     #[test]
     fn clear_forgets_retained_spans_without_counting_drops() {
         let r = Ring::new();
-        for i in 0..5u64 {
+        // Fill without lapping, so nothing is a drop before the clear.
+        for i in 0..RING_CAPACITY as u64 {
             r.push(i, 2, 2);
         }
         r.clear();
         let mut out = Vec::new();
         r.drain(&mut out);
         assert!(out.is_empty(), "cleared ring must drain empty");
-        assert_eq!(r.pushed(), 5, "pushed() is an ever-recorded count");
+        assert_eq!(
+            r.pushed(),
+            RING_CAPACITY as u64,
+            "pushed() is an ever-recorded count"
+        );
         assert_eq!(r.dropped(), 0);
         // The ring keeps working after a clear, and overwriting the
         // positions the clear discarded is not a drop.
